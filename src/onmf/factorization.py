@@ -187,7 +187,10 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     Projected gradient descent with step 1/(2 tr(W^T W) + kappa2), stopped when
     the Frobenius change between successive iterates falls below ``tol`` or
     after ``max_iter`` steps.  The objective is non-increasing across
-    iterations and the columns of X are solved independently.
+    iterations and the columns of X are solved independently.  A batch shares
+    the Frobenius stopping rule: the whole change bounds each column's change,
+    so a column coded in a batch is never stopped earlier than it would be
+    if coded alone.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)

@@ -2,8 +2,9 @@
 
 Learning drives the streaming factorization engine with minibatches of
 vectorized mesoscale patches produced by a motif-sampling chain.
-Reconstruction runs a single chain, sparse-codes each patch against a learned
-dictionary, and folds the approximations into running means per node pair.
+Reconstruction runs a single chain, sparse-codes the patches it visits against
+a learned dictionary in blocks of ``RECON_BLOCK`` chain steps (one matrix solve
+per block), and averages the approximations per node pair.
 Denoising corrupts a simple graph, reconstructs it, and classifies candidate
 pairs by their reconstructed weight, scored with an ROC curve.
 """
@@ -21,6 +22,9 @@ from .networks import (Motif, Network, chain_update, initial_homomorphism,
                        mesoscale_patch)
 
 MCMC_MODES = ("pivot", "pivot-approx", "glauber")
+
+# Chain steps whose patches nr_reconstruct codes in one sparse_code call.
+RECON_BLOCK = 512
 
 
 class CorruptionError(ValueError):
@@ -132,28 +136,42 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
 
 @dataclass
 class ReconstructionState:
-    """Sparse running means and visit counts over ordered node pairs."""
+    """Per ordered node pair: the sum and the number of folded proposals."""
 
-    means: dict = field(default_factory=dict)
+    sums: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
 
+    @property
+    def means(self) -> dict:
+        """Mean proposal per visited pair."""
+        return {pair: s / self.counts[pair] for pair, s in self.sums.items()}
+
     def fold(self, pair: tuple[int, int], value: float) -> None:
-        """Fold one proposal into the running mean at the pair."""
-        c = self.counts.get(pair, 0) + 1
-        self.counts[pair] = c
-        prev = self.means.get(pair, 0.0)
-        self.means[pair] = (1.0 - 1.0 / c) * prev + value / c
+        """Fold one proposal into the pair's sum and count."""
+        self.sums[pair] = self.sums.get(pair, 0.0) + value
+        self.counts[pair] = self.counts.get(pair, 0) + 1
+
+    def fold_many(self, us: np.ndarray, vs: np.ndarray,
+                  values: np.ndarray) -> None:
+        """Fold proposals values[i] at pairs (us[i], vs[i]), in index order."""
+        base = int(max(us.max(), vs.max())) + 1
+        keys, inverse = np.unique(us * base + vs, return_inverse=True)
+        block_sums = np.bincount(inverse, weights=values)
+        block_counts = np.bincount(inverse)
+        sums, counts = self.sums, self.counts
+        for key, s, c in zip(keys.tolist(), block_sums.tolist(),
+                             block_counts.tolist()):
+            pair = divmod(key, base)
+            sums[pair] = sums.get(pair, 0.0) + s
+            counts[pair] = counts.get(pair, 0) + c
 
     def pair_score(self, u: int, v: int) -> float:
-        """Count-weighted mean over both orientations; 0 when never visited."""
-        total = 0.0
-        count = 0
-        for pair in ((u, v), (v, u)):
-            c = self.counts.get(pair, 0)
-            if c:
-                total += self.means[pair] * c
-                count += c
-        return total / count if count else 0.0
+        """(s_uv + s_vu) / (c_uv + c_vu), both orientations; 0 if never visited."""
+        count = self.counts.get((u, v), 0) + self.counts.get((v, u), 0)
+        if not count:
+            return 0.0
+        total = self.sums.get((u, v), 0.0) + self.sums.get((v, u), 0.0)
+        return total / count
 
 
 def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
@@ -162,9 +180,12 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
                    initial=None) -> ReconstructionState:
     """Reconstruct a network by averaging dictionary approximations of patches.
 
-    Each chain step sparse-codes the current mesoscale patch against W and
-    folds every entry of the k x k approximation into the running mean at the
-    corresponding node pair.
+    The chain advances ``RECON_BLOCK`` steps at a time, keeping each step's
+    homomorphism x and mesoscale patch.  The block's patches are sparse-coded
+    against W in one call, and entry (a, b) of each step's k x k approximation
+    W h is folded into the mean at node pair (x[a], x[b]).  Coding draws no
+    random numbers, so the chain's trajectory does not depend on the block
+    size.
     """
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
@@ -174,15 +195,18 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     motif = Motif.chain(k)
     x = initial if initial is not None else initial_homomorphism(net, motif, rng)
     state = ReconstructionState()
-    for _ in range(iters):
-        x = chain_update(net, motif, x, rng, mcmc)
-        patch = mesoscale_patch(net, x).reshape(-1, 1)
-        h = sparse_code(patch, W, lam=lam, tol=code_tol,
-                        max_iter=code_max_iter)
-        approx = (W @ h).reshape(k, k)
-        for a in range(k):
-            for b in range(k):
-                state.fold((x[a], x[b]), float(approx[a, b]))
+    rows, cols = np.divmod(np.arange(k2), k)
+    for start in range(0, iters, RECON_BLOCK):
+        m = min(RECON_BLOCK, iters - start)
+        xs = np.empty((m, k), dtype=np.int64)
+        X = np.empty((k2, m))
+        for j in range(m):
+            x = chain_update(net, motif, x, rng, mcmc)
+            xs[j] = x
+            X[:, j] = mesoscale_patch(net, x).reshape(-1)
+        H = sparse_code(X, W, lam=lam, tol=code_tol, max_iter=code_max_iter)
+        state.fold_many(xs[:, rows].ravel(), xs[:, cols].ravel(),
+                        (W @ H).T.ravel())
     return state
 
 
@@ -334,7 +358,9 @@ def roc_auc(scores: dict, labels: dict, lower_is_positive: bool = True) -> RocRe
 
     Thresholds sweep all distinct score values (strict comparison), so tied
     scores advance the curve diagonally and the trapezoid AUC equals the
-    Mann-Whitney statistic with half credit for ties.
+    Mann-Whitney statistic with half credit for ties.  One sort groups the
+    ties; cumulative label counts over the groups give every point, in
+    O(n log n) for n pairs.
     """
     keys = sorted(scores)
     if set(keys) != set(labels):
@@ -345,15 +371,19 @@ def roc_auc(scores: dict, labels: dict, lower_is_positive: bool = True) -> RocRe
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise RocError("need at least one positive and one negative label")
-    uniques = np.unique(s)
-    thresholds = list(uniques) + [math.inf] if lower_is_positive \
-        else list(uniques[::-1]) + [-math.inf]
-    points = []
-    for th in thresholds:
-        pred = s < th if lower_is_positive else s > th
-        tpr = float(np.sum(pred & y)) / n_pos
-        fpr = float(np.sum(pred & ~y)) / n_neg
-        points.append((float(th), fpr, tpr))
+    uniques, group = np.unique(s, return_inverse=True)
+    pos = np.bincount(group[y], minlength=len(uniques))
+    neg = np.bincount(group[~y], minlength=len(uniques))
+    if lower_is_positive:
+        thresholds = list(uniques) + [math.inf]
+    else:
+        thresholds = list(uniques[::-1]) + [-math.inf]
+        pos, neg = pos[::-1], neg[::-1]
+    # Counts predicted positive at each threshold: all tie groups before it.
+    tp = [0] + np.cumsum(pos).tolist()
+    fp = [0] + np.cumsum(neg).tolist()
+    points = [(float(th), f / n_neg, t / n_pos)
+              for th, f, t in zip(thresholds, fp, tp)]
     fprs = np.array([p[1] for p in points])
     tprs = np.array([p[2] for p in points])
     auc = float(np.sum(np.diff(fprs) * (tprs[1:] + tprs[:-1]) / 2.0))

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cycle_network, mann_whitney_auc, smallworld_network
-from onmf import (CorruptionError, DegenerateAggregatesError, NDLParams,
-                  Network, ReconstructionState, RocError, candidate_pairs,
-                  coding_objective, corrupt_network, denoise_classify,
-                  dominance_scores, ndl_learn, nr_reconstruct, roc_auc,
-                  sparse_code)
-from onmf.ndl import is_connected
+from onmf import (CorruptionError, DegenerateAggregatesError, Motif,
+                  NDLParams, Network, ReconstructionState, RocError,
+                  candidate_pairs, chain_update, coding_objective,
+                  corrupt_network, denoise_classify, dominance_scores,
+                  initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
+                  nr_reconstruct, roc_auc, sparse_code)
+from onmf.ndl import MCMC_MODES, is_connected
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -134,6 +137,53 @@ def test_reconstruction_determinism():
     assert a.means == b.means and a.counts == b.counts
 
 
+@pytest.mark.parametrize("mcmc", MCMC_MODES)
+def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc):
+    net = smallworld_network(30, 4, 0.2, seed=5)
+    W = np.random.default_rng(1).random((9, 4))
+    iters = ndl.RECON_BLOCK + 7
+    # tol=0 runs every solve to max_iter, alone or in a block, so both sides
+    # take the same projected-gradient steps on every column.
+    rng = np.random.default_rng(3)
+    state = nr_reconstruct(net, W, iters=iters, lam=0.5, mcmc=mcmc, rng=rng,
+                           code_tol=0.0, code_max_iter=50)
+
+    ref_rng = np.random.default_rng(3)
+    motif = Motif.chain(3)
+    x = initial_homomorphism(net, motif, ref_rng)
+    sums, counts = {}, {}
+    for _ in range(iters):
+        x = chain_update(net, motif, x, ref_rng, mcmc)
+        patch = mesoscale_patch(net, x).reshape(-1, 1)
+        h = sparse_code(patch, W, lam=0.5, tol=0.0, max_iter=50)
+        approx = (W @ h).reshape(3, 3)
+        for a in range(3):
+            for b in range(3):
+                pair = (x[a], x[b])
+                sums[pair] = sums.get(pair, 0.0) + float(approx[a, b])
+                counts[pair] = counts.get(pair, 0) + 1
+
+    assert state.counts == counts
+    means = state.means
+    assert max(abs(means[p] - sums[p] / counts[p]) for p in counts) < 1e-12
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reconstruction_codes_each_block_in_one_call(monkeypatch):
+    columns = []
+
+    def counting_sparse_code(X, *args, **kwargs):
+        columns.append(X.shape[1])
+        return sparse_code(X, *args, **kwargs)
+
+    monkeypatch.setattr(ndl, "sparse_code", counting_sparse_code)
+    iters = 2 * ndl.RECON_BLOCK + 3
+    nr_reconstruct(cycle_network(8), CHAIN_PATTERN.reshape(-1, 1),
+                   iters=iters, rng=np.random.default_rng(0))
+    assert len(columns) == math.ceil(iters / ndl.RECON_BLOCK)
+    assert sum(columns) == iters
+
+
 def test_reconstruct_validates_dictionary_shape():
     net = cycle_network(6)
     with pytest.raises(ValueError, match="perfect square"):
@@ -252,6 +302,36 @@ def test_auc_equals_mann_whitney_and_flip_identity(items):
     lo = roc_auc(scores, labels, lower_is_positive=True).auc
     hi = roc_auc(scores, labels, lower_is_positive=False).auc
     assert lo + hi == pytest.approx(1.0, abs=1e-12)
+
+
+def _roc_by_threshold_sweep(scores, labels, lower_is_positive):
+    """Reference ROC: rescan every pair at every distinct score."""
+    n_pos = sum(labels.values())
+    n_neg = len(labels) - n_pos
+    values = sorted(set(scores.values()), reverse=not lower_is_positive)
+    points = []
+    for th in values + [math.inf if lower_is_positive else -math.inf]:
+        hits = [k for k, s in scores.items()
+                if (s < th if lower_is_positive else s > th)]
+        tp = sum(1 for k in hits if labels[k])
+        points.append((th, (len(hits) - tp) / n_neg, tp / n_pos))
+    fprs = np.array([p[1] for p in points])
+    tprs = np.array([p[2] for p in points])
+    return points, float(np.sum(np.diff(fprs) * (tprs[1:] + tprs[:-1]) / 2.0))
+
+
+@pytest.mark.parametrize("n_pos", [1, 37, 199])
+def test_roc_matches_a_brute_force_threshold_sweep(n_pos):
+    rng = np.random.default_rng(n_pos)
+    n = 200
+    scores = {i: float(rng.integers(0, 12)) / 4 for i in range(n)}
+    positive = set(rng.choice(n, n_pos, replace=False).tolist())
+    labels = {i: i in positive for i in range(n)}
+    for lower in (True, False):
+        roc = roc_auc(scores, labels, lower_is_positive=lower)
+        points, auc = _roc_by_threshold_sweep(scores, labels, lower)
+        assert roc.points == points
+        assert roc.auc == auc
 
 
 def test_roc_single_class_errors():
