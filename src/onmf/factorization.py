@@ -14,6 +14,7 @@ second-order growth of the quadratic objective per update.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,19 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _FEAS_TOL = 1e-12
+
+# OnlineNMF.step calls the public sparse_code and dictionary_update, so that
+# anything wrapping those names (a profiler, a counting test double) sees every
+# solve, and reads what they did from the dict it places here: each records
+# (iterations or sweeps, converged) under "code" or "dict".  None outside a step.
+_SOLVER_COUNTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "onmf_solver_counts", default=None)
+
+
+def _record_counts(key: str, count: int, converged: bool) -> None:
+    counts = _SOLVER_COUNTS.get()
+    if counts is not None:
+        counts[key] = (count, converged)
 
 
 class ZeroDictionaryError(ValueError):
@@ -62,13 +76,7 @@ class ConstraintPiece:
         W = np.asarray(W, dtype=float)
         if self.lower > 0 and self.lower * math.sqrt(W.size) > self.radius:
             raise ValueError("empty constraint piece for this shape")
-        V = np.maximum(W, self.lower)
-        for _ in range(200):
-            nrm = float(np.linalg.norm(V))
-            if nrm <= self.radius * (1.0 + 1e-12):
-                return V
-            V = np.maximum(V * (self.radius / nrm), self.lower)
-        return V
+        return _clamp_and_rescale(W, self.lower, self.radius)
 
     def project_column(self, col: np.ndarray, rest_sq: float) -> np.ndarray | None:
         """Project one column given the squared norm of the other columns.
@@ -79,15 +87,25 @@ class ConstraintPiece:
         allowed = math.sqrt(max(self.radius ** 2 - rest_sq, 0.0))
         if self.lower > 0 and self.lower * math.sqrt(col.size) > allowed:
             return None
-        v = np.maximum(col, self.lower)
         if allowed == 0.0:
-            return np.zeros_like(v) if self.lower <= 0 else None
-        for _ in range(200):
-            nrm = float(np.linalg.norm(v))
-            if nrm <= allowed * (1.0 + 1e-12):
-                return v
-            v = np.maximum(v * (allowed / nrm), self.lower)
-        return v
+            return np.zeros(col.shape) if self.lower <= 0 else None
+        return _clamp_and_rescale(col, self.lower, allowed)
+
+
+def _clamp_and_rescale(V: np.ndarray, lower: float, bound: float) -> np.ndarray:
+    """Alternate clamping at ``lower`` and rescaling into the ball of radius ``bound``.
+
+    One round is the exact projection when ``lower <= 0``; otherwise the
+    alternation converges to a feasible point.  Stops once the norm is within
+    a relative 1e-12 of ``bound``, or after 200 rounds.
+    """
+    V = np.maximum(V, lower)
+    for _ in range(200):
+        nrm = float(np.linalg.norm(V))
+        if nrm <= bound * (1.0 + 1e-12):
+            return V
+        V = np.maximum(V * (bound / nrm), lower)
+    return V
 
 
 @dataclass(frozen=True)
@@ -165,32 +183,47 @@ class AggregateStats:
 
 
 def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
-    """Projected gradient on the nonnegative orthant with a fixed safe step."""
+    """Projected gradient on the nonnegative orthant with a fixed safe step.
+
+    The step s = 1/(2 tr(gram) + kappa2) turns H - s (2 (gram H - wx) + lam +
+    kappa2 H), clamped at zero, into the affine map H <- max(M H + c, 0) with
+    M = (1 - s kappa2) I - 2 s gram and c = s (2 wx - lam), both formed once.
+    Stops when the Frobenius change between successive iterates falls below
+    ``tol`` or after ``max_iter`` steps.  Returns (H, iterations, converged);
+    converged is true only when the change test stopped the loop.
+    """
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
+    M = (-2.0 * step) * gram
+    M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
+    c = step * (2.0 * wx - lam)
     H = np.zeros_like(wx) if H0 is None else np.array(H0, dtype=float)
-    for _ in range(max_iter):
-        grad = 2.0 * (gram @ H - wx) + lam
-        if kappa2 > 0:
-            grad += kappa2 * H
-        H_next = np.maximum(H - step * grad, 0.0)
-        delta = float(np.linalg.norm(H_next - H))
-        H = H_next
+    H_next = np.empty_like(H)
+    for it in range(1, max_iter + 1):
+        np.matmul(M, H, out=H_next)
+        H_next += c
+        np.maximum(H_next, 0.0, out=H_next)
+        H -= H_next                      # H now holds minus the change
+        delta = math.sqrt(np.vdot(H, H))
+        H, H_next = H_next, H
         if delta < tol:
-            break
-    return H
+            return H, it, True
+    return H, max_iter, False
 
 
 def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
                 tol: float = 1e-6, max_iter: int = 200, H0=None) -> np.ndarray:
     """Nonnegative code H minimizing ||X - WH||_F^2 + lam*||H||_1 + (kappa2/2)*||H||_F^2.
 
-    Projected gradient descent with step 1/(2 tr(W^T W) + kappa2), stopped when
-    the Frobenius change between successive iterates falls below ``tol`` or
-    after ``max_iter`` steps.  The objective is non-increasing across
-    iterations and the columns of X are solved independently.  A batch shares
-    the Frobenius stopping rule: the whole change bounds each column's change,
-    so a column coded in a batch is never stopped earlier than it would be
-    if coded alone.
+    Projected gradient descent with step s = 1/(2 tr(W^T W) + kappa2), run as
+    the affine map H <- max(M H + c, 0) with M = (1 - s kappa2) I - 2 s W^T W
+    and c = s (2 W^T X - lam); stopped when the Frobenius change between
+    successive iterates falls below ``tol`` or after ``max_iter`` steps.  The
+    objective is non-increasing across iterations and the columns of X are
+    solved independently.  A batch shares the Frobenius stopping rule: the
+    whole change bounds each column's change, so a column coded in a batch is
+    never stopped earlier than it would be if coded alone.  Inside
+    ``OnlineNMF.step`` the iteration count and whether the change test fired
+    are reported in the ``StepResult``.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -203,7 +236,9 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     gram = W.T @ W
     if float(np.trace(gram)) <= 0.0:
         raise ZeroDictionaryError("zero dictionary")
-    return _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter, H0)
+    H, iters, converged = _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter, H0)
+    _record_counts("code", iters, converged)
+    return H
 
 
 def coding_objective(X, W, H, lam: float, kappa2: float = 0.0) -> float:
@@ -294,8 +329,9 @@ def _quad_objective(W, A_ridge, B) -> float:
     return float(np.sum((W @ A_ridge) * W) - 2.0 * np.sum(W * B.T))
 
 
-def _bisect_to_ellipsoid(W, j, cand, old, W_prev, stats):
-    """Blend column j between candidate and its previous value until feasible.
+def _bisect_to_ellipsoid(Wt, j, cand, old, W_prev, stats):
+    """Blend column j (row j of ``Wt``) between candidate and previous value
+    until feasible.
 
     The matrix with the previous column is feasible by induction, so bisection
     along the segment (which stays inside the convex piece slice) terminates
@@ -304,14 +340,102 @@ def _bisect_to_ellipsoid(W, j, cand, old, W_prev, stats):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        W[:, j] = (1.0 - mid) * cand + mid * old
-        if ellipsoid_gap(W, W_prev, stats) <= _FEAS_TOL:
+        Wt[j] = (1.0 - mid) * cand + mid * old
+        if ellipsoid_gap(Wt.T, W_prev, stats) <= _FEAS_TOL:
             hi = mid
         else:
             lo = mid
     col = (1.0 - hi) * cand + hi * old
-    W[:, j] = col
+    Wt[j] = col
     return col
+
+
+def _piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce, tol,
+                   max_iter):
+    """Damped block coordinate descent inside one piece on W transposed, in place.
+
+    Row j of ``Wt`` is column j of W; its step is the affine map
+    W m_j + b_j/(A_jj + 1), with m_j and b_j/(A_jj + 1) the rows j of ``Mt``
+    and ``B_scaled``, clamped at the piece's lower bound.  ``project_column``
+    runs only when the column's squared norm exceeds the radius budget the
+    other columns leave, the one case where the ball can bind.  Returns
+    (sweeps, converged).
+    """
+    lower, radius_sq = piece.lower, piece.radius ** 2
+    m_rows, b_rows = list(Mt), list(B_scaled)
+    col_sq = [float(row.dot(row)) for row in Wt]
+    buf = np.empty(Wt.shape[1])
+    change = np.empty_like(Wt)
+    for sweep in range(1, max_iter + 1):
+        change[...] = Wt
+        for j in cols:
+            np.dot(m_rows[j], Wt, out=buf)
+            np.add(buf, b_rows[j], out=buf)
+            np.maximum(buf, lower, out=buf)
+            new_sq = float(buf.dot(buf))
+            rest = sum(col_sq) - col_sq[j]
+            new_col = buf
+            if new_sq > radius_sq - rest:
+                new_col = piece.project_column(buf, rest)
+                if new_col is None:
+                    continue
+                new_sq = float(new_col.dot(new_col))
+            if enforce:
+                old = Wt[j].copy()
+                Wt[j] = new_col
+                if ellipsoid_gap(Wt.T, W0, stats) > _FEAS_TOL:
+                    new_col = _bisect_to_ellipsoid(Wt, j, new_col, old, W0, stats)
+                    new_sq = float(new_col.dot(new_col))
+            else:
+                Wt[j] = new_col
+            col_sq[j] = new_sq
+        change -= Wt
+        if math.sqrt(np.vdot(change, change)) < tol:
+            return sweep, True
+    return max_iter, False
+
+
+def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float, max_iter: int,
+           enforce_ellipsoid: bool | None) -> tuple[Dictionary, int, bool]:
+    """``dictionary_update`` plus the sweeps and the converged flag of the
+    descent in the piece it returns (0 and False when no piece is feasible)."""
+    spec = W_prev.constraint
+    A, B, kappa1 = stats.A, stats.B, stats.kappa1
+    r = A.shape[0]
+    A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
+    diag_ridge = np.diag(A_ridge)
+    denom = diag_ridge + 1.0
+    Mt = np.eye(r) - A_ridge.T / denom[:, None]
+    B_scaled = B / denom[:, None]
+    cols = [j for j in range(r) if diag_ridge[j] > 0.0]
+    W0 = np.asarray(W_prev.W, dtype=float)
+    enforce = (len(spec.pieces) > 1) if enforce_ellipsoid is None \
+        else bool(enforce_ellipsoid)
+
+    best = None
+    best_val = math.inf
+    for idx, piece in enumerate(spec.pieces):
+        start = W0 if idx == W_prev.active_piece else piece.project(W0)
+        if enforce and ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
+            # fall back to the ellipsoid midpoint between the previous iterate
+            # and the unconstrained minimum, projected into the piece
+            target = (np.linalg.pinv(A, hermitian=True) @ B).T
+            start = piece.project(0.5 * (W0 + target))
+            if ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
+                continue
+        Wt = start.T.copy()
+        sweeps, converged = _piece_descent(Wt, piece, Mt, B_scaled, cols, W0,
+                                           stats, enforce, tol, max_iter)
+        W = np.ascontiguousarray(Wt.T)
+        val = _quad_objective(W, A_ridge, B)
+        if val < best_val:
+            best, best_val = (Dictionary(W, spec, idx), sweeps, converged), val
+
+    if best is None:
+        logger.warning("dictionary update found no feasible piece; "
+                       "keeping the previous dictionary")
+        return Dictionary(W0.copy(), spec, W_prev.active_piece), 0, False
+    return best
 
 
 def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
@@ -324,64 +448,22 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
     constraint piece, keeps iterates inside the trust ellipsoid when
     enforcement is on, and returns the best per-piece solution (lowest piece
     index wins on ties).  ``enforce_ellipsoid=None`` enforces only for
-    multi-piece constraints, where the ellipsoid is not redundant.
+    multi-piece constraints, where the ellipsoid is not redundant.  A sweep
+    updates every column j by the damped step W_j - (W a_j - b_j)/(A_jj + 1),
+    computed as the affine map W m_j + b_j/(A_jj + 1) with
+    m_j = e_j - a_j/(A_jj + 1) and then projected into the piece; sweeps stop
+    when the Frobenius change of a sweep falls below ``tol`` or after
+    ``max_iter`` sweeps.  Inside ``OnlineNMF.step`` the sweep count and
+    whether the change test fired are reported in the ``StepResult``.
 
     Columns whose diagonal aggregate (plus ridge) is zero are never touched.
     If no piece yields a feasible iterate the previous dictionary is returned
     unchanged and a warning is logged.
     """
-    spec = W_prev.constraint
-    A, B, kappa1 = stats.A, stats.B, stats.kappa1
-    r = A.shape[0]
-    A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
-    diag_ridge = np.diag(A_ridge).copy()
-    W0 = np.asarray(W_prev.W, dtype=float)
-    enforce = (len(spec.pieces) > 1) if enforce_ellipsoid is None \
-        else bool(enforce_ellipsoid)
-
-    best_W = None
-    best_val = math.inf
-    best_idx = -1
-    for idx, piece in enumerate(spec.pieces):
-        start = W0 if idx == W_prev.active_piece else piece.project(W0)
-        if enforce and ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
-            # fall back to the ellipsoid midpoint between the previous iterate
-            # and the unconstrained minimum, projected into the piece
-            target = (np.linalg.pinv(A, hermitian=True) @ B).T
-            start = piece.project(0.5 * (W0 + target))
-            if ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
-                continue
-        W = start.copy()
-        col_sq = np.einsum("ij,ij->j", W, W)
-        for _ in range(max_iter):
-            W_before = W.copy()
-            for j in range(r):
-                if diag_ridge[j] <= 0.0:
-                    continue
-                cand = W[:, j] - (W @ A_ridge[:, j] - B[j, :]) / (A_ridge[j, j] + 1.0)
-                rest = float(col_sq.sum() - col_sq[j])
-                new_col = piece.project_column(cand, rest)
-                if new_col is None:
-                    continue
-                if enforce:
-                    old = W[:, j].copy()
-                    W[:, j] = new_col
-                    if ellipsoid_gap(W, W0, stats) > _FEAS_TOL:
-                        new_col = _bisect_to_ellipsoid(W, j, new_col, old, W0, stats)
-                else:
-                    W[:, j] = new_col
-                col_sq[j] = float(new_col @ new_col)
-            if float(np.linalg.norm(W - W_before)) < tol:
-                break
-        val = _quad_objective(W, A_ridge, B)
-        if val < best_val:
-            best_W, best_val, best_idx = W, val, idx
-
-    if best_W is None:
-        logger.warning("dictionary update found no feasible piece; "
-                       "keeping the previous dictionary")
-        return Dictionary(W0.copy(), spec, W_prev.active_piece)
-    return Dictionary(best_W, spec, best_idx)
+    new, sweeps, converged = _refit(W_prev, stats, tol, max_iter,
+                                    enforce_ellipsoid)
+    _record_counts("dict", sweeps, converged)
+    return new
 
 
 def init_dictionary(d: int, r: int, constraint: ConstraintSpec, rng,
@@ -441,11 +523,22 @@ def empirical_loss(W, history, schedule: WeightSchedule, lam: float = 1.0,
 
 @dataclass
 class StepResult:
-    """Code, surrogate value after the update, and the plug-in coding loss."""
+    """Code, surrogate value after the update, the plug-in coding loss, and
+    what the two solvers did.
+
+    ``code_iters`` counts projected-gradient iterations of the coding and
+    ``dict_sweeps`` block coordinate descent sweeps of the dictionary update
+    (in the piece it kept).  Each converged flag is true only when that
+    solver's change test stopped it, false when it ran to its cap.
+    """
 
     code: np.ndarray
     surrogate: float
     coding_loss: float
+    code_iters: int
+    code_converged: bool
+    dict_sweeps: int
+    dict_converged: bool
 
 
 @dataclass
@@ -484,17 +577,29 @@ class OnlineNMF:
             raise ValueError("non-finite data matrix")
         if X.min() < 0:
             raise ValueError("data matrix must be nonnegative")
-        H = sparse_code(X, self.W, lam=self.lam, kappa2=self.kappa2,
-                        tol=self.code_tol, max_iter=self.code_max_iter)
-        loss = coding_objective(X, self.W, H, self.lam)
-        self.stats = update_aggregates(self.stats, H, X, self.schedule, self.lam)
-        self.dictionary = dictionary_update(
-            self.dictionary, self.stats, tol=self.dict_tol,
-            max_iter=self.dict_max_iter, enforce_ellipsoid=self.enforce_ellipsoid)
+        counts = {}
+        token = _SOLVER_COUNTS.set(counts)
+        try:
+            H = sparse_code(X, self.W, lam=self.lam, kappa2=self.kappa2,
+                            tol=self.code_tol, max_iter=self.code_max_iter)
+            loss = coding_objective(X, self.W, H, self.lam)
+            self.stats = update_aggregates(self.stats, H, X, self.schedule,
+                                           self.lam)
+            self.dictionary = dictionary_update(
+                self.dictionary, self.stats, tol=self.dict_tol,
+                max_iter=self.dict_max_iter,
+                enforce_ellipsoid=self.enforce_ellipsoid)
+        finally:
+            _SOLVER_COUNTS.reset(token)
         if self.track_history:
             self.history.append(X.copy())
+        code_iters, code_converged = counts["code"]
+        dict_sweeps, dict_converged = counts["dict"]
         return StepResult(code=H, surrogate=surrogate_loss(self.W, self.stats),
-                          coding_loss=loss)
+                          coding_loss=loss, code_iters=code_iters,
+                          code_converged=code_converged,
+                          dict_sweeps=dict_sweeps,
+                          dict_converged=dict_converged)
 
     def empirical_loss_now(self, W=None) -> float:
         """f_t at the current (or a given) dictionary; needs tracked history."""

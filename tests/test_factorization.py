@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onmf import factorization
 from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
                   OnlineNMF, WeightSchedule, ZeroDictionaryError,
                   coding_objective, dictionary_update, ellipsoid_gap,
@@ -292,6 +293,190 @@ def test_unused_atom_column_is_left_alone():
 
 
 # ---------------------------------------------------------------------------
+# fused solver loops against the step-by-step references
+# ---------------------------------------------------------------------------
+
+
+def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
+    """Projected gradient written out per step, with the gradient formed
+    anew each iteration; returns (H, iterations, converged)."""
+    step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
+    H = np.zeros_like(wx) if H0 is None else np.array(H0, dtype=float)
+    for it in range(1, max_iter + 1):
+        grad = 2.0 * (gram @ H - wx) + lam
+        if kappa2 > 0:
+            grad += kappa2 * H
+        H_next = np.maximum(H - step * grad, 0.0)
+        delta = float(np.linalg.norm(H_next - H))
+        H = H_next
+        if delta < tol:
+            return H, it, True
+    return H, max_iter, False
+
+
+def _reference_dictionary_update(W_prev, stats, tol, max_iter,
+                                 enforce_ellipsoid=None):
+    """Block coordinate descent with the damped column step written out per
+    column; returns (W, kept piece, sweeps in the kept piece)."""
+    spec = W_prev.constraint
+    A, B, kappa1 = stats.A, stats.B, stats.kappa1
+    r = A.shape[0]
+    A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
+    diag_ridge = np.diag(A_ridge).copy()
+    W0 = np.asarray(W_prev.W, dtype=float)
+    enforce = (len(spec.pieces) > 1) if enforce_ellipsoid is None \
+        else bool(enforce_ellipsoid)
+
+    def bisect(W, j, cand, old):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            W[:, j] = (1.0 - mid) * cand + mid * old
+            if ellipsoid_gap(W, W0, stats) <= 1e-12:
+                hi = mid
+            else:
+                lo = mid
+        col = (1.0 - hi) * cand + hi * old
+        W[:, j] = col
+        return col
+
+    best, best_val = None, np.inf
+    for idx, piece in enumerate(spec.pieces):
+        start = W0 if idx == W_prev.active_piece else piece.project(W0)
+        if enforce and ellipsoid_gap(start, W0, stats) > 1e-12:
+            target = (np.linalg.pinv(A, hermitian=True) @ B).T
+            start = piece.project(0.5 * (W0 + target))
+            if ellipsoid_gap(start, W0, stats) > 1e-12:
+                continue
+        W = start.copy()
+        col_sq = np.einsum("ij,ij->j", W, W)
+        sweeps = 0
+        for _ in range(max_iter):
+            sweeps += 1
+            W_before = W.copy()
+            for j in range(r):
+                if diag_ridge[j] <= 0.0:
+                    continue
+                cand = W[:, j] - (W @ A_ridge[:, j] - B[j, :]) / (A_ridge[j, j] + 1.0)
+                rest = float(col_sq.sum() - col_sq[j])
+                new_col = piece.project_column(cand, rest)
+                if new_col is None:
+                    continue
+                if enforce:
+                    old = W[:, j].copy()
+                    W[:, j] = new_col
+                    if ellipsoid_gap(W, W0, stats) > 1e-12:
+                        new_col = bisect(W, j, new_col, old)
+                else:
+                    W[:, j] = new_col
+                col_sq[j] = float(new_col @ new_col)
+            if float(np.linalg.norm(W - W_before)) < tol:
+                break
+        val = float(np.sum((W @ A_ridge) * W) - 2.0 * np.sum(W * B.T))
+        if val < best_val:
+            best, best_val = (W, idx, sweeps), val
+    return best
+
+
+def _rel_diff(got, want):
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
+
+
+CODING_CASES = {
+    "elastic-net": dict(n=6, lam=0.3, kappa2=0.4, max_iter=300),
+    "warm-start": dict(n=6, lam=0.5, h0=True, max_iter=300),
+    "no-l1": dict(n=6, lam=0.0, max_iter=300),
+    "one-column": dict(n=1, lam=0.2, max_iter=300),
+    "one-iteration": dict(n=6, lam=0.2, h0=True, max_iter=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODING_CASES))
+def test_affine_projected_gradient_matches_reference(name):
+    case = CODING_CASES[name]
+    rng = np.random.default_rng(31)
+    X = rng.random((9, case["n"]))
+    W = rng.random((9, 4))
+    H0 = rng.random((4, case["n"])) if case.get("h0") else None
+    lam, kappa2, max_iter = case["lam"], case.get("kappa2", 0.0), case["max_iter"]
+    want, ref_iters, ref_conv = _reference_pg_solve(W.T @ W, W.T @ X, lam, kappa2,
+                                                    0.0, max_iter, H0)
+    got = sparse_code(X, W, lam=lam, kappa2=kappa2, tol=0.0, max_iter=max_iter,
+                      H0=H0)
+    assert _rel_diff(got, want) <= 1e-12
+    _, iters, converged = factorization._pg_solve(W.T @ W, W.T @ X, lam, kappa2,
+                                                  0.0, max_iter, H0)
+    assert (iters, converged) == (ref_iters, ref_conv) == (max_iter, False)
+
+
+def test_affine_projected_gradient_stops_where_reference_stops():
+    rng = np.random.default_rng(32)
+    X = rng.random((9, 5))
+    W = rng.random((9, 4))
+    gram, wx = W.T @ W, W.T @ X
+    want, ref_iters, ref_conv = _reference_pg_solve(gram, wx, 0.2, 0.0, 1e-8,
+                                                    100000)
+    got, iters, converged = factorization._pg_solve(gram, wx, 0.2, 0.0, 1e-8,
+                                                    100000)
+    assert ref_conv and converged
+    assert iters == ref_iters < 100000
+    assert _rel_diff(got, want) <= 1e-12
+
+
+def _dict_case(rng, d, r, spec, kappa1=0.0, b_scale=1.0, zero_col=None):
+    M = rng.random((r, r + 2))
+    A = M @ M.T
+    B = rng.random((r, d)) * b_scale
+    if zero_col is not None:
+        A[zero_col, :] = A[:, zero_col] = 0.0
+        B[zero_col, :] = 0.0
+    W0 = spec.pieces[0].project(rng.random((d, r)) * 0.1)
+    return Dictionary(W0, spec), AggregateStats(A=A, B=B, r_scalar=0.0, t=3,
+                                                kappa1=kappa1)
+
+
+DICT_CASES = {
+    "ridge": dict(spec=ConstraintSpec.nonnegative(10.0), kappa1=0.3),
+    "zero-diagonal": dict(spec=ConstraintSpec.nonnegative(10.0), zero_col=2),
+    "tight-radius": dict(spec=ConstraintSpec.nonnegative(0.6), b_scale=4.0),
+    "lower-bound": dict(spec=ConstraintSpec.nonnegative(3.0, lower=0.05),
+                        b_scale=2.0),
+    "two-pieces-ellipsoid": dict(
+        spec=ConstraintSpec(pieces=(ConstraintPiece(radius=0.8),
+                                    ConstraintPiece(radius=6.0, lower=0.2))),
+        b_scale=3.0, enforce=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DICT_CASES))
+def test_fused_dictionary_update_matches_reference(name):
+    case = dict(DICT_CASES[name])
+    enforce = case.pop("enforce", None)
+    prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **case)
+    want, want_piece, ref_sweeps = _reference_dictionary_update(
+        prev, stats, 0.0, 40, enforce)
+    new, sweeps, converged = factorization._refit(prev, stats, 0.0, 40, enforce)
+    assert new.active_piece == want_piece
+    assert _rel_diff(new.W, want) <= 1e-12
+    assert (sweeps, converged) == (ref_sweeps, False) == (40, False)
+    assert np.array_equal(dictionary_update(prev, stats, tol=0.0, max_iter=40,
+                                            enforce_ellipsoid=enforce).W, new.W)
+    piece = prev.constraint.pieces[new.active_piece]
+    assert np.linalg.norm(new.W) <= piece.radius * (1.0 + 1e-9)
+    assert new.W.min() >= piece.lower
+
+
+def test_fused_dictionary_update_stops_where_reference_stops():
+    prev, stats = _dict_case(np.random.default_rng(34), 6, 4,
+                             ConstraintSpec.nonnegative(10.0), kappa1=0.1)
+    want, _, ref_sweeps = _reference_dictionary_update(prev, stats, 1e-10, 5000)
+    new, sweeps, converged = factorization._refit(prev, stats, 1e-10, 5000, None)
+    assert converged
+    assert sweeps == ref_sweeps < 5000
+    assert _rel_diff(new.W, want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
@@ -357,6 +542,24 @@ def test_iterate_stability_with_ridge():
         eng.step(rng.random((4, 3)))
         ratios.append(np.linalg.norm(eng.W - before) / eng.schedule.weight(t))
     assert np.isfinite(max(ratios))
+
+
+def test_step_reports_solver_iterations():
+    rng = np.random.default_rng(22)
+    spec = ConstraintSpec.nonnegative(10.0)
+    X = rng.random((4, 3))
+    eng = OnlineNMF(init_dictionary(4, 2, spec, rng), lam=0.5,
+                    code_tol=1e-8, code_max_iter=100000,
+                    dict_tol=1e-8, dict_max_iter=100000)
+    res = eng.step(X)
+    assert res.code_converged and 1 <= res.code_iters < 100000
+    assert res.dict_converged and 1 <= res.dict_sweeps < 100000
+    capped = OnlineNMF(init_dictionary(4, 2, spec, rng), lam=0.5,
+                       code_tol=0.0, code_max_iter=1,
+                       dict_tol=0.0, dict_max_iter=1)
+    res = capped.step(X)
+    assert (res.code_iters, res.code_converged) == (1, False)
+    assert (res.dict_sweeps, res.dict_converged) == (1, False)
 
 
 def test_weight_schedule_validation():
