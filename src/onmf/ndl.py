@@ -259,6 +259,13 @@ def is_connected(net: Network) -> bool:
     return len(seen) == net.n
 
 
+def _non_edges(net: Network) -> list[tuple[int, int]]:
+    """Pairs u < v with A(u, v) = 0, in lexicographic order."""
+    us, vs = np.triu_indices(net.n, 1)
+    absent = net.weights_at(us, vs) == 0.0
+    return list(zip(us[absent].tolist(), vs[absent].tolist()))
+
+
 def corrupt_network(net: Network, mode: str, fraction: float, rng) -> CorruptionResult:
     """Corrupt a simple graph by deleting or injecting ceil(fraction*|E|) edges.
 
@@ -295,16 +302,12 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
         removed_set = set(removed)
         kept = [e for e in edges if e not in removed_set]
         corrupted = Network.from_undirected_pairs(net.n, kept, labels=net.labels)
-        labels = {}
-        for u in range(net.n):
-            for v in range(u + 1, net.n):
-                if not corrupted.has_edge(u, v):
-                    labels[(u, v)] = (u, v) not in removed_set
+        labels = {pair: pair not in removed_set
+                  for pair in _non_edges(corrupted)}
         return CorruptionResult(corrupted=corrupted, labels=labels)
 
     if mode == "additive":
-        pool = [(u, v) for u in range(net.n) for v in range(u + 1, net.n)
-                if not net.has_edge(u, v)]
+        pool = _non_edges(net)
         if quota > len(pool):
             raise CorruptionError(
                 f"cannot add {quota} edges: only {len(pool)} non-adjacent pairs")
@@ -321,9 +324,7 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
 def candidate_pairs(corrupted: Network, mode: str) -> list[tuple[int, int]]:
     """Classification universe: non-edges (subtractive) or edges (additive)."""
     if mode == "subtractive":
-        return [(u, v) for u in range(corrupted.n)
-                for v in range(u + 1, corrupted.n)
-                if not corrupted.has_edge(u, v)]
+        return _non_edges(corrupted)
     if mode == "additive":
         return corrupted.undirected_edges()
     raise ValueError(f"unknown corruption mode {mode!r}")

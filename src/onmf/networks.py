@@ -14,18 +14,28 @@ counts, so the chain's stationary law on bidirectional networks is the motif
 weight distribution itself.  Approximate mode keeps only the in/out weight
 ratio and extends the tail by plain neighbor weights, trading exactness for
 speed.
+
+A network stores its positive weights once, in compressed sparse row (CSR)
+form: `Adjacency` holds the out-edges and, transposed, the in-edges.  Weight
+lookups go through the sorted edge keys ``a * n + b``, so ``A(a, b)`` over
+whole arrays of pairs is one binary search and one gather.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 _ORACLE_GUARD = 10 ** 7
-_DENSE_LIMIT = 4000
+# Largest node count `Network.dense` materializes (a 4000 x 4000 float
+# matrix is 128 MB).
+_DENSE_GUARD = 4000
+# Rejection tries drawn and tested per batch.
+_REJECTION_CHUNK = 1024
+# Vertex maps the brute-force oracle weighs per batch.
+_ORACLE_BLOCK = 65536
 
 
 class EdgeListError(ValueError):
@@ -40,55 +50,113 @@ class OracleSizeError(ValueError):
     """Brute-force enumeration would exceed the size guard."""
 
 
-class Network:
-    """Node set plus sparse nonnegative weight matrix.
+def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of each row's slice of `values`, restarting per row.
 
-    Immutable once built; per-node neighbor arrays and cumulative weights are
-    precomputed for inverse-CDF sampling, so many chains may read one network
-    concurrently.
+    Rows of equal length are summed together along the second axis of a 2-D
+    block, which adds in the same order as the 1-D cumsum of each row.
+    """
+    out = np.empty_like(values)
+    deg = np.diff(indptr)
+    order = np.argsort(deg, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(deg[order])) + 1):
+        d = deg[rows[0]]
+        if d:
+            idx = indptr[rows][:, None] + np.arange(d)
+            out[idx] = np.cumsum(values[idx], axis=1)
+    return out
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """One direction of a network's edges in CSR form.
+
+    Row v spans ``indptr[v]:indptr[v + 1]``: its neighbors in ascending order
+    in `indices`, their weights in `weights` and the running sum of those
+    weights within the row in `cum` (the inverse-CDF table for sampling a
+    neighbor).  The arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def from_sorted(cls, n: int, rows, cols, weights) -> "Adjacency":
+        """Build from entries sorted by (row, col), one per pair."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        adj = cls(indptr, cols, weights, _row_cumsum(indptr, weights))
+        for arr in (adj.indptr, adj.indices, adj.weights, adj.cum):
+            arr.flags.writeable = False
+        return adj
+
+    def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of v and the weights of those edges (views)."""
+        s, e = self.indptr[v], self.indptr[v + 1]
+        return self.indices[s:e], self.weights[s:e]
+
+
+class Network:
+    """Node set plus sparse nonnegative weight matrix A.
+
+    The positive entries live in two CSR tables, `out_edges` (row a holds the
+    b with A(a, b) > 0) and `in_edges` (its transpose), plus the sorted keys
+    ``a * n + b`` of the out-edges with a sentinel ``n * n`` appended, so that
+    `weights_at` finds A(a, b) by ``searchsorted``.  Built once and
+    read-only afterwards, so many chains may read one network concurrently.
     """
 
     def __init__(self, n: int, weights: dict[tuple[int, int], float],
                  labels: list[str] | None = None):
+        ends = np.array(list(weights)).reshape(-1, 2)
+        values = np.array(list(weights.values()), dtype=float)
+        self._build(n, ends[:, 0], ends[:, 1], values, labels)
+
+    @classmethod
+    def _from_entries(cls, n, src, dst, weights, labels) -> "Network":
+        net = cls.__new__(cls)
+        net._build(n, src, dst, weights, labels)
+        return net
+
+    def _build(self, n, src, dst, weights, labels):
+        """Validate entries (one per pair) and lay out the CSR tables."""
         if n < 1:
             raise ValueError("network needs at least one node")
         if labels is None:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError("label count must match node count")
-        self.n = n
-        self.labels = list(labels)
-        self._weights = {}
-        for (a, b), w in weights.items():
-            if not (0 <= a < n and 0 <= b < n):
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        valid = np.isfinite(weights) & (weights >= 0)
+        bad = np.flatnonzero(~(inside & valid))
+        if len(bad):   # report the first bad entry, range before weight
+            if not inside[bad[0]]:
                 raise ValueError("edge endpoint out of range")
-            w = float(w)
-            if not np.isfinite(w) or w < 0:
-                raise ValueError("edge weights must be finite and nonnegative")
-            if w > 0:
-                self._weights[(int(a), int(b))] = w
-        self._build_adjacency()
-
-    def _build_adjacency(self):
-        out_lists = [[] for _ in range(self.n)]
-        in_lists = [[] for _ in range(self.n)]
-        for (a, b), w in self._weights.items():
-            out_lists[a].append((b, w))
-            in_lists[b].append((a, w))
-        self._out = []
-        self._in = []
-        for lst, dest in ((out_lists, self._out), (in_lists, self._in)):
-            for items in lst:
-                items.sort()
-                tgt = np.array([t for t, _ in items], dtype=np.int64)
-                wts = np.array([w for _, w in items], dtype=float)
-                dest.append((tgt, wts, np.cumsum(wts)))
-        self.out_sums = np.array([c[-1] if len(c) else 0.0
-                                  for _, _, c in self._out])
-        self.in_sums = np.array([c[-1] if len(c) else 0.0
-                                 for _, _, c in self._in])
+            raise ValueError("edge weights must be finite and nonnegative")
+        self.n = n = int(n)
+        self.labels = list(labels)
+        keep = weights > 0
+        keys = src[keep].astype(np.int64) * n + dst[keep].astype(np.int64)
+        order = np.argsort(keys)
+        keys = keys[order]
+        rows, cols = np.divmod(keys, n)
+        # lookup tables: the sentinel key matches no pair, its weight is 0
+        self._keys = np.append(keys, n * n)
+        self._key_weights = np.append(weights[keep][order], 0.0)
+        for arr in (self._keys, self._key_weights):
+            arr.flags.writeable = False
+        self.out_edges = Adjacency.from_sorted(n, rows, cols,
+                                               self._key_weights[:-1])
+        t = np.argsort(cols * n + rows)
+        self.in_edges = Adjacency.from_sorted(n, cols[t], rows[t],
+                                              self._key_weights[t])
+        # row sums added in row order, as the last entry of each row's cum
+        self.out_sums = np.bincount(rows, self.out_edges.weights, minlength=n)
+        self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         self._pow_cache: dict[int, np.ndarray] = {}
-        self._dense: np.ndarray | None = None
+        self._tail_cache: dict[int, np.ndarray] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -97,11 +165,12 @@ class Network:
         """Build from (u, v[, w]) tuples with arbitrary hashable node labels.
 
         Labels are interned to indices in first-seen order; missing weights
-        default to 1.0; duplicate pairs accumulate.
+        default to 1.0; duplicate pairs accumulate, in input order.
         """
         index: dict = {}
         labels: list[str] = []
-        weights: dict[tuple[int, int], float] = {}
+        ends: list[int] = []
+        values: list[float] = []
 
         def intern(label):
             if label not in index:
@@ -110,14 +179,23 @@ class Network:
             return index[label]
 
         for edge in edges:
-            u, v = intern(edge[0]), intern(edge[1])
-            w = float(edge[2]) if len(edge) > 2 else 1.0
-            weights[(u, v)] = weights.get((u, v), 0.0) + w
-            if undirected and u != v:
-                weights[(v, u)] = weights.get((v, u), 0.0) + w
+            ends.append(intern(edge[0]))
+            ends.append(intern(edge[1]))
+            values.append(float(edge[2]) if len(edge) > 2 else 1.0)
         if not labels:
             raise EdgeListError("no edges found")
-        return cls(len(labels), weights, labels)
+        n = len(labels)
+        u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        w = np.array(values)
+        if undirected:   # each edge adds to (u, v), then to (v, u) if u != v
+            both = np.column_stack([u, v, v, u]).reshape(-1, 2)
+            keep = np.column_stack([u == u, u != v]).ravel()
+            u, v = both[keep].T
+            w = np.repeat(w, 2)[keep]
+        keys, inverse = np.unique(u * n + v, return_inverse=True)
+        src, dst = np.divmod(keys, n)
+        return cls._from_entries(n, src, dst, np.bincount(inverse, weights=w),
+                                 labels)
 
     @classmethod
     def from_edge_list_file(cls, path, undirected: bool = False) -> "Network":
@@ -151,65 +229,74 @@ class Network:
     @classmethod
     def from_dense(cls, M, labels=None) -> "Network":
         M = np.asarray(M, dtype=float)
-        weights = {(int(a), int(b)): float(M[a, b])
-                   for a, b in zip(*np.nonzero(M))}
-        return cls(M.shape[0], weights, labels)
+        src, dst = np.nonzero(M)
+        return cls._from_entries(M.shape[0], src, dst, M[src, dst], labels)
 
     @classmethod
     def from_undirected_pairs(cls, n: int, pairs, labels=None) -> "Network":
-        weights = {}
-        for u, v in pairs:
-            weights[(int(u), int(v))] = 1.0
-            weights[(int(v), int(u))] = 1.0
-        return cls(n, weights, labels)
+        ends = np.array([(int(u), int(v)) for u, v in pairs],
+                        dtype=np.int64).reshape(-1, 2)
+        ends = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0)
+        return cls._from_entries(n, ends[:, 0], ends[:, 1],
+                                 np.ones(len(ends)), labels)
 
     # -- queries ------------------------------------------------------------
 
+    def weights_at(self, a, b) -> np.ndarray:
+        """A(a, b) for node index arrays `a` and `b`, broadcast; 0 off-edge."""
+        q = np.asarray(a, dtype=np.int64) * self.n + b
+        pos = self._keys.searchsorted(q)
+        return self._key_weights[pos] * (self._keys[pos] == q)
+
     def weight(self, a: int, b: int) -> float:
-        if self._dense is not None:
-            return float(self._dense[a, b])
-        return self._weights.get((a, b), 0.0)
+        """A(a, b) for node indices a and b; 0.0 when there is no edge."""
+        key = a * self.n + b
+        pos = self._keys.searchsorted(key)
+        return float(self._key_weights[pos]) if self._keys[pos] == key else 0.0
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return self.weight(a, b) > 0.0
+
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and target of every edge, in `out_edges` order."""
+        return np.divmod(self._keys[:-1], self.n)
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            if self.n > _DENSE_LIMIT:
-                raise ValueError("network too large for a dense matrix")
-            M = np.zeros((self.n, self.n))
-            for (a, b), w in self._weights.items():
-                M[a, b] = w
-            self._dense = M
-        return self._dense
+        """A as a fresh n x n array; refused above `_DENSE_GUARD` nodes."""
+        if self.n > _DENSE_GUARD:
+            raise ValueError("network too large for a dense matrix")
+        M = np.zeros((self.n, self.n))
+        M[self._edge_ends()] = self.out_edges.weights
+        return M
 
     def out_neighbors(self, v: int) -> np.ndarray:
-        return self._out[v][0]
+        return self.out_edges.row(v)[0]
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        return self._in[v][0]
+        return self.in_edges.row(v)[0]
 
     @property
     def num_directed_edges(self) -> int:
-        return len(self._weights)
+        return len(self.out_edges.indices)
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         """Sorted (u, v) pairs with u < v; requires a symmetric weight map."""
         if not self.is_bidirectional:
             raise ValueError("undirected edge list needs a bidirectional network")
-        return sorted({(min(a, b), max(a, b))
-                       for (a, b) in self._weights if a != b})
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._weights
+        src, dst = self._edge_ends()
+        upper = src < dst
+        return list(zip(src[upper].tolist(), dst[upper].tolist()))
 
     @cached_property
     def is_simple(self) -> bool:
-        for (a, b), w in self._weights.items():
-            if a == b or w != 1.0 or self._weights.get((b, a)) != 1.0:
-                return False
-        return True
+        src, dst = self._edge_ends()
+        return bool(np.all(src != dst) and np.all(self.out_edges.weights == 1.0)
+                    and np.all(self.weights_at(dst, src) == 1.0))
 
     @cached_property
     def is_bidirectional(self) -> bool:
-        return all((b, a) in self._weights for (a, b) in self._weights)
+        src, dst = self._edge_ends()
+        return bool(np.all(self.weights_at(dst, src) > 0.0))
 
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
@@ -220,18 +307,32 @@ class Network:
         if k < 1:
             raise ValueError("need k >= 1")
         if k not in self._pow_cache:
+            src, dst = self._edge_ends()
+            wts = self.out_edges.weights
             ladder = np.empty((k, self.n))
             ladder[0] = 1.0
             for j in range(1, k):
-                prev = ladder[j - 1]
-                cur = np.zeros(self.n)
-                for v in range(self.n):
-                    tgt, wts, _ = self._out[v]
-                    if len(tgt):
-                        cur[v] = float(wts @ prev[tgt])
-                ladder[j] = cur
+                ladder[j] = np.bincount(src, weights=wts * ladder[j - 1][dst],
+                                        minlength=self.n)
             self._pow_cache[k] = ladder
         return self._pow_cache[k]
+
+    def tail_cdfs(self, k: int) -> np.ndarray:
+        """Inverse-CDF tables of the exact Pivot chain's tail extensions.
+
+        Row j holds, along `out_edges`, the running sum within each node's
+        row of A(a, b) (A^j 1)(b): the weight of extending a path from a
+        through b by j more edges.  Rows j = 0..k-2 serve a k-chain.
+        """
+        if k not in self._tail_cache:
+            ladder = self.power_row_sums(k)
+            ptr, dst = self.out_edges.indptr, self.out_edges.indices
+            tables = np.empty((k - 1, len(dst)))
+            for j in range(k - 1):
+                tables[j] = _row_cumsum(ptr, self.out_edges.weights * ladder[j][dst])
+            tables.flags.writeable = False
+            self._tail_cache[k] = tables
+        return self._tail_cache[k]
 
 
 # ---------------------------------------------------------------------------
@@ -280,30 +381,74 @@ class Motif:
                     out.append((i, j, float(self.matrix[i, j])))
         return tuple(out)
 
+    @cached_property
+    def incident(self) -> tuple:
+        """Per node v: the (u, exponent) of edges u -> v with u != v, those of
+        edges v -> u with u != v, and the self-loop exponent, in `edges` order.
+        """
+        out = []
+        for v in range(self.k):
+            into = tuple((i, e) for i, j, e in self.edges if j == v != i)
+            out_of = tuple((j, e) for i, j, e in self.edges if i == v != j)
+            loop = sum(e for i, j, e in self.edges if i == j == v)
+            out.append((into, out_of, loop))
+        return tuple(out)
+
 
 def hom_weight(net: Network, motif: Motif, x) -> float:
     """Product of target weights over motif edges; positive iff x is a homomorphism."""
-    total = 1.0
+    return float(hom_weights(net, motif, [x])[0])
+
+
+def _power(a: np.ndarray, e: float) -> np.ndarray:
+    """a ** e entrywise, by the C library's pow like the scalar code paths.
+
+    numpy's vectorized power may round differently in the last bit (it can
+    use SIMD approximations), which would change sampled chains.
+    """
+    if e == 1.0:
+        return a
+    return np.array([w ** e for w in a.ravel().tolist()]).reshape(a.shape)
+
+
+def hom_weights(net: Network, motif: Motif, X) -> np.ndarray:
+    """`hom_weight` of every vertex map in the rows of the (m, k) array X.
+
+    The factors multiply in motif-edge order, starting from 1.0.
+    """
+    X = np.asarray(X, dtype=np.int64)
+    total = np.ones(len(X))
     for i, j, e in motif.edges:
-        a = net.weight(x[i], x[j])
-        if a <= 0.0:
-            return 0.0
-        total *= a if e == 1.0 else a ** e
+        total *= _power(net.weights_at(X[:, i], X[:, j]), e)
     return total
 
 
 def _sample_cdf(rng, cum: np.ndarray) -> int:
     u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
 
 
 def rejection_sample_hom(net: Network, motif: Motif, rng,
                          max_tries: int = 200000):
-    """Propose i.i.d. uniform vertex maps until one has positive motif weight."""
-    for _ in range(max_tries):
-        x = tuple(int(v) for v in rng.integers(0, net.n, size=motif.k))
-        if hom_weight(net, motif, x) > 0:
-            return x
+    """Propose i.i.d. uniform vertex maps until one has positive motif weight.
+
+    Tries are drawn and tested `_REJECTION_CHUNK` at a time.  On a hit the
+    generator is rewound and exactly the tries up to the hit are drawn again,
+    so the map returned and the generator's final state are those of drawing
+    one size-k try at a time (a batched ``integers`` draw yields the same
+    values and state as that many separate draws).
+    """
+    done = 0
+    while done < max_tries:
+        m = min(_REJECTION_CHUNK, max_tries - done)
+        state = rng.bit_generator.state
+        tries = rng.integers(0, net.n, size=(m, motif.k))
+        hits = np.flatnonzero(hom_weights(net, motif, tries) > 0)
+        if len(hits):
+            rng.bit_generator.state = state
+            tries = rng.integers(0, net.n, size=(int(hits[0]) + 1, motif.k))
+            return tuple(int(v) for v in tries[-1])
+        done += m
     raise SamplingError("no homomorphism found by rejection sampling")
 
 
@@ -317,15 +462,17 @@ def chain_walk_sample(net: Network, motif: Motif, rng,
     """
     if not motif.is_chain:
         raise ValueError("walk construction requires a chain motif")
+    ptr, indices, cum = (net.out_edges.indptr, net.out_edges.indices,
+                         net.out_edges.cum)
     for _ in range(max_tries):
         x = [int(rng.integers(net.n))]
         ok = True
         for _ in range(motif.k - 1):
-            tgt, _, cum = net._out[x[-1]]
-            if not len(tgt):
+            s, e = ptr[x[-1]], ptr[x[-1] + 1]
+            if s == e:
                 ok = False
                 break
-            x.append(int(tgt[_sample_cdf(rng, cum)]))
+            x.append(int(indices[s + _sample_cdf(rng, cum[s:e])]))
         if ok:
             return tuple(x)
     raise SamplingError("no homomorphism found by chain walking")
@@ -352,47 +499,34 @@ def glauber_conditional(net: Network, motif: Motif, x, v: int):
 
     p(w) is proportional to the product of A(x(u), w)^{A_F(u,v)} over incoming
     motif edges and A(w, x(u))^{A_F(v,u)} over outgoing ones; with no incident
-    motif edges the law is uniform over all nodes.
+    motif edges the law is uniform over all nodes.  The candidates are the
+    smallest incident neighbor list, whose own factor is its row's weights;
+    the factors multiply in motif-edge order.
     """
-    out_terms = []   # require A(x(u), w) > 0: w in out-neighbors of x(u)
-    in_terms = []    # require A(w, x(u)) > 0: w in in-neighbors of x(u)
-    self_exp = 0.0
-    for i, j, e in motif.edges:
-        if i == v and j == v:
-            self_exp += e
-        elif j == v:
-            out_terms.append((x[i], e))
-        elif i == v:
-            in_terms.append((x[j], e))
-    if not out_terms and not in_terms and self_exp == 0.0:
+    into, out_of, self_exp = motif.incident[v]
+    if not into and not out_of and self_exp == 0.0:
         return np.arange(net.n), np.full(net.n, 1.0 / net.n)
-    # candidates: smallest incident neighbor list
-    pools = [net.out_neighbors(u) for u, _ in out_terms]
-    pools += [net.in_neighbors(u) for u, _ in in_terms]
+    # A(x(u), w) > 0 puts w among the out-neighbors of x(u); A(w, x(u)) > 0
+    # among its in-neighbors
+    terms = ([(net.out_edges, x[u], e) for u, e in into]
+             + [(net.in_edges, x[u], e) for u, e in out_of])
+    pools = [adj.row(node) for adj, node, _ in terms]
     if self_exp > 0.0:
-        pools.append(np.array([v_ for v_ in range(net.n)
-                               if net.weight(v_, v_) > 0], dtype=np.int64))
-    cand = min(pools, key=len)
+        nodes = np.arange(net.n)
+        pools.append((np.flatnonzero(net.weights_at(nodes, nodes) > 0), None))
+    best = min(range(len(pools)), key=lambda t: len(pools[t][0]))
+    cand = pools[best][0]
     weights = np.ones(len(cand))
-    for idx, w_node in enumerate(cand):
-        p = 1.0
-        for u, e in out_terms:
-            a = net.weight(u, int(w_node))
-            if a <= 0.0:
-                p = 0.0
-                break
-            p *= a if e == 1.0 else a ** e
-        if p > 0.0:
-            for u, e in in_terms:
-                a = net.weight(int(w_node), u)
-                if a <= 0.0:
-                    p = 0.0
-                    break
-                p *= a if e == 1.0 else a ** e
-        if p > 0.0 and self_exp > 0.0:
-            a = net.weight(int(w_node), int(w_node))
-            p = 0.0 if a <= 0.0 else p * a ** self_exp
-        weights[idx] = p
+    for t, (adj, node, e) in enumerate(terms):
+        if t == best:
+            a = pools[t][1]
+        elif adj is net.out_edges:
+            a = net.weights_at(node, cand)
+        else:
+            a = net.weights_at(cand, node)
+        weights *= _power(a, e)
+    if self_exp > 0.0:
+        weights *= _power(net.weights_at(cand, cand), self_exp)
     total = float(weights.sum())
     if total <= 0.0:
         raise AssertionError("empty Glauber conditional for a valid homomorphism")
@@ -403,28 +537,35 @@ def glauber_update(net: Network, motif: Motif, x, rng):
     """Resample one uniformly chosen motif node from its exact conditional."""
     v = int(rng.integers(motif.k))
     cand, probs = glauber_conditional(net, motif, x, v)
-    pick = int(cand[_sample_cdf(rng, np.cumsum(probs))])
+    pick = int(cand[_sample_cdf(rng, probs.cumsum())])
     new = list(x)
     new[v] = pick
     return tuple(new)
 
 
-def pivot_acceptance(net: Network, motif: Motif, v: int, ell: int,
-                     mode: str = "exact") -> float:
-    """Acceptance probability for the pivot move v -> ell, clamped to [0, 1]."""
+def _acceptance(net: Network, k: int, v: int, ell: int, mode: str,
+                w_v_ell=None) -> float:
+    """`pivot_acceptance`, given A(v, ell) when the caller already has it."""
     if mode == "approximate":
         if net.out_sums[v] <= 0:
             return 0.0
         return min(1.0, float(net.in_sums[v] / net.out_sums[v]))
     if mode != "exact":
         raise ValueError(f"unknown pivot mode {mode!r}")
-    ladder = net.power_row_sums(motif.k)
-    rp = ladder[motif.k - 1]
+    if w_v_ell is None:
+        w_v_ell = net.weight(v, ell)
+    rp = net.power_row_sums(k)[k - 1]
     num = rp[ell] * net.weight(ell, v) * net.out_sums[v]
-    den = rp[v] * net.weight(v, ell) * net.out_sums[ell]
+    den = rp[v] * w_v_ell * net.out_sums[ell]
     if den <= 0.0:
         return 0.0
     return min(1.0, float(num / den))
+
+
+def pivot_acceptance(net: Network, motif: Motif, v: int, ell: int,
+                     mode: str = "exact") -> float:
+    """Acceptance probability for the pivot move v -> ell, clamped to [0, 1]."""
+    return _acceptance(net, motif.k, v, ell, mode)
 
 
 def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
@@ -441,25 +582,26 @@ def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
     v = x[0]
     if net.out_sums[v] <= 0.0:
         return x
-    tgt, wts, cum = net._out[v]
-    ell = int(tgt[_sample_cdf(rng, cum)])
-    lam_acc = pivot_acceptance(net, motif, v, ell, mode=mode)
+    ptr, indices = net.out_edges.indptr, net.out_edges.indices
+    s, e = ptr[v], ptr[v + 1]
+    pick = s + _sample_cdf(rng, net.out_edges.cum[s:e])
+    ell = int(indices[pick])
+    lam_acc = _acceptance(net, k, v, ell, mode, net.out_edges.weights[pick])
     if rng.random() > lam_acc:
         return x
-    ladder = net.power_row_sums(k) if mode == "exact" else None
+    # tail position i extends by an edge weighted by the (k-1-i)-edge path
+    # mass beyond it (exact) or by the edge weight alone (approximate)
+    tables = (net.tail_cdfs(k) if mode == "exact"
+              else [net.out_edges.cum] * (k - 1))
     new = [ell]
     for i in range(1, k):
-        tgt, wts, cum = net._out[new[-1]]
-        if not len(tgt):
+        s, e = ptr[new[-1]], ptr[new[-1] + 1]
+        if s == e:
             return x
-        if mode == "exact":
-            ext = wts * ladder[k - 1 - i][tgt]
-            total = float(ext.sum())
-            if total <= 0.0:
-                return x
-            new.append(int(tgt[_sample_cdf(rng, np.cumsum(ext))]))
-        else:
-            new.append(int(tgt[_sample_cdf(rng, cum)]))
+        cum = tables[k - 1 - i][s:e]
+        if cum[-1] <= 0.0:
+            return x
+        new.append(int(indices[s + _sample_cdf(rng, cum)]))
     return tuple(new)
 
 
@@ -483,11 +625,16 @@ def hom_distribution_bruteforce(net: Network, motif: Motif) -> dict:
     if net.n ** motif.k > _ORACLE_GUARD:
         raise OracleSizeError(
             f"{net.n}^{motif.k} states exceed the enumeration guard")
+    shape = (net.n,) * motif.k
+    states = net.n ** motif.k
     table = {}
-    for x in itertools.product(range(net.n), repeat=motif.k):
-        w = hom_weight(net, motif, x)
-        if w > 0:
-            table[x] = w
+    for start in range(0, states, _ORACLE_BLOCK):
+        # maps in lexicographic order, as itertools.product lists them
+        flat = np.arange(start, min(start + _ORACLE_BLOCK, states))
+        X = np.column_stack(np.unravel_index(flat, shape))
+        w = hom_weights(net, motif, X)
+        hit = w > 0
+        table.update(zip(map(tuple, X[hit].tolist()), w[hit].tolist()))
     if not table:
         raise SamplingError("no homomorphism exists")
     total = sum(table.values())
@@ -497,14 +644,7 @@ def hom_distribution_bruteforce(net: Network, motif: Motif) -> dict:
 def mesoscale_patch(net: Network, x) -> np.ndarray:
     """k x k matrix of target weights between the images of the motif nodes."""
     idx = np.asarray(x, dtype=np.int64)
-    if net.n <= _DENSE_LIMIT:
-        return net.dense()[np.ix_(idx, idx)].copy()
-    k = len(x)
-    out = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            out[a, b] = net.weight(int(idx[a]), int(idx[b]))
-    return out
+    return net.weights_at(idx[:, None], idx[None, :])
 
 
 def tv_distance(p, q) -> float:

@@ -243,6 +243,27 @@ def test_corruption_requires_simple_graph():
         corrupt_network(directed, "subtractive", 0.5, np.random.default_rng(0))
 
 
+def _non_edges_by_loop(net):
+    return [(u, v) for u in range(net.n) for v in range(u + 1, net.n)
+            if not net.has_edge(u, v)]
+
+
+def test_candidate_pairs_and_labels_keep_the_nested_loop_order():
+    net = smallworld_network(40, 4, 0.3, seed=3)
+    result = corrupt_network(net, "subtractive", 0.3, np.random.default_rng(8))
+    loop = _non_edges_by_loop(result.corrupted)
+    assert candidate_pairs(result.corrupted, "subtractive") == loop
+    assert list(result.labels) == loop
+    # additive insertions index the same pool of non-adjacent pairs
+    pool = _non_edges_by_loop(net)
+    result = corrupt_network(net, "additive", 0.3, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    quota = math.ceil(0.3 * len(net.undirected_edges()))
+    added = {pool[int(i)] for i in rng.permutation(len(pool))[:quota]}
+    assert {pair for pair, genuine in result.labels.items() if not genuine} == added
+    assert candidate_pairs(result.corrupted, "additive") == list(result.labels)
+
+
 # ---------------------------------------------------------------------------
 # classification and ROC
 # ---------------------------------------------------------------------------

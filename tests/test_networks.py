@@ -388,3 +388,517 @@ def test_tv_distance_properties(weights, weights2):
     assert 0.0 <= d <= 1.0
     assert d == pytest.approx(tv_distance(q, p))
     assert tv_distance(p, p) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# CSR core against the dict-and-loop reference
+# ---------------------------------------------------------------------------
+#
+# RefNetwork and the ref_* functions are the network layer as it was before
+# the CSR core: a dict of positive weights, per-node (targets, weights,
+# cumsum) tuples and per-candidate loops.  The CSR code must agree with them
+# exactly.
+
+
+class RefNetwork:
+    def __init__(self, n, weights, labels=None):
+        if n < 1:
+            raise ValueError("network needs at least one node")
+        if labels is None:
+            labels = [str(i) for i in range(n)]
+        if len(labels) != n:
+            raise ValueError("label count must match node count")
+        self.n = n
+        self.weights = {}
+        for (a, b), w in weights.items():
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError("edge endpoint out of range")
+            w = float(w)
+            if not np.isfinite(w) or w < 0:
+                raise ValueError("edge weights must be finite and nonnegative")
+            if w > 0:
+                self.weights[(int(a), int(b))] = w
+        self.out, self.inn = [], []
+        for dest, flip in ((self.out, False), (self.inn, True)):
+            lists = [[] for _ in range(n)]
+            for (a, b), w in self.weights.items():
+                lists[b if flip else a].append((a if flip else b, w))
+            for items in lists:
+                items.sort()
+                tgt = np.array([t for t, _ in items], dtype=np.int64)
+                wts = np.array([w for _, w in items], dtype=float)
+                dest.append((tgt, wts, np.cumsum(wts)))
+        self.out_sums = np.array([c[-1] if len(c) else 0.0 for _, _, c in self.out])
+        self.in_sums = np.array([c[-1] if len(c) else 0.0 for _, _, c in self.inn])
+
+    def weight(self, a, b):
+        return self.weights.get((a, b), 0.0)
+
+    @property
+    def is_simple(self):
+        return all(a != b and w == 1.0 and self.weights.get((b, a)) == 1.0
+                   for (a, b), w in self.weights.items())
+
+    @property
+    def is_bidirectional(self):
+        return all((b, a) in self.weights for (a, b) in self.weights)
+
+    def undirected_edges(self):
+        return sorted({(min(a, b), max(a, b)) for (a, b) in self.weights if a != b})
+
+
+def ref_from_edges(edges, undirected=False):
+    index, labels, weights = {}, [], {}
+
+    def intern(label):
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(str(label))
+        return index[label]
+
+    for edge in edges:
+        u, v = intern(edge[0]), intern(edge[1])
+        w = float(edge[2]) if len(edge) > 2 else 1.0
+        weights[(u, v)] = weights.get((u, v), 0.0) + w
+        if undirected and u != v:
+            weights[(v, u)] = weights.get((v, u), 0.0) + w
+    return RefNetwork(len(labels), weights, labels)
+
+
+def ref_ladder(ref, k):
+    """Row sums of A^j, each a sequential sum over the row's edges."""
+    ladder = np.ones((k, ref.n))
+    for j in range(1, k):
+        for v in range(ref.n):
+            acc = 0.0
+            for b, w in zip(*ref.out[v][:2]):
+                acc += w * ladder[j - 1][b]
+            ladder[j, v] = acc
+    return ladder
+
+
+def ref_hom_weight(ref, motif, x):
+    total = 1.0
+    for i, j, e in motif.edges:
+        a = ref.weight(x[i], x[j])
+        if a <= 0.0:
+            return 0.0
+        total *= a if e == 1.0 else a ** e
+    return total
+
+
+def ref_glauber_conditional(ref, motif, x, v):
+    out_terms, in_terms, self_exp = [], [], 0.0
+    for i, j, e in motif.edges:
+        if i == v and j == v:
+            self_exp += e
+        elif j == v:
+            out_terms.append((x[i], e))
+        elif i == v:
+            in_terms.append((x[j], e))
+    if not out_terms and not in_terms and self_exp == 0.0:
+        return np.arange(ref.n), np.full(ref.n, 1.0 / ref.n)
+    pools = [ref.out[u][0] for u, _ in out_terms]
+    pools += [ref.inn[u][0] for u, _ in in_terms]
+    if self_exp > 0.0:
+        pools.append(np.array([w for w in range(ref.n) if ref.weight(w, w) > 0],
+                              dtype=np.int64))
+    cand = min(pools, key=len)
+    weights = np.ones(len(cand))
+    for idx, w_node in enumerate(cand):
+        p = 1.0
+        for u, e in out_terms:
+            a = ref.weight(u, int(w_node))
+            if a <= 0.0:
+                p = 0.0
+                break
+            p *= a if e == 1.0 else a ** e
+        if p > 0.0:
+            for u, e in in_terms:
+                a = ref.weight(int(w_node), u)
+                if a <= 0.0:
+                    p = 0.0
+                    break
+                p *= a if e == 1.0 else a ** e
+        if p > 0.0 and self_exp > 0.0:
+            a = ref.weight(int(w_node), int(w_node))
+            p = 0.0 if a <= 0.0 else p * a ** self_exp
+        weights[idx] = p
+    return cand, weights / float(weights.sum())
+
+
+def ref_rejection(ref, motif, rng, max_tries):
+    """One try at a time; returns (map or None, tries drawn)."""
+    for t in range(max_tries):
+        x = tuple(int(v) for v in rng.integers(0, ref.n, size=motif.k))
+        if ref_hom_weight(ref, motif, x) > 0:
+            return x, t + 1
+    return None, max_tries
+
+
+def _random_weighted(rng, n, density, loops=True, isolated=0):
+    """Directed weighted edge list on n nodes plus `isolated` unused ones;
+    repeats some pairs so that duplicates accumulate."""
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            if (loops or a != b) and rng.random() < density:
+                edges.append((a, b, float(rng.choice([1.0, rng.random() * 3]))))
+    edges += [edges[int(i)] for i in rng.integers(len(edges), size=len(edges) // 4)]
+    weights = {}
+    for a, b, w in edges:
+        weights[(a, b)] = weights.get((a, b), 0.0) + w
+    return n + isolated, weights
+
+
+def _pair_cases():
+    rng = np.random.default_rng(20)
+    cases = []
+    for n, density, isolated in ((1, 0.9, 0), (5, 0.5, 2), (12, 0.3, 3),
+                                 (40, 0.15, 0), (30, 0.02, 10)):
+        n_all, weights = _random_weighted(rng, n, density, isolated=isolated)
+        cases.append((n_all, weights))
+    cases.append((4, {(0, 1): 0.0, (2, 3): 0.0}))           # no positive weight
+    cases.append((3, {(0, 1): 2.0, (1, 1): 0.0, (2, 0): 0.5, (1, 2): 0.0}))
+    sym = {}
+    for a, b in ((0, 1), (1, 2), (2, 0), (2, 3)):
+        sym[(a, b)] = sym[(b, a)] = 1.0
+    cases.append((5, sym))                                   # simple, isolated 4
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_pair_cases())))
+def test_csr_core_matches_the_dict_reference(case):
+    n, weights = _pair_cases()[case]
+    net, ref = Network(n, weights), RefNetwork(n, weights)
+    nodes = np.arange(n)
+    full = np.array([[ref.weight(a, b) for b in range(n)] for a in range(n)])
+    assert all(net.weight(a, b) == full[a, b] for a in range(n) for b in range(n))
+    assert np.array_equal(net.weights_at(nodes[:, None], nodes[None, :]), full)
+    assert np.array_equal(net.dense(), full)
+    assert net.num_directed_edges == len(ref.weights)
+    for v in range(n):
+        assert np.array_equal(net.out_neighbors(v), ref.out[v][0])
+        assert np.array_equal(net.in_neighbors(v), ref.inn[v][0])
+        s, e = net.out_edges.indptr[v], net.out_edges.indptr[v + 1]
+        assert np.array_equal(net.out_edges.weights[s:e], ref.out[v][1])
+        assert np.array_equal(net.out_edges.cum[s:e], ref.out[v][2])
+        s, e = net.in_edges.indptr[v], net.in_edges.indptr[v + 1]
+        assert np.array_equal(net.in_edges.cum[s:e], ref.inn[v][2])
+    assert np.array_equal(net.out_sums, ref.out_sums)
+    assert np.array_equal(net.in_sums, ref.in_sums)
+    assert net.is_simple == ref.is_simple
+    assert net.is_bidirectional == ref.is_bidirectional
+    if ref.is_bidirectional:
+        assert net.undirected_edges() == ref.undirected_edges()
+    rng = np.random.default_rng(case)
+    for k in (1, 3, 5):
+        for _ in range(10):
+            x = tuple(int(v) for v in rng.integers(0, n, size=k))
+            expect = np.array([[ref.weight(a, b) for b in x] for a in x])
+            assert np.array_equal(mesoscale_patch(net, x), expect)
+
+
+def test_undirected_pairs_set_each_orientation_once():
+    pairs = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1)]
+    weights = {}
+    for u, v in pairs:
+        weights[(u, v)] = weights[(v, u)] = 1.0
+    net, ref = Network.from_undirected_pairs(5, pairs), RefNetwork(5, weights)
+    assert net.num_directed_edges == len(ref.weights) == 5
+    assert np.array_equal(net.dense(), [[ref.weight(a, b) for b in range(5)]
+                                        for a in range(5)])
+
+
+def test_from_edges_accumulates_like_the_dict_reference():
+    rng = np.random.default_rng(21)
+    labels = [f"v{i}" for i in range(15)]
+    edges = [(labels[int(a)], labels[int(b)], float(rng.random()))
+             for a, b in rng.integers(0, 15, size=(120, 2))]
+    edges += [(labels[int(a)], labels[int(b)]) for a, b in rng.integers(0, 15, size=(20, 2))]
+    for undirected in (False, True):
+        net = Network.from_edges(edges, undirected=undirected)
+        ref = ref_from_edges(edges, undirected=undirected)
+        assert net.labels == [str(lab) for lab in dict.fromkeys(
+            lab for e in edges for lab in e[:2])]
+        assert net.num_directed_edges == len(ref.weights)
+        for (a, b), w in ref.weights.items():
+            assert net.weight(a, b) == w
+
+
+def test_power_row_sums_and_tail_tables_are_sequential_row_sums():
+    rng = np.random.default_rng(22)
+    n, weights = _random_weighted(rng, 25, 0.4)
+    net, ref = Network(n, weights), RefNetwork(n, weights)
+    k = 5
+    ladder = net.power_row_sums(k)
+    assert np.array_equal(ladder, ref_ladder(ref, k))
+    tables = net.tail_cdfs(k)
+    assert tables.shape == (k - 1, net.num_directed_edges)
+    for j in range(k - 1):
+        for v in range(n):
+            tgt, wts, _ = ref.out[v]
+            s, e = net.out_edges.indptr[v], net.out_edges.indptr[v + 1]
+            assert np.array_equal(tables[j, s:e], np.cumsum(wts * ladder[j][tgt]))
+
+
+def test_patches_above_the_old_dense_limit_and_the_dense_guard():
+    n = 4001
+    net = cycle_network(n)
+    x = (0, 1, 2, 4000, 17)
+    expect = np.array([[1.0 if (a - b) % n in (1, n - 1) else 0.0 for b in x]
+                       for a in x])
+    assert np.array_equal(mesoscale_patch(net, x), expect)
+    with pytest.raises(ValueError, match="too large for a dense matrix"):
+        net.dense()
+
+
+def test_network_arrays_are_read_only():
+    net = weighted_5node_network()
+    for arr in (net.out_edges.weights, net.in_edges.indices, net.out_edges.cum):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+
+
+def _motifs():
+    rng = np.random.default_rng(23)
+    general = np.where(rng.random((4, 4)) < 0.5, rng.choice([1.0, 0.7, 2.5, 1.3],
+                                                            size=(4, 4)), 0.0)
+    general[2, 2] = 0.0
+    looped = Motif.chain(3).matrix.copy()
+    looped[1, 1] = 2.5
+    looped[2, 0] = 0.7
+    return [Motif.chain(3), Motif(np.ones((3, 3)) - np.eye(3)), Motif(general),
+            Motif(looped), Motif(np.zeros((2, 2)))]
+
+
+@pytest.mark.parametrize("m", range(len(_motifs())))
+def test_glauber_conditional_matches_the_per_candidate_loop(m):
+    motif = _motifs()[m]
+    rng = np.random.default_rng(24 + m)
+    for n, density in ((6, 0.6), (9, 0.45)):
+        size, weights = _random_weighted(rng, n, density)
+        weights = {pair: float(rng.random() * 3) for pair in weights}
+        net, ref = Network(size, weights), RefNetwork(size, weights)
+        homs = [x for x in itertools.product(range(size), repeat=motif.k)
+                if ref_hom_weight(ref, motif, x) > 0]
+        assert homs
+        for idx in rng.permutation(len(homs))[:40]:
+            x = homs[int(idx)]
+            for v in range(motif.k):
+                cand, probs = glauber_conditional(net, motif, x, v)
+                ref_cand, ref_probs = ref_glauber_conditional(ref, motif, x, v)
+                assert np.array_equal(cand, ref_cand)
+                assert np.array_equal(probs, ref_probs)
+
+
+@pytest.mark.parametrize("m", range(len(_motifs())))
+def test_bruteforce_oracle_matches_the_enumeration_loop(m):
+    motif = _motifs()[m]
+    rng = np.random.default_rng(30 + m)
+    size, weights = _random_weighted(rng, 7, 0.5)
+    weights = {pair: float(rng.random() * 3) for pair in weights}
+    net, ref = Network(size, weights), RefNetwork(size, weights)
+    table = {}
+    for x in itertools.product(range(size), repeat=motif.k):
+        w = ref_hom_weight(ref, motif, x)
+        if w > 0:
+            table[x] = w
+    total = sum(table.values())
+    oracle = hom_distribution_bruteforce(net, motif)
+    assert list(oracle.items()) == [(x, w / total) for x, w in table.items()]
+
+
+def _ref_sample_cdf(rng, cum):
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def ref_pivot_update(ref, ladder, k, x, rng, mode):
+    v = x[0]
+    if ref.out_sums[v] <= 0.0:
+        return x
+    tgt, wts, cum = ref.out[v]
+    ell = int(tgt[_ref_sample_cdf(rng, cum)])
+    if mode == "approximate":
+        lam = min(1.0, float(ref.in_sums[v] / ref.out_sums[v]))
+    else:
+        rp = ladder[k - 1]
+        num = rp[ell] * ref.weight(ell, v) * ref.out_sums[v]
+        den = rp[v] * ref.weight(v, ell) * ref.out_sums[ell]
+        lam = 0.0 if den <= 0.0 else min(1.0, float(num / den))
+    if rng.random() > lam:
+        return x
+    new = [ell]
+    for i in range(1, k):
+        tgt, wts, cum = ref.out[new[-1]]
+        if not len(tgt):
+            return x
+        if mode == "exact":
+            ext = wts * ladder[k - 1 - i][tgt]
+            if float(ext.sum()) <= 0.0:
+                return x
+            new.append(int(tgt[_ref_sample_cdf(rng, np.cumsum(ext))]))
+        else:
+            new.append(int(tgt[_ref_sample_cdf(rng, cum)]))
+    return tuple(new)
+
+
+def ref_glauber_update(ref, motif, x, rng):
+    v = int(rng.integers(motif.k))
+    cand, probs = ref_glauber_conditional(ref, motif, x, v)
+    new = list(x)
+    new[v] = int(cand[_ref_sample_cdf(rng, np.cumsum(probs))])
+    return tuple(new)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approximate", "glauber"])
+def test_chain_trajectories_match_the_reference(mode):
+    rng = np.random.default_rng(25)
+    size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
+    for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
+        if rng.random() < 0.8:
+            weights[(b, a)] = w
+    net, ref = Network(size, weights), RefNetwork(size, weights)
+    k = 4
+    motif = Motif.chain(k)
+    ladder = ref_ladder(ref, k)
+    x = y = rejection_sample_hom(net, motif, np.random.default_rng(0))
+    rng_new, rng_ref = np.random.default_rng(26), np.random.default_rng(26)
+    moves = 0
+    for _ in range(3000):
+        if mode == "glauber":
+            x = glauber_update(net, motif, x, rng_new)
+            y = ref_glauber_update(ref, motif, y, rng_ref)
+        else:
+            moved = pivot_update(net, motif, x, rng_new, mode=mode)
+            moves += moved != x
+            x = moved
+            y = ref_pivot_update(ref, ladder, k, y, rng_ref, mode)
+        assert x == y
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert mode == "glauber" or moves > 300
+
+
+@pytest.mark.parametrize("n", [3, 200, 5000, 2 ** 31 + 7, 2 ** 33])
+def test_batched_integer_draws_equal_separate_draws(n):
+    # rejection_sample_hom relies on this property of numpy's Generator
+    one, many = np.random.default_rng(n), np.random.default_rng(n)
+    rows = np.array([one.integers(0, n, size=3) for _ in range(101)])
+    assert np.array_equal(many.integers(0, n, size=(101, 3)), rows)
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+def _rejection_pair(ref_net, net, motif, seed, max_tries):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect, used = ref_rejection(ref_net, motif, ref_rng, max_tries)
+    if expect is None:
+        with pytest.raises(SamplingError, match="no homomorphism"):
+            rejection_sample_hom(net, motif, rng, max_tries=max_tries)
+    else:
+        assert rejection_sample_hom(net, motif, rng, max_tries=max_tries) == expect
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return used, expect is not None
+
+
+def test_rejection_sampling_matches_one_try_at_a_time():
+    from onmf.networks import _REJECTION_CHUNK as chunk
+    # one directed edge among 40 nodes: a 2-chain try hits with p = 1/1600
+    sparse = {(3, 7): 1.0}
+    net, ref = Network(40, sparse), RefNetwork(40, sparse)
+    motif = Motif.chain(2)
+    seen = set()
+    for seed in range(60):
+        used, hit = _rejection_pair(ref, net, motif, seed, 3 * chunk + 37)
+        if hit and used <= chunk:
+            seen.add("first chunk")
+        elif hit and used <= 3 * chunk:
+            seen.add("later chunk")
+        elif hit:
+            seen.add("partial last chunk")
+        else:
+            seen.add("no hit")
+    assert seen == {"first chunk", "later chunk", "partial last chunk", "no hit"}
+    # a dense network hits on the first try; an impossible motif never hits
+    dense_net = weighted_5node_network()
+    dense_ref = ref_from_edges([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 2.0), (2, 1, 2.0),
+                                (2, 0, 0.5), (0, 2, 0.5), (2, 3, 1.5), (3, 2, 1.5),
+                                (3, 4, 1.0), (4, 3, 1.0), (4, 0, 2.5), (0, 4, 2.5)])
+    assert _rejection_pair(dense_ref, dense_net, Motif.chain(3), 1, 50)[1]
+    assert not _rejection_pair(ref, net, Motif(np.ones((2, 2))), 2, chunk + 5)[1]
+
+
+# ---------------------------------------------------------------------------
+# input validation: every constructor, the same exception and message
+# ---------------------------------------------------------------------------
+
+RANGE = (ValueError, "edge endpoint out of range")
+WEIGHT = (ValueError, "edge weights must be finite and nonnegative")
+LABELS = (ValueError, "label count must match node count")
+EMPTY = (ValueError, "network needs at least one node")
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    return path
+
+
+VALIDATION_CASES = [
+    ("init-range-high", lambda p: Network(3, {(0, 3): 1.0}), RANGE),
+    ("init-range-negative", lambda p: Network(3, {(-1, 0): 1.0}), RANGE),
+    ("init-negative", lambda p: Network(3, {(0, 1): -1.0}), WEIGHT),
+    ("init-nan", lambda p: Network(3, {(0, 1): float("nan")}), WEIGHT),
+    ("init-inf", lambda p: Network(3, {(0, 1): float("inf")}), WEIGHT),
+    ("init-first-bad-is-weight",
+     lambda p: Network(3, {(0, 1): -1.0, (0, 5): 1.0}), WEIGHT),
+    ("init-first-bad-is-range",
+     lambda p: Network(3, {(0, 5): 1.0, (0, 1): -1.0}), RANGE),
+    ("init-labels", lambda p: Network(3, {}, labels=["a"]), LABELS),
+    ("init-empty", lambda p: Network(0, {}), EMPTY),
+    ("dense-range", lambda p: Network.from_dense([[0.0, 0.0, 1.0],
+                                                  [0.0, 0.0, 0.0]]), RANGE),
+    ("dense-negative", lambda p: Network.from_dense([[0.0, -2.0], [0.0, 0.0]]),
+     WEIGHT),
+    ("dense-nan", lambda p: Network.from_dense([[np.nan, 0.0], [0.0, 0.0]]),
+     WEIGHT),
+    ("dense-inf", lambda p: Network.from_dense([[0.0, np.inf], [0.0, 0.0]]),
+     WEIGHT),
+    ("dense-labels", lambda p: Network.from_dense(np.eye(2), labels=["a"]),
+     LABELS),
+    ("dense-empty", lambda p: Network.from_dense(np.zeros((0, 0))), EMPTY),
+    ("pairs-range", lambda p: Network.from_undirected_pairs(3, [(0, 3)]), RANGE),
+    ("pairs-range-negative",
+     lambda p: Network.from_undirected_pairs(3, [(0, 1), (-1, 2)]), RANGE),
+    ("pairs-labels",
+     lambda p: Network.from_undirected_pairs(2, [(0, 1)], labels=["a"]), LABELS),
+    ("pairs-empty", lambda p: Network.from_undirected_pairs(0, []), EMPTY),
+    ("edges-negative", lambda p: Network.from_edges([("a", "b", -1.0)]), WEIGHT),
+    ("edges-nan", lambda p: Network.from_edges([("a", "b", float("nan"))]),
+     WEIGHT),
+    ("edges-inf", lambda p: Network.from_edges([("a", "b", float("inf"))]),
+     WEIGHT),
+    ("edges-none", lambda p: Network.from_edges([]),
+     (EdgeListError, "no edges found")),
+    ("file-negative", lambda p: Network.from_edge_list_file(_write(p, "a b -1\n")),
+     (EdgeListError, "line 1: weight must be nonnegative")),
+    ("file-nan", lambda p: Network.from_edge_list_file(_write(p, "a b 1\nb c nan\n")),
+     (EdgeListError, "line 2: weight must be nonnegative")),
+    ("file-inf", lambda p: Network.from_edge_list_file(_write(p, "a b inf\n")),
+     (EdgeListError, "line 1: weight must be nonnegative")),
+    ("file-none", lambda p: Network.from_edge_list_file(_write(p, "# only\n")),
+     (EdgeListError, "no edges found")),
+]
+
+
+@pytest.mark.parametrize("build, expected",
+                         [case[1:] for case in VALIDATION_CASES],
+                         ids=[case[0] for case in VALIDATION_CASES])
+def test_constructors_validate_with_the_same_messages(tmp_path, build, expected):
+    exc_type, message = expected
+    with pytest.raises(exc_type) as info:
+        build(tmp_path)
+    assert type(info.value) is exc_type
+    assert message in str(info.value)
+    if exc_type is ValueError:
+        assert str(info.value) == message
