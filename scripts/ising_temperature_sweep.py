@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from onmf import (ConstraintSpec, IsingConfig, OnlineNMF, init_dictionary,
-                  ising_gibbs_run, spin_patch_minibatch)
+from onmf import IsingConfig, init_engine, ising_patch_stream, learn
 
 LATTICE = 50
 PATCH = 10
@@ -28,14 +27,9 @@ TEMPERATURES = (0.5, 2.26, 5.0)
 def run(temperature, epoch, seed, out_dir):
     rng = np.random.default_rng(seed)
     config = IsingConfig.random(LATTICE, temperature, rng)
-    engine = OnlineNMF(init_dictionary(PATCH ** 2, ATOMS,
-                                       ConstraintSpec.nonnegative(1000.0), rng),
-                       lam=1.0)
-    trace = []
-    for t in range(TOTAL_GIBBS // epoch):
-        ising_gibbs_run(config, epoch, rng)
-        X = spin_patch_minibatch(config, PATCH, BATCH, rng)
-        trace.append(engine.step(X).surrogate)
+    engine = init_engine(PATCH ** 2, ATOMS, 1000.0, rng, lam=1.0)
+    stream = ising_patch_stream(config, epoch, PATCH, BATCH, rng)
+    trace = [v for _, v in learn(engine, stream, TOTAL_GIBBS // epoch)]
     path = out_dir / f"trace_T{temperature}_tau{epoch}.csv"
     with open(path, "w") as fh:
         fh.write("t,surrogate\n")

@@ -7,9 +7,9 @@ from .factorization import (AggregateStats, ConstraintPiece, ConstraintSpec,
                             ZeroDictionaryError, coding_objective,
                             dictionary_update, ellipsoid_gap, empirical_loss,
                             empirical_weights, growth_check, init_dictionary,
-                            kkt_residual, load_aggregates, load_dictionary,
-                            save_aggregates, save_dictionary, sparse_code,
-                            surrogate_loss, update_aggregates)
+                            init_engine, kkt_residual, learn, load_aggregates,
+                            load_dictionary, save_aggregates, save_dictionary,
+                            sparse_code, surrogate_loss, update_aggregates)
 from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   NDLParams, NetworkDictionary, ReconstructionState, RocError,
                   RocResult, candidate_pairs, corrupt_network, denoise_classify,
@@ -24,5 +24,5 @@ from .pgm import (PgmError, read_pgm, read_spins_pgm, write_pgm,
                   write_spins_pgm)
 from .sources import (IsingConfig, PatchWalker, conditional_plus_probability,
                       image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
-                      levels_to_spins, reconstruct_grid, spin_patch_minibatch,
-                      spins_to_levels)
+                      ising_patch_stream, levels_to_spins, reconstruct_grid,
+                      spin_patch_minibatch, spins_to_levels)

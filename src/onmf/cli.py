@@ -9,16 +9,17 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import platform
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .factorization import (ConstraintSpec, OnlineNMF, WeightSchedule,
-                            ZeroDictionaryError, init_dictionary,
+from .factorization import (ZeroDictionaryError, init_engine, learn,
                             load_dictionary, save_aggregates, save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
@@ -28,7 +29,7 @@ from .networks import (EdgeListError, Motif, Network, OracleSizeError,
                        initial_homomorphism, tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from .sources import (IsingConfig, PatchWalker, image_patch_minibatch,
-                      ising_gibbs_run, reconstruct_grid, spin_patch_minibatch)
+                      ising_patch_stream, reconstruct_grid)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,11 +67,12 @@ def _write_metadata(out_dir: Path, command: str, args) -> None:
             fh.write(f"{key}: {entries[key]}\n")
 
 
-def _write_loss_trace(path: Path, trace) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line of comma-separated fields per row."""
     with open(path, "w") as fh:
-        fh.write("t,surrogate\n")
-        for t, value in trace:
-            fh.write(f"{t},{repr(float(value))}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _atom_grid_image(W: np.ndarray, k: int) -> np.ndarray:
@@ -89,13 +91,19 @@ def _atom_grid_image(W: np.ndarray, k: int) -> np.ndarray:
     return canvas
 
 
-def _write_atoms(out_dir: Path, W: np.ndarray, k: int, dominance=None) -> None:
+@contextmanager
+def _learned_outputs(out_dir: Path, W: np.ndarray, k: int, P: np.ndarray,
+                     trace):
+    """dictionary.txt, loss_trace.csv and atoms.pgm on entry, the command's
+    own files in the body, dominance.csv on exit.  When no atom was ever used,
+    exit writes no dominance.csv and raises DegenerateAggregatesError."""
+    save_dictionary(out_dir / "dictionary.txt", W)
+    _write_csv(out_dir / "loss_trace.csv", "t,surrogate",
+               ((t, float(v)) for t, v in trace))
     write_pgm(out_dir / "atoms.pgm", _atom_grid_image(W, k))
-    if dominance is not None:
-        with open(out_dir / "dominance.csv", "w") as fh:
-            fh.write("atom,score\n")
-            for j, s in enumerate(dominance):
-                fh.write(f"{j},{repr(float(s))}\n")
+    yield
+    _write_csv(out_dir / "dominance.csv", "atom,score",
+               enumerate(map(float, dominance_scores(P))))
 
 
 def _write_weighted_edges(path: Path, net: Network, recons) -> None:
@@ -107,11 +115,11 @@ def _write_weighted_edges(path: Path, net: Network, recons) -> None:
                      f"{recons.pair_score(u, v):.6g}\n")
 
 
-def _write_labels(path: Path, net: Network, labels: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write("u,v,label\n")
-        for (u, v), flag in sorted(labels.items()):
-            fh.write(f"{net.labels[u]},{net.labels[v]},{str(bool(flag)).lower()}\n")
+def _write_flags(path: Path, net: Network, column: str, flags: dict) -> None:
+    """``u,v,<column>`` rows of true/false, in pair order."""
+    _write_csv(path, f"u,v,{column}",
+               ((net.labels[u], net.labels[v], str(bool(flag)).lower())
+                for (u, v), flag in sorted(flags.items())))
 
 
 def _write_edge_list(path: Path, net: Network) -> None:
@@ -121,11 +129,9 @@ def _write_edge_list(path: Path, net: Network) -> None:
 
 
 def _write_roc(path: Path, roc) -> None:
-    with open(path, "w") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for th, fpr, tpr in roc.points:
-            fh.write(f"{repr(float(th))},{repr(float(fpr))},{repr(float(tpr))}\n")
-        fh.write(f"auc,{repr(float(roc.auc))}\n")
+    _write_csv(path, "threshold,fpr,tpr",
+               [tuple(map(float, p)) for p in roc.points]
+               + [("auc", float(roc.auc))])
 
 
 def _prepare_out_dir(args) -> Path:
@@ -152,10 +158,8 @@ def cmd_ndl_learn(args) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
     nd = ndl_learn(net, _ndl_params(args), rng)
-    save_dictionary(out_dir / "dictionary.txt", nd.W)
-    save_aggregates(out_dir / "aggregates.txt", nd.stats, args.beta)
-    _write_loss_trace(out_dir / "loss_trace.csv", nd.loss_trace)
-    _write_atoms(out_dir, nd.W, nd.k, nd.dominance)
+    with _learned_outputs(out_dir, nd.W, nd.k, nd.P, nd.loss_trace):
+        save_aggregates(out_dir / "aggregates.txt", nd.stats, args.beta)
 
 
 def cmd_reconstruct(args) -> None:
@@ -201,7 +205,7 @@ def cmd_denoise(args) -> None:
 
     recons = nr_reconstruct(corrupted, W, iters=args.recon_iters,
                             lam=args.recon_lambda, mcmc=args.mcmc, rng=rng)
-    _write_labels(out_dir / "labels.csv", net, labels)
+    _write_flags(out_dir / "labels.csv", net, "label", labels)
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 
     scores = {pair: recons.pair_score(*pair)
@@ -213,11 +217,7 @@ def cmd_denoise(args) -> None:
     if args.threshold is not None:
         predictions = denoise_classify(corrupted, recons, args.mode,
                                        args.threshold, lower_is_positive=lower)
-        with open(out_dir / "predictions.csv", "w") as fh:
-            fh.write("u,v,positive\n")
-            for (u, v), flag in sorted(predictions.items()):
-                fh.write(f"{net.labels[u]},{net.labels[v]},"
-                         f"{str(bool(flag)).lower()}\n")
+        _write_flags(out_dir / "predictions.csv", net, "positive", predictions)
 
 
 def _read_labels(path, net: Network) -> dict:
@@ -238,6 +238,12 @@ def _read_labels(path, net: Network) -> dict:
     return labels
 
 
+def _engine(args, rng):
+    return init_engine(args.patch ** 2, args.atoms, args.dict_radius, rng,
+                       beta=args.beta, lam=args.lam, kappa1=args.kappa1,
+                       kappa2=args.kappa2)
+
+
 def cmd_ising_learn(args) -> None:
     out_dir = _prepare_out_dir(args)
     _write_metadata(out_dir, "ising-learn", args)
@@ -251,25 +257,11 @@ def cmd_ising_learn(args) -> None:
         config = IsingConfig(spins=spins, temperature=args.temperature)
     else:
         config = IsingConfig.random(args.lattice, args.temperature, rng)
-    d = args.patch ** 2
-    constraint = ConstraintSpec.nonnegative(args.dict_radius)
-    engine = OnlineNMF(init_dictionary(d, args.atoms, constraint, rng),
-                       lam=args.lam, kappa1=args.kappa1, kappa2=args.kappa2,
-                       schedule=WeightSchedule(args.beta))
-    trace = []
-    for t in range(1, args.iters + 1):
-        ising_gibbs_run(config, args.epoch, rng)
-        X = spin_patch_minibatch(config, args.patch, args.batch, rng)
-        result = engine.step(X)
-        trace.append((t, result.surrogate))
-    save_dictionary(out_dir / "dictionary.txt", engine.W)
-    _write_loss_trace(out_dir / "loss_trace.csv", trace)
-    try:
-        dom = dominance_scores(engine.stats.A)
-    except DegenerateAggregatesError:
-        dom = None
-    _write_atoms(out_dir, engine.W, args.patch, dom)
-    write_spins_pgm(out_dir / "final_config.pgm", config.spins)
+    engine = _engine(args, rng)
+    stream = ising_patch_stream(config, args.epoch, args.patch, args.batch, rng)
+    trace = learn(engine, stream, args.iters)
+    with _learned_outputs(out_dir, engine.W, args.patch, engine.stats.A, trace):
+        write_spins_pgm(out_dir / "final_config.pgm", config.spins)
 
 
 def cmd_image_learn(args) -> None:
@@ -277,36 +269,25 @@ def cmd_image_learn(args) -> None:
     _write_metadata(out_dir, "image-learn", args)
     image = read_pgm(args.image)
     rng = np.random.default_rng(args.seed)
-    d = args.patch ** 2
-    constraint = ConstraintSpec.nonnegative(args.dict_radius)
-    engine = OnlineNMF(init_dictionary(d, args.atoms, constraint, rng),
-                       lam=args.lam, kappa1=args.kappa1, kappa2=args.kappa2,
-                       schedule=WeightSchedule(args.beta))
-    walker = PatchWalker.random(image.shape[0], image.shape[1], args.patch, rng)
-    trace = []
+    engine = _engine(args, rng)
     positions = []
-    for t in range(1, args.iters + 1):
-        X, walker, corners = image_patch_minibatch(
-            image, args.patch, args.batch, mode=args.mode, walker=walker,
-            rng=rng, return_corners=True)
-        result = engine.step(X)
-        trace.append((t, result.surrogate))
-        positions.extend((t, int(r), int(c)) for r, c in corners)
-    save_dictionary(out_dir / "dictionary.txt", engine.W)
-    _write_loss_trace(out_dir / "loss_trace.csv", trace)
-    try:
-        dom = dominance_scores(engine.stats.A)
-    except DegenerateAggregatesError:
-        dom = None
-    _write_atoms(out_dir, engine.W, args.patch, dom)
-    recon = reconstruct_grid(image, engine.W, args.patch, lam=args.recon_lambda,
-                             stride=args.stride)
-    write_pgm(out_dir / "reconstruction.pgm", recon)
-    if args.mode == "walk":
-        with open(out_dir / "positions.csv", "w") as fh:
-            fh.write("t,row,col\n")
-            for t, r, c in positions:
-                fh.write(f"{t},{r},{c}\n")
+
+    def minibatches(walker):
+        for t in itertools.count(1):
+            X, walker, corners = image_patch_minibatch(
+                image, args.patch, args.batch, mode=args.mode, walker=walker,
+                rng=rng, return_corners=True)
+            positions.extend((t, int(r), int(c)) for r, c in corners)
+            yield X
+
+    walker = PatchWalker.random(image.shape[0], image.shape[1], args.patch, rng)
+    trace = learn(engine, minibatches(walker), args.iters)
+    with _learned_outputs(out_dir, engine.W, args.patch, engine.stats.A, trace):
+        recon = reconstruct_grid(image, engine.W, args.patch,
+                                 lam=args.recon_lambda, stride=args.stride)
+        write_pgm(out_dir / "reconstruction.pgm", recon)
+        if args.mode == "walk":
+            _write_csv(out_dir / "positions.csv", "t,row,col", positions)
 
 
 def cmd_hom_diag(args) -> None:
@@ -330,17 +311,11 @@ def cmd_hom_diag(args) -> None:
             counts[x] = counts.get(x, 0) + 1
             if step % 1000 == 0 or step == args.iters:
                 emp = {k: v / step for k, v in counts.items()}
-                tv_rows.append((step, tv_distance(emp, oracle)))
-        with open(out_dir / f"empirical_dist{suffix}.csv", "w") as fh:
-            fh.write("state,frequency\n")
-            total = sum(counts.values())
-            for state in sorted(counts):
-                name = "-".join(net.labels[v] for v in state)
-                fh.write(f"{name},{repr(counts[state] / total)}\n")
-        with open(out_dir / f"tv_trace{suffix}.csv", "w") as fh:
-            fh.write("step,tv\n")
-            for step, tv in tv_rows:
-                fh.write(f"{step},{repr(float(tv))}\n")
+                tv_rows.append((step, float(tv_distance(emp, oracle))))
+        _write_csv(out_dir / f"empirical_dist{suffix}.csv", "state,frequency",
+                   (("-".join(net.labels[v] for v in state),
+                     counts[state] / args.iters) for state in sorted(counts)))
+        _write_csv(out_dir / f"tv_trace{suffix}.csv", "step,tv", tv_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ second-order growth of the quadratic objective per update.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -289,7 +290,7 @@ def update_aggregates(stats: AggregateStats, H, X, schedule: WeightSchedule,
 
 def surrogate_loss(W, stats: AggregateStats) -> float:
     """tr(W A W^T) - 2 tr(W B) + r_scalar for the given dictionary."""
-    W = np.asarray(getattr(W, "W", W), dtype=float)
+    W = np.asarray(W, dtype=float)
     if W.shape[1] != stats.A.shape[0] or W.shape[0] != stats.B.shape[1]:
         raise ValueError("dictionary incompatible with statistics")
     return float(np.sum((W @ stats.A) * W) - 2.0 * np.sum(W * stats.B.T)
@@ -298,8 +299,8 @@ def surrogate_loss(W, stats: AggregateStats) -> float:
 
 def ellipsoid_gap(W, W_prev, stats: AggregateStats) -> float:
     """Value of tr((B^T - W A)(W_prev - W)^T); feasible when <= 0."""
-    W = np.asarray(getattr(W, "W", W), dtype=float)
-    W_prev = np.asarray(getattr(W_prev, "W", W_prev), dtype=float)
+    W = np.asarray(W, dtype=float)
+    W_prev = np.asarray(W_prev, dtype=float)
     return float(np.sum((stats.B.T - W @ stats.A) * (W_prev - W)))
 
 
@@ -309,8 +310,8 @@ def growth_check(W1, W2, stats: AggregateStats) -> float:
     Nonnegative (up to floating point) whenever W2 was produced from W1 by a
     dictionary update that respected the trust ellipsoid.
     """
-    W1 = np.asarray(getattr(W1, "W", W1), dtype=float)
-    W2 = np.asarray(getattr(W2, "W", W2), dtype=float)
+    W1 = np.asarray(W1, dtype=float)
+    W2 = np.asarray(W2, dtype=float)
     A, B = stats.A, stats.B
 
     def g(M):
@@ -503,7 +504,7 @@ def empirical_loss(W, history, schedule: WeightSchedule, lam: float = 1.0,
     """
     if not history:
         raise ValueError("history must be non-empty")
-    W = np.asarray(getattr(W, "W", W), dtype=float)
+    W = np.asarray(W, dtype=float)
     stacked = np.concatenate([np.asarray(X, dtype=float) for X in history], axis=1)
     H = sparse_code(stacked, W, lam=lam, kappa2=kappa2, tol=tol, max_iter=max_iter)
     weights = empirical_weights(len(history), schedule)
@@ -610,6 +611,25 @@ class OnlineNMF:
                               lam=self.lam, kappa2=self.kappa2)
 
 
+def init_engine(d: int, r: int, radius: float, rng, beta: float = 1.0,
+                **options) -> OnlineNMF:
+    """Engine on an ``init_dictionary`` in the nonnegative ball of ``radius``;
+    ``options`` are the other ``OnlineNMF`` fields."""
+    dictionary = init_dictionary(d, r, ConstraintSpec.nonnegative(radius), rng)
+    return OnlineNMF(dictionary, schedule=WeightSchedule(beta), **options)
+
+
+def learn(engine: OnlineNMF, batches, iters: int) -> list[tuple[int, float]]:
+    """Step the engine on the next ``iters`` matrices of ``batches``.
+
+    Returns ``(t, surrogate)`` after every step, t from 1.  Draws no matrix
+    past the last step, so a stream that advances a chain as it yields stops
+    where the last step's matrix was taken.
+    """
+    return [(t, engine.step(X).surrogate)
+            for t, X in enumerate(itertools.islice(batches, iters), start=1)]
+
+
 # ---------------------------------------------------------------------------
 # Plain-text serialization
 # ---------------------------------------------------------------------------
@@ -637,7 +657,7 @@ def _read_matrix(lines, pos: int):
 
 def save_dictionary(path, W) -> None:
     """Write a matrix as 'd r' header plus d rows of shortest-repr values."""
-    W = np.asarray(getattr(W, "W", W), dtype=float)
+    W = np.asarray(W, dtype=float)
     with open(path, "w") as fh:
         _write_matrix(fh, W)
 

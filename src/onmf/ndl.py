@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import (AggregateStats, ConstraintSpec, OnlineNMF,
-                            WeightSchedule, init_dictionary, sparse_code)
+from .factorization import AggregateStats, init_engine, learn, sparse_code
 from .networks import (Motif, Network, chain_update, initial_homomorphism,
                        mesoscale_patch)
 
@@ -53,10 +52,6 @@ class NDLParams:
     beta: float = 1.0
     kappa1: float = 0.0
     kappa2: float = 0.0
-    code_tol: float = 1e-8
-    code_max_iter: int = 500
-    dict_tol: float = 1e-8
-    dict_max_iter: int = 100
 
     def __post_init__(self):
         if min(self.k, self.atoms, self.iters, self.batch) < 1:
@@ -98,6 +93,19 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
     return diag / total
 
 
+def _walk_patches(net: Network, motif: Motif, x, rng, mcmc: str, m: int):
+    """Advance the chain m steps from x: the homomorphisms as the rows of an
+    (m, k) array and their vectorized patches as the columns of k^2 x m."""
+    k = motif.k
+    xs = np.empty((m, k), dtype=np.int64)
+    X = np.empty((k * k, m))
+    for j in range(m):
+        x = chain_update(net, motif, x, rng, mcmc)
+        xs[j] = x
+        X[:, j] = mesoscale_patch(net, x).reshape(-1)
+    return xs, X
+
+
 def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
     """Learn a network dictionary from a motif-sampling chain.
 
@@ -107,24 +115,18 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
     """
     motif = Motif.chain(params.k)
     x = initial_homomorphism(net, motif, rng)
-    constraint = ConstraintSpec.nonnegative(params.dict_radius)
-    dictionary = init_dictionary(params.k ** 2, params.atoms, constraint, rng)
-    engine = OnlineNMF(dictionary, lam=params.lam, kappa1=params.kappa1,
-                       kappa2=params.kappa2,
-                       schedule=WeightSchedule(params.beta),
-                       code_tol=params.code_tol,
-                       code_max_iter=params.code_max_iter,
-                       dict_tol=params.dict_tol,
-                       dict_max_iter=params.dict_max_iter)
-    trace = []
-    k2 = params.k ** 2
-    for t in range(1, params.iters + 1):
-        X = np.empty((k2, params.batch))
-        for j in range(params.batch):
-            x = chain_update(net, motif, x, rng, params.mcmc)
-            X[:, j] = mesoscale_patch(net, x).reshape(-1)
-        result = engine.step(X)
-        trace.append((t, result.surrogate))
+    engine = init_engine(params.k ** 2, params.atoms, params.dict_radius, rng,
+                         beta=params.beta, lam=params.lam, kappa1=params.kappa1,
+                         kappa2=params.kappa2, code_tol=1e-8, code_max_iter=500,
+                         dict_tol=1e-8, dict_max_iter=100)
+
+    def minibatches(x):
+        while True:
+            xs, X = _walk_patches(net, motif, x, rng, params.mcmc, params.batch)
+            x = tuple(xs[-1].tolist())
+            yield X
+
+    trace = learn(engine, minibatches(x), params.iters)
     return NetworkDictionary(W=engine.W.copy(), stats=engine.stats,
                              k=params.k, loss_trace=trace)
 
@@ -197,13 +199,9 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     state = ReconstructionState()
     rows, cols = np.divmod(np.arange(k2), k)
     for start in range(0, iters, RECON_BLOCK):
-        m = min(RECON_BLOCK, iters - start)
-        xs = np.empty((m, k), dtype=np.int64)
-        X = np.empty((k2, m))
-        for j in range(m):
-            x = chain_update(net, motif, x, rng, mcmc)
-            xs[j] = x
-            X[:, j] = mesoscale_patch(net, x).reshape(-1)
+        xs, X = _walk_patches(net, motif, x, rng, mcmc,
+                              min(RECON_BLOCK, iters - start))
+        x = tuple(xs[-1].tolist())
         H = sparse_code(X, W, lam=lam, tol=code_tol, max_iter=code_max_iter)
         state.fold_many(xs[:, rows].ravel(), xs[:, cols].ravel(),
                         (W @ H).T.ravel())
@@ -229,23 +227,6 @@ class CorruptionResult:
     labels: dict
 
 
-def _connected_without(adj: list[set], u: int, v: int) -> bool:
-    """Is v still reachable from u if edge (u, v) is ignored?"""
-    seen = {u}
-    stack = [u]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if a == u and b == v:
-                continue
-            if b == v:
-                return True
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return False
-
-
 def is_connected(net: Network) -> bool:
     seen = {0}
     stack = [0]
@@ -269,10 +250,13 @@ def _non_edges(net: Network) -> list[tuple[int, int]]:
 def corrupt_network(net: Network, mode: str, fraction: float, rng) -> CorruptionResult:
     """Corrupt a simple graph by deleting or injecting ceil(fraction*|E|) edges.
 
-    Subtractive deletions are drawn uniformly among edges whose removal keeps
-    the graph connected (an edge skipped as a bridge stays a bridge, so one
-    shuffled pass reaches any feasible quota).  Additive insertions are
-    uniform over non-adjacent pairs.
+    Subtractive deletions walk the edges in one shuffled order and delete each
+    edge whose removal keeps the graph connected, until the quota is met (an
+    edge skipped as a bridge stays a bridge, so one pass reaches any feasible
+    quota).  Edge i is deleted exactly when edges later in the order already
+    join its endpoints, so the deleted edges are the first ``quota`` edges
+    outside the spanning forest that Kruskal's union-find builds from the end
+    of the order.  Additive insertions are uniform over non-adjacent pairs.
     """
     if not net.is_simple:
         raise CorruptionError("corruption requires a simple graph")
@@ -284,17 +268,23 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
     if mode == "subtractive":
         if not is_connected(net):
             raise CorruptionError("subtractive corruption requires a connected graph")
-        adj = [set(int(b) for b in net.out_neighbors(v)) for v in range(net.n)]
-        order = rng.permutation(len(edges))
-        removed = []
-        for idx in order:
-            if len(removed) == quota:
-                break
-            u, v = edges[int(idx)]
-            if _connected_without(adj, u, v):
-                adj[u].discard(v)
-                adj[v].discard(u)
-                removed.append((u, v))
+        order = [edges[int(idx)] for idx in rng.permutation(len(edges))]
+        root = list(range(net.n))
+
+        def find(a):
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+
+        spare = []          # edges that later edges already join, last first
+        for u, v in reversed(order):
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                spare.append((u, v))
+            else:
+                root[ru] = rv
+        removed = spare[::-1][:quota]
         if len(removed) < quota:
             raise CorruptionError(
                 f"only {len(removed)} of {quota} edges removable without "

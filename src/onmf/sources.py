@@ -142,6 +142,15 @@ def spin_patch_minibatch(config: IsingConfig, k: int, count: int, rng) -> np.nda
     return spins_to_levels(patches).reshape(count, k * k).T
 
 
+def ising_patch_stream(config: IsingConfig, epoch: int, k: int, count: int,
+                       rng):
+    """Endless spin patch minibatches, each ``epoch`` Gibbs updates of
+    ``config`` (in place) after the last."""
+    while True:
+        ising_gibbs_run(config, epoch, rng)
+        yield spin_patch_minibatch(config, k, count, rng)
+
+
 # ---------------------------------------------------------------------------
 # Image patch streams
 # ---------------------------------------------------------------------------
@@ -205,7 +214,7 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
 
 
 def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
-                     lam: float = 0.0, stride: int = 1, rng=None,
+                     lam: float = 0.0, stride: int = 1,
                      tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
     """Reconstruct an image by sparse-coding every stride-grid patch against W.
 

@@ -157,7 +157,7 @@ def test_criterion_05_second_order_growth():
         stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=5)
         new = dictionary_update(prev, stats, tol=1e-10, max_iter=150,
                                 enforce_ellipsoid=True)
-        worst = min(worst, growth_check(prev, new, stats))
+        worst = min(worst, growth_check(prev.W, new.W, stats))
     ok = worst >= -1e-8
     report(5, "second-order growth on random updates", ok,
            f"min margin over 1000 trials = {worst:.3g}")

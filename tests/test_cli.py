@@ -316,6 +316,37 @@ def test_image_learn_rejects_non_pgm(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# all learning commands
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, own_outputs", [
+    ("ndl-learn", ["aggregates.txt"]),
+    ("ising-learn", ["final_config.pgm"]),
+    ("image-learn", ["reconstruction.pgm", "positions.csv"]),
+])
+def test_degenerate_aggregates_exit_3_after_every_other_output(
+        tmp_path, capsys, command, own_outputs):
+    # so large a penalty codes every patch as zero: no atom is ever used
+    flags = {"ndl-learn": ["--edges", write_cycle(tmp_path / "cycle.txt"),
+                           "--undirected"],
+             "ising-learn": ["--lattice", 12, "--temperature", 2.0,
+                             "--epoch", 20],
+             "image-learn": ["--image", stripe_image(tmp_path, 12, 12)[0],
+                             "--mode", "walk"]}[command]
+    out = tmp_path / "out"
+    patch = [] if command == "ndl-learn" else ["--patch", 3]
+    assert run(command, *flags, *patch, "--atoms", 3, "--iters", 4,
+               "--batch", 10, "--lambda", 1e9, "--seed", 1,
+               "--out-dir", out) == 3
+    assert "numerical failure: degenerate aggregates" in capsys.readouterr().err
+    for name in ["metadata.txt", "dictionary.txt", "loss_trace.csv",
+                 "atoms.pgm"] + own_outputs:
+        assert (out / name).exists(), name
+    assert not (out / "dominance.csv").exists()
+
+
+# ---------------------------------------------------------------------------
 # hom-diag
 # ---------------------------------------------------------------------------
 

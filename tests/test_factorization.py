@@ -8,7 +8,7 @@ from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
                   OnlineNMF, WeightSchedule, ZeroDictionaryError,
                   coding_objective, dictionary_update, ellipsoid_gap,
                   empirical_loss, empirical_weights, growth_check,
-                  init_dictionary, kkt_residual, load_aggregates,
+                  init_dictionary, kkt_residual, learn, load_aggregates,
                   load_dictionary, save_aggregates, save_dictionary,
                   sparse_code, surrogate_loss, update_aggregates)
 
@@ -186,7 +186,7 @@ def test_scalar_boundary_clamp():
     new = dictionary_update(prev, stats, tol=1e-12, max_iter=300)
     assert new.W[0, 0] == pytest.approx(2.0, abs=1e-9)
     # hand-computed growth margin: g(0) - g(2) - (0-2)*1*(0-2) = 8 - 4
-    assert growth_check(prev, new, stats) == pytest.approx(4.0, abs=1e-8)
+    assert growth_check(prev.W, new.W, stats) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_interior_minimum_is_reached():
@@ -248,7 +248,7 @@ def test_objective_nonincreasing_and_feasible():
             return float(np.sum((W @ A) * W) - 2.0 * np.sum(W * B.T))
 
         assert g(new.W) <= g(W0) + 1e-10
-        assert ellipsoid_gap(new, prev, stats) <= 1e-8
+        assert ellipsoid_gap(new.W, prev.W, stats) <= 1e-8
 
 
 def test_multi_piece_switching_and_tie_break():
@@ -275,9 +275,9 @@ def test_growth_margins_on_random_instances():
         stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1)
         new = dictionary_update(prev, stats, tol=1e-10, max_iter=80,
                                 enforce_ellipsoid=True)
-        assert growth_check(prev, new, stats) >= -1e-8
+        assert growth_check(prev.W, new.W, stats) >= -1e-8
     # degenerate case: identical dictionaries
-    assert growth_check(prev, prev, stats) == 0.0
+    assert growth_check(prev.W, prev.W, stats) == 0.0
 
 
 def test_unused_atom_column_is_left_alone():
@@ -560,6 +560,42 @@ def test_step_reports_solver_iterations():
     res = capped.step(X)
     assert (res.code_iters, res.code_converged) == (1, False)
     assert (res.dict_sweeps, res.dict_converged) == (1, False)
+
+
+def _engine_pair(seed):
+    spec = ConstraintSpec.nonnegative(10.0)
+    return [OnlineNMF(init_dictionary(5, 3, spec, np.random.default_rng(seed)),
+                      lam=0.3, kappa1=0.05) for _ in range(2)]
+
+
+def test_learn_matches_a_hand_written_step_loop():
+    rng = np.random.default_rng(23)
+    stream = [rng.random((5, 4)) for _ in range(12)]
+    eng, ref = _engine_pair(24)
+    trace = learn(eng, iter(stream), len(stream))
+    ref_trace = [(t, ref.step(X).surrogate) for t, X in enumerate(stream, 1)]
+    assert trace == ref_trace
+    assert np.array_equal(eng.W, ref.W)
+    assert np.array_equal(eng.stats.A, ref.stats.A)
+    assert np.array_equal(eng.stats.B, ref.stats.B)
+    assert (eng.stats.r_scalar, eng.stats.t) == (ref.stats.r_scalar,
+                                                 ref.stats.t)
+
+
+def test_learn_draws_exactly_iters_matrices():
+    rng = np.random.default_rng(25)
+    drawn = []
+
+    def stream():
+        while True:
+            drawn.append(len(drawn))
+            yield rng.random((5, 2))
+
+    eng, _ = _engine_pair(26)
+    trace = learn(eng, stream(), 7)
+    assert len(drawn) == 7
+    assert [t for t, _ in trace] == list(range(1, 8))
+    assert eng.stats.t == 7
 
 
 def test_weight_schedule_validation():

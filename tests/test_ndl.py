@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cycle_network, mann_whitney_auc, smallworld_network
-from onmf import (CorruptionError, DegenerateAggregatesError, Motif,
-                  NDLParams, Network, ReconstructionState, RocError,
-                  candidate_pairs, chain_update, coding_objective,
-                  corrupt_network, denoise_classify, dominance_scores,
-                  initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
-                  nr_reconstruct, roc_auc, sparse_code)
+from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
+                  Motif, NDLParams, Network, OnlineNMF, ReconstructionState,
+                  RocError, WeightSchedule, candidate_pairs, chain_update,
+                  coding_objective, corrupt_network, denoise_classify,
+                  dominance_scores, init_dictionary, initial_homomorphism,
+                  mesoscale_patch, ndl, ndl_learn, nr_reconstruct, roc_auc,
+                  sparse_code)
 from onmf.ndl import MCMC_MODES, is_connected
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -55,6 +56,42 @@ def test_ndl_determinism():
     assert np.array_equal(a.W, b.W)
     assert np.array_equal(a.P, b.P)
     assert a.loss_trace == b.loss_trace
+
+
+def _ndl_learn_by_step_loop(net, params, rng):
+    """Reference: the chain, the minibatches and the engine written out."""
+    motif = Motif.chain(params.k)
+    x = initial_homomorphism(net, motif, rng)
+    constraint = ConstraintSpec.nonnegative(params.dict_radius)
+    dictionary = init_dictionary(params.k ** 2, params.atoms, constraint, rng)
+    engine = OnlineNMF(dictionary, lam=params.lam, kappa1=params.kappa1,
+                       kappa2=params.kappa2,
+                       schedule=WeightSchedule(params.beta), code_tol=1e-8,
+                       code_max_iter=500, dict_tol=1e-8, dict_max_iter=100)
+    trace = []
+    for t in range(1, params.iters + 1):
+        X = np.empty((params.k ** 2, params.batch))
+        for j in range(params.batch):
+            x = chain_update(net, motif, x, rng, params.mcmc)
+            X[:, j] = mesoscale_patch(net, x).reshape(-1)
+        trace.append((t, engine.step(X).surrogate))
+    return engine, trace
+
+
+@pytest.mark.parametrize("mcmc", MCMC_MODES)
+def test_ndl_learn_matches_the_step_loop(mcmc):
+    net = smallworld_network(40, 6, 0.2, seed=4)
+    params = NDLParams(k=4, atoms=5, iters=12, batch=25, lam=0.5, mcmc=mcmc,
+                       kappa1=0.01)
+    rng = np.random.default_rng(31)
+    nd = ndl_learn(net, params, rng)
+    ref_rng = np.random.default_rng(31)
+    engine, trace = _ndl_learn_by_step_loop(net, params, ref_rng)
+    assert np.array_equal(nd.W, engine.W)
+    assert np.array_equal(nd.P, engine.stats.A)
+    assert np.array_equal(nd.Q, engine.stats.B)
+    assert nd.loss_trace == trace
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_ndl_params_validation():
@@ -211,6 +248,67 @@ def test_subtractive_corruption_counts_and_connectivity():
     assert set(result.labels) == non_edges
     false_labels = sum(1 for genuine in result.labels.values() if not genuine)
     assert false_labels == removed
+
+
+def _connected_without(adj, u, v):
+    """Is v still reachable from u if edge (u, v) is ignored?"""
+    seen = {u}
+    stack = [u]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if a == u and b == v:
+                continue
+            if b == v:
+                return True
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return False
+
+
+def _removed_by_dfs(net, fraction, rng):
+    """Reference: walk the shuffled edges, one DFS per candidate removal."""
+    edges = net.undirected_edges()
+    quota = math.ceil(fraction * len(edges))
+    adj = [set(int(b) for b in net.out_neighbors(v)) for v in range(net.n)]
+    removed = []
+    for idx in rng.permutation(len(edges)):
+        if len(removed) == quota:
+            break
+        u, v = edges[int(idx)]
+        if _connected_without(adj, u, v):
+            adj[u].discard(v)
+            adj[v].discard(u)
+            removed.append((u, v))
+    if len(removed) < quota:
+        raise CorruptionError("infeasible quota")
+    return set(removed)
+
+
+@pytest.mark.parametrize("n, ring, fraction, seed", [
+    (60, 2, 0.1, 0), (60, 4, 0.5, 1), (150, 6, 0.1, 2), (150, 6, 0.5, 3),
+    (400, 10, 0.5, 4), (400, 4, 0.1, 5), (80, 2, 0.9, 6)])
+def test_subtractive_corruption_matches_the_dfs_reference(n, ring, fraction,
+                                                          seed):
+    import networkx as nx
+
+    graph = nx.connected_watts_strogatz_graph(n, ring, 0.3, seed=seed)
+    net = Network.from_edges(list(graph.edges()), undirected=True)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        removed = _removed_by_dfs(net, fraction, ref_rng)
+    except CorruptionError:
+        with pytest.raises(CorruptionError):
+            corrupt_network(net, "subtractive", fraction, rng)
+    else:
+        result = corrupt_network(net, "subtractive", fraction, rng)
+        kept = [e for e in net.undirected_edges() if e not in removed]
+        assert result.corrupted.undirected_edges() == kept
+        non_edges = _non_edges_by_loop(result.corrupted)
+        assert result.labels == {pair: pair not in removed
+                                 for pair in non_edges}
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_tree_has_no_removable_edges():
