@@ -357,39 +357,68 @@ def _piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce, tol,
 
     Row j of ``Wt`` is column j of W; its step is the affine map
     W m_j + b_j/(A_jj + 1), with m_j and b_j/(A_jj + 1) the rows j of ``Mt``
-    and ``B_scaled``, clamped at the piece's lower bound.  ``project_column``
-    runs only when the column's squared norm exceeds the radius budget the
-    other columns leave, the one case where the ball can bind.  Returns
-    (sweeps, converged).
+    and ``B_scaled``, clamped at the piece's lower bound.  The checking loop
+    runs ``project_column`` only when the column's squared norm exceeds the
+    radius budget the other columns leave, the one case where the ball can
+    bind, and keeps the ellipsoid when ``enforce`` is on.
+
+    Without the ellipsoid a sweep first runs check-free: three array calls
+    per column, written straight into the row.  After it, the ball provably
+    never bound if the sum over columns of the larger of the new and the old
+    squared norm is below radius^2 (1 - 1e-9): every budget test of the
+    checking loop compares a sum no larger than that one.  Then the sweep is
+    exactly the checking loop's.  Otherwise the sweep is undone from its
+    saved copy and rerun by the checking loop, which also runs every later
+    sweep.  Returns (sweeps, converged).
     """
     lower, radius_sq = piece.lower, piece.radius ** 2
-    m_rows, b_rows = list(Mt), list(B_scaled)
-    col_sq = [float(row.dot(row)) for row in Wt]
+    proof_bound = radius_sq * (1.0 - 1e-9)
+    m_rows, b_rows, w_rows = list(Mt), list(B_scaled), list(Wt)
     buf = np.empty(Wt.shape[1])
     change = np.empty_like(Wt)
+    checked = enforce
+    old_sq = np.einsum("ij,ij->i", Wt, Wt)
+    col_sq = None
     for sweep in range(1, max_iter + 1):
         change[...] = Wt
-        for j in cols:
-            np.dot(m_rows[j], Wt, out=buf)
-            np.add(buf, b_rows[j], out=buf)
-            np.maximum(buf, lower, out=buf)
-            new_sq = float(buf.dot(buf))
-            rest = sum(col_sq) - col_sq[j]
-            new_col = buf
-            if new_sq > radius_sq - rest:
-                new_col = piece.project_column(buf, rest)
-                if new_col is None:
-                    continue
-                new_sq = float(new_col.dot(new_col))
-            if enforce:
-                old = Wt[j].copy()
-                Wt[j] = new_col
-                if ellipsoid_gap(Wt.T, W0, stats) > _FEAS_TOL:
-                    new_col = _bisect_to_ellipsoid(Wt, j, new_col, old, W0, stats)
-                    new_sq = float(new_col.dot(new_col))
+        if not checked:
+            for j in cols:
+                np.dot(m_rows[j], Wt, out=buf)
+                np.add(buf, b_rows[j], out=w_rows[j])
+                np.maximum(w_rows[j], lower, out=w_rows[j])
+            new_sq = np.einsum("ij,ij->i", Wt, Wt)
+            if float(np.maximum(new_sq, old_sq).sum()) < proof_bound:
+                old_sq = new_sq
             else:
-                Wt[j] = new_col
-            col_sq[j] = new_sq
+                Wt[...] = change
+                checked = True
+        if checked:
+            if col_sq is None:
+                # the squared norms the checking loop keeps: each is the dot
+                # of its row with itself
+                col_sq = [float(row.dot(row)) for row in w_rows]
+            for j in cols:
+                np.dot(m_rows[j], Wt, out=buf)
+                np.add(buf, b_rows[j], out=buf)
+                np.maximum(buf, lower, out=buf)
+                new_sq = float(buf.dot(buf))
+                rest = sum(col_sq) - col_sq[j]
+                new_col = buf
+                if new_sq > radius_sq - rest:
+                    new_col = piece.project_column(buf, rest)
+                    if new_col is None:
+                        continue
+                    new_sq = float(new_col.dot(new_col))
+                if enforce:
+                    old = Wt[j].copy()
+                    Wt[j] = new_col
+                    if ellipsoid_gap(Wt.T, W0, stats) > _FEAS_TOL:
+                        new_col = _bisect_to_ellipsoid(Wt, j, new_col, old, W0,
+                                                       stats)
+                        new_sq = float(new_col.dot(new_col))
+                else:
+                    Wt[j] = new_col
+                col_sq[j] = new_sq
         change -= Wt
         if math.sqrt(np.vdot(change, change)) < tol:
             return sweep, True
@@ -467,11 +496,11 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
     return new
 
 
-def init_dictionary(d: int, r: int, constraint: ConstraintSpec, rng,
-                    piece: int = 0) -> Dictionary:
-    """Uniform [0,1] entries projected into the requested constraint piece."""
-    W = constraint.pieces[piece].project(rng.random((d, r)))
-    return Dictionary(W, constraint, active_piece=piece)
+def init_dictionary(d: int, r: int, constraint: ConstraintSpec,
+                    rng) -> Dictionary:
+    """Uniform [0,1] entries projected into the first constraint piece."""
+    return Dictionary(constraint.pieces[0].project(rng.random((d, r))),
+                      constraint)
 
 
 # ---------------------------------------------------------------------------

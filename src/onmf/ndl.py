@@ -178,8 +178,8 @@ class ReconstructionState:
 
 def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
                    lam: float = 0.0, mcmc: str = "pivot", rng=None,
-                   code_tol: float = 1e-8, code_max_iter: int = 500,
-                   initial=None) -> ReconstructionState:
+                   code_tol: float = 1e-8, code_max_iter: int = 500
+                   ) -> ReconstructionState:
     """Reconstruct a network by averaging dictionary approximations of patches.
 
     The chain advances ``RECON_BLOCK`` steps at a time, keeping each step's
@@ -195,7 +195,7 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     if k * k != k2:
         raise ValueError("dictionary rows must be a perfect square")
     motif = Motif.chain(k)
-    x = initial if initial is not None else initial_homomorphism(net, motif, rng)
+    x = initial_homomorphism(net, motif, rng)
     state = ReconstructionState()
     rows, cols = np.divmod(np.arange(k2), k)
     for start in range(0, iters, RECON_BLOCK):

@@ -46,7 +46,8 @@ class IsingConfig:
     temperature: float
 
     def __post_init__(self):
-        self.spins = np.asarray(self.spins, dtype=np.int64)
+        # C order, so that the samplers' flat view writes into these spins
+        self.spins = np.ascontiguousarray(self.spins, dtype=np.int64)
         if self.spins.ndim != 2 or self.spins.shape[0] != self.spins.shape[1]:
             raise ValueError("spins must form a square grid")
         if not np.isin(self.spins, (-1, 1)).all():
@@ -65,8 +66,15 @@ class IsingConfig:
 
 
 def conditional_plus_probability(neighbor_sum: float, temperature: float) -> float:
-    """Heat-bath probability of spin +1 given the neighbor spin sum."""
-    return 1.0 / (1.0 + math.exp(-2.0 * neighbor_sum / temperature))
+    """Heat-bath probability of spin +1 given the neighbor spin sum.
+
+    0.0, the limit, where the exponential overflows (strong field against +1
+    at a low temperature).
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-2.0 * neighbor_sum / temperature))
+    except OverflowError:
+        return 0.0
 
 
 def ising_gibbs_step(config: IsingConfig, rng) -> IsingConfig:
@@ -88,24 +96,124 @@ def ising_gibbs_step(config: IsingConfig, rng) -> IsingConfig:
     return config
 
 
+# Updates drawn per call of the generator, and the fewest updates that
+# ising_gibbs_run schedules by levels; shorter runs hold few updates per level
+# and the per-site loop is faster.
+_GIBBS_BLOCK = 16384
+_LEVEL_MIN_UPDATES = 256
+
+
+def _plus_table(temperature: float) -> list[float]:
+    """p+ = 1 / (1 + exp(-(2/T) s)) at neighbor sums s = -4..4 (index s + 4),
+    0.0 where the exponential overflows."""
+    inv_t = 2.0 / temperature
+    table = []
+    for s in range(-4, 5):
+        try:
+            table.append(1.0 / (1.0 + math.exp(-inv_t * s)))
+        except OverflowError:
+            table.append(0.0)
+    return table
+
+
+def _update_levels(sites: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Dependency level of each update in a run of site updates.
+
+    Update b reads its four neighbors and writes its own site, so it must
+    follow the last earlier update at its site or at any neighbor; its level
+    is one more than the largest of theirs (-1 where there is none).  Updates
+    of one level touch pairwise distinct, non-adjacent sites.  Needs four
+    distinct neighbors per site, which lattices with n >= 3 have.
+    """
+    count = len(sites)
+    size = 5 * count
+    # five events per update in run order, four neighbor reads and then the
+    # write (event 5 b + 4); a stable sort groups them by site, in run order
+    # within a site
+    events = np.empty((count, 5), dtype=np.min_scalar_type(len(nbrs) - 1))
+    events[:, :4] = nbrs[sites]
+    events[:, 4] = sites
+    events = events.reshape(-1)
+    order = np.argsort(events, kind="stable")
+    events = events[order]
+    # in grouped order, the position of the last write before each event
+    last = np.full(size, -1)
+    last[1:] = np.where(order[:-1] % 5 == 4, np.arange(size - 1), -1)
+    np.maximum.accumulate(last, out=last)
+    # the write event each event follows at its site; `size` for none
+    seen = np.where((last >= 0) & (events[last] == events), order[last], size)
+    preds = np.empty(size, dtype=np.intp)
+    preds[order] = seen
+    preds = preds.reshape(count, 5).T.copy()
+    # levels by write event, with -1 at the `size` sentinel
+    levels = np.full(size + 1, -1)
+    writes = levels[4:size:5]
+    while True:
+        new = np.maximum.reduce(levels[preds])
+        new += 1
+        if np.array_equal(new, writes):
+            return new
+        writes[...] = new
+
+
+def _run_by_levels(flat: np.ndarray, nbrs: np.ndarray, sites: np.ndarray,
+                   us: np.ndarray, table: np.ndarray) -> None:
+    """Apply the site updates (sites[b], us[b]) in order, one level at a time."""
+    levels = _update_levels(sites, nbrs)
+    # a level is below the piece's length, at most _GIBBS_BLOCK < 2^16, and
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(levels.astype(np.uint16), kind="stable")
+    sites, us = sites[order], us[order]
+    around = nbrs[sites].T.copy()
+    start = 0
+    for stop in np.cumsum(np.bincount(levels)).tolist():
+        s = np.add.reduce(flat[around[:, start:stop]])
+        s += 4
+        flat[sites[start:stop]] = np.where(us[start:stop] < table[s], 1, -1)
+        start = stop
+
+
+def _run_by_sites(flat: np.ndarray, nbrs: np.ndarray, counts: np.ndarray,
+                  sites: np.ndarray, us: np.ndarray, table: list[float]) -> None:
+    """Apply the site updates (sites[b], us[b]) one after another."""
+    for site, u in zip(sites.tolist(), us.tolist()):
+        s = 4
+        for q in nbrs[site, :counts[site]].tolist():
+            s += flat.item(q)
+        flat[site] = 1 if u < table[s] else -1
+
+
 def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
-    """Advance the Gibbs chain by many site updates (block-drawn randomness)."""
+    """Advance the Gibbs chain by ``steps`` random-scan site updates.
+
+    Sites and uniforms are drawn in blocks of ``_GIBBS_BLOCK`` (one
+    ``integers`` and one ``random`` call each), and update b sets its site to
+    +1 when its uniform is below p+ at its neighbor sum, else to -1.  p+
+    comes from a table of the nine possible sums (0.0 where the exponential
+    overflows).  A block runs in pieces of n^2/2 updates.  A piece of at
+    least ``_LEVEL_MIN_UPDATES`` updates on a lattice of n >= 3 runs by
+    dependency levels (``_update_levels``): each level is one array gather,
+    compare and scatter.  Shorter pieces, and the 2 x 2 lattice, run the
+    per-site loop.  Every update reads the spins it would read in draw
+    order, so both paths leave the same spins and the same generator state.
+    """
     n = config.n
     nbrs, counts = _neighbor_table(n)
     flat = config.spins.reshape(-1)
-    inv_t = 2.0 / config.temperature
+    table = _plus_table(config.temperature)
+    level_table = np.array(table)
+    piece = max(n * n // 2, 1)
     done = 0
     while done < steps:
-        block = min(steps - done, 16384)
+        block = min(steps - done, _GIBBS_BLOCK)
         sites = rng.integers(0, n * n, size=block)
         us = rng.random(block)
-        for b in range(block):
-            site = sites[b]
-            s = 0
-            for a in range(counts[site]):
-                s += flat[nbrs[site, a]]
-            p_plus = 1.0 / (1.0 + math.exp(-inv_t * s))
-            flat[site] = 1 if us[b] < p_plus else -1
+        for a in range(0, block, piece):
+            run_sites, run_us = sites[a:a + piece], us[a:a + piece]
+            if n >= 3 and len(run_sites) >= _LEVEL_MIN_UPDATES:
+                _run_by_levels(flat, nbrs, run_sites, run_us, level_table)
+            else:
+                _run_by_sites(flat, nbrs, counts, run_sites, run_us, table)
         done += block
     return config
 
@@ -172,7 +280,9 @@ class PatchWalker:
                    k=k, height=height, width=width)
 
 
-_WALK_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# Row and column offsets of the four cardinal moves, indexed by the drawn move.
+_WALK_ROWS = np.array([1, -1, 0, 0])
+_WALK_COLS = np.array([0, 0, 1, -1])
 
 
 def image_patch_minibatch(image: np.ndarray, k: int, count: int,
@@ -182,8 +292,9 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
 
     Returns ``(X, walker)`` where X is k^2 x count.  In walk mode each patch is
     taken after one single-pixel step of the corner in a uniformly random
-    cardinal direction (periodic wrap); in iid mode corners are uniform over
-    all wrapped positions and the walker is returned unchanged.
+    cardinal direction (periodic wrap), all ``count`` moves drawn in one
+    ``integers`` call; in iid mode corners are uniform over all wrapped
+    positions and the walker is returned unchanged.
     """
     image = np.asarray(image, dtype=float)
     h, w = image.shape
@@ -195,16 +306,11 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
     elif mode == "walk":
         if walker is None:
             walker = PatchWalker.random(h, w, k, rng)
-        r, c = walker.row, walker.col
-        rows = np.empty(count, dtype=np.int64)
-        cols = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            dr, dc = _WALK_MOVES[int(rng.integers(4))]
-            r = (r + dr) % h
-            c = (c + dc) % w
-            rows[i] = r
-            cols[i] = c
-        walker = replace(walker, row=int(r), col=int(c))
+        moves = rng.integers(4, size=count)
+        rows = (walker.row + np.cumsum(_WALK_ROWS[moves])) % h
+        cols = (walker.col + np.cumsum(_WALK_COLS[moves])) % w
+        if count:
+            walker = replace(walker, row=int(rows[-1]), col=int(cols[-1]))
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     X = _extract_patches(image, rows, cols, k).reshape(count, k * k).T

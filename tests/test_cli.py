@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import smallworld_network
-from onmf import read_pgm, write_pgm
+from onmf import read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from onmf.cli import main
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -233,6 +233,26 @@ def test_frozen_all_up_configuration_fits_with_one_atom(tmp_path):
                "--seed", 4, "--out-dir", out) == 0
     rows = (out / "loss_trace.csv").read_text().splitlines()[1:]
     assert float(rows[-1].split(",")[1]) < 1e-6
+
+
+@pytest.mark.parametrize("layout", ["all-down", "two-domains"])
+def test_cold_lattice_with_down_spins_stays_frozen(tmp_path, layout):
+    # at T = 0.001 a down site with a negative neighbor sum has p+ = 0, the
+    # limit of 1 / (1 + exp(2 |s| / T)), whose exponential overflows
+    spins = -np.ones((12, 12), dtype=int)
+    if layout == "two-domains":
+        spins[6:] = 1      # straight walls: every site keeps 3 like neighbors
+    init = tmp_path / "init.pgm"
+    write_spins_pgm(init, spins)
+    out = tmp_path / "cold"
+    code = run("ising-learn", "--lattice", 12, "--temperature", 0.001,
+               "--epoch", 300, "--patch", 4, "--atoms", 4, "--iters", 10,
+               "--batch", 20, "--init-config", init, "--seed", 7,
+               "--out-dir", out)
+    # all-down patches are all zero: no atom is ever used, which the CLI
+    # reports as degenerate aggregates (exit 3) after writing the lattice
+    assert code == (3 if layout == "all-down" else 0)
+    assert np.array_equal(read_spins_pgm(out / "final_config.pgm"), spins)
 
 
 def test_subcritical_stream_is_more_compressible(tmp_path):

@@ -476,6 +476,132 @@ def test_fused_dictionary_update_stops_where_reference_stops():
     assert _rel_diff(new.W, want) <= 1e-12
 
 
+def _checking_piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce,
+                            tol, max_iter):
+    """The descent with the budget test at every column: the fused loop
+    before sweeps without the ellipsoid could run check-free."""
+    lower, radius_sq = piece.lower, piece.radius ** 2
+    m_rows, b_rows = list(Mt), list(B_scaled)
+    col_sq = [float(row.dot(row)) for row in Wt]
+    buf = np.empty(Wt.shape[1])
+    change = np.empty_like(Wt)
+    for sweep in range(1, max_iter + 1):
+        change[...] = Wt
+        for j in cols:
+            np.dot(m_rows[j], Wt, out=buf)
+            np.add(buf, b_rows[j], out=buf)
+            np.maximum(buf, lower, out=buf)
+            new_sq = float(buf.dot(buf))
+            rest = sum(col_sq) - col_sq[j]
+            new_col = buf
+            if new_sq > radius_sq - rest:
+                new_col = piece.project_column(buf, rest)
+                if new_col is None:
+                    continue
+                new_sq = float(new_col.dot(new_col))
+            if enforce:
+                old = Wt[j].copy()
+                Wt[j] = new_col
+                if ellipsoid_gap(Wt.T, W0, stats) > 1e-12:
+                    new_col = factorization._bisect_to_ellipsoid(
+                        Wt, j, new_col, old, W0, stats)
+                    new_sq = float(new_col.dot(new_col))
+            else:
+                Wt[j] = new_col
+            col_sq[j] = new_sq
+        change -= Wt
+        if float(np.sqrt(np.vdot(change, change))) < tol:
+            return sweep, True
+    return max_iter, False
+
+
+def _ball_case(kind):
+    """A = I, so each sweep moves every column halfway to its row of B.
+
+    "shift": column 0 (squared norm 0.8) shrinks while column 1 grows towards
+    squared norm 0.6, inside radius^2 = 0.9.  The first sweep's sum of the
+    larger squared norm per column is 0.8 + 0.15 >= 0.9, yet no budget test
+    fires.  "mid-sweep": the same with the columns swapped, so the growing
+    column comes first and binds in the first sweep, although the squared
+    norms after that sweep sum to 0.35.  "binds": column 0 grows towards
+    squared norm 1.0 and first meets radius^2 = 0.8 in the fourth sweep.
+    """
+    W0 = np.zeros((3, 2))
+    B = np.zeros((2, 3))
+    if kind in ("shift", "mid-sweep"):
+        shrinks, grows = (0, 1) if kind == "shift" else (1, 0)
+        W0[:, shrinks] = np.sqrt(0.8 / 3)
+        B[grows] = np.sqrt(0.6 / 3)
+        radius = np.sqrt(0.9)
+    else:
+        W0[:, 1] = 0.01
+        B[0] = np.sqrt(1.0 / 3)
+        radius = np.sqrt(0.8)
+    return (Dictionary(W0, ConstraintSpec.nonnegative(radius)),
+            AggregateStats(A=np.eye(2), B=B, r_scalar=0.0, t=3))
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    project = ConstraintPiece.project_column
+
+    def counted(self, col, rest_sq):
+        calls.append(rest_sq)
+        return project(self, col, rest_sq)
+
+    monkeypatch.setattr(ConstraintPiece, "project_column", counted)
+    return calls
+
+
+def test_failed_ball_proof_redoes_the_sweep_without_binding(monkeypatch):
+    prev, stats = _ball_case("shift")
+    calls = _count_projections(monkeypatch)
+    one, _, _ = factorization._refit(prev, stats, 0.0, 1, None)
+    old_sq = np.sum(prev.W ** 2, axis=0)
+    new_sq = np.sum(one.W ** 2, axis=0)
+    assert np.maximum(old_sq, new_sq).sum() >= 0.9
+    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30, None)
+    assert calls == []
+    want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
+                                                                0.0, 30)
+    assert (new.active_piece, sweeps) == (want_piece, ref_sweeps)
+    assert _rel_diff(new.W, want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,first", [("binds", 4), ("mid-sweep", 1)])
+def test_ball_binding_matches_reference(kind, first, monkeypatch):
+    prev, stats = _ball_case(kind)
+    calls = _count_projections(monkeypatch)
+    factorization._refit(prev, stats, 0.0, first - 1, None)
+    assert calls == []
+    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30, None)
+    assert calls
+    want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
+                                                                0.0, 30)
+    assert (new.active_piece, sweeps) == (want_piece, ref_sweeps)
+    assert _rel_diff(new.W, want) <= 1e-12
+    radius = prev.constraint.pieces[0].radius
+    assert np.linalg.norm(new.W) <= radius * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(DICT_CASES) + [
+    "ball-shift", "ball-mid-sweep", "ball-binds"])
+def test_check_free_sweeps_change_no_bit(name, monkeypatch):
+    if name.startswith("ball-"):
+        prev, stats = _ball_case(name[len("ball-"):])
+        enforce = None
+    else:
+        case = dict(DICT_CASES[name])
+        enforce = case.pop("enforce", None)
+        prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **case)
+    got = factorization._refit(prev, stats, 0.0, 40, enforce)
+    monkeypatch.setattr(factorization, "_piece_descent", _checking_piece_descent)
+    want = factorization._refit(prev, stats, 0.0, 40, enforce)
+    assert np.array_equal(got[0].W, want[0].W)
+    assert (got[0].active_piece, got[1], got[2]) == \
+        (want[0].active_piece, want[1], want[2])
+
+
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import empirical_distribution, exact_boltzmann
+from onmf import sources
 from onmf import (IsingConfig, PatchWalker, conditional_plus_probability,
                   image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
                   levels_to_spins, read_pgm, read_spins_pgm, reconstruct_grid,
@@ -90,6 +91,126 @@ def test_gibbs_run_matches_step_distribution():
     assert np.isin(cfg.spins, (-1, 1)).all()
 
 
+def _reference_gibbs_run(config, steps, rng):
+    """The per-site loop: blocks of 16 384 draws, then one update per draw,
+    p+ from math.exp (0.0 where it overflows)."""
+    n = config.n
+    nbrs, counts = sources._neighbor_table(n)
+    flat = config.spins.reshape(-1)
+    inv_t = 2.0 / config.temperature
+    done = 0
+    while done < steps:
+        block = min(steps - done, 16384)
+        sites = rng.integers(0, n * n, size=block)
+        us = rng.random(block)
+        for b in range(block):
+            site = sites[b]
+            s = 0
+            for a in range(counts[site]):
+                s += flat[nbrs[site, a]]
+            try:
+                p_plus = 1.0 / (1.0 + math.exp(-inv_t * s))
+            except OverflowError:
+                p_plus = 0.0
+            flat[site] = 1 if us[b] < p_plus else -1
+        done += block
+    return config
+
+
+def _gibbs_pair(n, temperature, start, seed):
+    """Two identical (config, rng) pairs: all up, all down or random spins."""
+    pairs = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        if start == "random":
+            cfg = IsingConfig.random(n, temperature, rng)
+        else:
+            sign = 1 if start == "up" else -1
+            cfg = IsingConfig(spins=np.full((n, n), sign), temperature=temperature)
+        pairs.append((cfg, rng))
+    return pairs
+
+
+GIBBS_RUNS = {
+    "2x2-loop": (2, [1000]),
+    "3x3-loop": (3, [1000]),
+    "8x8-loop": (8, [2000]),
+    "30x30-20-step-calls": (30, [20] * 30),
+    "30x30": (30, [2000]),
+    "50x50-epochs": (50, [1000, 1000, 200]),
+    "50x50-across-block": (50, [16384 + 700]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIBBS_RUNS))
+def test_gibbs_run_matches_site_loop(name):
+    n, calls = GIBBS_RUNS[name]
+    for temperature in (0.001, 0.5, 2.26, 50.0):
+        for start in ("up", "down", "random"):
+            (want, ref_rng), (got, rng) = _gibbs_pair(n, temperature, start,
+                                                      seed=n + len(calls))
+            for steps in calls:
+                _reference_gibbs_run(want, steps, ref_rng)
+                ising_gibbs_run(got, steps, rng)
+                assert np.array_equal(got.spins, want.spins), (temperature, start)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 30])
+def test_level_schedule_matches_site_loop_on_small_lattices(n, monkeypatch):
+    # every piece runs by levels, however short, on every lattice it allows
+    monkeypatch.setattr(sources, "_LEVEL_MIN_UPDATES", 1)
+    for temperature in (0.001, 2.26, 50.0):
+        (want, ref_rng), (got, rng) = _gibbs_pair(n, temperature, "random",
+                                                  seed=3 * n)
+        for steps in (1, 7, 3 * n * n):
+            _reference_gibbs_run(want, steps, ref_rng)
+            ising_gibbs_run(got, steps, rng)
+            assert np.array_equal(got.spins, want.spins)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_update_levels_follow_the_last_conflicting_update():
+    rng = np.random.default_rng(40)
+    n = 6
+    nbrs, _ = sources._neighbor_table(n)
+    sites = rng.integers(0, n * n, size=200)
+    last = [-1] * (n * n)
+    want = []
+    for site in sites.tolist():
+        level = 1 + max(last[q] for q in [site, *nbrs[site].tolist()])
+        last[site] = level
+        want.append(level)
+    got = sources._update_levels(sites, nbrs)
+    assert got.tolist() == want
+    for level in range(max(want) + 1):
+        group = sites[got == level]
+        assert len(set(group.tolist())) == len(group)
+        assert not np.isin(nbrs[group], group).any()
+
+
+def test_cold_down_spins_stay_down():
+    # 2 * 4 / 0.001 overflows math.exp: p+ is its limit 0.0, not an error
+    assert conditional_plus_probability(-4.0, 0.001) == 0.0
+    assert conditional_plus_probability(4.0, 0.001) == 1.0
+    rng = np.random.default_rng(41)
+    cfg = IsingConfig(spins=-np.ones((4, 4), dtype=int), temperature=0.001)
+    for _ in range(50):
+        ising_gibbs_step(cfg, rng)
+    ising_gibbs_run(cfg, 500, rng)
+    assert (cfg.spins == -1).all()
+
+
+def test_gibbs_updates_reach_spins_given_as_a_transposed_view():
+    spins = -np.ones((30, 30), dtype=np.int64)
+    cfg = IsingConfig(spins=spins.T, temperature=50.0)
+    rng = np.random.default_rng(42)
+    ising_gibbs_run(cfg, 5000, rng)
+    for _ in range(500):
+        ising_gibbs_step(cfg, rng)
+    assert (cfg.spins == 1).any()
+
+
 def test_ising_config_validation():
     with pytest.raises(ValueError):
         IsingConfig(spins=np.array([[1, 2], [1, 1]]), temperature=1.0)
@@ -161,6 +282,33 @@ def test_walk_moves_one_step_per_patch():
         assert (dr in (1, 7 - 1) and dc == 0) or (dc in (1, 9 - 1) and dr == 0)
         prev = (r, c)
     assert (new_walker.row, new_walker.col) == prev
+
+
+def _reference_walk(walker, count, rng):
+    """The walk one draw per step: corners and the final walker."""
+    r, c = walker.row, walker.col
+    corners = []
+    for _ in range(count):
+        dr, dc = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(4))]
+        r = (r + dr) % walker.height
+        c = (c + dc) % walker.width
+        corners.append((r, c))
+    return corners, (r, c)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 97, 1000])
+def test_walk_matches_one_draw_per_step(count):
+    image = np.zeros((7, 9))
+    for seed in range(5):
+        walker = PatchWalker(row=seed % 7, col=6, k=2, height=7, width=9)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, end = _reference_walk(walker, count, ref_rng)
+        _, new_walker, corners = image_patch_minibatch(
+            image, 2, count, mode="walk", walker=walker, rng=rng,
+            return_corners=True)
+        assert corners.tolist() == [list(rc) for rc in want]
+        assert (new_walker.row, new_walker.col) == end
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_iid_corner_distribution_is_uniform():
