@@ -95,14 +95,14 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
 
 def _walk_patches(net: Network, motif: Motif, x, rng, mcmc: str, m: int):
     """Advance the chain m steps from x: the homomorphisms as the rows of an
-    (m, k) array and their vectorized patches as the columns of k^2 x m."""
-    k = motif.k
-    xs = np.empty((m, k), dtype=np.int64)
-    X = np.empty((k * k, m))
-    for j in range(m):
+    (m, k) array and their vectorized patches as the columns of the
+    C-contiguous k^2 x m matrix, made by one `mesoscale_patch` call."""
+    maps = []
+    for _ in range(m):
         x = chain_update(net, motif, x, rng, mcmc)
-        xs[j] = x
-        X[:, j] = mesoscale_patch(net, x).reshape(-1)
+        maps.append(x)
+    xs = np.array(maps, dtype=np.int64).reshape(m, motif.k)
+    X = np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
     return xs, X
 
 
@@ -189,6 +189,8 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     random numbers, so the chain's trajectory does not depend on the block
     size.
     """
+    if rng is None:
+        raise ValueError("nr_reconstruct needs a random generator rng")
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
     k = int(round(math.sqrt(k2)))

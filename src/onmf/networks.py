@@ -19,12 +19,23 @@ A network stores its positive weights once, in compressed sparse row (CSR)
 form: `Adjacency` holds the out-edges and, transposed, the in-edges.  Weight
 lookups go through the sorted edge keys ``a * n + b``, so ``A(a, b)`` over
 whole arrays of pairs is one binary search and one gather.
+
+A chain step touches a handful of rows, so it runs on Python scalars: per-node
+tables are cached on the network as lists (O(n), never per edge), and a
+neighbor is drawn from a CSR running-sum table by ``bisect`` over the row's
+span.  Products, quotients and running sums of Python floats round exactly as
+numpy's elementwise operations and sequential ``cumsum`` do, so the chains
+draw the same states from the same random stream.  The one exception is the
+total of a Glauber conditional: numpy adds an array pairwise, which a Python
+sum does not reproduce, so that total stays a numpy sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,6 +47,9 @@ _DENSE_GUARD = 4000
 _REJECTION_CHUNK = 1024
 # Vertex maps the brute-force oracle weighs per batch.
 _ORACLE_BLOCK = 65536
+# Longest row, relative to the number of nodes looked up in it, that a
+# Glauber step reads into a dict rather than binary-searching per node.
+_ROW_DICT_RATIO = 16
 
 
 class EdgeListError(ValueError):
@@ -157,6 +171,7 @@ class Network:
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
+        self._pivot_cache: dict[int, tuple] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -298,6 +313,37 @@ class Network:
         src, dst = self._edge_ends()
         return bool(np.all(self.weights_at(dst, src) > 0.0))
 
+    # -- per-node lists for the chains' scalar steps ---------------------------
+
+    @cached_property
+    def _out_ptr(self) -> list[int]:
+        return self.out_edges.indptr.tolist()
+
+    @cached_property
+    def _in_ptr(self) -> list[int]:
+        return self.in_edges.indptr.tolist()
+
+    @cached_property
+    def _sums(self) -> tuple[list[float], list[float]]:
+        """`out_sums` and `in_sums` as lists."""
+        return self.out_sums.tolist(), self.in_sums.tolist()
+
+    @cached_property
+    def _loops(self) -> dict[int, float]:
+        """A(w, w) of every node w with a self-loop, in ascending order."""
+        src, dst = self._edge_ends()
+        loop = src == dst
+        return dict(zip(src[loop].tolist(), self.out_edges.weights[loop].tolist()))
+
+    def _pivot_tables(self, k: int) -> tuple[list[float], tuple]:
+        """The exact k-chain Pivot's path masses ``power_row_sums(k)[k-1]`` as
+        a list, and the `tail_cdfs` rows in the order that tail positions
+        1..k-1 use them (row k-1-i extends position i)."""
+        if k not in self._pivot_cache:
+            self._pivot_cache[k] = (self.power_row_sums(k)[k - 1].tolist(),
+                                    tuple(self.tail_cdfs(k)[::-1]))
+        return self._pivot_cache[k]
+
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
@@ -423,9 +469,32 @@ def hom_weights(net: Network, motif: Motif, X) -> np.ndarray:
     return total
 
 
-def _sample_cdf(rng, cum: np.ndarray) -> int:
-    u = rng.random() * cum[-1]
-    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
+def _draw(rng, cum, s: int, e: int) -> int:
+    """Inverse-CDF draw from the running sums ``cum[s:e]``: the first position
+    in [s, e) whose sum exceeds ``U * cum[e - 1]``, and at most e - 1."""
+    u = rng.random() * cum[e - 1]
+    return min(bisect_right(cum, u, s, e), e - 1)
+
+
+def _row_weight(adj: Adjacency, ptr: list[int], a: int, b: int) -> float:
+    """Weight of neighbor b in row a of `adj` (A(a, b) for out-edges, A(b, a)
+    for in-edges); 0.0 when b is not in the row."""
+    s, e = ptr[a], ptr[a + 1]
+    pos = bisect_left(adj.indices, b, s, e)
+    return float(adj.weights[pos]) if pos < e and adj.indices[pos] == b else 0.0
+
+
+def _row_weights(adj: Adjacency, ptr: list[int], a: int, nodes: list) -> list:
+    """`_row_weight` of each of `nodes` in row a of `adj`.
+
+    A row up to `_ROW_DICT_RATIO` times longer than `nodes` is read once into
+    a dict; a longer one (a hub's) is searched once per node instead.
+    """
+    s, e = ptr[a], ptr[a + 1]
+    if e - s > _ROW_DICT_RATIO * len(nodes):
+        return [_row_weight(adj, ptr, a, b) for b in nodes]
+    row = dict(zip(adj.indices[s:e].tolist(), adj.weights[s:e].tolist()))
+    return [row.get(b, 0.0) for b in nodes]
 
 
 def rejection_sample_hom(net: Network, motif: Motif, rng,
@@ -462,8 +531,7 @@ def chain_walk_sample(net: Network, motif: Motif, rng,
     """
     if not motif.is_chain:
         raise ValueError("walk construction requires a chain motif")
-    ptr, indices, cum = (net.out_edges.indptr, net.out_edges.indices,
-                         net.out_edges.cum)
+    ptr, indices, cum = net._out_ptr, net.out_edges.indices, net.out_edges.cum
     for _ in range(max_tries):
         x = [int(rng.integers(net.n))]
         ok = True
@@ -472,7 +540,7 @@ def chain_walk_sample(net: Network, motif: Motif, rng,
             if s == e:
                 ok = False
                 break
-            x.append(int(indices[s + _sample_cdf(rng, cum[s:e])]))
+            x.append(int(indices[_draw(rng, cum, s, e)]))
         if ok:
             return tuple(x)
     raise SamplingError("no homomorphism found by chain walking")
@@ -494,6 +562,48 @@ def initial_homomorphism(net: Network, motif: Motif, rng,
         raise
 
 
+def _glauber_law(net: Network, motif: Motif, x, v: int):
+    """`glauber_conditional` as Python lists of candidates and probabilities."""
+    into, out_of, self_exp = motif.incident[v]
+    if not into and not out_of and self_exp == 0.0:
+        return list(range(net.n)), [1.0 / net.n] * net.n
+    # A(x(u), w) > 0 puts w among the out-neighbors of x(u); A(w, x(u)) > 0
+    # among its in-neighbors
+    terms = ([(net.out_edges, net._out_ptr, x[u], e) for u, e in into]
+             + [(net.in_edges, net._in_ptr, x[u], e) for u, e in out_of])
+    sizes = [ptr[node + 1] - ptr[node] for _, ptr, node, _ in terms]
+    loops = net._loops
+    if self_exp > 0.0:
+        sizes.append(len(loops))
+    best = sizes.index(min(sizes))
+    if best < len(terms):
+        adj, ptr, node, _ = terms[best]
+        s, e = ptr[node], ptr[node + 1]
+        cand = adj.indices[s:e].tolist()
+    else:
+        cand = list(loops)
+    factors = []
+    for t, (adj, ptr, node, e) in enumerate(terms):
+        if t == best:
+            s = ptr[node]
+            a = adj.weights[s:s + len(cand)].tolist()
+        else:
+            a = _row_weights(adj, ptr, node, cand)
+        factors.append((a, e))
+    if self_exp > 0.0:
+        factors.append(([loops.get(c, 0.0) for c in cand], self_exp))
+    # the product starts from the first factor, as 1.0 * f == f exactly
+    weights = None
+    for a, e in factors:
+        if e != 1.0:
+            a = [w ** e for w in a]
+        weights = a if weights is None else [w * f for w, f in zip(weights, a)]
+    total = float(np.add.reduce(weights))   # pairwise, as ndarray.sum adds
+    if total <= 0.0:
+        raise AssertionError("empty Glauber conditional for a valid homomorphism")
+    return cand, [w / total for w in weights]
+
+
 def glauber_conditional(net: Network, motif: Motif, x, v: int):
     """Candidate nodes and probabilities for resampling motif node v.
 
@@ -503,63 +613,38 @@ def glauber_conditional(net: Network, motif: Motif, x, v: int):
     smallest incident neighbor list, whose own factor is its row's weights;
     the factors multiply in motif-edge order.
     """
-    into, out_of, self_exp = motif.incident[v]
-    if not into and not out_of and self_exp == 0.0:
-        return np.arange(net.n), np.full(net.n, 1.0 / net.n)
-    # A(x(u), w) > 0 puts w among the out-neighbors of x(u); A(w, x(u)) > 0
-    # among its in-neighbors
-    terms = ([(net.out_edges, x[u], e) for u, e in into]
-             + [(net.in_edges, x[u], e) for u, e in out_of])
-    pools = [adj.row(node) for adj, node, _ in terms]
-    if self_exp > 0.0:
-        nodes = np.arange(net.n)
-        pools.append((np.flatnonzero(net.weights_at(nodes, nodes) > 0), None))
-    best = min(range(len(pools)), key=lambda t: len(pools[t][0]))
-    cand = pools[best][0]
-    weights = np.ones(len(cand))
-    for t, (adj, node, e) in enumerate(terms):
-        if t == best:
-            a = pools[t][1]
-        elif adj is net.out_edges:
-            a = net.weights_at(node, cand)
-        else:
-            a = net.weights_at(cand, node)
-        weights *= _power(a, e)
-    if self_exp > 0.0:
-        weights *= _power(net.weights_at(cand, cand), self_exp)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise AssertionError("empty Glauber conditional for a valid homomorphism")
-    return cand, weights / total
+    cand, probs = _glauber_law(net, motif, x, v)
+    return np.array(cand, dtype=np.int64), np.array(probs)
 
 
 def glauber_update(net: Network, motif: Motif, x, rng):
     """Resample one uniformly chosen motif node from its exact conditional."""
     v = int(rng.integers(motif.k))
-    cand, probs = glauber_conditional(net, motif, x, v)
-    pick = int(cand[_sample_cdf(rng, probs.cumsum())])
+    cand, probs = _glauber_law(net, motif, x, v)
     new = list(x)
-    new[v] = pick
+    new[v] = cand[_draw(rng, list(accumulate(probs)), 0, len(cand))]
     return tuple(new)
 
 
 def _acceptance(net: Network, k: int, v: int, ell: int, mode: str,
                 w_v_ell=None) -> float:
     """`pivot_acceptance`, given A(v, ell) when the caller already has it."""
+    out_sums, in_sums = net._sums
     if mode == "approximate":
-        if net.out_sums[v] <= 0:
+        if out_sums[v] <= 0:
             return 0.0
-        return min(1.0, float(net.in_sums[v] / net.out_sums[v]))
+        return min(1.0, in_sums[v] / out_sums[v])
     if mode != "exact":
         raise ValueError(f"unknown pivot mode {mode!r}")
+    ptr = net._out_ptr
     if w_v_ell is None:
-        w_v_ell = net.weight(v, ell)
-    rp = net.power_row_sums(k)[k - 1]
-    num = rp[ell] * net.weight(ell, v) * net.out_sums[v]
-    den = rp[v] * w_v_ell * net.out_sums[ell]
+        w_v_ell = _row_weight(net.out_edges, ptr, v, ell)
+    rp = net._pivot_tables(k)[0]
+    num = rp[ell] * _row_weight(net.out_edges, ptr, ell, v) * out_sums[v]
+    den = rp[v] * w_v_ell * out_sums[ell]
     if den <= 0.0:
         return 0.0
-    return min(1.0, float(num / den))
+    return min(1.0, num / den)
 
 
 def pivot_acceptance(net: Network, motif: Motif, v: int, ell: int,
@@ -578,30 +663,28 @@ def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
     """
     if not motif.is_chain:
         raise ValueError("pivot chain requires a chain motif")
+    if mode not in ("exact", "approximate"):
+        raise ValueError(f"unknown pivot mode {mode!r}")
     k = motif.k
     v = x[0]
-    if net.out_sums[v] <= 0.0:
+    if net._sums[0][v] <= 0.0:
         return x
-    ptr, indices = net.out_edges.indptr, net.out_edges.indices
-    s, e = ptr[v], ptr[v + 1]
-    pick = s + _sample_cdf(rng, net.out_edges.cum[s:e])
-    ell = int(indices[pick])
-    lam_acc = _acceptance(net, k, v, ell, mode, net.out_edges.weights[pick])
+    ptr, out = net._out_ptr, net.out_edges
+    pick = _draw(rng, out.cum, ptr[v], ptr[v + 1])
+    ell = int(out.indices[pick])
+    lam_acc = _acceptance(net, k, v, ell, mode, float(out.weights[pick]))
     if rng.random() > lam_acc:
         return x
     # tail position i extends by an edge weighted by the (k-1-i)-edge path
     # mass beyond it (exact) or by the edge weight alone (approximate)
-    tables = (net.tail_cdfs(k) if mode == "exact"
-              else [net.out_edges.cum] * (k - 1))
+    tables = (net._pivot_tables(k)[1] if mode == "exact"
+              else (out.cum,) * (k - 1))
     new = [ell]
-    for i in range(1, k):
+    for cum in tables:
         s, e = ptr[new[-1]], ptr[new[-1] + 1]
-        if s == e:
+        if s == e or cum[e - 1] <= 0.0:
             return x
-        cum = tables[k - 1 - i][s:e]
-        if cum[-1] <= 0.0:
-            return x
-        new.append(int(indices[s + _sample_cdf(rng, cum)]))
+        new.append(int(out.indices[_draw(rng, cum, s, e)]))
     return tuple(new)
 
 
@@ -642,9 +725,13 @@ def hom_distribution_bruteforce(net: Network, motif: Motif) -> dict:
 
 
 def mesoscale_patch(net: Network, x) -> np.ndarray:
-    """k x k matrix of target weights between the images of the motif nodes."""
+    """k x k matrix of target weights between the images of the motif nodes.
+
+    `x` may also be an (m, k) stack of vertex maps, one per row; the m
+    patches then come back as an (m, k, k) array from one lookup.
+    """
     idx = np.asarray(x, dtype=np.int64)
-    return net.weights_at(idx[:, None], idx[None, :])
+    return net.weights_at(idx[..., :, None], idx[..., None, :])
 
 
 def tv_distance(p, q) -> float:

@@ -296,6 +296,8 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
     ``integers`` call; in iid mode corners are uniform over all wrapped
     positions and the walker is returned unchanged.
     """
+    if rng is None:
+        raise ValueError("image_patch_minibatch needs a random generator rng")
     image = np.asarray(image, dtype=float)
     h, w = image.shape
     if k > min(h, w):

@@ -228,6 +228,12 @@ def test_reconstruct_validates_dictionary_shape():
                        rng=np.random.default_rng(0))
 
 
+def test_reconstruct_needs_a_generator():
+    net = cycle_network(6)
+    with pytest.raises(ValueError, match="rng"):
+        nr_reconstruct(net, np.eye(4), 10)
+
+
 # ---------------------------------------------------------------------------
 # corruption
 # ---------------------------------------------------------------------------

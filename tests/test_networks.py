@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (cycle_network, empirical_distribution, path_network,
                      weighted_5node_network)
+from onmf import networks
 from onmf import (EdgeListError, Motif, Network, OracleSizeError,
                   SamplingError, chain_walk_sample, glauber_conditional,
                   glauber_update, hom_distribution_bruteforce, hom_weight,
@@ -280,6 +281,16 @@ def test_pivot_dead_end_returns_input():
     net = Network.from_edges([(0, 1)])  # node 1 has no outgoing edge
     motif = Motif.chain(2)
     assert pivot_update(net, motif, (1, 0), np.random.default_rng(10)) == (1, 0)
+
+
+@pytest.mark.parametrize("x", [(1, 0), (0, 1)], ids=["dead-end", "live"])
+def test_pivot_rejects_an_unknown_mode_before_drawing(x):
+    net = Network.from_edges([(0, 1)])  # node 1 has no outgoing edge
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown pivot mode 'bogus'"):
+        pivot_update(net, Motif.chain(2), x, rng, mode="bogus")
+    assert rng.bit_generator.state == state
 
 
 def test_pivot_exact_matches_motif_distribution():
@@ -597,6 +608,11 @@ def test_csr_core_matches_the_dict_reference(case):
             x = tuple(int(v) for v in rng.integers(0, n, size=k))
             expect = np.array([[ref.weight(a, b) for b in x] for a in x])
             assert np.array_equal(mesoscale_patch(net, x), expect)
+        maps = rng.integers(0, n, size=(7, k))
+        stacked = mesoscale_patch(net, maps)
+        assert stacked.shape == (7, k, k)
+        for x, patch in zip(maps, stacked):
+            assert np.array_equal(patch, mesoscale_patch(net, x))
 
 
 def test_undirected_pairs_set_each_orientation_once():
@@ -753,7 +769,7 @@ def ref_glauber_update(ref, motif, x, rng):
 
 
 @pytest.mark.parametrize("mode", ["exact", "approximate", "glauber"])
-def test_chain_trajectories_match_the_reference(mode):
+def test_chain_trajectories_match_the_reference(mode, monkeypatch):
     rng = np.random.default_rng(25)
     size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
     for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
@@ -778,6 +794,28 @@ def test_chain_trajectories_match_the_reference(mode):
         assert x == y
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert mode == "glauber" or moves > 300
+    if mode != "glauber":
+        return
+    # general motifs (self-loops, exponents other than 1, unattached nodes) on
+    # rows long enough (8 and more) that numpy's pairwise total differs from
+    # a sequential sum; the conditional along the way must match exactly.
+    # Ratio 0 looks every candidate up by binary search, as in a hub's row.
+    for m, ratio in itertools.product(range(len(_motifs())), (16, 0)):
+        monkeypatch.setattr(networks, "_ROW_DICT_RATIO", ratio)
+        motif = _motifs()[m]
+        size, weights = _random_weighted(rng, 12, 0.75, isolated=1)
+        weights = {pair: float(rng.random() * 3) for pair in weights}
+        net, ref = Network(size, weights), RefNetwork(size, weights)
+        x = y = rejection_sample_hom(net, motif, np.random.default_rng(m))
+        rng_new, rng_ref = np.random.default_rng(27 + m), np.random.default_rng(27 + m)
+        for _ in range(300):
+            x = glauber_update(net, motif, x, rng_new)
+            y = ref_glauber_update(ref, motif, y, rng_ref)
+            assert x == y
+            for v in range(motif.k):
+                probs = glauber_conditional(net, motif, x, v)[1]
+                assert np.array_equal(probs, ref_glauber_conditional(ref, motif, x, v)[1])
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [3, 200, 5000, 2 ** 31 + 7, 2 ** 33])

@@ -339,6 +339,11 @@ def test_patch_mode_validation():
         image_patch_minibatch(np.zeros((4, 4)), 2, 1, mode="spiral", rng=rng)
 
 
+def test_patch_minibatch_needs_a_generator():
+    with pytest.raises(ValueError, match="rng"):
+        image_patch_minibatch(np.zeros((4, 4)), 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # grid reconstruction
 # ---------------------------------------------------------------------------
