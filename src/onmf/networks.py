@@ -578,8 +578,7 @@ def _glauber_law(net: Network, motif: Motif, x, v: int):
     best = sizes.index(min(sizes))
     if best < len(terms):
         adj, ptr, node, _ = terms[best]
-        s, e = ptr[node], ptr[node + 1]
-        cand = adj.indices[s:e].tolist()
+        cand = adj.indices[ptr[node]:ptr[node + 1]].tolist()
     else:
         cand = list(loops)
     factors = []
