@@ -101,7 +101,7 @@ def _walk_patches(net: Network, motif: Motif, x, rng, mcmc: str, m: int):
     for _ in range(m):
         x = chain_update(net, motif, x, rng, mcmc)
         maps.append(x)
-    xs = np.array(maps, dtype=np.int64).reshape(m, motif.k)
+    xs = np.array(maps, dtype=np.int64)
     X = np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
     return xs, X
 

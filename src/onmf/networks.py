@@ -47,9 +47,6 @@ _DENSE_GUARD = 4000
 _REJECTION_CHUNK = 1024
 # Vertex maps the brute-force oracle weighs per batch.
 _ORACLE_BLOCK = 65536
-# Longest row, relative to the number of nodes looked up in it, that a
-# Glauber step reads into a dict rather than binary-searching per node.
-_ROW_DICT_RATIO = 16
 
 
 class EdgeListError(ValueError):
@@ -171,7 +168,6 @@ class Network:
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
-        self._pivot_cache: dict[int, tuple] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -335,15 +331,6 @@ class Network:
         loop = src == dst
         return dict(zip(src[loop].tolist(), self.out_edges.weights[loop].tolist()))
 
-    def _pivot_tables(self, k: int) -> tuple[list[float], tuple]:
-        """The exact k-chain Pivot's path masses ``power_row_sums(k)[k-1]`` as
-        a list, and the `tail_cdfs` rows in the order that tail positions
-        1..k-1 use them (row k-1-i extends position i)."""
-        if k not in self._pivot_cache:
-            self._pivot_cache[k] = (self.power_row_sums(k)[k - 1].tolist(),
-                                    tuple(self.tail_cdfs(k)[::-1]))
-        return self._pivot_cache[k]
-
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
@@ -485,14 +472,9 @@ def _row_weight(adj: Adjacency, ptr: list[int], a: int, b: int) -> float:
 
 
 def _row_weights(adj: Adjacency, ptr: list[int], a: int, nodes: list) -> list:
-    """`_row_weight` of each of `nodes` in row a of `adj`.
-
-    A row up to `_ROW_DICT_RATIO` times longer than `nodes` is read once into
-    a dict; a longer one (a hub's) is searched once per node instead.
-    """
+    """`_row_weight` of each of `nodes` in row a of `adj`, read from the row
+    as one dict."""
     s, e = ptr[a], ptr[a + 1]
-    if e - s > _ROW_DICT_RATIO * len(nodes):
-        return [_row_weight(adj, ptr, a, b) for b in nodes]
     row = dict(zip(adj.indices[s:e].tolist(), adj.weights[s:e].tolist()))
     return [row.get(b, 0.0) for b in nodes]
 
@@ -638,7 +620,7 @@ def _acceptance(net: Network, k: int, v: int, ell: int, mode: str,
     ptr = net._out_ptr
     if w_v_ell is None:
         w_v_ell = _row_weight(net.out_edges, ptr, v, ell)
-    rp = net._pivot_tables(k)[0]
+    rp = net.power_row_sums(k)[k - 1]
     num = rp[ell] * _row_weight(net.out_edges, ptr, ell, v) * out_sums[v]
     den = rp[v] * w_v_ell * out_sums[ell]
     if den <= 0.0:
@@ -676,7 +658,7 @@ def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
         return x
     # tail position i extends by an edge weighted by the (k-1-i)-edge path
     # mass beyond it (exact) or by the edge weight alone (approximate)
-    tables = (net._pivot_tables(k)[1] if mode == "exact"
+    tables = (net.tail_cdfs(k)[::-1] if mode == "exact"
               else (out.cum,) * (k - 1))
     new = [ell]
     for cum in tables:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import (cycle_network, empirical_distribution, path_network,
                      weighted_5node_network)
-from onmf import networks
 from onmf import (EdgeListError, Motif, Network, OracleSizeError,
                   SamplingError, chain_walk_sample, glauber_conditional,
                   glauber_update, hom_distribution_bruteforce, hom_weight,
@@ -769,7 +768,7 @@ def ref_glauber_update(ref, motif, x, rng):
 
 
 @pytest.mark.parametrize("mode", ["exact", "approximate", "glauber"])
-def test_chain_trajectories_match_the_reference(mode, monkeypatch):
+def test_chain_trajectories_match_the_reference(mode):
     rng = np.random.default_rng(25)
     size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
     for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
@@ -799,10 +798,7 @@ def test_chain_trajectories_match_the_reference(mode, monkeypatch):
     # general motifs (self-loops, exponents other than 1, unattached nodes) on
     # rows long enough (8 and more) that numpy's pairwise total differs from
     # a sequential sum; the conditional along the way must match exactly.
-    # Ratio 0 looks every candidate up by binary search, as in a hub's row.
-    for m, ratio in itertools.product(range(len(_motifs())), (16, 0)):
-        monkeypatch.setattr(networks, "_ROW_DICT_RATIO", ratio)
-        motif = _motifs()[m]
+    for m, motif in enumerate(_motifs()):
         size, weights = _random_weighted(rng, 12, 0.75, isolated=1)
         weights = {pair: float(rng.random() * 3) for pair in weights}
         net, ref = Network(size, weights), RefNetwork(size, weights)
