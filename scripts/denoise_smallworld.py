@@ -13,7 +13,7 @@ import sys
 import networkx as nx
 import numpy as np
 
-from onmf import (NDLParams, Network, candidate_pairs, corrupt_network,
+from onmf import (NDLParams, Network, candidate_scores, corrupt_network,
                   ndl_learn, nr_reconstruct, roc_auc)
 
 
@@ -26,8 +26,7 @@ def run(mode, seed):
                    NDLParams(k=6, atoms=16, iters=60, batch=80, lam=1.0), rng)
     recons = nr_reconstruct(result.corrupted, nd.W, iters=20000, lam=0.0,
                             mcmc="pivot", rng=rng)
-    scores = {p: recons.pair_score(*p)
-              for p in candidate_pairs(result.corrupted, mode)}
+    scores = candidate_scores(result.corrupted, recons, mode)
     positives = {p: not genuine for p, genuine in result.labels.items()}
     roc = roc_auc(scores, positives, lower_is_positive=False)
     print(f"mode={mode} seed={seed}: AUC={roc.auc:.4f} "

@@ -1,9 +1,10 @@
 """Command-line front end for the factorization, Ising, image, and network pipelines.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every run writes a metadata.txt of 'key: value' lines (full config, seed,
-versions); reruns with identical metadata produce byte-identical numeric
-outputs.
+A flag value that a library check rejects is a usage error; the faults of an
+input file are data errors, raised where the file is read.  Every run writes
+a metadata.txt of 'key: value' lines (full config, seed, versions); reruns
+with identical metadata produce byte-identical numeric outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import __version__
 from .factorization import (ZeroDictionaryError, init_engine, learn,
                             load_dictionary, save_aggregates, save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
-                  RocError, candidate_pairs, corrupt_network, denoise_classify,
+                  RocError, candidate_scores, corrupt_network, denoise_classify,
                   dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Motif, Network, OracleSizeError,
                        SamplingError, chain_update, hom_distribution_bruteforce,
@@ -37,8 +38,12 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+class DataError(Exception):
+    """Malformed content in an input file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,10 +56,9 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _write_metadata(out_dir: Path, command: str, args) -> None:
+def _write_metadata(out_dir: Path, args) -> None:
     skip = {"func", "config", "out_dir"}
-    entries = {"command": command,
-               "out_dir": str(args.out_dir),
+    entries = {"out_dir": str(args.out_dir),
                "onmf_version": __version__,
                "numpy_version": np.__version__,
                "python_version": platform.python_version()}
@@ -134,10 +138,18 @@ def _write_roc(path: Path, roc) -> None:
                + [("auc", float(roc.auc))])
 
 
-def _prepare_out_dir(args) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+def _load_dictionary(args) -> np.ndarray:
+    """The ``--dict`` matrix, which must have ``--motif-k`` squared rows."""
+    try:
+        W = load_dictionary(args.dict)
+    except (ValueError, IndexError) as exc:    # IndexError: a truncated file
+        raise DataError(f"{args.dict}: {exc}") from exc
+    if not np.isfinite(W).all():
+        raise DataError(f"{args.dict}: non-finite dictionary entry")
+    if W.shape[0] != args.motif_k ** 2:
+        raise UsageError(f"dictionary has {W.shape[0]} rows; "
+                         f"--motif-k {args.motif_k} needs {args.motif_k ** 2}")
+    return W
 
 
 def _ndl_params(args) -> NDLParams:
@@ -152,9 +164,7 @@ def _ndl_params(args) -> NDLParams:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ndl_learn(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "ndl-learn", args)
+def cmd_ndl_learn(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
     nd = ndl_learn(net, _ndl_params(args), rng)
@@ -162,23 +172,16 @@ def cmd_ndl_learn(args) -> None:
         save_aggregates(out_dir / "aggregates.txt", nd.stats, args.beta)
 
 
-def cmd_reconstruct(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "reconstruct", args)
+def cmd_reconstruct(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
-    W = load_dictionary(args.dict)
-    if W.shape[0] != args.motif_k ** 2:
-        raise UsageError(f"dictionary has {W.shape[0]} rows; "
-                         f"--motif-k {args.motif_k} needs {args.motif_k ** 2}")
+    W = _load_dictionary(args)
     rng = np.random.default_rng(args.seed)
     recons = nr_reconstruct(net, W, iters=args.iters, lam=args.lam,
                             mcmc=args.mcmc, rng=rng)
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 
 
-def cmd_denoise(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "denoise", args)
+def cmd_denoise(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
 
@@ -194,10 +197,7 @@ def cmd_denoise(args) -> None:
         labels = _read_labels(args.labels, net)
 
     if args.dict is not None:
-        W = load_dictionary(args.dict)
-        if W.shape[0] != args.motif_k ** 2:
-            raise UsageError(f"dictionary has {W.shape[0]} rows; "
-                             f"--motif-k {args.motif_k} needs {args.motif_k ** 2}")
+        W = _load_dictionary(args)
     else:
         nd = ndl_learn(corrupted, _ndl_params(args), rng)
         W = nd.W
@@ -208,15 +208,17 @@ def cmd_denoise(args) -> None:
     _write_flags(out_dir / "labels.csv", net, "label", labels)
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 
-    scores = {pair: recons.pair_score(*pair)
-              for pair in candidate_pairs(corrupted, args.mode)}
+    scores = candidate_scores(corrupted, recons, args.mode)
+    if scores.keys() != labels.keys():     # only a --labels file can differ
+        raise DataError(f"{args.labels}: labels must cover exactly the "
+                        f"{args.mode} candidate pairs")
     positives = {pair: not genuine for pair, genuine in labels.items()}
     lower = args.direction == "lower"
     roc = roc_auc(scores, positives, lower_is_positive=lower)
     _write_roc(out_dir / "roc.csv", roc)
     if args.threshold is not None:
-        predictions = denoise_classify(corrupted, recons, args.mode,
-                                       args.threshold, lower_is_positive=lower)
+        predictions = denoise_classify(scores, args.threshold,
+                                       lower_is_positive=lower)
         _write_flags(out_dir / "predictions.csv", net, "positive", predictions)
 
 
@@ -230,11 +232,18 @@ def _read_labels(path, net: Network) -> dict:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise EdgeListError(f"{path}: line {lineno}: expected 'u,v,label'")
+                raise DataError(f"{path}: line {lineno}: expected 'u,v,label'")
             if parts[0] not in index or parts[1] not in index:
-                raise EdgeListError(f"{path}: line {lineno}: unknown node label")
+                raise DataError(f"{path}: line {lineno}: unknown node label")
+            label = parts[2].strip().lower()
+            if label not in ("true", "false"):
+                raise DataError(f"{path}: line {lineno}: label must be true "
+                                f"or false, got {parts[2]!r}")
             u, v = index[parts[0]], index[parts[1]]
-            labels[(min(u, v), max(u, v))] = parts[2].strip().lower() == "true"
+            pair = (min(u, v), max(u, v))
+            if pair in labels:
+                raise DataError(f"{path}: line {lineno}: pair listed twice")
+            labels[pair] = label == "true"
     return labels
 
 
@@ -244,9 +253,7 @@ def _engine(args, rng):
                        kappa2=args.kappa2)
 
 
-def cmd_ising_learn(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "ising-learn", args)
+def cmd_ising_learn(args, out_dir: Path) -> None:
     if args.patch > args.lattice:
         raise UsageError("--patch must not exceed --lattice")
     rng = np.random.default_rng(args.seed)
@@ -264,9 +271,7 @@ def cmd_ising_learn(args) -> None:
         write_spins_pgm(out_dir / "final_config.pgm", config.spins)
 
 
-def cmd_image_learn(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "image-learn", args)
+def cmd_image_learn(args, out_dir: Path) -> None:
     image = read_pgm(args.image)
     rng = np.random.default_rng(args.seed)
     engine = _engine(args, rng)
@@ -290,9 +295,7 @@ def cmd_image_learn(args) -> None:
             _write_csv(out_dir / "positions.csv", "t,row,col", positions)
 
 
-def cmd_hom_diag(args) -> None:
-    out_dir = _prepare_out_dir(args)
-    _write_metadata(out_dir, "hom-diag", args)
+def cmd_hom_diag(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     motif = Motif.chain(args.motif_k)
     try:
@@ -458,7 +461,10 @@ def _apply_config(argv, parser, commands):
         if isinstance(action, argparse._StoreTrueAction):
             sub.set_defaults(**{dest: value.lower() == "true"})
         elif action.type is not None:
-            sub.set_defaults(**{dest: action.type(value)})
+            try:
+                sub.set_defaults(**{dest: action.type(value)})
+            except ValueError:
+                raise UsageError(f"{path}: bad value {value!r} for {dest!r}")
         else:
             sub.set_defaults(**{dest: value})
         action.required = False  # the config satisfies required flags
@@ -474,18 +480,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EdgeListError, PgmError, OracleSizeError, CorruptionError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_metadata(out_dir, args)
+        args.func(args, out_dir)
+    except (DataError, EdgeListError, PgmError, OracleSizeError,
+            CorruptionError, UnicodeDecodeError, FileNotFoundError,
+            IsADirectoryError, PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SamplingError, DegenerateAggregatesError, RocError,
             ZeroDictionaryError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:    # UsageError, or a library check on a flag
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -68,11 +68,6 @@ class ConstraintPiece:
         if not math.isfinite(self.lower):
             raise ValueError("piece lower bound must be finite")
 
-    def contains(self, W: np.ndarray, tol: float = 1e-8) -> bool:
-        W = np.asarray(W, dtype=float)
-        return bool(W.min() >= self.lower - tol
-                    and np.linalg.norm(W) <= self.radius * (1.0 + tol) + tol)
-
     def project(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=float)
         if self.lower > 0 and self.lower * math.sqrt(W.size) > self.radius:
@@ -134,8 +129,9 @@ class Dictionary:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
-        if self.W.ndim != 2:
-            raise ValueError("dictionary must be a 2-d matrix")
+        if self.W.ndim != 2 or 0 in self.W.shape:
+            raise ValueError("dictionary must be a 2-d matrix with at least "
+                             "one row and one atom")
         if not np.isfinite(self.W).all():
             raise ValueError("non-finite dictionary entries")
         if not 0 <= self.active_piece < len(self.constraint.pieces):
@@ -288,13 +284,17 @@ def update_aggregates(stats: AggregateStats, H, X, schedule: WeightSchedule,
                           kappa1=stats.kappa1)
 
 
+def _quad_objective(W, A, B) -> float:
+    """tr(W A W^T) - 2 tr(W B)."""
+    return float(np.sum((W @ A) * W) - 2.0 * np.sum(W * B.T))
+
+
 def surrogate_loss(W, stats: AggregateStats) -> float:
     """tr(W A W^T) - 2 tr(W B) + r_scalar for the given dictionary."""
     W = np.asarray(W, dtype=float)
     if W.shape[1] != stats.A.shape[0] or W.shape[0] != stats.B.shape[1]:
         raise ValueError("dictionary incompatible with statistics")
-    return float(np.sum((W @ stats.A) * W) - 2.0 * np.sum(W * stats.B.T)
-                 + stats.r_scalar)
+    return _quad_objective(W, stats.A, stats.B) + stats.r_scalar
 
 
 def ellipsoid_gap(W, W_prev, stats: AggregateStats) -> float:
@@ -313,21 +313,14 @@ def growth_check(W1, W2, stats: AggregateStats) -> float:
     W1 = np.asarray(W1, dtype=float)
     W2 = np.asarray(W2, dtype=float)
     A, B = stats.A, stats.B
-
-    def g(M):
-        return float(np.sum((M @ A) * M) - 2.0 * np.sum(M * B.T))
-
     delta = W1 - W2
-    return g(W1) - g(W2) - float(np.sum((delta @ A) * delta))
+    return (_quad_objective(W1, A, B) - _quad_objective(W2, A, B)
+            - float(np.sum((delta @ A) * delta)))
 
 
 # ---------------------------------------------------------------------------
 # Dictionary update
 # ---------------------------------------------------------------------------
-
-
-def _quad_objective(W, A_ridge, B) -> float:
-    return float(np.sum((W @ A_ridge) * W) - 2.0 * np.sum(W * B.T))
 
 
 def _bisect_to_ellipsoid(Wt, j, cand, old, W_prev, stats):
@@ -588,7 +581,6 @@ class OnlineNMF:
     code_max_iter: int = 200
     dict_tol: float = 1e-6
     dict_max_iter: int = 100
-    enforce_ellipsoid: bool | None = None
     track_history: bool = False
 
     def __post_init__(self):
@@ -617,8 +609,7 @@ class OnlineNMF:
                                            self.lam)
             self.dictionary = dictionary_update(
                 self.dictionary, self.stats, tol=self.dict_tol,
-                max_iter=self.dict_max_iter,
-                enforce_ellipsoid=self.enforce_ellipsoid)
+                max_iter=self.dict_max_iter)
         finally:
             _SOLVER_COUNTS.reset(token)
         if self.track_history:

@@ -322,20 +322,23 @@ def candidate_pairs(corrupted: Network, mode: str) -> list[tuple[int, int]]:
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
-def denoise_classify(corrupted: Network, recons: ReconstructionState,
-                     mode: str, theta: float,
-                     lower_is_positive: bool = True) -> dict:
-    """Classify candidate pairs by reconstructed weight against a threshold.
+def candidate_scores(corrupted: Network, recons: ReconstructionState,
+                     mode: str) -> dict:
+    """Reconstructed weight ``pair_score`` of every candidate pair, keyed in
+    ``candidate_pairs`` order; pairs the chain never visited score 0."""
+    return {pair: recons.pair_score(*pair)
+            for pair in candidate_pairs(corrupted, mode)}
 
-    Default rule flags a pair as positive when its weight is strictly below
-    theta; pairs never visited by the chain carry weight 0.  Flip
-    ``lower_is_positive`` to flag strictly-above instead.
+
+def denoise_classify(scores: dict, theta: float,
+                     lower_is_positive: bool = True) -> dict:
+    """Classify scored pairs against a threshold.
+
+    Default rule flags a pair as positive when its score is strictly below
+    theta.  Flip ``lower_is_positive`` to flag strictly-above instead.
     """
-    out = {}
-    for u, v in candidate_pairs(corrupted, mode):
-        score = recons.pair_score(u, v)
-        out[(u, v)] = score < theta if lower_is_positive else score > theta
-    return out
+    return {pair: score < theta if lower_is_positive else score > theta
+            for pair, score in scores.items()}
 
 
 @dataclass
@@ -353,13 +356,12 @@ def roc_auc(scores: dict, labels: dict, lower_is_positive: bool = True) -> RocRe
     scores advance the curve diagonally and the trapezoid AUC equals the
     Mann-Whitney statistic with half credit for ties.  One sort groups the
     ties; cumulative label counts over the groups give every point, in
-    O(n log n) for n pairs.
+    O(n log n) for n pairs.  Neither dict's order matters.
     """
-    keys = sorted(scores)
-    if set(keys) != set(labels):
+    if scores.keys() != labels.keys():
         raise ValueError("scores and labels must cover the same pairs")
-    y = np.array([bool(labels[k]) for k in keys])
-    s = np.array([float(scores[k]) for k in keys])
+    y = np.array([bool(labels[k]) for k in scores])
+    s = np.array([float(v) for v in scores.values()])
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:

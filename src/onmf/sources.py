@@ -23,19 +23,21 @@ from .factorization import sparse_code
 
 
 @lru_cache(maxsize=None)
+def _neighbor_lists(n: int) -> list[list[int]]:
+    """Distinct torus neighbors of each flat site index, in increasing order."""
+    return [sorted({(i + 1) % n * n + j, (i - 1) % n * n + j,
+                    i * n + (j + 1) % n, i * n + (j - 1) % n} - {i * n + j})
+            for i in range(n) for j in range(n)]
+
+
+@lru_cache(maxsize=None)
 def _neighbor_table(n: int):
-    """Distinct torus neighbors per flat site index, padded with -1."""
+    """The neighbor lists padded with -1 into n^2 rows of 4, and their lengths."""
+    lists = _neighbor_lists(n)
     nbrs = -np.ones((n * n, 4), dtype=np.int64)
-    counts = np.zeros(n * n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            seen = sorted({((i + 1) % n, j), ((i - 1) % n, j),
-                           (i, (j + 1) % n), (i, (j - 1) % n)} - {(i, j)})
-            flat = i * n + j
-            counts[flat] = len(seen)
-            for a, (r, c) in enumerate(seen):
-                nbrs[flat, a] = r * n + c
-    return nbrs, counts
+    for flat, row in enumerate(lists):
+        nbrs[flat, :len(row)] = row
+    return nbrs, np.array([len(row) for row in lists], dtype=np.int64)
 
 
 @dataclass
@@ -82,17 +84,12 @@ def ising_gibbs_step(config: IsingConfig, rng) -> IsingConfig:
 
     Mutates the configuration in place and returns it; the chain satisfies
     detailed balance for the lattice Boltzmann measure at the configuration's
-    temperature.
+    temperature.  Draws what ``ising_gibbs_run(config, 1, rng)`` draws.
     """
     n = config.n
-    nbrs, counts = _neighbor_table(n)
-    flat = config.spins.reshape(-1)
     site = int(rng.integers(n * n))
-    s = 0
-    for a in range(counts[site]):
-        s += flat[nbrs[site, a]]
-    p_plus = conditional_plus_probability(float(s), config.temperature)
-    flat[site] = 1 if rng.random() < p_plus else -1
+    _run_by_sites(config.spins.reshape(-1), _neighbor_lists(n), (site,),
+                  (rng.random(),), _plus_table(config.temperature))
     return config
 
 
@@ -103,17 +100,11 @@ _GIBBS_BLOCK = 16384
 _LEVEL_MIN_UPDATES = 256
 
 
-def _plus_table(temperature: float) -> list[float]:
-    """p+ = 1 / (1 + exp(-(2/T) s)) at neighbor sums s = -4..4 (index s + 4),
-    0.0 where the exponential overflows."""
-    inv_t = 2.0 / temperature
-    table = []
-    for s in range(-4, 5):
-        try:
-            table.append(1.0 / (1.0 + math.exp(-inv_t * s)))
-        except OverflowError:
-            table.append(0.0)
-    return table
+@lru_cache(maxsize=None)
+def _plus_table(temperature: float) -> tuple[float, ...]:
+    """``conditional_plus_probability`` at neighbor sums s = -4..4 (index s + 4)."""
+    return tuple(conditional_plus_probability(s, temperature)
+                 for s in range(-4, 5))
 
 
 def _update_levels(sites: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
@@ -173,12 +164,12 @@ def _run_by_levels(flat: np.ndarray, nbrs: np.ndarray, sites: np.ndarray,
         start = stop
 
 
-def _run_by_sites(flat: np.ndarray, nbrs: np.ndarray, counts: np.ndarray,
-                  sites: np.ndarray, us: np.ndarray, table: list[float]) -> None:
+def _run_by_sites(flat: np.ndarray, neighbors: list[list[int]], sites,
+                  us, table) -> None:
     """Apply the site updates (sites[b], us[b]) one after another."""
-    for site, u in zip(sites.tolist(), us.tolist()):
+    for site, u in zip(sites, us):
         s = 4
-        for q in nbrs[site, :counts[site]].tolist():
+        for q in neighbors[site]:
             s += flat.item(q)
         flat[site] = 1 if u < table[s] else -1
 
@@ -189,16 +180,17 @@ def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
     Sites and uniforms are drawn in blocks of ``_GIBBS_BLOCK`` (one
     ``integers`` and one ``random`` call each), and update b sets its site to
     +1 when its uniform is below p+ at its neighbor sum, else to -1.  p+
-    comes from a table of the nine possible sums (0.0 where the exponential
-    overflows).  A block runs in pieces of n^2/2 updates.  A piece of at
-    least ``_LEVEL_MIN_UPDATES`` updates on a lattice of n >= 3 runs by
-    dependency levels (``_update_levels``): each level is one array gather,
-    compare and scatter.  Shorter pieces, and the 2 x 2 lattice, run the
-    per-site loop.  Every update reads the spins it would read in draw
+    comes from ``conditional_plus_probability`` at the nine possible sums,
+    tabulated once per temperature.  A block runs in pieces of n^2/2
+    updates.  A piece of at least ``_LEVEL_MIN_UPDATES`` updates on a
+    lattice of n >= 3 runs by dependency levels (``_update_levels``): each
+    level is one array gather, compare and scatter.  Shorter pieces, and the
+    2 x 2 lattice, run the per-site loop.  Every update reads the spins it would read in draw
     order, so both paths leave the same spins and the same generator state.
     """
     n = config.n
-    nbrs, counts = _neighbor_table(n)
+    nbrs, _ = _neighbor_table(n)
+    neighbors = _neighbor_lists(n)
     flat = config.spins.reshape(-1)
     table = _plus_table(config.temperature)
     level_table = np.array(table)
@@ -213,7 +205,8 @@ def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
             if n >= 3 and len(run_sites) >= _LEVEL_MIN_UPDATES:
                 _run_by_levels(flat, nbrs, run_sites, run_us, level_table)
             else:
-                _run_by_sites(flat, nbrs, counts, run_sites, run_us, table)
+                _run_by_sites(flat, neighbors, run_sites.tolist(),
+                              run_us.tolist(), table)
         done += block
     return config
 

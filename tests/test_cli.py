@@ -201,6 +201,63 @@ def test_denoise_without_fraction_needs_labels(tmp_path):
                "--out-dir", tmp_path / "o") == 1
 
 
+@pytest.mark.parametrize("rows, fault", [
+    (["0,2,true", "0,3,yes"], "label must be true or false"),
+    (["0,2,true", "2,0,false"], "pair listed twice"),
+])
+def test_labels_file_faults_exit_2_with_line_number(tmp_path, capsys, rows,
+                                                    fault):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("u,v,label\n" + "\n".join(rows) + "\n")
+    assert run("denoise", "--edges", write_cycle(tmp_path / "cycle.txt"),
+               "--undirected", "--labels", labels,
+               "--out-dir", tmp_path / "o") == 2
+    assert f"data error: {labels}: line 3: {fault}" in capsys.readouterr().err
+
+
+# A file whose content is malformed exits 2; a flag value the library rejects
+# exits 1.  Both print one message line, never a traceback.
+EXIT_CASES = {
+    "malformed-dict": (2, ["reconstruct", "--edges", "{cycle}", "--undirected",
+                           "--dict", "{bad_dict}"]),
+    "labels-miss-candidates": (2, ["denoise", "--edges", "{cycle}",
+                                   "--undirected", "--labels", "{labels}",
+                                   "--dict", "{dict}", "--recon-iters", 100]),
+    "atoms-0": (1, ["ndl-learn", "--edges", "{cycle}", "--atoms", 0]),
+    "temperature-negative": (1, ["ising-learn", "--temperature", -1]),
+    "beta-0.5": (1, ["ndl-learn", "--edges", "{cycle}", "--undirected",
+                     "--beta", 0.5, "--iters", 1]),
+    "fraction-1.5": (1, ["denoise", "--edges", "{cycle}", "--undirected",
+                         "--fraction", 1.5]),
+    "lambda-negative": (1, ["ndl-learn", "--edges", "{cycle}",
+                            "--lambda", -1]),
+    "dict-radius-0": (1, ["ndl-learn", "--edges", "{cycle}", "--undirected",
+                          "--dict-radius", 0, "--iters", 1]),
+    "config-value-not-a-number": (1, ["ndl-learn", "--edges", "{cycle}",
+                                      "--config", "{config}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
+    code, argv = EXIT_CASES[case]
+    files = {"cycle": write_cycle(tmp_path / "cycle.txt"),
+             "bad_dict": tmp_path / "bad_dict.txt",
+             "dict": tmp_path / "dict.txt",
+             "labels": tmp_path / "labels.csv",
+             "config": tmp_path / "run.cfg"}
+    files["bad_dict"].write_text("2 2\n1 x\n")
+    files["dict"].write_text("9 1\n" + "1.0\n" * 9)
+    # one of the 35 non-edges of the 10-cycle
+    files["labels"].write_text("u,v,label\n0,2,true\n")
+    files["config"].write_text("atoms: many\n")
+    argv = [files[a[1:-1]] if str(a).startswith("{") else a for a in argv]
+    assert run(*argv, "--out-dir", tmp_path / "o") == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error: " if code == 2 else "error: ")
+
+
 # ---------------------------------------------------------------------------
 # ising-learn
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from helpers import cycle_network, mann_whitney_auc, smallworld_network
 from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
                   Motif, NDLParams, Network, OnlineNMF, ReconstructionState,
-                  RocError, WeightSchedule, candidate_pairs, chain_update,
-                  coding_objective, corrupt_network, denoise_classify,
-                  dominance_scores, init_dictionary, initial_homomorphism,
-                  mesoscale_patch, ndl, ndl_learn, nr_reconstruct, roc_auc,
-                  sparse_code)
+                  RocError, WeightSchedule, candidate_pairs, candidate_scores,
+                  chain_update, coding_objective, corrupt_network,
+                  denoise_classify, dominance_scores, init_dictionary,
+                  initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
+                  nr_reconstruct, roc_auc, sparse_code)
 from onmf.ndl import MCMC_MODES, is_connected
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -385,10 +385,28 @@ def test_threshold_extremes():
     rng = np.random.default_rng(6)
     result = corrupt_network(net, "additive", 0.5, rng)
     state = _toy_reconstruction(result.corrupted, "additive", rng)
-    everything = denoise_classify(result.corrupted, state, "additive", np.inf)
+    scores = candidate_scores(result.corrupted, state, "additive")
+    everything = denoise_classify(scores, np.inf)
     assert all(everything.values())
-    nothing = denoise_classify(result.corrupted, state, "additive", 0.0)
+    nothing = denoise_classify(scores, 0.0)
     assert not any(nothing.values())
+
+
+def test_candidate_scores_are_pair_scores_in_candidate_order():
+    rng = np.random.default_rng(9)
+    net = smallworld_network(20, 4, 0.2, seed=3)
+    for mode in ("subtractive", "additive"):
+        corrupted = corrupt_network(net, mode, 0.3, rng).corrupted
+        pairs = candidate_pairs(corrupted, mode)
+        # visited in one orientation, in the other, or never
+        state = ReconstructionState()
+        for i, (u, v) in enumerate(pairs):
+            if i % 3 < 2:
+                state.fold((u, v) if i % 3 else (v, u), float(rng.random()))
+        scores = candidate_scores(corrupted, state, mode)
+        assert list(scores) == pairs
+        assert list(scores.values()) == [state.pair_score(u, v)
+                                         for u, v in pairs]
 
 
 def test_roc_is_a_monotone_staircase_with_unit_endpoints():
@@ -459,6 +477,19 @@ def test_roc_matches_a_brute_force_threshold_sweep(n_pos):
         assert roc.auc == auc
 
 
+def test_roc_does_not_depend_on_the_order_of_either_dict():
+    rng = np.random.default_rng(10)
+    scores = {i: float(rng.integers(0, 6)) for i in range(80)}
+    labels = {i: bool(rng.integers(0, 2)) for i in range(80)}
+    shuffled_scores = {i: scores[i] for i in rng.permutation(80).tolist()}
+    shuffled_labels = {i: labels[i] for i in rng.permutation(80).tolist()}
+    for lower in (True, False):
+        want = roc_auc(scores, labels, lower_is_positive=lower)
+        got = roc_auc(shuffled_scores, shuffled_labels, lower_is_positive=lower)
+        assert got.points == want.points
+        assert got.auc == want.auc
+
+
 def test_roc_single_class_errors():
     with pytest.raises(RocError):
         roc_auc({0: 0.5, 1: 0.7}, {0: True, 1: True})
@@ -473,7 +504,8 @@ def test_sweeping_thresholds_gives_monotone_predictions():
     state = _toy_reconstruction(result.corrupted, "subtractive", rng)
     prev_positive = -1
     for theta in sorted({v for v in state.means.values()} | {0.0, np.inf}):
-        preds = denoise_classify(result.corrupted, state, "subtractive", theta)
+        preds = denoise_classify(
+            candidate_scores(result.corrupted, state, "subtractive"), theta)
         count = sum(preds.values())
         assert count >= prev_positive
         prev_positive = count
