@@ -12,9 +12,8 @@ from .factorization import (AggregateStats, ConstraintPiece, ConstraintSpec,
                             sparse_code, surrogate_loss, update_aggregates)
 from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   NDLParams, NetworkDictionary, ReconstructionState, RocError,
-                  RocResult, candidate_pairs, candidate_scores, corrupt_network,
-                  denoise_classify, dominance_scores, ndl_learn, nr_reconstruct,
-                  roc_auc)
+                  RocResult, candidate_pairs, corrupt_network, denoise_classify,
+                  dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Motif, Network, OracleSizeError,
                        SamplingError, chain_update, chain_walk_sample,
                        glauber_conditional, glauber_update,

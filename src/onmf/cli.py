@@ -23,7 +23,7 @@ from . import __version__
 from .factorization import (ZeroDictionaryError, init_engine, learn,
                             load_dictionary, save_aggregates, save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
-                  RocError, candidate_scores, corrupt_network, denoise_classify,
+                  RocError, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Motif, Network, OracleSizeError,
                        SamplingError, chain_update, hom_distribution_bruteforce,
@@ -71,12 +71,14 @@ def _write_metadata(out_dir: Path, args) -> None:
             fh.write(f"{key}: {entries[key]}\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """A header line, then one line of comma-separated fields per row."""
+def _write_csv(path: Path, header, rows, sep: str = ",") -> None:
+    """A header line unless header is None, then one line of fields joined
+    by sep per row."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        if header is not None:
+            fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+            fh.write(sep.join(map(str, row)) + "\n")
 
 
 def _atom_grid_image(W: np.ndarray, k: int) -> np.ndarray:
@@ -110,32 +112,37 @@ def _learned_outputs(out_dir: Path, W: np.ndarray, k: int, P: np.ndarray,
                enumerate(map(float, dominance_scores(P))))
 
 
+def _pair_rows(net: Network, pairs: np.ndarray, *columns):
+    """(label of u, label of v, *column entries) per pair key u * n + v,
+    made 65 536 pairs at a time."""
+    names = net.labels
+    for start in range(0, len(pairs), 1 << 16):
+        part = slice(start, start + (1 << 16))
+        us, vs = np.divmod(pairs[part], net.n)
+        yield from zip([names[u] for u in us.tolist()],
+                       [names[v] for v in vs.tolist()],
+                       *(column[part].tolist() for column in columns))
+
+
 def _write_weighted_edges(path: Path, net: Network, recons) -> None:
-    """Edge list of reconstructed pair weights, 6 significant digits."""
-    seen = sorted({(min(a, b), max(a, b)) for (a, b) in recons.counts})
-    with open(path, "w") as fh:
-        for u, v in seen:
-            fh.write(f"{net.labels[u]} {net.labels[v]} "
-                     f"{recons.pair_score(u, v):.6g}\n")
+    """Reconstructed weight of every visited pair u <= v, 6 significant
+    digits."""
+    us, vs = np.divmod(recons.keys[:-1], net.n)
+    pairs = np.unique(np.minimum(us, vs) * net.n + np.maximum(us, vs))
+    _write_csv(path, None, ((u, v, f"{s:.6g}") for u, v, s in
+                            _pair_rows(net, pairs, recons.scores(pairs))), " ")
 
 
-def _write_flags(path: Path, net: Network, column: str, flags: dict) -> None:
-    """``u,v,<column>`` rows of true/false, in pair order."""
+def _write_flags(path: Path, net: Network, column: str, pairs: np.ndarray,
+                 flags: np.ndarray) -> None:
+    """``u,v,<column>`` rows of true/false, one per pair key."""
     _write_csv(path, f"u,v,{column}",
-               ((net.labels[u], net.labels[v], str(bool(flag)).lower())
-                for (u, v), flag in sorted(flags.items())))
-
-
-def _write_edge_list(path: Path, net: Network) -> None:
-    with open(path, "w") as fh:
-        for u, v in net.undirected_edges():
-            fh.write(f"{net.labels[u]} {net.labels[v]}\n")
+               ((u, v, "true" if flag else "false")
+                for u, v, flag in _pair_rows(net, pairs, flags)))
 
 
 def _write_roc(path: Path, roc) -> None:
-    _write_csv(path, "threshold,fpr,tpr",
-               [tuple(map(float, p)) for p in roc.points]
-               + [("auc", float(roc.auc))])
+    _write_csv(path, "threshold,fpr,tpr", roc.points + [("auc", roc.auc)])
 
 
 def _load_dictionary(args) -> np.ndarray:
@@ -185,16 +192,21 @@ def cmd_denoise(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
 
+    corrupted = net
     if args.fraction is not None:
         result = corrupt_network(net, args.mode, args.fraction, rng)
         corrupted, labels = result.corrupted, result.labels
-        _write_edge_list(out_dir / "corrupted.edgelist", corrupted)
-    else:
-        if args.labels is None:
-            raise UsageError("need --fraction to corrupt or --labels for a "
-                             "pre-corrupted network")
-        corrupted = net
-        labels = _read_labels(args.labels, net)
+        _write_csv(out_dir / "corrupted.edgelist", None,
+                   _pair_rows(net, corrupted.undirected_keys()), " ")
+    elif args.labels is None:
+        raise UsageError("need --fraction to corrupt or --labels for a "
+                         "pre-corrupted network")
+    pairs = candidate_pairs(corrupted, args.mode)
+    if args.fraction is None:
+        keys, labels = _read_labels(args.labels, net)
+        if not np.array_equal(keys, pairs):
+            raise DataError(f"{args.labels}: labels must cover exactly the "
+                            f"{args.mode} candidate pairs")
 
     if args.dict is not None:
         W = _load_dictionary(args)
@@ -205,24 +217,23 @@ def cmd_denoise(args, out_dir: Path) -> None:
 
     recons = nr_reconstruct(corrupted, W, iters=args.recon_iters,
                             lam=args.recon_lambda, mcmc=args.mcmc, rng=rng)
-    _write_flags(out_dir / "labels.csv", net, "label", labels)
+    _write_flags(out_dir / "labels.csv", net, "label", pairs, labels)
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 
-    scores = candidate_scores(corrupted, recons, args.mode)
-    if scores.keys() != labels.keys():     # only a --labels file can differ
-        raise DataError(f"{args.labels}: labels must cover exactly the "
-                        f"{args.mode} candidate pairs")
-    positives = {pair: not genuine for pair, genuine in labels.items()}
+    scores = recons.scores(pairs)
     lower = args.direction == "lower"
-    roc = roc_auc(scores, positives, lower_is_positive=lower)
+    roc = roc_auc(scores, ~labels, lower_is_positive=lower)
     _write_roc(out_dir / "roc.csv", roc)
     if args.threshold is not None:
         predictions = denoise_classify(scores, args.threshold,
                                        lower_is_positive=lower)
-        _write_flags(out_dir / "predictions.csv", net, "positive", predictions)
+        _write_flags(out_dir / "predictions.csv", net, "positive", pairs,
+                     predictions)
 
 
-def _read_labels(path, net: Network) -> dict:
+def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pair keys u * n + v (u < v) of a labels.csv, and their
+    labels."""
     index = {lab: i for i, lab in enumerate(net.labels)}
     labels = {}
     with open(path) as fh:
@@ -240,11 +251,13 @@ def _read_labels(path, net: Network) -> dict:
                 raise DataError(f"{path}: line {lineno}: label must be true "
                                 f"or false, got {parts[2]!r}")
             u, v = index[parts[0]], index[parts[1]]
-            pair = (min(u, v), max(u, v))
-            if pair in labels:
+            key = min(u, v) * net.n + max(u, v)
+            if key in labels:
                 raise DataError(f"{path}: line {lineno}: pair listed twice")
-            labels[pair] = label == "true"
-    return labels
+            labels[key] = label == "true"
+    keys = np.fromiter(labels, dtype=np.int64, count=len(labels))
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(labels.values(), bool, len(labels))[order]
 
 
 def _engine(args, rng):
@@ -297,6 +310,10 @@ def cmd_image_learn(args, out_dir: Path) -> None:
 
 def cmd_hom_diag(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
+    if args.chains < 1:
+        raise UsageError("--chains must be positive")
+    if args.iters < 0:
+        raise UsageError("--iters must be nonnegative")
     motif = Motif.chain(args.motif_k)
     try:
         oracle = hom_distribution_bruteforce(net, motif)

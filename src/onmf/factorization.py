@@ -585,6 +585,8 @@ class OnlineNMF:
 
     def __post_init__(self):
         d, r = self.dictionary.shape
+        if not self.kappa1 >= 0:
+            raise ValueError("kappa1 must be nonnegative")
         self.stats = AggregateStats.zeros(r, d, kappa1=self.kappa1)
         self.history: list[np.ndarray] = []
 
@@ -595,6 +597,8 @@ class OnlineNMF:
     def step(self, X) -> StepResult:
         """Sparse-code X, fold in the statistics, refit the dictionary."""
         X = np.asarray(X, dtype=float)
+        if X.size == 0:
+            raise ValueError("empty data matrix")
         if not np.isfinite(X).all():
             raise ValueError("non-finite data matrix")
         if X.min() < 0:
@@ -646,6 +650,8 @@ def learn(engine: OnlineNMF, batches, iters: int) -> list[tuple[int, float]]:
     past the last step, so a stream that advances a chain as it yields stops
     where the last step's matrix was taken.
     """
+    if iters < 0:
+        raise ValueError("iters must be nonnegative")
     return [(t, engine.step(X).surrogate)
             for t, X in enumerate(itertools.islice(batches, iters), start=1)]
 

@@ -136,44 +136,47 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ReconstructionState:
-    """Per ordered node pair: the sum and the number of folded proposals."""
+    """Per visited ordered node pair (u, v): the sum and the number of folded
+    proposals, at ascending keys ``u * n + v``.  Like ``Network`` keys, the
+    arrays end in a sentinel key ``n * n`` with sum 0 and count 0."""
 
-    sums: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-
-    @property
-    def means(self) -> dict:
-        """Mean proposal per visited pair."""
-        return {pair: s / self.counts[pair] for pair, s in self.sums.items()}
-
-    def fold(self, pair: tuple[int, int], value: float) -> None:
-        """Fold one proposal into the pair's sum and count."""
-        self.sums[pair] = self.sums.get(pair, 0.0) + value
-        self.counts[pair] = self.counts.get(pair, 0) + 1
+    def __init__(self, n: int):
+        self.n = n
+        self.keys = np.array([n * n], dtype=np.int64)
+        self.sums = np.zeros(1)
+        self.counts = np.zeros(1, dtype=np.int64)
 
     def fold_many(self, us: np.ndarray, vs: np.ndarray,
                   values: np.ndarray) -> None:
-        """Fold proposals values[i] at pairs (us[i], vs[i]), in index order."""
-        base = int(max(us.max(), vs.max())) + 1
-        keys, inverse = np.unique(us * base + vs, return_inverse=True)
-        block_sums = np.bincount(inverse, weights=values)
-        block_counts = np.bincount(inverse)
-        sums, counts = self.sums, self.counts
-        for key, s, c in zip(keys.tolist(), block_sums.tolist(),
-                             block_counts.tolist()):
-            pair = divmod(key, base)
-            sums[pair] = sums.get(pair, 0.0) + s
-            counts[pair] = counts.get(pair, 0) + c
+        """Fold proposals values[i] at pairs (us[i], vs[i]).  A block's values
+        are summed per pair in index order, then added to the pair's sum."""
+        size = len(self.keys)
+        self.keys, inverse = np.unique(
+            np.concatenate([self.keys, us * self.n + vs]), return_inverse=True)
+        old, new = inverse[:size], inverse[size:]
+        sums = np.bincount(new, weights=values, minlength=len(self.keys))
+        counts = np.bincount(new, minlength=len(self.keys))
+        sums[old] += self.sums
+        counts[old] += self.counts
+        self.sums, self.counts = sums, counts
+
+    def scores(self, pairs) -> np.ndarray:
+        """(s_uv + s_vu) / (c_uv + c_vu) at keys ``u * n + v``, both
+        orientations; 0 for pairs never visited."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        total, count = 0.0, 0
+        for keys in (pairs, pairs % self.n * self.n + pairs // self.n):
+            pos = self.keys.searchsorted(keys)
+            hit = self.keys[pos] == keys
+            total = total + np.where(hit, self.sums[pos], 0.0)
+            count = count + np.where(hit, self.counts[pos], 0)
+        return np.divide(total, count, out=np.zeros(pairs.shape),
+                         where=count > 0)
 
     def pair_score(self, u: int, v: int) -> float:
-        """(s_uv + s_vu) / (c_uv + c_vu), both orientations; 0 if never visited."""
-        count = self.counts.get((u, v), 0) + self.counts.get((v, u), 0)
-        if not count:
-            return 0.0
-        total = self.sums.get((u, v), 0.0) + self.sums.get((v, u), 0.0)
-        return total / count
+        """``scores`` of the one pair (u, v)."""
+        return float(self.scores(u * self.n + v))
 
 
 def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
@@ -191,6 +194,8 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     """
     if rng is None:
         raise ValueError("nr_reconstruct needs a random generator rng")
+    if iters < 0:
+        raise ValueError("iters must be nonnegative")
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
     k = int(round(math.sqrt(k2)))
@@ -198,7 +203,7 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
         raise ValueError("dictionary rows must be a perfect square")
     motif = Motif.chain(k)
     x = initial_homomorphism(net, motif, rng)
-    state = ReconstructionState()
+    state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
     for start in range(0, iters, RECON_BLOCK):
         xs, X = _walk_patches(net, motif, x, rng, mcmc,
@@ -217,7 +222,8 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
 
 @dataclass
 class CorruptionResult:
-    """Corrupted network plus ground-truth labels over the candidate universe.
+    """Corrupted network plus ground-truth labels, a bool array aligned with
+    the candidate universe ``candidate_pairs(corrupted, mode)``.
 
     For subtractive noise the universe is the corrupted graph's non-edges and
     a label of True marks a genuine non-edge (False marks a removed true
@@ -226,27 +232,7 @@ class CorruptionResult:
     """
 
     corrupted: Network
-    labels: dict
-
-
-def is_connected(net: Network) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b in net.out_neighbors(a):
-            b = int(b)
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == net.n
-
-
-def _non_edges(net: Network) -> list[tuple[int, int]]:
-    """Pairs u < v with A(u, v) = 0, in lexicographic order."""
-    us, vs = np.triu_indices(net.n, 1)
-    absent = net.weights_at(us, vs) == 0.0
-    return list(zip(us[absent].tolist(), vs[absent].tolist()))
+    labels: np.ndarray
 
 
 def corrupt_network(net: Network, mode: str, fraction: float, rng) -> CorruptionResult:
@@ -258,20 +244,20 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
     quota).  Edge i is deleted exactly when edges later in the order already
     join its endpoints, so the deleted edges are the first ``quota`` edges
     outside the spanning forest that Kruskal's union-find builds from the end
-    of the order.  Additive insertions are uniform over non-adjacent pairs.
+    of the order; the graph is connected when that forest has n - 1 edges.
+    Additive insertions are uniform over non-adjacent pairs.
     """
     if not net.is_simple:
         raise CorruptionError("corruption requires a simple graph")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
-    edges = net.undirected_edges()
+    n = net.n
+    edges = net.undirected_keys()
     quota = math.ceil(fraction * len(edges))
 
     if mode == "subtractive":
-        if not is_connected(net):
-            raise CorruptionError("subtractive corruption requires a connected graph")
-        order = [edges[int(idx)] for idx in rng.permutation(len(edges))]
-        root = list(range(net.n))
+        order = edges[rng.permutation(len(edges))]
+        root = list(range(n))
 
         def find(a):
             while root[a] != a:
@@ -280,65 +266,57 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
             return a
 
         spare = []          # edges that later edges already join, last first
-        for u, v in reversed(order):
-            ru, rv = find(u), find(v)
+        for key in order[::-1].tolist():
+            ru, rv = find(key // n), find(key % n)
             if ru == rv:
-                spare.append((u, v))
+                spare.append(key)
             else:
                 root[ru] = rv
-        removed = spare[::-1][:quota]
-        if len(removed) < quota:
+        if len(edges) - len(spare) < n - 1:
+            raise CorruptionError("subtractive corruption requires a connected graph")
+        flipped = np.array(spare[::-1][:quota], dtype=np.int64)
+        if len(flipped) < quota:
             raise CorruptionError(
-                f"only {len(removed)} of {quota} edges removable without "
+                f"only {len(flipped)} of {quota} edges removable without "
                 "disconnecting the graph")
-        removed_set = set(removed)
-        kept = [e for e in edges if e not in removed_set]
-        corrupted = Network.from_undirected_pairs(net.n, kept, labels=net.labels)
-        labels = {pair: pair not in removed_set
-                  for pair in _non_edges(corrupted)}
-        return CorruptionResult(corrupted=corrupted, labels=labels)
-
-    if mode == "additive":
-        pool = _non_edges(net)
+        kept = edges[~np.isin(edges, flipped)]
+    elif mode == "additive":
+        pool = candidate_pairs(net, "subtractive")
         if quota > len(pool):
             raise CorruptionError(
                 f"cannot add {quota} edges: only {len(pool)} non-adjacent pairs")
-        order = rng.permutation(len(pool))
-        added = {pool[int(idx)] for idx in order[:quota]}
-        corrupted = Network.from_undirected_pairs(
-            net.n, edges + sorted(added), labels=net.labels)
-        labels = {pair: pair not in added for pair in corrupted.undirected_edges()}
-        return CorruptionResult(corrupted=corrupted, labels=labels)
+        flipped = pool[rng.permutation(len(pool))[:quota]]
+        kept = np.concatenate([edges, flipped])
+    else:
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    corrupted = Network.from_undirected_pairs(
+        n, np.column_stack(np.divmod(kept, n)), labels=net.labels)
+    # flipped: the removed (subtractive) or added (additive) pairs
+    labels = ~np.isin(candidate_pairs(corrupted, mode), flipped)
+    return CorruptionResult(corrupted=corrupted, labels=labels)
 
-    raise ValueError(f"unknown corruption mode {mode!r}")
 
-
-def candidate_pairs(corrupted: Network, mode: str) -> list[tuple[int, int]]:
-    """Classification universe: non-edges (subtractive) or edges (additive)."""
-    if mode == "subtractive":
-        return _non_edges(corrupted)
+def candidate_pairs(corrupted: Network, mode: str) -> np.ndarray:
+    """Classification universe as ascending keys ``u * n + v``, u < v, of a
+    symmetric network: its non-edges (subtractive) or edges (additive)."""
+    edges = corrupted.undirected_keys()
     if mode == "additive":
-        return corrupted.undirected_edges()
-    raise ValueError(f"unknown corruption mode {mode!r}")
+        return edges
+    if mode != "subtractive":
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    absent = np.triu(np.ones((corrupted.n, corrupted.n), dtype=bool), 1)
+    absent.flat[edges] = False
+    return np.flatnonzero(absent)
 
 
-def candidate_scores(corrupted: Network, recons: ReconstructionState,
-                     mode: str) -> dict:
-    """Reconstructed weight ``pair_score`` of every candidate pair, keyed in
-    ``candidate_pairs`` order; pairs the chain never visited score 0."""
-    return {pair: recons.pair_score(*pair)
-            for pair in candidate_pairs(corrupted, mode)}
-
-
-def denoise_classify(scores: dict, theta: float,
-                     lower_is_positive: bool = True) -> dict:
+def denoise_classify(scores: np.ndarray, theta: float,
+                     lower_is_positive: bool = True) -> np.ndarray:
     """Classify scored pairs against a threshold.
 
     Default rule flags a pair as positive when its score is strictly below
     theta.  Flip ``lower_is_positive`` to flag strictly-above instead.
     """
-    return {pair: score < theta if lower_is_positive else score > theta
-            for pair, score in scores.items()}
+    return scores < theta if lower_is_positive else scores > theta
 
 
 @dataclass
@@ -349,19 +327,19 @@ class RocResult:
     auc: float
 
 
-def roc_auc(scores: dict, labels: dict, lower_is_positive: bool = True) -> RocResult:
-    """ROC curve and AUC for a score map against boolean positive labels.
+def roc_auc(scores, labels, lower_is_positive: bool = True) -> RocResult:
+    """ROC curve and AUC for scores against aligned boolean positive labels.
 
     Thresholds sweep all distinct score values (strict comparison), so tied
     scores advance the curve diagonally and the trapezoid AUC equals the
     Mann-Whitney statistic with half credit for ties.  One sort groups the
     ties; cumulative label counts over the groups give every point, in
-    O(n log n) for n pairs.  Neither dict's order matters.
+    O(n log n) for n pairs.  The order of the pairs does not matter.
     """
-    if scores.keys() != labels.keys():
-        raise ValueError("scores and labels must cover the same pairs")
-    y = np.array([bool(labels[k]) for k in scores])
-    s = np.array([float(v) for v in scores.values()])
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=bool)
+    if s.shape != y.shape:
+        raise ValueError("scores and labels must be aligned, one per pair")
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -370,16 +348,13 @@ def roc_auc(scores: dict, labels: dict, lower_is_positive: bool = True) -> RocRe
     pos = np.bincount(group[y], minlength=len(uniques))
     neg = np.bincount(group[~y], minlength=len(uniques))
     if lower_is_positive:
-        thresholds = list(uniques) + [math.inf]
+        thresholds = np.append(uniques, math.inf)
     else:
-        thresholds = list(uniques[::-1]) + [-math.inf]
+        thresholds = np.append(uniques[::-1], -math.inf)
         pos, neg = pos[::-1], neg[::-1]
     # Counts predicted positive at each threshold: all tie groups before it.
-    tp = [0] + np.cumsum(pos).tolist()
-    fp = [0] + np.cumsum(neg).tolist()
-    points = [(float(th), f / n_neg, t / n_pos)
-              for th, f, t in zip(thresholds, fp, tp)]
-    fprs = np.array([p[1] for p in points])
-    tprs = np.array([p[2] for p in points])
+    fprs = np.append(0, np.cumsum(neg)) / n_neg
+    tprs = np.append(0, np.cumsum(pos)) / n_pos
+    points = list(zip(thresholds.tolist(), fprs.tolist(), tprs.tolist()))
     auc = float(np.sum(np.diff(fprs) * (tprs[1:] + tprs[:-1]) / 2.0))
     return RocResult(points=points, auc=auc)

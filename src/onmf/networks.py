@@ -245,8 +245,7 @@ class Network:
 
     @classmethod
     def from_undirected_pairs(cls, n: int, pairs, labels=None) -> "Network":
-        ends = np.array([(int(u), int(v)) for u, v in pairs],
-                        dtype=np.int64).reshape(-1, 2)
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         ends = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0)
         return cls._from_entries(n, ends[:, 0], ends[:, 1],
                                  np.ones(len(ends)), labels)
@@ -290,13 +289,13 @@ class Network:
     def num_directed_edges(self) -> int:
         return len(self.out_edges.indices)
 
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        """Sorted (u, v) pairs with u < v; requires a symmetric weight map."""
+    def undirected_keys(self) -> np.ndarray:
+        """Ascending keys ``u * n + v`` of the edges with u < v; requires a
+        symmetric weight map."""
         if not self.is_bidirectional:
             raise ValueError("undirected edge list needs a bidirectional network")
         src, dst = self._edge_ends()
-        upper = src < dst
-        return list(zip(src[upper].tolist(), dst[upper].tolist()))
+        return self._keys[:-1][src < dst]
 
     @cached_property
     def is_simple(self) -> bool:

@@ -8,6 +8,7 @@ row-major order, one column per patch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -247,9 +248,10 @@ def ising_patch_stream(config: IsingConfig, epoch: int, k: int, count: int,
                        rng):
     """Endless spin patch minibatches, each ``epoch`` Gibbs updates of
     ``config`` (in place) after the last."""
-    while True:
-        ising_gibbs_run(config, epoch, rng)
-        yield spin_patch_minibatch(config, k, count, rng)
+    if epoch < 0:
+        raise ValueError("epoch must be nonnegative")
+    return (spin_patch_minibatch(ising_gibbs_run(config, epoch, rng), k, count,
+                                 rng) for _ in itertools.count())
 
 
 # ---------------------------------------------------------------------------

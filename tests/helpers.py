@@ -65,10 +65,17 @@ def smallworld_network(n: int, k: int, p: float, seed: int) -> Network:
     return Network.from_edges(list(G.edges()), undirected=True)
 
 
-def mann_whitney_auc(scores: dict, labels: dict, lower_is_positive: bool) -> float:
-    """Direct pairwise Mann-Whitney statistic with half credit for ties."""
-    pos = [scores[k] for k in scores if labels[k]]
-    neg = [scores[k] for k in scores if not labels[k]]
+def edge_pairs(net: Network) -> list[tuple[int, int]]:
+    """Sorted (u, v) pairs, u < v, of a symmetric network's edges."""
+    us, vs = np.divmod(net.undirected_keys(), net.n)
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def mann_whitney_auc(scores, labels, lower_is_positive: bool) -> float:
+    """Direct pairwise Mann-Whitney statistic with half credit for ties, for
+    aligned sequences of scores and boolean labels."""
+    pos = [s for s, y in zip(scores, labels) if y]
+    neg = [s for s, y in zip(scores, labels) if not y]
     total = 0.0
     for sp in pos:
         for sn in neg:

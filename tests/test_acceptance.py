@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from helpers import (cycle_network, empirical_distribution, exact_boltzmann,
-                     smallworld_network, sparse_coding_instances,
+from helpers import (cycle_network, edge_pairs, empirical_distribution,
+                     exact_boltzmann, smallworld_network, sparse_coding_instances,
                      weighted_5node_network)
 from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
                   IsingConfig, Motif, NDLParams, OnlineNMF, coding_objective,
@@ -257,9 +257,9 @@ def test_criterion_09_cycle_end_to_end():
         matched_all = matched_all and matched
         state = nr_reconstruct(net, nd.W, iters=2500, lam=0.0, mcmc="pivot",
                                rng=rng)
-        for (u, v) in state.counts:
-            worst_recon = max(worst_recon,
-                              abs(state.pair_score(u, v) - dense[u, v]))
+        us, vs = np.divmod(state.keys[:-1], net.n)
+        worst_recon = max(worst_recon, float(np.max(np.abs(
+            state.scores(state.keys[:-1]) - dense[us, vs]))))
     elapsed = time.time() - t0
     ok = matched_all and worst_recon < 0.05 and elapsed < 120.0
     report(9, "cycle end-to-end (r = 1..9)", ok,
@@ -286,9 +286,8 @@ def test_criterion_10_denoising_pipeline():
                        rng)
         recons = nr_reconstruct(corrupted, nd.W, iters=20000, lam=0.0,
                                 mcmc="pivot", rng=rng)
-        scores = {p: recons.pair_score(*p)
-                  for p in candidate_pairs(corrupted, "subtractive")}
-        positives = {p: not genuine for p, genuine in result.labels.items()}
+        scores = recons.scores(candidate_pairs(corrupted, "subtractive"))
+        positives = ~result.labels
         roc = roc_auc(scores, positives, lower_is_positive=False)
         aucs.append(roc.auc)
         # monotone staircase
@@ -296,11 +295,10 @@ def test_criterion_10_denoising_pipeline():
         tprs = [p[2] for p in roc.points]
         assert all(a <= b + 1e-12 for a, b in zip(fprs, fprs[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(tprs, tprs[1:]))
-        # rank-based Mann-Whitney with average ranks (tie half-credit)
-        keys = sorted(scores)
-        s = np.array([scores[k] for k in keys])
-        y = np.array([positives[k] for k in keys])
-        ranks = rankdata(s)
+        # rank-based Mann-Whitney with average ranks (tie half-credit), over
+        # the candidate pairs in ascending key order
+        y = positives
+        ranks = rankdata(scores)
         n_pos, n_neg = int(y.sum()), int((~y).sum())
         u_stat = (ranks[y].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
         worst_mw_gap = max(worst_mw_gap, abs(roc.auc - u_stat))
@@ -321,7 +319,7 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     sw = tmp_path / "sw.txt"
     swnet = smallworld_network(20, 4, 0.2, seed=2)
     sw.write_text("\n".join(f"{swnet.labels[u]} {swnet.labels[v]}"
-                            for u, v in swnet.undirected_edges()) + "\n")
+                            for u, v in edge_pairs(swnet)) + "\n")
     from onmf import write_pgm
 
     img = tmp_path / "img.pgm"

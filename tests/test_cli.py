@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import smallworld_network
+from helpers import edge_pairs, smallworld_network
 from onmf import read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from onmf.cli import main
 
@@ -16,7 +16,7 @@ def write_cycle(path, n=10):
 
 def write_smallworld(path, n=40, k=4, p=0.2, seed=1):
     net = smallworld_network(n, k, p, seed)
-    lines = [f"{net.labels[u]} {net.labels[v]}" for u, v in net.undirected_edges()]
+    lines = [f"{net.labels[u]} {net.labels[v]}" for u, v in edge_pairs(net)]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -256,6 +256,60 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("data error: " if code == 2 else "error: ")
+
+
+# A count out of its range is refused where the library takes it, before any
+# output but metadata.txt, with a message naming the count.
+COUNT_CASES = {
+    "hom-diag-chains-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
+                           "--chains", 0], "--chains must be positive"),
+    "hom-diag-iters-negative": (["hom-diag", "--edges", "{cycle}",
+                                 "--undirected", "--iters", -3],
+                                "--iters must be nonnegative"),
+    "ising-epoch-negative": (["ising-learn", "--epoch", -4],
+                             "epoch must be nonnegative"),
+    "ising-batch-0": (["ising-learn", "--batch", 0], "empty data matrix"),
+    "ising-iters-negative": (["ising-learn", "--iters", -3],
+                             "iters must be nonnegative"),
+    "image-batch-0": (["image-learn", "--image", "{image}", "--patch", 3,
+                       "--atoms", 2, "--batch", 0], "empty data matrix"),
+    "reconstruct-iters-negative": (["reconstruct", "--edges", "{cycle}",
+                                    "--undirected", "--dict", "{dict}",
+                                    "--iters", -5],
+                                   "iters must be nonnegative"),
+    "ndl-kappa1-negative": (["ndl-learn", "--edges", "{cycle}", "--undirected",
+                             "--kappa1", -5, "--iters", 1],
+                            "kappa1 must be nonnegative"),
+}
+ISING_SMALL = ["--temperature", 2.0, "--lattice", 6, "--patch", 3,
+               "--atoms", 2]
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
+    argv, message = COUNT_CASES[case]
+    files = {"cycle": write_cycle(tmp_path / "cycle.txt"),
+             "dict": tmp_path / "dict.txt",
+             "image": tmp_path / "image.pgm"}
+    files["dict"].write_text("9 1\n" + "1.0\n" * 9)
+    write_pgm(files["image"], np.random.default_rng(0).random((8, 8)))
+    argv = [files[a[1:-1]] if str(a).startswith("{") else a for a in argv]
+    if argv[0] == "ising-learn":
+        argv += ISING_SMALL
+    out = tmp_path / "o"
+    assert run(*argv, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.txt"]
+
+
+def test_zero_reconstruction_steps_stay_valid(tmp_path):
+    dict_path = tmp_path / "dict.txt"
+    dict_path.write_text("9 1\n" + "1.0\n" * 9)
+    out = tmp_path / "r"
+    assert run("reconstruct", "--edges", write_cycle(tmp_path / "cycle.txt"),
+               "--undirected", "--dict", dict_path, "--iters", 0,
+               "--out-dir", out) == 0
+    assert (out / "recons.edgelist").read_text() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
                   OnlineNMF, WeightSchedule, ZeroDictionaryError,
                   coding_objective, dictionary_update, ellipsoid_gap,
                   empirical_loss, empirical_weights, growth_check,
-                  init_dictionary, kkt_residual, learn, load_aggregates,
-                  load_dictionary, save_aggregates, save_dictionary,
-                  sparse_code, surrogate_loss, update_aggregates)
+                  init_dictionary, init_engine, kkt_residual, learn,
+                  load_aggregates, load_dictionary, save_aggregates,
+                  save_dictionary, sparse_code, surrogate_loss,
+                  update_aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,14 @@ def test_zero_code_is_pure_decay():
     w = 4.0 ** -0.8
     assert np.allclose(out.A, (1 - w) * A)
     assert np.allclose(out.B, (1 - w) * B)
+
+
+@pytest.mark.parametrize("kappa1", [-5.0, -1e-12, float("nan")])
+def test_statistics_refuse_a_negative_ridge(kappa1):
+    with pytest.raises(ValueError, match="kappa1 must be nonnegative"):
+        init_engine(4, 2, 10.0, np.random.default_rng(0), kappa1=kappa1)
+    engine = init_engine(4, 2, 10.0, np.random.default_rng(0), kappa1=0.0)
+    assert engine.stats.kappa1 == 0.0
 
 
 def test_balanced_weights_constant_stream_is_exact_average():

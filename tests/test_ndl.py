@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle_network, mann_whitney_auc, smallworld_network
+from helpers import (cycle_network, edge_pairs, mann_whitney_auc,
+                     smallworld_network)
 from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
                   Motif, NDLParams, Network, OnlineNMF, ReconstructionState,
-                  RocError, WeightSchedule, candidate_pairs, candidate_scores,
+                  RocError, WeightSchedule, candidate_pairs,
                   chain_update, coding_objective, corrupt_network,
                   denoise_classify, dominance_scores, init_dictionary,
                   initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
                   nr_reconstruct, roc_auc, sparse_code)
-from onmf.ndl import MCMC_MODES, is_connected
+from onmf.ndl import MCMC_MODES
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -128,31 +129,104 @@ def test_learned_dominance_is_a_distribution():
 # ---------------------------------------------------------------------------
 
 
+class DictReconstruction:
+    """Reference: the per-pair sums and counts kept in dicts keyed by (u, v)
+    tuples, each block summed per pair with ``bincount`` and then added to
+    the pair's running sum."""
+
+    def __init__(self):
+        self.sums, self.counts = {}, {}
+
+    def fold_many(self, us, vs, values):
+        base = int(max(us.max(), vs.max())) + 1
+        keys, inverse = np.unique(us * base + vs, return_inverse=True)
+        block_sums = np.bincount(inverse, weights=values)
+        block_counts = np.bincount(inverse)
+        for key, s, c in zip(keys.tolist(), block_sums.tolist(),
+                             block_counts.tolist()):
+            pair = divmod(key, base)
+            self.sums[pair] = self.sums.get(pair, 0.0) + s
+            self.counts[pair] = self.counts.get(pair, 0) + c
+
+    def pair_score(self, u, v):
+        count = self.counts.get((u, v), 0) + self.counts.get((v, u), 0)
+        if not count:
+            return 0.0
+        total = self.sums.get((u, v), 0.0) + self.sums.get((v, u), 0.0)
+        return total / count
+
+
+def _pairs(n, keys):
+    """(u, v) tuples of pair keys u * n + v."""
+    us, vs = np.divmod(np.asarray(keys), n)
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def _state_dicts(state):
+    """Sums and counts of a ReconstructionState keyed by (u, v), sentinel
+    excluded."""
+    pairs = _pairs(state.n, state.keys[:-1])
+    return (dict(zip(pairs, state.sums[:-1].tolist())),
+            dict(zip(pairs, state.counts[:-1].tolist())))
+
+
 def test_fold_first_visit_stores_exact_value():
-    state = ReconstructionState()
-    state.fold((3, 4), 0.7)
-    assert state.means[(3, 4)] == 0.7
-    assert state.counts[(3, 4)] == 1
+    state = ReconstructionState(5)
+    state.fold_many(np.array([3]), np.array([4]), np.array([0.7]))
+    assert state.keys.tolist() == [3 * 5 + 4, 5 * 5]
+    assert state.sums.tolist() == [0.7, 0.0]
+    assert state.counts.tolist() == [1, 0]
+    assert state.pair_score(3, 4) == 0.7
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                 max_size=40))
 def test_fold_tracks_the_arithmetic_mean(values):
-    state = ReconstructionState()
+    state = ReconstructionState(2)
     for v in values:
-        state.fold((0, 1), v)
-    assert state.counts[(0, 1)] == len(values)
-    assert abs(state.means[(0, 1)] - np.mean(values)) < 1e-10
+        state.fold_many(np.array([0]), np.array([1]), np.array([v]))
+    assert state.counts.tolist() == [len(values), 0]
+    assert abs(state.pair_score(0, 1) - np.mean(values)) < 1e-10
 
 
 def test_pair_score_combines_both_orientations():
-    state = ReconstructionState()
-    state.fold((0, 1), 1.0)
-    state.fold((1, 0), 0.0)
-    state.fold((1, 0), 0.0)
+    state = ReconstructionState(6)
+    state.fold_many(np.array([0, 1]), np.array([1, 0]), np.array([1.0, 0.0]))
+    state.fold_many(np.array([1]), np.array([0]), np.array([0.0]))
     assert state.pair_score(0, 1) == pytest.approx(1.0 / 3.0)
+    assert state.pair_score(1, 0) == state.pair_score(0, 1)
     assert state.pair_score(4, 5) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_state_matches_the_dict_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    state, ref = ReconstructionState(n), DictReconstruction()
+    every = np.arange(n * n)
+    # an empty state scores every pair 0
+    assert state.scores(every).tolist() == [0.0] * (n * n)
+    for _ in range(int(rng.integers(1, 6))):
+        size = int(rng.integers(3, 30))
+        us, vs = rng.integers(0, n, size), rng.integers(0, n, size)
+        # a self-pair in every block, both orientations of one pair, and
+        # repeats within the block
+        us[0], vs[0] = 0, 0
+        us[-1], vs[-1] = vs[1], us[1]
+        us, vs = np.concatenate([us, us[:3]]), np.concatenate([vs, vs[:3]])
+        values = rng.random(len(us)) * rng.choice([1e-3, 1.0, 1e3], len(us))
+        state.fold_many(us, vs, values)
+        ref.fold_many(us, vs, values)
+        keys = sorted(ref.counts)
+        assert _pairs(n, state.keys[:-1]) == keys
+        assert state.keys[-1] == n * n
+        assert state.counts.tolist() == [ref.counts[p] for p in keys] + [0]
+        assert state.sums.tolist() == [ref.sums[p] for p in keys] + [0.0]
+        want = [ref.pair_score(u, v) for u, v in _pairs(n, every)]
+        assert state.scores(every).tolist() == want
+        assert [state.pair_score(u, v)
+                for u, v in _pairs(n, every)] == want
 
 
 def test_exact_atom_reconstructs_the_cycle():
@@ -160,9 +234,10 @@ def test_exact_atom_reconstructs_the_cycle():
     W = CHAIN_PATTERN.reshape(-1, 1)
     rng = np.random.default_rng(5)
     state = nr_reconstruct(net, W, iters=3000, lam=0.0, mcmc="pivot", rng=rng)
-    for (u, v), count in state.counts.items():
-        assert abs(state.pair_score(u, v) - net.weight(u, v)) < 0.05
-    counts_mono = all(c >= 1 for c in state.counts.values())
+    us, vs = np.divmod(state.keys[:-1], net.n)
+    errors = np.abs(state.scores(state.keys[:-1]) - net.weights_at(us, vs))
+    assert len(errors) and errors.max() < 0.05
+    counts_mono = all(c >= 1 for c in state.counts[:-1].tolist())
     assert counts_mono
 
 
@@ -171,7 +246,9 @@ def test_reconstruction_determinism():
     W = CHAIN_PATTERN.reshape(-1, 1)
     a = nr_reconstruct(net, W, iters=500, lam=0.0, rng=np.random.default_rng(9))
     b = nr_reconstruct(net, W, iters=500, lam=0.0, rng=np.random.default_rng(9))
-    assert a.means == b.means and a.counts == b.counts
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.sums, b.sums)
+    assert np.array_equal(a.counts, b.counts)
 
 
 @pytest.mark.parametrize("mcmc", MCMC_MODES)
@@ -200,9 +277,10 @@ def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc):
                 sums[pair] = sums.get(pair, 0.0) + float(approx[a, b])
                 counts[pair] = counts.get(pair, 0) + 1
 
-    assert state.counts == counts
-    means = state.means
-    assert max(abs(means[p] - sums[p] / counts[p]) for p in counts) < 1e-12
+    state_sums, state_counts = _state_dicts(state)
+    assert state_counts == counts
+    assert max(abs(state_sums[p] / state_counts[p] - sums[p] / counts[p])
+               for p in counts) < 1e-12
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -234,6 +312,14 @@ def test_reconstruct_needs_a_generator():
         nr_reconstruct(net, np.eye(4), 10)
 
 
+def test_reconstruct_refuses_negative_iters_and_keeps_zero():
+    net = cycle_network(6)
+    with pytest.raises(ValueError, match="iters must be nonnegative"):
+        nr_reconstruct(net, np.eye(4), -5, rng=np.random.default_rng(0))
+    state = nr_reconstruct(net, np.eye(4), 0, rng=np.random.default_rng(0))
+    assert state.keys.tolist() == [36] and state.counts.tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # corruption
 # ---------------------------------------------------------------------------
@@ -241,19 +327,40 @@ def test_reconstruct_needs_a_generator():
 
 def test_subtractive_corruption_counts_and_connectivity():
     net = smallworld_network(30, 4, 0.2, seed=1)
-    edges_before = len(net.undirected_edges())
+    edges_before = len(edge_pairs(net))
     rng = np.random.default_rng(4)
     result = corrupt_network(net, "subtractive", 0.5, rng)
-    removed = edges_before - len(result.corrupted.undirected_edges())
+    removed = edges_before - len(edge_pairs(result.corrupted))
     assert removed == int(np.ceil(0.5 * edges_before))
-    assert is_connected(result.corrupted)
+    assert _is_connected(result.corrupted)
     # labels cover exactly the corrupted graph's non-edges
     n = net.n
     non_edges = {(u, v) for u in range(n) for v in range(u + 1, n)
                  if not result.corrupted.has_edge(u, v)}
-    assert set(result.labels) == non_edges
-    false_labels = sum(1 for genuine in result.labels.values() if not genuine)
+    pairs = candidate_pairs(result.corrupted, "subtractive")
+    assert set(_pairs(n, pairs)) == non_edges
+    assert result.labels.dtype == bool and len(result.labels) == len(pairs)
+    false_labels = int((~result.labels).sum())
     assert false_labels == removed
+
+
+def _is_connected(net):
+    """Depth-first search from node 0 reaches every node."""
+    seen, stack = {0}, [0]
+    while stack:
+        for b in net.out_neighbors(stack.pop()).tolist():
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == net.n
+
+
+def test_disconnected_graph_has_no_subtractive_corruption():
+    two_triangles = Network.from_edges(
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], undirected=True)
+    with pytest.raises(CorruptionError, match="connected graph"):
+        corrupt_network(two_triangles, "subtractive", 0.3,
+                        np.random.default_rng(0))
 
 
 def _connected_without(adj, u, v):
@@ -275,7 +382,7 @@ def _connected_without(adj, u, v):
 
 def _removed_by_dfs(net, fraction, rng):
     """Reference: walk the shuffled edges, one DFS per candidate removal."""
-    edges = net.undirected_edges()
+    edges = edge_pairs(net)
     quota = math.ceil(fraction * len(edges))
     adj = [set(int(b) for b in net.out_neighbors(v)) for v in range(net.n)]
     removed = []
@@ -309,11 +416,12 @@ def test_subtractive_corruption_matches_the_dfs_reference(n, ring, fraction,
             corrupt_network(net, "subtractive", fraction, rng)
     else:
         result = corrupt_network(net, "subtractive", fraction, rng)
-        kept = [e for e in net.undirected_edges() if e not in removed]
-        assert result.corrupted.undirected_edges() == kept
+        kept = [e for e in edge_pairs(net) if e not in removed]
+        assert edge_pairs(result.corrupted) == kept
         non_edges = _non_edges_by_loop(result.corrupted)
-        assert result.labels == {pair: pair not in removed
-                                 for pair in non_edges}
+        pairs = _pairs(net.n, candidate_pairs(result.corrupted, "subtractive"))
+        assert list(zip(pairs, result.labels.tolist())) == [
+            (pair, pair not in removed) for pair in non_edges]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -327,11 +435,13 @@ def test_additive_corruption_counts():
     net = cycle_network(12)
     rng = np.random.default_rng(5)
     result = corrupt_network(net, "additive", 0.5, rng)
-    edges_after = result.corrupted.undirected_edges()
+    edges_after = edge_pairs(result.corrupted)
     assert len(edges_after) == 18  # 12 original + ceil(0.5*12)
-    added = sum(1 for genuine in result.labels.values() if not genuine)
+    added = int((~result.labels).sum())
     assert added == 6  # the fifty-percent-new-edges regime
-    assert set(result.labels) == set(edges_after)
+    pairs = candidate_pairs(result.corrupted, "additive")
+    assert _pairs(net.n, pairs) == edges_after
+    assert len(result.labels) == len(edges_after)
 
 
 def test_additive_on_complete_graph_errors():
@@ -356,16 +466,22 @@ def test_candidate_pairs_and_labels_keep_the_nested_loop_order():
     net = smallworld_network(40, 4, 0.3, seed=3)
     result = corrupt_network(net, "subtractive", 0.3, np.random.default_rng(8))
     loop = _non_edges_by_loop(result.corrupted)
-    assert candidate_pairs(result.corrupted, "subtractive") == loop
-    assert list(result.labels) == loop
+    keys = candidate_pairs(result.corrupted, "subtractive")
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [u * net.n + v for u, v in loop]
+    assert len(result.labels) == len(loop)
     # additive insertions index the same pool of non-adjacent pairs
     pool = _non_edges_by_loop(net)
     result = corrupt_network(net, "additive", 0.3, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    quota = math.ceil(0.3 * len(net.undirected_edges()))
+    quota = math.ceil(0.3 * len(edge_pairs(net)))
     added = {pool[int(i)] for i in rng.permutation(len(pool))[:quota]}
-    assert {pair for pair, genuine in result.labels.items() if not genuine} == added
-    assert candidate_pairs(result.corrupted, "additive") == list(result.labels)
+    edges = edge_pairs(result.corrupted)
+    assert {pair for pair, genuine in zip(edges, result.labels.tolist())
+            if not genuine} == added
+    keys = candidate_pairs(result.corrupted, "additive")
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [u * net.n + v for u, v in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +490,9 @@ def test_candidate_pairs_and_labels_keep_the_nested_loop_order():
 
 
 def _toy_reconstruction(corrupted, mode, rng):
-    state = ReconstructionState()
-    for pair in candidate_pairs(corrupted, mode):
-        state.fold(pair, float(rng.random()))
+    state = ReconstructionState(corrupted.n)
+    us, vs = np.divmod(candidate_pairs(corrupted, mode), corrupted.n)
+    state.fold_many(us, vs, rng.random(len(us)))
     return state
 
 
@@ -385,11 +501,11 @@ def test_threshold_extremes():
     rng = np.random.default_rng(6)
     result = corrupt_network(net, "additive", 0.5, rng)
     state = _toy_reconstruction(result.corrupted, "additive", rng)
-    scores = candidate_scores(result.corrupted, state, "additive")
+    scores = state.scores(candidate_pairs(result.corrupted, "additive"))
     everything = denoise_classify(scores, np.inf)
-    assert all(everything.values())
+    assert everything.all()
     nothing = denoise_classify(scores, 0.0)
-    assert not any(nothing.values())
+    assert not nothing.any()
 
 
 def test_candidate_scores_are_pair_scores_in_candidate_order():
@@ -397,22 +513,26 @@ def test_candidate_scores_are_pair_scores_in_candidate_order():
     net = smallworld_network(20, 4, 0.2, seed=3)
     for mode in ("subtractive", "additive"):
         corrupted = corrupt_network(net, mode, 0.3, rng).corrupted
-        pairs = candidate_pairs(corrupted, mode)
+        keys = candidate_pairs(corrupted, mode)
+        pairs = _pairs(net.n, keys)
         # visited in one orientation, in the other, or never
-        state = ReconstructionState()
+        state, ref = ReconstructionState(net.n), DictReconstruction()
         for i, (u, v) in enumerate(pairs):
             if i % 3 < 2:
-                state.fold((u, v) if i % 3 else (v, u), float(rng.random()))
-        scores = candidate_scores(corrupted, state, mode)
-        assert list(scores) == pairs
-        assert list(scores.values()) == [state.pair_score(u, v)
-                                         for u, v in pairs]
+                a, b = (u, v) if i % 3 else (v, u)
+                block = np.array([a]), np.array([b]), np.array([rng.random()])
+                state.fold_many(*block)
+                ref.fold_many(*block)
+        scores = state.scores(keys)
+        assert scores.shape == keys.shape
+        assert scores.tolist() == [ref.pair_score(u, v) for u, v in pairs]
+        assert scores.tolist() == [state.pair_score(u, v) for u, v in pairs]
 
 
 def test_roc_is_a_monotone_staircase_with_unit_endpoints():
     rng = np.random.default_rng(7)
-    scores = {i: float(rng.integers(0, 5)) for i in range(60)}
-    labels = {i: bool(rng.integers(0, 2)) for i in range(60)}
+    scores = rng.integers(0, 5, 60).astype(float)
+    labels = rng.integers(0, 2, 60).astype(bool)
     roc = roc_auc(scores, labels, lower_is_positive=True)
     fprs = [p[1] for p in roc.points]
     tprs = [p[2] for p in roc.points]
@@ -424,10 +544,10 @@ def test_roc_is_a_monotone_staircase_with_unit_endpoints():
 
 
 def test_auc_perfect_separation_and_pure_ties():
-    scores = {0: 0.1, 1: 0.2, 2: 0.8, 3: 0.9}
-    labels = {0: True, 1: True, 2: False, 3: False}
+    scores = np.array([0.1, 0.2, 0.8, 0.9])
+    labels = np.array([True, True, False, False])
     assert roc_auc(scores, labels, lower_is_positive=True).auc == 1.0
-    tied = {k: 0.5 for k in scores}
+    tied = np.full(4, 0.5)
     assert roc_auc(tied, labels, lower_is_positive=True).auc == 0.5
 
 
@@ -435,10 +555,10 @@ def test_auc_perfect_separation_and_pure_ties():
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
                           st.booleans()), min_size=4, max_size=30))
 def test_auc_equals_mann_whitney_and_flip_identity(items):
-    labels = {i: lab for i, (_, lab) in enumerate(items)}
-    if len(set(labels.values())) < 2:
+    labels = np.array([lab for _, lab in items])
+    if len(set(labels.tolist())) < 2:
         return
-    scores = {i: float(s) for i, (s, _) in enumerate(items)}
+    scores = np.array([float(s) for s, _ in items])
     for lower in (True, False):
         roc = roc_auc(scores, labels, lower_is_positive=lower)
         assert abs(roc.auc - mann_whitney_auc(scores, labels, lower)) < 1e-9
@@ -449,14 +569,15 @@ def test_auc_equals_mann_whitney_and_flip_identity(items):
 
 def _roc_by_threshold_sweep(scores, labels, lower_is_positive):
     """Reference ROC: rescan every pair at every distinct score."""
-    n_pos = sum(labels.values())
+    scores, labels = scores.tolist(), labels.tolist()
+    n_pos = sum(labels)
     n_neg = len(labels) - n_pos
-    values = sorted(set(scores.values()), reverse=not lower_is_positive)
+    values = sorted(set(scores), reverse=not lower_is_positive)
     points = []
     for th in values + [math.inf if lower_is_positive else -math.inf]:
-        hits = [k for k, s in scores.items()
+        hits = [i for i, s in enumerate(scores)
                 if (s < th if lower_is_positive else s > th)]
-        tp = sum(1 for k in hits if labels[k])
+        tp = sum(1 for i in hits if labels[i])
         points.append((th, (len(hits) - tp) / n_neg, tp / n_pos))
     fprs = np.array([p[1] for p in points])
     tprs = np.array([p[2] for p in points])
@@ -467,9 +588,9 @@ def _roc_by_threshold_sweep(scores, labels, lower_is_positive):
 def test_roc_matches_a_brute_force_threshold_sweep(n_pos):
     rng = np.random.default_rng(n_pos)
     n = 200
-    scores = {i: float(rng.integers(0, 12)) / 4 for i in range(n)}
-    positive = set(rng.choice(n, n_pos, replace=False).tolist())
-    labels = {i: i in positive for i in range(n)}
+    scores = rng.integers(0, 12, n) / 4
+    labels = np.zeros(n, dtype=bool)
+    labels[rng.choice(n, n_pos, replace=False)] = True
     for lower in (True, False):
         roc = roc_auc(scores, labels, lower_is_positive=lower)
         points, auc = _roc_by_threshold_sweep(scores, labels, lower)
@@ -477,24 +598,25 @@ def test_roc_matches_a_brute_force_threshold_sweep(n_pos):
         assert roc.auc == auc
 
 
-def test_roc_does_not_depend_on_the_order_of_either_dict():
+def test_roc_does_not_depend_on_the_order_of_the_pairs():
     rng = np.random.default_rng(10)
-    scores = {i: float(rng.integers(0, 6)) for i in range(80)}
-    labels = {i: bool(rng.integers(0, 2)) for i in range(80)}
-    shuffled_scores = {i: scores[i] for i in rng.permutation(80).tolist()}
-    shuffled_labels = {i: labels[i] for i in rng.permutation(80).tolist()}
+    scores = rng.integers(0, 6, 80).astype(float)
+    labels = rng.integers(0, 2, 80).astype(bool)
     for lower in (True, False):
         want = roc_auc(scores, labels, lower_is_positive=lower)
-        got = roc_auc(shuffled_scores, shuffled_labels, lower_is_positive=lower)
-        assert got.points == want.points
-        assert got.auc == want.auc
+        for _ in range(3):
+            order = rng.permutation(80)
+            got = roc_auc(scores[order], labels[order],
+                          lower_is_positive=lower)
+            assert got.points == want.points
+            assert got.auc == want.auc
 
 
 def test_roc_single_class_errors():
     with pytest.raises(RocError):
-        roc_auc({0: 0.5, 1: 0.7}, {0: True, 1: True})
-    with pytest.raises(ValueError, match="same pairs"):
-        roc_auc({0: 0.5}, {1: True})
+        roc_auc(np.array([0.5, 0.7]), np.array([True, True]))
+    with pytest.raises(ValueError, match="aligned"):
+        roc_auc(np.array([0.5]), np.array([True, False]))
 
 
 def test_sweeping_thresholds_gives_monotone_predictions():
@@ -502,10 +624,10 @@ def test_sweeping_thresholds_gives_monotone_predictions():
     net = smallworld_network(20, 4, 0.2, seed=2)
     result = corrupt_network(net, "subtractive", 0.3, rng)
     state = _toy_reconstruction(result.corrupted, "subtractive", rng)
+    scores = state.scores(candidate_pairs(result.corrupted, "subtractive"))
     prev_positive = -1
-    for theta in sorted({v for v in state.means.values()} | {0.0, np.inf}):
-        preds = denoise_classify(
-            candidate_scores(result.corrupted, state, "subtractive"), theta)
-        count = sum(preds.values())
+    for theta in sorted(set(scores.tolist()) | {0.0, np.inf}):
+        preds = denoise_classify(scores, theta)
+        count = int(preds.sum())
         assert count >= prev_positive
         prev_positive = count
