@@ -14,6 +14,7 @@ import itertools
 import math
 import platform
 import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -112,16 +113,23 @@ def _learned_outputs(out_dir: Path, W: np.ndarray, k: int, P: np.ndarray,
                enumerate(map(float, dominance_scores(P))))
 
 
-def _pair_rows(net: Network, pairs: np.ndarray, *columns):
-    """(label of u, label of v, *column entries) per pair key u * n + v,
-    made 65 536 pairs at a time."""
+def _write_pairs(path: Path, header, net: Network, pairs: np.ndarray,
+                 sep: str, column=None, fmt=str) -> None:
+    """A header line unless header is None, then per pair key u * n + v the
+    labels of u and v and, given a column, fmt of the pair's entry, joined by
+    sep.  Each 65 536 pairs are formatted into one string and written once."""
     names = net.labels
-    for start in range(0, len(pairs), 1 << 16):
-        part = slice(start, start + (1 << 16))
-        us, vs = np.divmod(pairs[part], net.n)
-        yield from zip([names[u] for u in us.tolist()],
-                       [names[v] for v in vs.tolist()],
-                       *(column[part].tolist() for column in columns))
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, len(pairs), 1 << 16):
+            part = slice(start, start + (1 << 16))
+            us, vs = np.divmod(pairs[part], net.n)
+            fields = [[names[u] for u in us.tolist()],
+                      [names[v] for v in vs.tolist()]]
+            if column is not None:
+                fields.append(map(fmt, column[part].tolist()))
+            fh.write("\n".join(map(sep.join, zip(*fields))) + "\n")
 
 
 def _write_weighted_edges(path: Path, net: Network, recons) -> None:
@@ -129,16 +137,15 @@ def _write_weighted_edges(path: Path, net: Network, recons) -> None:
     digits."""
     us, vs = np.divmod(recons.keys[:-1], net.n)
     pairs = np.unique(np.minimum(us, vs) * net.n + np.maximum(us, vs))
-    _write_csv(path, None, ((u, v, f"{s:.6g}") for u, v, s in
-                            _pair_rows(net, pairs, recons.scores(pairs))), " ")
+    _write_pairs(path, None, net, pairs, " ", recons.scores(pairs),
+                 "{:.6g}".format)
 
 
 def _write_flags(path: Path, net: Network, column: str, pairs: np.ndarray,
                  flags: np.ndarray) -> None:
     """``u,v,<column>`` rows of true/false, one per pair key."""
-    _write_csv(path, f"u,v,{column}",
-               ((u, v, "true" if flag else "false")
-                for u, v, flag in _pair_rows(net, pairs, flags)))
+    _write_pairs(path, f"u,v,{column}", net, pairs, ",", flags,
+                 ("false", "true").__getitem__)
 
 
 def _write_roc(path: Path, roc) -> None:
@@ -196,8 +203,8 @@ def cmd_denoise(args, out_dir: Path) -> None:
     if args.fraction is not None:
         result = corrupt_network(net, args.mode, args.fraction, rng)
         corrupted, labels = result.corrupted, result.labels
-        _write_csv(out_dir / "corrupted.edgelist", None,
-                   _pair_rows(net, corrupted.undirected_keys()), " ")
+        _write_pairs(out_dir / "corrupted.edgelist", None, net,
+                     corrupted.undirected_keys(), " ")
     elif args.labels is None:
         raise UsageError("need --fraction to corrupt or --labels for a "
                          "pre-corrupted network")
@@ -235,11 +242,13 @@ def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pair keys u * n + v (u < v) of a labels.csv, and their
     labels."""
     index = {lab: i for i, lab in enumerate(net.labels)}
-    labels = {}
+    keys, labels = array("q"), bytearray()
+    skipped = []    # line numbers of blank and header lines
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("u,v,"):
+                skipped.append(lineno)
                 continue
             parts = line.split(",")
             if len(parts) != 3:
@@ -251,13 +260,18 @@ def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
                 raise DataError(f"{path}: line {lineno}: label must be true "
                                 f"or false, got {parts[2]!r}")
             u, v = index[parts[0]], index[parts[1]]
-            key = min(u, v) * net.n + max(u, v)
-            if key in labels:
-                raise DataError(f"{path}: line {lineno}: pair listed twice")
-            labels[key] = label == "true"
-    keys = np.fromiter(labels, dtype=np.int64, count=len(labels))
-    order = np.argsort(keys)
-    return keys[order], np.fromiter(labels.values(), bool, len(labels))[order]
+            keys.append(min(u, v) * net.n + max(u, v))
+            labels.append(label == "true")
+    keys = np.frombuffer(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeats = order[1:][keys[1:] == keys[:-1]]
+    if repeats.size:
+        lineno = int(repeats.min()) + 1    # the first repeat's row, 1-based
+        for skip in skipped:               # ... shifted past skipped lines
+            lineno += skip <= lineno
+        raise DataError(f"{path}: line {lineno}: pair listed twice")
+    return keys, np.frombuffer(labels, dtype=bool)[order]
 
 
 def _engine(args, rng):
@@ -343,51 +357,44 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", default=None,
-                   help="key: value file supplying defaults for any flag")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--kappa1", type=float, default=0.0)
-    p.add_argument("--kappa2", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out-dir", required=True)
+    common.add_argument("--config", default=None,
+                        help="file of 'key: value' lines read as flags")
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--edges", required=True)
+    network.add_argument("--undirected", action="store_true")
+    network.add_argument("--motif-k", type=int, default=3)
+    network.add_argument("--mcmc", choices=["glauber", "pivot", "pivot-approx"],
+                         default="pivot")
+    learning = argparse.ArgumentParser(add_help=False)
+    learning.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    learning.add_argument("--kappa1", type=float, default=0.0)
+    learning.add_argument("--kappa2", type=float, default=0.0)
+    learning.add_argument("--beta", type=float, default=1.0)
+    learning.add_argument("--dict-radius", type=float, default=1000.0)
 
-
-def _add_network_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--edges", required=True)
-    p.add_argument("--undirected", action="store_true")
-    p.add_argument("--motif-k", type=int, default=3)
-    p.add_argument("--mcmc", choices=["glauber", "pivot", "pivot-approx"],
-                   default="pivot")
-
-
-def build_parser():
     parser = _Parser(prog="onmf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    p = sub.add_parser("ndl-learn", parents=[], help="learn a network dictionary")
-    _add_common(p)
-    _add_network_flags(p)
+    p = sub.add_parser("ndl-learn", parents=[common, network, learning],
+                       help="learn a network dictionary")
     p.add_argument("--atoms", type=int, default=16)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--dict-radius", type=float, default=1000.0)
     p.set_defaults(func=cmd_ndl_learn)
-    commands["ndl-learn"] = p
 
-    p = sub.add_parser("reconstruct", help="reconstruct a network with a dictionary")
-    _add_common(p)
-    _add_network_flags(p)
+    p = sub.add_parser("reconstruct", parents=[common, network],
+                       help="reconstruct a network with a dictionary")
     p.add_argument("--dict", required=True)
     p.add_argument("--iters", type=int, default=20000)
-    p.set_defaults(func=cmd_reconstruct, lam=0.0)
-    commands["reconstruct"] = p
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("denoise", help="corrupt, reconstruct, and score a network")
-    _add_common(p)
-    _add_network_flags(p)
+    p = sub.add_parser("denoise", parents=[common, network, learning],
+                       help="corrupt, reconstruct, and score a network")
     p.add_argument("--mode", choices=["additive", "subtractive"],
                    default="subtractive")
     p.add_argument("--fraction", type=float, default=None)
@@ -397,17 +404,15 @@ def build_parser():
     p.add_argument("--atoms", type=int, default=16)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--batch", type=int, default=80)
-    p.add_argument("--dict-radius", type=float, default=1000.0)
     p.add_argument("--recon-iters", type=int, default=20000)
     p.add_argument("--recon-lambda", type=float, default=0.0)
     p.add_argument("--direction", choices=["lower", "higher"], default="higher",
                    help="which reconstructed-weight tail flags a corrupted pair")
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_denoise)
-    commands["denoise"] = p
 
-    p = sub.add_parser("ising-learn", help="dictionary learning from a Gibbs chain")
-    _add_common(p)
+    p = sub.add_parser("ising-learn", parents=[common, learning],
+                       help="dictionary learning from a Gibbs chain")
     p.add_argument("--lattice", type=int, default=50)
     p.add_argument("--temperature", type=float, required=True)
     p.add_argument("--epoch", type=int, default=1, help="Gibbs updates per minibatch")
@@ -415,84 +420,65 @@ def build_parser():
     p.add_argument("--atoms", type=int, default=25)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--dict-radius", type=float, default=1000.0)
     p.add_argument("--init-config", default=None, help="PGM spin grid to start from")
     p.set_defaults(func=cmd_ising_learn)
-    commands["ising-learn"] = p
 
-    p = sub.add_parser("image-learn", help="dictionary learning from image patches")
-    _add_common(p)
+    p = sub.add_parser("image-learn", parents=[common, learning],
+                       help="dictionary learning from image patches")
     p.add_argument("--image", required=True)
     p.add_argument("--mode", choices=["iid", "walk"], default="iid")
     p.add_argument("--patch", type=int, default=10)
     p.add_argument("--atoms", type=int, default=25)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--batch", type=int, default=200)
-    p.add_argument("--dict-radius", type=float, default=1000.0)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--recon-lambda", type=float, default=0.0)
     p.set_defaults(func=cmd_image_learn)
-    commands["image-learn"] = p
 
-    p = sub.add_parser("hom-diag", help="chain diagnostics against the exact oracle")
-    _add_common(p)
-    _add_network_flags(p)
+    p = sub.add_parser("hom-diag", parents=[common, network],
+                       help="chain diagnostics against the exact oracle")
     p.add_argument("--iters", type=int, default=100000)
     p.add_argument("--chains", type=int, default=1)
     p.set_defaults(func=cmd_hom_diag)
-    commands["hom-diag"] = p
-
-    return parser, commands
+    return parser
 
 
-def _apply_config(argv, parser, commands):
-    """Pre-scan for --config and install its keys as subcommand defaults."""
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = argv[idx + 1]
-    if not argv or argv[0] not in commands:
-        raise UsageError("--config requires a subcommand")
-    sub = commands[argv[0]]
-    defaults = {}
+def _expand_config(argv: list) -> list:
+    """argv with the --config file's 'key: value' lines put right after the
+    subcommand as flags: ``--key=value``, a bare ``--key`` for true and
+    nothing for false.  Flags given on the command line come later, so they
+    win."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if ":" not in line:
-                    raise UsageError(f"{path}: line {lineno}: expected 'key: value'")
-                key, value = line.split(":", 1)
-                dest = key.strip().replace("-", "_")
-                defaults[dest] = value.strip()
-    except OSError as exc:
+                key, colon, value = line.partition(":")
+                if not colon:
+                    raise UsageError(f"{path}: line {lineno}: expected "
+                                     "'key: value'")
+                flag = "--" + key.strip().replace("_", "-")
+                value = value.strip()
+                if value.lower() == "true":
+                    flags.append(flag)
+                elif value.lower() != "false":
+                    flags.append(f"{flag}={value}")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    known = {a.dest: a for a in sub._actions}
-    for dest, value in defaults.items():
-        if dest not in known:
-            raise UsageError(f"unknown config key {dest!r}")
-        action = known[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            sub.set_defaults(**{dest: value.lower() == "true"})
-        elif action.type is not None:
-            try:
-                sub.set_defaults(**{dest: action.type(value)})
-            except ValueError:
-                raise UsageError(f"{path}: bad value {value!r} for {dest!r}")
-        else:
-            sub.set_defaults(**{dest: value})
-        action.required = False  # the config satisfies required flags
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
     try:
-        _apply_config(argv, parser, commands)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_expand_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

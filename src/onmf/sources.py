@@ -331,6 +331,8 @@ def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
         raise ValueError("dictionary rows must equal k^2")
     if k > min(h, w):
         raise ValueError("patch size exceeds image size")
+    if stride < 1:
+        raise ValueError("stride must be positive")
     rows = list(range(0, h - k + 1, stride))
     if rows[-1] != h - k:
         rows.append(h - k)

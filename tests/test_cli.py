@@ -100,15 +100,66 @@ def test_sampling_failure_exits_3(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path):
     edges = write_cycle(tmp_path / "cycle.txt")
+    flags = {"edges": edges, "motif-k": 3, "atoms": 3, "iters": 5,
+             "batch": 10, "dict-radius": 100.0, "seed": 9}
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("atoms: 3\niters: 5\nbatch: 10\nundirected: true\n"
-                   f"edges: {edges}\nseed: 9\n")
-    out = tmp_path / "out"
-    assert run("ndl-learn", "--config", cfg, "--out-dir", out) == 0
-    meta = (out / "metadata.txt").read_text()
-    assert "atoms: 3" in meta and "seed: 9" in meta
+    cfg.write_text("# every flag of the run\nundirected: true\n" + "".join(
+        f"{key.replace('-', '_')}: {value}\n" for key, value in flags.items()))
+    assert run("ndl-learn", "--config", cfg, "--out-dir", tmp_path / "a") == 0
+    argv = [a for key, value in flags.items() for a in (f"--{key}", value)]
+    assert run("ndl-learn", *argv, "--undirected",
+               "--out-dir", tmp_path / "b") == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        a, b = ((tmp_path / d / name).read_bytes().splitlines() for d in "ab")
+        assert [l for l in a if not l.startswith(b"out_dir:")] == \
+            [l for l in b if not l.startswith(b"out_dir:")]
     assert run("ndl-learn", "--config", tmp_path / "none.cfg",
-               "--out-dir", out) == 1
+               "--out-dir", tmp_path / "c") == 1
+
+
+# A --config file's lines become flags right after the subcommand, so they
+# are checked as on the command line, and explicit flags come later and win.
+# A refused value exits 1 before any output folder is made.
+CONFIG_BASE = {
+    "ndl-learn": ["--atoms", 2, "--iters", 2, "--batch", 5],
+    "denoise": ["--fraction", 0.2, "--atoms", 2, "--iters", 2, "--batch", 5,
+                "--recon-iters", 10],
+    "reconstruct": ["--dict", "{dict}", "--iters", 10],
+    "hom-diag": ["--iters", 10],
+}
+CONFIG_CASES = {
+    "lambda-key": ("ndl-learn", "lambda: 0.5\n", [], "lam: 0.5"),
+    "explicit-flag-wins": ("ndl-learn", "seed: 9\n", ["--seed", 4], "seed: 4"),
+    "switch-not-true-or-false": ("ndl-learn", "undirected: yes\n", [], None),
+    "direction-not-a-choice": ("denoise", "direction: sideways\n", [], None),
+    "mcmc-not-a-choice": ("hom-diag", "mcmc: bogus\n", [], None),
+    "reconstruct-takes-no-kappa1": ("reconstruct", "", ["--kappa1", 0.1], None),
+    "hom-diag-takes-no-lambda": ("hom-diag", "", ["--lambda", 1], None),
+    "file-not-utf8": ("ndl-learn", "\xff: 1\n", [], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_values_are_checked_as_flags(tmp_path, capsys, case):
+    command, config, flags, recorded = CONFIG_CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(config.encode("latin-1"))    # "\xff" is not UTF-8
+    dict_path = tmp_path / "dict.txt"
+    dict_path.write_text("9 1\n" + "1.0\n" * 9)
+    base = [dict_path if a == "{dict}" else a for a in CONFIG_BASE[command]]
+    out = tmp_path / "o"
+    code = run(command, "--edges", write_cycle(tmp_path / "cycle.txt"),
+               "--undirected", *base, "--config", cfg, *flags, "--out-dir", out)
+    if recorded is None:
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert recorded in (out / "metadata.txt").read_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +309,9 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
     assert err[0].startswith("data error: " if code == 2 else "error: ")
 
 
-# A count out of its range is refused where the library takes it, before any
-# output but metadata.txt, with a message naming the count.
+# A count out of its range is refused where the library takes it, with a
+# message naming the count: before any output but metadata.txt, or, for the
+# reconstruction stride, after the learned outputs that precede its use.
 COUNT_CASES = {
     "hom-diag-chains-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
                            "--chains", 0], "--chains must be positive"),
@@ -273,6 +325,13 @@ COUNT_CASES = {
                              "iters must be nonnegative"),
     "image-batch-0": (["image-learn", "--image", "{image}", "--patch", 3,
                        "--atoms", 2, "--batch", 0], "empty data matrix"),
+    "image-stride-0": (["image-learn", "--image", "{image}", "--patch", 3,
+                        "--atoms", 2, "--iters", 2, "--batch", 5,
+                        "--stride", 0], "stride must be positive"),
+    "image-stride-negative": (["image-learn", "--image", "{image}",
+                               "--patch", 3, "--atoms", 2, "--iters", 2,
+                               "--batch", 5, "--stride", -2],
+                              "stride must be positive"),
     "reconstruct-iters-negative": (["reconstruct", "--edges", "{cycle}",
                                     "--undirected", "--dict", "{dict}",
                                     "--iters", -5],
@@ -299,7 +358,9 @@ def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
     out = tmp_path / "o"
     assert run(*argv, "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert sorted(p.name for p in out.iterdir()) == ["metadata.txt"]
+    learned = (["atoms.pgm", "dictionary.txt", "loss_trace.csv"]
+               if "stride" in case else [])
+    assert sorted(p.name for p in out.iterdir()) == learned + ["metadata.txt"]
 
 
 def test_zero_reconstruction_steps_stay_valid(tmp_path):
