@@ -45,7 +45,7 @@ def run(mode, seed, nodes, ring):
                             mcmc="pivot", rng=rng)
     recon_s = lap()
     pairs = candidate_pairs(result.corrupted, mode)
-    positives = ~result.labels
+    positives = np.isin(pairs, result.flipped)
     roc = roc_auc(recons.scores(pairs), positives, lower_is_positive=False)
     score_s = lap()
     print(f"mode={mode} seed={seed} nodes={nodes} ring={ring}: "

@@ -57,16 +57,21 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# metadata.txt keys that record the run rather than set a flag; a --config
+# file's lines under these keys are not read as flags.
+_PROVENANCE = ("command", "out_dir", "onmf_version", "numpy_version",
+               "python_version")
+
+
 def _write_metadata(out_dir: Path, args) -> None:
-    skip = {"func", "config", "out_dir"}
-    entries = {"out_dir": str(args.out_dir),
-               "onmf_version": __version__,
-               "numpy_version": np.__version__,
-               "python_version": platform.python_version()}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        entries[key] = val
+    """Sorted 'key: value' lines of the provenance keys and of every flag
+    but --config and the unset (None) ones, so the file replays as a
+    --config file."""
+    entries = {key: val for key, val in vars(args).items()
+               if key not in ("func", "config") and val is not None}
+    entries.update(zip(_PROVENANCE, (args.command, str(args.out_dir),
+                                     __version__, np.__version__,
+                                     platform.python_version())))
     with open(out_dir / "metadata.txt", "w") as fh:
         for key in sorted(entries):
             fh.write(f"{key}: {entries[key]}\n")
@@ -202,14 +207,16 @@ def cmd_denoise(args, out_dir: Path) -> None:
     corrupted = net
     if args.fraction is not None:
         result = corrupt_network(net, args.mode, args.fraction, rng)
-        corrupted, labels = result.corrupted, result.labels
+        corrupted = result.corrupted
         _write_pairs(out_dir / "corrupted.edgelist", None, net,
                      corrupted.undirected_keys(), " ")
     elif args.labels is None:
         raise UsageError("need --fraction to corrupt or --labels for a "
                          "pre-corrupted network")
     pairs = candidate_pairs(corrupted, args.mode)
-    if args.fraction is None:
+    if args.fraction is not None:
+        labels = ~np.isin(pairs, result.flipped)
+    else:
         keys, labels = _read_labels(args.labels, net)
         if not np.array_equal(keys, pairs):
             raise DataError(f"{args.labels}: labels must cover exactly the "
@@ -299,6 +306,10 @@ def cmd_ising_learn(args, out_dir: Path) -> None:
 
 
 def cmd_image_learn(args, out_dir: Path) -> None:
+    if args.stride < 1:
+        raise UsageError("--stride must be positive")
+    if args.recon_lambda < 0:
+        raise UsageError("--recon-lambda must be nonnegative")
     image = read_pgm(args.image)
     rng = np.random.default_rng(args.seed)
     engine = _engine(args, rng)
@@ -307,12 +318,12 @@ def cmd_image_learn(args, out_dir: Path) -> None:
     def minibatches(walker):
         for t in itertools.count(1):
             X, walker, corners = image_patch_minibatch(
-                image, args.patch, args.batch, mode=args.mode, walker=walker,
-                rng=rng, return_corners=True)
+                image, args.patch, args.batch, rng, mode=args.mode,
+                walker=walker)
             positions.extend((t, int(r), int(c)) for r, c in corners)
             yield X
 
-    walker = PatchWalker.random(image.shape[0], image.shape[1], args.patch, rng)
+    walker = PatchWalker.random(image.shape[0], image.shape[1], rng)
     trace = learn(engine, minibatches(walker), args.iters)
     with _learned_outputs(out_dir, engine.W, args.patch, engine.stats.A, trace):
         recon = reconstruct_grid(image, engine.W, args.patch,
@@ -447,7 +458,9 @@ def _expand_config(argv: list) -> list:
     """argv with the --config file's 'key: value' lines put right after the
     subcommand as flags: ``--key=value``, a bare ``--key`` for true and
     nothing for false.  Flags given on the command line come later, so they
-    win."""
+    win.  Provenance keys are not flags, so a run's metadata.txt replays as a
+    config file (``lam``, as written there, is argparse's abbreviation of
+    ``--lambda``); its ``command`` must name the subcommand."""
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -464,8 +477,13 @@ def _expand_config(argv: list) -> list:
                 if not colon:
                     raise UsageError(f"{path}: line {lineno}: expected "
                                      "'key: value'")
-                flag = "--" + key.strip().replace("_", "-")
-                value = value.strip()
+                key, value = key.strip(), value.strip()
+                if key == "command" and value != argv[0]:
+                    raise UsageError(f"{path}: line {lineno}: recorded for "
+                                     f"command {value!r}, not {argv[0]!r}")
+                if key in _PROVENANCE:
+                    continue
+                flag = "--" + key.replace("_", "-")
                 if value.lower() == "true":
                     flags.append(flag)
                 elif value.lower() != "false":

@@ -179,8 +179,9 @@ class AggregateStats:
 # ---------------------------------------------------------------------------
 
 
-def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
-    """Projected gradient on the nonnegative orthant with a fixed safe step.
+def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
+    """Projected gradient on the nonnegative orthant with a fixed safe step,
+    started at zero.
 
     The step s = 1/(2 tr(gram) + kappa2) turns H - s (2 (gram H - wx) + lam +
     kappa2 H), clamped at zero, into the affine map H <- max(M H + c, 0) with
@@ -193,7 +194,7 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
     M = (-2.0 * step) * gram
     M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
     c = step * (2.0 * wx - lam)
-    H = np.zeros_like(wx) if H0 is None else np.array(H0, dtype=float)
+    H = np.zeros_like(wx)
     H_next = np.empty_like(H)
     for it in range(1, max_iter + 1):
         np.matmul(M, H, out=H_next)
@@ -208,17 +209,18 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
 
 
 def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
-                tol: float = 1e-6, max_iter: int = 200, H0=None) -> np.ndarray:
+                tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
     """Nonnegative code H minimizing ||X - WH||_F^2 + lam*||H||_1 + (kappa2/2)*||H||_F^2.
 
-    Projected gradient descent with step s = 1/(2 tr(W^T W) + kappa2), run as
-    the affine map H <- max(M H + c, 0) with M = (1 - s kappa2) I - 2 s W^T W
-    and c = s (2 W^T X - lam); stopped when the Frobenius change between
-    successive iterates falls below ``tol`` or after ``max_iter`` steps.  The
-    objective is non-increasing across iterations and the columns of X are
-    solved independently.  A batch shares the Frobenius stopping rule: the
-    whole change bounds each column's change, so a column coded in a batch is
-    never stopped earlier than it would be if coded alone.  Inside
+    Projected gradient descent from H = 0 with step
+    s = 1/(2 tr(W^T W) + kappa2), run as the affine map H <- max(M H + c, 0)
+    with M = (1 - s kappa2) I - 2 s W^T W and c = s (2 W^T X - lam); stopped
+    when the Frobenius change between successive iterates falls below ``tol``
+    or after ``max_iter`` steps.  The objective is non-increasing across
+    iterations and the columns of X are solved independently.  A batch shares
+    the Frobenius stopping rule: the whole change bounds each column's change,
+    so a column coded in a batch is never stopped earlier than it would be if
+    coded alone.  Inside
     ``OnlineNMF.step`` the iteration count and whether the change test fired
     are reported in the ``StepResult``.
     """
@@ -233,7 +235,7 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     gram = W.T @ W
     if float(np.trace(gram)) <= 0.0:
         raise ZeroDictionaryError("zero dictionary")
-    H, iters, converged = _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter, H0)
+    H, iters, converged = _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter)
     _record_counts("code", iters, converged)
     return H
 
@@ -497,7 +499,7 @@ def init_dictionary(d: int, r: int, constraint: ConstraintSpec,
 
 
 # ---------------------------------------------------------------------------
-# Weighted empirical loss (diagnostic; requires the stored history)
+# Weighted empirical loss (diagnostic over matrices the caller keeps)
 # ---------------------------------------------------------------------------
 
 
@@ -517,7 +519,8 @@ def empirical_weights(t: int, schedule: WeightSchedule) -> np.ndarray:
 def empirical_loss(W, history, schedule: WeightSchedule, lam: float = 1.0,
                    kappa2: float = 0.0, tol: float = 1e-9,
                    max_iter: int = 5000) -> float:
-    """Weighted empirical loss f_t(W) over the stored stream.
+    """Weighted empirical loss f_t(W) over ``history``, the matrices fed to
+    the engine so far in order (the engine keeps only the aggregates).
 
     Re-solves the sparse coding problem for every stored matrix (stacked into
     one batch since columns are independent) and returns the weighted sum of
@@ -581,14 +584,12 @@ class OnlineNMF:
     code_max_iter: int = 200
     dict_tol: float = 1e-6
     dict_max_iter: int = 100
-    track_history: bool = False
 
     def __post_init__(self):
         d, r = self.dictionary.shape
         if not self.kappa1 >= 0:
             raise ValueError("kappa1 must be nonnegative")
         self.stats = AggregateStats.zeros(r, d, kappa1=self.kappa1)
-        self.history: list[np.ndarray] = []
 
     @property
     def W(self) -> np.ndarray:
@@ -616,8 +617,6 @@ class OnlineNMF:
                 max_iter=self.dict_max_iter)
         finally:
             _SOLVER_COUNTS.reset(token)
-        if self.track_history:
-            self.history.append(X.copy())
         code_iters, code_converged = counts["code"]
         dict_sweeps, dict_converged = counts["dict"]
         return StepResult(code=H, surrogate=surrogate_loss(self.W, self.stats),
@@ -625,14 +624,6 @@ class OnlineNMF:
                           code_converged=code_converged,
                           dict_sweeps=dict_sweeps,
                           dict_converged=dict_converged)
-
-    def empirical_loss_now(self, W=None) -> float:
-        """f_t at the current (or a given) dictionary; needs tracked history."""
-        if not self.track_history:
-            raise ValueError("history tracking is disabled")
-        target = self.W if W is None else W
-        return empirical_loss(target, self.history, self.schedule,
-                              lam=self.lam, kappa2=self.kappa2)
 
 
 def init_engine(d: int, r: int, radius: float, rng, beta: float = 1.0,

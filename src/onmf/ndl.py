@@ -179,8 +179,8 @@ class ReconstructionState:
         return float(self.scores(u * self.n + v))
 
 
-def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
-                   lam: float = 0.0, mcmc: str = "pivot", rng=None,
+def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
+                   lam: float = 0.0, mcmc: str = "pivot",
                    code_tol: float = 1e-8, code_max_iter: int = 500
                    ) -> ReconstructionState:
     """Reconstruct a network by averaging dictionary approximations of patches.
@@ -192,8 +192,6 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
     random numbers, so the chain's trajectory does not depend on the block
     size.
     """
-    if rng is None:
-        raise ValueError("nr_reconstruct needs a random generator rng")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     W = np.asarray(W, dtype=float)
@@ -222,17 +220,16 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int,
 
 @dataclass
 class CorruptionResult:
-    """Corrupted network plus ground-truth labels, a bool array aligned with
-    the candidate universe ``candidate_pairs(corrupted, mode)``.
+    """Corrupted network plus ``flipped``, the ascending keys ``u * n + v``
+    (u < v) of the pairs the corruption changed: the removed edges
+    (subtractive) or the injected ones (additive).
 
-    For subtractive noise the universe is the corrupted graph's non-edges and
-    a label of True marks a genuine non-edge (False marks a removed true
-    edge).  For additive noise the universe is the corrupted graph's edges and
-    True marks a genuine edge (False marks an injected one).
+    Within the candidate universe ``candidate_pairs(corrupted, mode)`` the
+    flipped pairs are the corrupted ones; every other candidate is genuine.
     """
 
     corrupted: Network
-    labels: np.ndarray
+    flipped: np.ndarray
 
 
 def corrupt_network(net: Network, mode: str, fraction: float, rng) -> CorruptionResult:
@@ -291,9 +288,7 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
         raise ValueError(f"unknown corruption mode {mode!r}")
     corrupted = Network.from_undirected_pairs(
         n, np.column_stack(np.divmod(kept, n)), labels=net.labels)
-    # flipped: the removed (subtractive) or added (additive) pairs
-    labels = ~np.isin(candidate_pairs(corrupted, mode), flipped)
-    return CorruptionResult(corrupted=corrupted, labels=labels)
+    return CorruptionResult(corrupted=corrupted, flipped=np.sort(flipped))
 
 
 def candidate_pairs(corrupted: Network, mode: str) -> np.ndarray:

@@ -261,18 +261,14 @@ def ising_patch_stream(config: IsingConfig, epoch: int, k: int, count: int,
 
 @dataclass(frozen=True)
 class PatchWalker:
-    """Top-left corner of a k x k window walking on a periodic grid."""
+    """Top-left corner of a patch window walking on a periodic grid."""
 
     row: int
     col: int
-    k: int
-    height: int
-    width: int
 
     @classmethod
-    def random(cls, height: int, width: int, k: int, rng) -> "PatchWalker":
-        return cls(row=int(rng.integers(height)), col=int(rng.integers(width)),
-                   k=k, height=height, width=width)
+    def random(cls, height: int, width: int, rng) -> "PatchWalker":
+        return cls(row=int(rng.integers(height)), col=int(rng.integers(width)))
 
 
 # Row and column offsets of the four cardinal moves, indexed by the drawn move.
@@ -280,19 +276,17 @@ _WALK_ROWS = np.array([1, -1, 0, 0])
 _WALK_COLS = np.array([0, 0, 1, -1])
 
 
-def image_patch_minibatch(image: np.ndarray, k: int, count: int,
-                          mode: str = "iid", walker: PatchWalker | None = None,
-                          rng=None, return_corners: bool = False):
+def image_patch_minibatch(image: np.ndarray, k: int, count: int, rng,
+                          mode: str = "iid", walker: PatchWalker | None = None):
     """Patch minibatch from an image, i.i.d.-uniform or by symmetric random walk.
 
-    Returns ``(X, walker)`` where X is k^2 x count.  In walk mode each patch is
-    taken after one single-pixel step of the corner in a uniformly random
-    cardinal direction (periodic wrap), all ``count`` moves drawn in one
-    ``integers`` call; in iid mode corners are uniform over all wrapped
-    positions and the walker is returned unchanged.
+    Returns ``(X, walker, corners)``: X is k^2 x count, and row i of the
+    count x 2 array ``corners`` is the (row, col) of patch i.  In walk mode
+    each patch is taken after one single-pixel step of the corner in a
+    uniformly random cardinal direction (periodic wrap), all ``count`` moves
+    drawn in one ``integers`` call; in iid mode corners are uniform over all
+    wrapped positions and the walker is returned unchanged.
     """
-    if rng is None:
-        raise ValueError("image_patch_minibatch needs a random generator rng")
     image = np.asarray(image, dtype=float)
     h, w = image.shape
     if k > min(h, w):
@@ -302,7 +296,7 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
         cols = rng.integers(0, w, size=count)
     elif mode == "walk":
         if walker is None:
-            walker = PatchWalker.random(h, w, k, rng)
+            walker = PatchWalker.random(h, w, rng)
         moves = rng.integers(4, size=count)
         rows = (walker.row + np.cumsum(_WALK_ROWS[moves])) % h
         cols = (walker.col + np.cumsum(_WALK_COLS[moves])) % w
@@ -311,9 +305,7 @@ def image_patch_minibatch(image: np.ndarray, k: int, count: int,
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     X = _extract_patches(image, rows, cols, k).reshape(count, k * k).T
-    if return_corners:
-        return X, walker, np.stack([rows, cols], axis=1)
-    return X, walker
+    return X, walker, np.stack([rows, cols], axis=1)
 
 
 def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,

@@ -67,13 +67,15 @@ def test_criterion_02_surrogate_descent_inequality():
     spec = ConstraintSpec.nonnegative(10.0)
     eng = OnlineNMF(init_dictionary(3, 2, spec, rng), lam=0.5,
                     code_tol=1e-11, code_max_iter=4000,
-                    dict_tol=1e-10, dict_max_iter=300, track_history=True)
+                    dict_tol=1e-10, dict_max_iter=300)
     t0 = time.time()
     worst = -np.inf
+    history = []
     prev_surr, prev_ft = 0.0, 0.0  # empty-history surrogate and loss are zero
     for t in range(1, 501):
-        res = eng.step(rng.random((3, 2)))
-        ft = empirical_loss(eng.W, eng.history, eng.schedule, lam=0.5,
+        history.append(rng.random((3, 2)))
+        res = eng.step(history[-1])
+        ft = empirical_loss(eng.W, history, eng.schedule, lam=0.5,
                             tol=1e-11, max_iter=4000)
         if t > 1:
             w = eng.schedule.weight(t)
@@ -286,8 +288,9 @@ def test_criterion_10_denoising_pipeline():
                        rng)
         recons = nr_reconstruct(corrupted, nd.W, iters=20000, lam=0.0,
                                 mcmc="pivot", rng=rng)
-        scores = recons.scores(candidate_pairs(corrupted, "subtractive"))
-        positives = ~result.labels
+        pairs = candidate_pairs(corrupted, "subtractive")
+        scores = recons.scores(pairs)
+        positives = np.isin(pairs, result.flipped)
         roc = roc_auc(scores, positives, lower_is_positive=False)
         aucs.append(roc.auc)
         # monotone staircase

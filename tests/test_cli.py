@@ -162,6 +162,37 @@ def test_config_values_are_checked_as_flags(tmp_path, capsys, case):
         assert recorded in (out / "metadata.txt").read_text().splitlines()
 
 
+# A run's metadata.txt replays as a --config file: the replay writes the same
+# files, byte for byte, but for the out_dir line of its metadata.txt.  Under
+# another subcommand the file exits 1 before any output folder is made.
+REPLAY_FLAGS = {
+    "ndl-learn": ["--atoms", 3, "--iters", 5, "--batch", 10, "--lambda", 0.5],
+    "denoise": ["--fraction", 0.3, "--atoms", 3, "--iters", 5, "--batch", 10,
+                "--lambda", 0.5, "--recon-iters", 500],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_FLAGS))
+def test_metadata_replays_as_config(tmp_path, command):
+    edges = write_smallworld(tmp_path / "sw.txt")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(command, "--edges", edges, "--undirected", "--motif-k", 3,
+               *REPLAY_FLAGS[command], "--seed", 4, "--out-dir", first) == 0
+    metadata = first / "metadata.txt"
+    assert run(command, "--config", metadata, "--out-dir", second) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        a, b = ([line for line in (d / name).read_bytes().splitlines()
+                 if not (name == "metadata.txt" and line.startswith(b"out_dir:"))]
+                for d in (first, second))
+        assert a == b
+    other = tmp_path / "other"
+    another_command = "ndl-learn" if command == "denoise" else "denoise"
+    assert run(another_command, "--config", metadata, "--out-dir", other) == 1
+    assert not other.exists()
+
+
 # ---------------------------------------------------------------------------
 # reconstruct / denoise
 # ---------------------------------------------------------------------------
@@ -309,9 +340,9 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
     assert err[0].startswith("data error: " if code == 2 else "error: ")
 
 
-# A count out of its range is refused where the library takes it, with a
-# message naming the count: before any output but metadata.txt, or, for the
-# reconstruction stride, after the learned outputs that precede its use.
+# A count out of its range is refused with a message naming it, before any
+# output but metadata.txt: where the library takes it, or up front in the
+# command when the library takes it only after the learned outputs.
 COUNT_CASES = {
     "hom-diag-chains-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
                            "--chains", 0], "--chains must be positive"),
@@ -327,11 +358,15 @@ COUNT_CASES = {
                        "--atoms", 2, "--batch", 0], "empty data matrix"),
     "image-stride-0": (["image-learn", "--image", "{image}", "--patch", 3,
                         "--atoms", 2, "--iters", 2, "--batch", 5,
-                        "--stride", 0], "stride must be positive"),
+                        "--stride", 0], "--stride must be positive"),
     "image-stride-negative": (["image-learn", "--image", "{image}",
                                "--patch", 3, "--atoms", 2, "--iters", 2,
                                "--batch", 5, "--stride", -2],
-                              "stride must be positive"),
+                              "--stride must be positive"),
+    "image-recon-lambda-negative": (["image-learn", "--image", "{image}",
+                                     "--patch", 3, "--atoms", 2, "--iters", 2,
+                                     "--batch", 5, "--recon-lambda", -1],
+                                    "--recon-lambda must be nonnegative"),
     "reconstruct-iters-negative": (["reconstruct", "--edges", "{cycle}",
                                     "--undirected", "--dict", "{dict}",
                                     "--iters", -5],
@@ -358,9 +393,7 @@ def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
     out = tmp_path / "o"
     assert run(*argv, "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    learned = (["atoms.pgm", "dictionary.txt", "loss_trace.csv"]
-               if "stride" in case else [])
-    assert sorted(p.name for p in out.iterdir()) == learned + ["metadata.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.txt"]
 
 
 def test_zero_reconstruction_steps_stay_valid(tmp_path):

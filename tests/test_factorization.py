@@ -53,10 +53,9 @@ def test_objective_nonincreasing_across_iterations():
     rng = np.random.default_rng(2)
     X = rng.random((5, 4))
     W = rng.random((5, 3))
-    H = np.zeros((3, 4))
-    prev = coding_objective(X, W, H, 0.3, kappa2=0.2)
-    for _ in range(50):
-        H = sparse_code(X, W, lam=0.3, kappa2=0.2, tol=0.0, max_iter=1, H0=H)
+    prev = coding_objective(X, W, np.zeros((3, 4)), 0.3, kappa2=0.2)
+    for t in range(1, 51):
+        H = sparse_code(X, W, lam=0.3, kappa2=0.2, tol=0.0, max_iter=t)
         cur = coding_objective(X, W, H, 0.3, kappa2=0.2)
         assert cur <= prev + 1e-12
         prev = cur
@@ -306,11 +305,11 @@ def test_unused_atom_column_is_left_alone():
 # ---------------------------------------------------------------------------
 
 
-def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter, H0=None):
-    """Projected gradient written out per step, with the gradient formed
-    anew each iteration; returns (H, iterations, converged)."""
+def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
+    """Projected gradient from zero written out per step, with the gradient
+    formed anew each iteration; returns (H, iterations, converged)."""
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
-    H = np.zeros_like(wx) if H0 is None else np.array(H0, dtype=float)
+    H = np.zeros_like(wx)
     for it in range(1, max_iter + 1):
         grad = 2.0 * (gram @ H - wx) + lam
         if kappa2 > 0:
@@ -393,10 +392,9 @@ def _rel_diff(got, want):
 
 CODING_CASES = {
     "elastic-net": dict(n=6, lam=0.3, kappa2=0.4, max_iter=300),
-    "warm-start": dict(n=6, lam=0.5, h0=True, max_iter=300),
     "no-l1": dict(n=6, lam=0.0, max_iter=300),
     "one-column": dict(n=1, lam=0.2, max_iter=300),
-    "one-iteration": dict(n=6, lam=0.2, h0=True, max_iter=1),
+    "one-iteration": dict(n=6, lam=0.2, max_iter=1),
 }
 
 
@@ -406,15 +404,13 @@ def test_affine_projected_gradient_matches_reference(name):
     rng = np.random.default_rng(31)
     X = rng.random((9, case["n"]))
     W = rng.random((9, 4))
-    H0 = rng.random((4, case["n"])) if case.get("h0") else None
     lam, kappa2, max_iter = case["lam"], case.get("kappa2", 0.0), case["max_iter"]
     want, ref_iters, ref_conv = _reference_pg_solve(W.T @ W, W.T @ X, lam, kappa2,
-                                                    0.0, max_iter, H0)
-    got = sparse_code(X, W, lam=lam, kappa2=kappa2, tol=0.0, max_iter=max_iter,
-                      H0=H0)
+                                                    0.0, max_iter)
+    got = sparse_code(X, W, lam=lam, kappa2=kappa2, tol=0.0, max_iter=max_iter)
     assert _rel_diff(got, want) <= 1e-12
     _, iters, converged = factorization._pg_solve(W.T @ W, W.T @ X, lam, kappa2,
-                                                  0.0, max_iter, H0)
+                                                  0.0, max_iter)
     assert (iters, converged) == (ref_iters, ref_conv) == (max_iter, False)
 
 
@@ -634,11 +630,14 @@ def test_surrogate_dominates_empirical_loss_and_is_nonnegative():
     rng = np.random.default_rng(15)
     spec = ConstraintSpec.nonnegative(10.0)
     eng = OnlineNMF(init_dictionary(3, 2, spec, rng), lam=0.5,
-                    code_tol=1e-10, code_max_iter=3000, track_history=True)
+                    code_tol=1e-10, code_max_iter=3000)
+    history = []
     for _ in range(40):
-        res = eng.step(rng.random((3, 2)))
+        history.append(rng.random((3, 2)))
+        res = eng.step(history[-1])
         assert res.surrogate >= -1e-12
-        ft = eng.empirical_loss_now()
+        ft = empirical_loss(eng.W, history, eng.schedule, lam=eng.lam,
+                            kappa2=eng.kappa2)
         assert res.surrogate >= ft - 1e-8
 
 

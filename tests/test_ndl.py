@@ -308,7 +308,7 @@ def test_reconstruct_validates_dictionary_shape():
 
 def test_reconstruct_needs_a_generator():
     net = cycle_network(6)
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(TypeError, match="rng"):
         nr_reconstruct(net, np.eye(4), 10)
 
 
@@ -333,15 +333,17 @@ def test_subtractive_corruption_counts_and_connectivity():
     removed = edges_before - len(edge_pairs(result.corrupted))
     assert removed == int(np.ceil(0.5 * edges_before))
     assert _is_connected(result.corrupted)
-    # labels cover exactly the corrupted graph's non-edges
+    # the universe is exactly the corrupted graph's non-edges, and flipped
+    # lists the removed edges, all inside it
     n = net.n
     non_edges = {(u, v) for u in range(n) for v in range(u + 1, n)
                  if not result.corrupted.has_edge(u, v)}
     pairs = candidate_pairs(result.corrupted, "subtractive")
     assert set(_pairs(n, pairs)) == non_edges
-    assert result.labels.dtype == bool and len(result.labels) == len(pairs)
-    false_labels = int((~result.labels).sum())
-    assert false_labels == removed
+    assert result.flipped.dtype == np.int64 and len(result.flipped) == removed
+    assert set(_pairs(n, result.flipped)) == (
+        set(edge_pairs(net)) - set(edge_pairs(result.corrupted)))
+    assert np.isin(result.flipped, pairs).all()
 
 
 def _is_connected(net):
@@ -419,8 +421,10 @@ def test_subtractive_corruption_matches_the_dfs_reference(n, ring, fraction,
         kept = [e for e in edge_pairs(net) if e not in removed]
         assert edge_pairs(result.corrupted) == kept
         non_edges = _non_edges_by_loop(result.corrupted)
-        pairs = _pairs(net.n, candidate_pairs(result.corrupted, "subtractive"))
-        assert list(zip(pairs, result.labels.tolist())) == [
+        keys = candidate_pairs(result.corrupted, "subtractive")
+        assert _pairs(net.n, result.flipped) == sorted(removed)
+        genuine = ~np.isin(keys, result.flipped)
+        assert list(zip(_pairs(net.n, keys), genuine.tolist())) == [
             (pair, pair not in removed) for pair in non_edges]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -437,11 +441,11 @@ def test_additive_corruption_counts():
     result = corrupt_network(net, "additive", 0.5, rng)
     edges_after = edge_pairs(result.corrupted)
     assert len(edges_after) == 18  # 12 original + ceil(0.5*12)
-    added = int((~result.labels).sum())
-    assert added == 6  # the fifty-percent-new-edges regime
+    added = _pairs(net.n, result.flipped)
+    assert len(added) == 6  # the fifty-percent-new-edges regime
     pairs = candidate_pairs(result.corrupted, "additive")
     assert _pairs(net.n, pairs) == edges_after
-    assert len(result.labels) == len(edges_after)
+    assert set(added) == set(edges_after) - set(edge_pairs(net))
 
 
 def test_additive_on_complete_graph_errors():
@@ -469,7 +473,8 @@ def test_candidate_pairs_and_labels_keep_the_nested_loop_order():
     keys = candidate_pairs(result.corrupted, "subtractive")
     assert keys.dtype == np.int64
     assert keys.tolist() == [u * net.n + v for u, v in loop]
-    assert len(result.labels) == len(loop)
+    assert result.flipped.dtype == np.int64
+    assert (np.diff(result.flipped) > 0).all()
     # additive insertions index the same pool of non-adjacent pairs
     pool = _non_edges_by_loop(net)
     result = corrupt_network(net, "additive", 0.3, np.random.default_rng(9))
@@ -477,8 +482,8 @@ def test_candidate_pairs_and_labels_keep_the_nested_loop_order():
     quota = math.ceil(0.3 * len(edge_pairs(net)))
     added = {pool[int(i)] for i in rng.permutation(len(pool))[:quota]}
     edges = edge_pairs(result.corrupted)
-    assert {pair for pair, genuine in zip(edges, result.labels.tolist())
-            if not genuine} == added
+    assert set(_pairs(net.n, result.flipped)) == added <= set(edges)
+    assert (np.diff(result.flipped) > 0).all()
     keys = candidate_pairs(result.corrupted, "additive")
     assert keys.dtype == np.int64
     assert keys.tolist() == [u * net.n + v for u, v in edges]

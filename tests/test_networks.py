@@ -392,8 +392,8 @@ def test_tv_distance_basic_cases():
                          min_size=2, max_size=6))
 def test_tv_distance_properties(weights, weights2):
     n = min(len(weights), len(weights2))
-    p = np.array(weights[:n]) / sum(weights[:n])
-    q = np.array(weights2[:n]) / sum(weights2[:n])
+    p = dict(enumerate(np.array(weights[:n]) / sum(weights[:n])))
+    q = dict(enumerate(np.array(weights2[:n]) / sum(weights2[:n])))
     d = tv_distance(p, q)
     assert 0.0 <= d <= 1.0
     assert d == pytest.approx(tv_distance(q, p))

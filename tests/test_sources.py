@@ -265,16 +265,16 @@ def test_spin_level_map_roundtrip(bits):
 def test_constant_image_gives_constant_columns():
     rng = np.random.default_rng(7)
     image = np.full((8, 8), 0.37)
-    X, _ = image_patch_minibatch(image, 3, 12, mode="iid", rng=rng)
+    X, _, _ = image_patch_minibatch(image, 3, 12, mode="iid", rng=rng)
     assert np.allclose(X, 0.37)
 
 
 def test_walk_moves_one_step_per_patch():
     rng = np.random.default_rng(8)
     image = np.zeros((7, 9))
-    walker = PatchWalker(row=2, col=3, k=2, height=7, width=9)
+    walker = PatchWalker(row=2, col=3)
     _, new_walker, corners = image_patch_minibatch(
-        image, 2, 40, mode="walk", walker=walker, rng=rng, return_corners=True)
+        image, 2, 40, mode="walk", walker=walker, rng=rng)
     prev = (walker.row, walker.col)
     for r, c in corners:
         dr = (r - prev[0]) % 7
@@ -284,14 +284,15 @@ def test_walk_moves_one_step_per_patch():
     assert (new_walker.row, new_walker.col) == prev
 
 
-def _reference_walk(walker, count, rng):
-    """The walk one draw per step: corners and the final walker."""
+def _reference_walk(walker, height, width, count, rng):
+    """The walk one draw per step on a periodic height x width grid: corners
+    and the final walker."""
     r, c = walker.row, walker.col
     corners = []
     for _ in range(count):
         dr, dc = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(4))]
-        r = (r + dr) % walker.height
-        c = (c + dc) % walker.width
+        r = (r + dr) % height
+        c = (c + dc) % width
         corners.append((r, c))
     return corners, (r, c)
 
@@ -300,12 +301,11 @@ def _reference_walk(walker, count, rng):
 def test_walk_matches_one_draw_per_step(count):
     image = np.zeros((7, 9))
     for seed in range(5):
-        walker = PatchWalker(row=seed % 7, col=6, k=2, height=7, width=9)
+        walker = PatchWalker(row=seed % 7, col=6)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want, end = _reference_walk(walker, count, ref_rng)
+        want, end = _reference_walk(walker, 7, 9, count, ref_rng)
         _, new_walker, corners = image_patch_minibatch(
-            image, 2, count, mode="walk", walker=walker, rng=rng,
-            return_corners=True)
+            image, 2, count, mode="walk", walker=walker, rng=rng)
         assert corners.tolist() == [list(rc) for rc in want]
         assert (new_walker.row, new_walker.col) == end
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -317,7 +317,7 @@ def test_iid_corner_distribution_is_uniform():
     rng = np.random.default_rng(9)
     image = np.zeros((3, 3))
     _, _, corners = image_patch_minibatch(image, 2, 100000, mode="iid",
-                                          rng=rng, return_corners=True)
+                                          rng=rng)
     flat = corners[:, 0] * 3 + corners[:, 1]
     freq = np.bincount(flat, minlength=9)
     assert stats.chisquare(freq).pvalue > 0.01
@@ -327,7 +327,7 @@ def test_walker_visits_every_position():
     rng = np.random.default_rng(10)
     image = np.zeros((10, 10))
     _, _, corners = image_patch_minibatch(image, 2, 100000, mode="walk",
-                                          rng=rng, return_corners=True)
+                                          rng=rng)
     assert len({(int(r), int(c)) for r, c in corners}) == 100
 
 
@@ -340,7 +340,7 @@ def test_patch_mode_validation():
 
 
 def test_patch_minibatch_needs_a_generator():
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(TypeError, match="rng"):
         image_patch_minibatch(np.zeros((4, 4)), 2, 3)
 
 
