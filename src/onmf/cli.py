@@ -26,9 +26,10 @@ from .factorization import (ZeroDictionaryError, init_engine, learn,
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
-from .networks import (EdgeListError, Motif, Network, OracleSizeError,
-                       SamplingError, chain_update, hom_distribution_bruteforce,
-                       initial_homomorphism, tv_distance)
+from .networks import (MCMC_MODES, EdgeListError, Motif, Network,
+                       OracleSizeError, SamplingError, chain_update,
+                       hom_distribution_bruteforce, initial_homomorphism,
+                       tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from .sources import (IsingConfig, PatchWalker, image_patch_minibatch,
                       ising_patch_stream, reconstruct_grid)
@@ -77,14 +78,12 @@ def _write_metadata(out_dir: Path, args) -> None:
             fh.write(f"{key}: {entries[key]}\n")
 
 
-def _write_csv(path: Path, header, rows, sep: str = ",") -> None:
-    """A header line unless header is None, then one line of fields joined
-    by sep per row."""
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line of comma-joined fields per row."""
     with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
+        fh.write(header + "\n")
         for row in rows:
-            fh.write(sep.join(map(str, row)) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _atom_grid_image(W: np.ndarray, k: int) -> np.ndarray:
@@ -187,7 +186,7 @@ def cmd_ndl_learn(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
     nd = ndl_learn(net, _ndl_params(args), rng)
-    with _learned_outputs(out_dir, nd.W, nd.k, nd.P, nd.loss_trace):
+    with _learned_outputs(out_dir, nd.W, nd.k, nd.stats.A, nd.loss_trace):
         save_aggregates(out_dir / "aggregates.txt", nd.stats, args.beta)
 
 
@@ -203,6 +202,8 @@ def cmd_reconstruct(args, out_dir: Path) -> None:
 def cmd_denoise(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
+    if args.fraction is not None and args.labels is not None:
+        raise UsageError("give --fraction or --labels, not both")
 
     corrupted = net
     if args.fraction is not None:
@@ -337,8 +338,8 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     if args.chains < 1:
         raise UsageError("--chains must be positive")
-    if args.iters < 0:
-        raise UsageError("--iters must be nonnegative")
+    if args.iters < 1:
+        raise UsageError("--iters must be positive")
     motif = Motif.chain(args.motif_k)
     try:
         oracle = hom_distribution_bruteforce(net, motif)
@@ -378,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     network.add_argument("--edges", required=True)
     network.add_argument("--undirected", action="store_true")
     network.add_argument("--motif-k", type=int, default=3)
-    network.add_argument("--mcmc", choices=["glauber", "pivot", "pivot-approx"],
-                         default="pivot")
+    network.add_argument("--mcmc", choices=MCMC_MODES, default="pivot")
     learning = argparse.ArgumentParser(add_help=False)
     learning.add_argument("--lambda", dest="lam", type=float, default=1.0)
     learning.add_argument("--kappa1", type=float, default=0.0)

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import AggregateStats, init_engine, learn, sparse_code
-from .networks import (Motif, Network, chain_update, initial_homomorphism,
-                       mesoscale_patch)
-
-MCMC_MODES = ("pivot", "pivot-approx", "glauber")
+from .networks import (MCMC_MODES, Motif, Network, chain_update,
+                       initial_homomorphism, mesoscale_patch)
 
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
 RECON_BLOCK = 512
@@ -70,18 +68,6 @@ class NetworkDictionary:
     stats: AggregateStats
     k: int
     loss_trace: list = field(default_factory=list)
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.stats.A
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.stats.B
-
-    @property
-    def dominance(self) -> np.ndarray:
-        return dominance_scores(self.P)
 
 
 def dominance_scores(P: np.ndarray) -> np.ndarray:

@@ -117,28 +117,23 @@ class Network:
     ``a * n + b`` of the out-edges with a sentinel ``n * n`` appended, so that
     `weights_at` finds A(a, b) by ``searchsorted``.  Built once and
     read-only afterwards, so many chains may read one network concurrently.
+
+    Entry i of the aligned arrays `src`, `dst` and `weights` sets
+    A(src[i], dst[i]); each pair appears at most once.
     """
 
-    def __init__(self, n: int, weights: dict[tuple[int, int], float],
+    def __init__(self, n: int, src, dst, weights,
                  labels: list[str] | None = None):
-        ends = np.array(list(weights)).reshape(-1, 2)
-        values = np.array(list(weights.values()), dtype=float)
-        self._build(n, ends[:, 0], ends[:, 1], values, labels)
-
-    @classmethod
-    def _from_entries(cls, n, src, dst, weights, labels) -> "Network":
-        net = cls.__new__(cls)
-        net._build(n, src, dst, weights, labels)
-        return net
-
-    def _build(self, n, src, dst, weights, labels):
-        """Validate entries (one per pair) and lay out the CSR tables."""
         if n < 1:
             raise ValueError("network needs at least one node")
         if labels is None:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError("label count must match node count")
+        src, dst = np.asarray(src), np.asarray(dst)
+        weights = np.asarray(weights, dtype=float)
+        if not len(src) == len(dst) == len(weights):
+            raise ValueError("src, dst and weights must have equal lengths")
         inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
         valid = np.isfinite(weights) & (weights >= 0)
         bad = np.flatnonzero(~(inside & valid))
@@ -205,8 +200,7 @@ class Network:
             w = np.repeat(w, 2)[keep]
         keys, inverse = np.unique(u * n + v, return_inverse=True)
         src, dst = np.divmod(keys, n)
-        return cls._from_entries(n, src, dst, np.bincount(inverse, weights=w),
-                                 labels)
+        return cls(n, src, dst, np.bincount(inverse, weights=w), labels)
 
     @classmethod
     def from_edge_list_file(cls, path, undirected: bool = False) -> "Network":
@@ -238,17 +232,10 @@ class Network:
         return cls.from_edges(edges, undirected=undirected)
 
     @classmethod
-    def from_dense(cls, M, labels=None) -> "Network":
-        M = np.asarray(M, dtype=float)
-        src, dst = np.nonzero(M)
-        return cls._from_entries(M.shape[0], src, dst, M[src, dst], labels)
-
-    @classmethod
     def from_undirected_pairs(cls, n: int, pairs, labels=None) -> "Network":
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         ends = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0)
-        return cls._from_entries(n, ends[:, 0], ends[:, 1],
-                                 np.ones(len(ends)), labels)
+        return cls(n, ends[:, 0], ends[:, 1], np.ones(len(ends)), labels)
 
     # -- queries ------------------------------------------------------------
 
@@ -257,15 +244,6 @@ class Network:
         q = np.asarray(a, dtype=np.int64) * self.n + b
         pos = self._keys.searchsorted(q)
         return self._key_weights[pos] * (self._keys[pos] == q)
-
-    def weight(self, a: int, b: int) -> float:
-        """A(a, b) for node indices a and b; 0.0 when there is no edge."""
-        key = a * self.n + b
-        pos = self._keys.searchsorted(key)
-        return float(self._key_weights[pos]) if self._keys[pos] == key else 0.0
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.weight(a, b) > 0.0
 
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target of every edge, in `out_edges` order."""
@@ -278,16 +256,6 @@ class Network:
         M = np.zeros((self.n, self.n))
         M[self._edge_ends()] = self.out_edges.weights
         return M
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_edges.row(v)[0]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_edges.row(v)[0]
-
-    @property
-    def num_directed_edges(self) -> int:
-        return len(self.out_edges.indices)
 
     def undirected_keys(self) -> np.ndarray:
         """Ascending keys ``u * n + v`` of the edges with u < v; requires a
@@ -427,11 +395,6 @@ class Motif:
         return tuple(out)
 
 
-def hom_weight(net: Network, motif: Motif, x) -> float:
-    """Product of target weights over motif edges; positive iff x is a homomorphism."""
-    return float(hom_weights(net, motif, [x])[0])
-
-
 def _power(a: np.ndarray, e: float) -> np.ndarray:
     """a ** e entrywise, by the C library's pow like the scalar code paths.
 
@@ -444,7 +407,9 @@ def _power(a: np.ndarray, e: float) -> np.ndarray:
 
 
 def hom_weights(net: Network, motif: Motif, X) -> np.ndarray:
-    """`hom_weight` of every vertex map in the rows of the (m, k) array X.
+    """Motif weight of every vertex map in the rows of the (m, k) array X: the
+    product of target weights over the motif's edges, positive iff the map is
+    a homomorphism.
 
     The factors multiply in motif-edge order, starting from 1.0.
     """
@@ -543,8 +508,16 @@ def initial_homomorphism(net: Network, motif: Motif, rng,
         raise
 
 
-def _glauber_law(net: Network, motif: Motif, x, v: int):
-    """`glauber_conditional` as Python lists of candidates and probabilities."""
+def glauber_conditional(net: Network, motif: Motif, x, v: int):
+    """Candidate nodes and probabilities, as Python lists, for resampling
+    motif node v.
+
+    p(w) is proportional to the product of A(x(u), w)^{A_F(u,v)} over incoming
+    motif edges and A(w, x(u))^{A_F(v,u)} over outgoing ones; with no incident
+    motif edges the law is uniform over all nodes.  The candidates are the
+    smallest incident neighbor list, whose own factor is its row's weights;
+    the factors multiply in motif-edge order.
+    """
     into, out_of, self_exp = motif.incident[v]
     if not into and not out_of and self_exp == 0.0:
         return list(range(net.n)), [1.0 / net.n] * net.n
@@ -584,23 +557,10 @@ def _glauber_law(net: Network, motif: Motif, x, v: int):
     return cand, [w / total for w in weights]
 
 
-def glauber_conditional(net: Network, motif: Motif, x, v: int):
-    """Candidate nodes and probabilities for resampling motif node v.
-
-    p(w) is proportional to the product of A(x(u), w)^{A_F(u,v)} over incoming
-    motif edges and A(w, x(u))^{A_F(v,u)} over outgoing ones; with no incident
-    motif edges the law is uniform over all nodes.  The candidates are the
-    smallest incident neighbor list, whose own factor is its row's weights;
-    the factors multiply in motif-edge order.
-    """
-    cand, probs = _glauber_law(net, motif, x, v)
-    return np.array(cand, dtype=np.int64), np.array(probs)
-
-
 def glauber_update(net: Network, motif: Motif, x, rng):
     """Resample one uniformly chosen motif node from its exact conditional."""
     v = int(rng.integers(motif.k))
-    cand, probs = _glauber_law(net, motif, x, v)
+    cand, probs = glauber_conditional(net, motif, x, v)
     new = list(x)
     new[v] = cand[_draw(rng, list(accumulate(probs)), 0, len(cand))]
     return tuple(new)
@@ -668,8 +628,11 @@ def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
     return tuple(new)
 
 
+MCMC_MODES = ("glauber", "pivot", "pivot-approx")
+
+
 def chain_update(net: Network, motif: Motif, x, rng, mode: str):
-    """Dispatch one MCMC update by mode name."""
+    """Dispatch one MCMC update by mode name, one of `MCMC_MODES`."""
     if mode == "glauber":
         return glauber_update(net, motif, x, rng)
     if mode == "pivot":

@@ -213,12 +213,8 @@ def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
 
 
 def spins_to_levels(spins: np.ndarray) -> np.ndarray:
-    """Affine map {-1, +1} -> {0, 1}; inverse of levels_to_spins."""
+    """Affine map {-1, +1} -> {0, 1}; `read_spins_pgm` maps back."""
     return (np.asarray(spins, dtype=float) + 1.0) * 0.5
-
-
-def levels_to_spins(levels: np.ndarray) -> np.ndarray:
-    return (2.0 * np.asarray(levels, dtype=float) - 1.0).astype(np.int64)
 
 
 def _extract_patches(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,

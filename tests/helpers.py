@@ -37,6 +37,19 @@ def empirical_distribution(counts: dict) -> dict:
     return {k: v / total for k, v in counts.items()}
 
 
+def dict_network(n: int, weights: dict) -> Network:
+    """Network from a ``{(a, b): w}`` dict, entries in the dict's order."""
+    ends = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    return Network(n, ends[:, 0], ends[:, 1], list(weights.values()))
+
+
+def dense_network(M) -> Network:
+    """Network of the nonzero entries of a square matrix."""
+    M = np.asarray(M, dtype=float)
+    src, dst = np.nonzero(M)
+    return Network(len(M), src, dst, M[src, dst])
+
+
 def cycle_network(n: int) -> Network:
     return Network.from_edges([(i, (i + 1) % n) for i in range(n)],
                               undirected=True)

@@ -346,9 +346,15 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
 COUNT_CASES = {
     "hom-diag-chains-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
                            "--chains", 0], "--chains must be positive"),
+    "hom-diag-iters-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
+                          "--iters", 0], "--iters must be positive"),
     "hom-diag-iters-negative": (["hom-diag", "--edges", "{cycle}",
                                  "--undirected", "--iters", -3],
-                                "--iters must be nonnegative"),
+                                "--iters must be positive"),
+    "denoise-fraction-and-labels": (["denoise", "--edges", "{cycle}",
+                                     "--undirected", "--fraction", 0.3,
+                                     "--labels", "{missing}"],
+                                    "give --fraction or --labels, not both"),
     "ising-epoch-negative": (["ising-learn", "--epoch", -4],
                              "epoch must be nonnegative"),
     "ising-batch-0": (["ising-learn", "--batch", 0], "empty data matrix"),
@@ -384,7 +390,8 @@ def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
     argv, message = COUNT_CASES[case]
     files = {"cycle": write_cycle(tmp_path / "cycle.txt"),
              "dict": tmp_path / "dict.txt",
-             "image": tmp_path / "image.pgm"}
+             "image": tmp_path / "image.pgm",
+             "missing": tmp_path / "missing.csv"}
     files["dict"].write_text("9 1\n" + "1.0\n" * 9)
     write_pgm(files["image"], np.random.default_rng(0).random((8, 8)))
     argv = [files[a[1:-1]] if str(a).startswith("{") else a for a in argv]

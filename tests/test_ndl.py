@@ -14,7 +14,7 @@ from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
                   denoise_classify, dominance_scores, init_dictionary,
                   initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
                   nr_reconstruct, roc_auc, sparse_code)
-from onmf.ndl import MCMC_MODES
+from onmf.networks import MCMC_MODES
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -55,7 +55,7 @@ def test_ndl_determinism():
     a = ndl_learn(net, params, np.random.default_rng(123))
     b = ndl_learn(net, params, np.random.default_rng(123))
     assert np.array_equal(a.W, b.W)
-    assert np.array_equal(a.P, b.P)
+    assert np.array_equal(a.stats.A, b.stats.A)
     assert a.loss_trace == b.loss_trace
 
 
@@ -89,8 +89,8 @@ def test_ndl_learn_matches_the_step_loop(mcmc):
     ref_rng = np.random.default_rng(31)
     engine, trace = _ndl_learn_by_step_loop(net, params, ref_rng)
     assert np.array_equal(nd.W, engine.W)
-    assert np.array_equal(nd.P, engine.stats.A)
-    assert np.array_equal(nd.Q, engine.stats.B)
+    assert np.array_equal(nd.stats.A, engine.stats.A)
+    assert np.array_equal(nd.stats.B, engine.stats.B)
     assert nd.loss_trace == trace
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -120,8 +120,9 @@ def test_learned_dominance_is_a_distribution():
     net = cycle_network(6)
     nd = ndl_learn(net, NDLParams(k=3, atoms=5, iters=10, batch=15, lam=1.0),
                    np.random.default_rng(2))
-    assert nd.dominance.sum() == pytest.approx(1.0)
-    assert np.all(nd.dominance >= 0)
+    scores = dominance_scores(nd.stats.A)
+    assert scores.sum() == pytest.approx(1.0)
+    assert np.all(scores >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def test_subtractive_corruption_counts_and_connectivity():
     # lists the removed edges, all inside it
     n = net.n
     non_edges = {(u, v) for u in range(n) for v in range(u + 1, n)
-                 if not result.corrupted.has_edge(u, v)}
+                 if result.corrupted.weights_at(u, v) == 0}
     pairs = candidate_pairs(result.corrupted, "subtractive")
     assert set(_pairs(n, pairs)) == non_edges
     assert result.flipped.dtype == np.int64 and len(result.flipped) == removed
@@ -350,7 +351,7 @@ def _is_connected(net):
     """Depth-first search from node 0 reaches every node."""
     seen, stack = {0}, [0]
     while stack:
-        for b in net.out_neighbors(stack.pop()).tolist():
+        for b in net.out_edges.row(stack.pop())[0].tolist():
             if b not in seen:
                 seen.add(b)
                 stack.append(b)
@@ -386,7 +387,7 @@ def _removed_by_dfs(net, fraction, rng):
     """Reference: walk the shuffled edges, one DFS per candidate removal."""
     edges = edge_pairs(net)
     quota = math.ceil(fraction * len(edges))
-    adj = [set(int(b) for b in net.out_neighbors(v)) for v in range(net.n)]
+    adj = [set(int(b) for b in net.out_edges.row(v)[0]) for v in range(net.n)]
     removed = []
     for idx in rng.permutation(len(edges)):
         if len(removed) == quota:
@@ -463,7 +464,7 @@ def test_corruption_requires_simple_graph():
 
 def _non_edges_by_loop(net):
     return [(u, v) for u in range(net.n) for v in range(u + 1, net.n)
-            if not net.has_edge(u, v)]
+            if net.weights_at(u, v) == 0]
 
 
 def test_candidate_pairs_and_labels_keep_the_nested_loop_order():

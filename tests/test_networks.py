@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cycle_network, edge_pairs, empirical_distribution,
-                     path_network, weighted_5node_network)
+from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
+                     empirical_distribution, path_network,
+                     weighted_5node_network)
 from onmf import (EdgeListError, Motif, Network, OracleSizeError,
                   SamplingError, chain_walk_sample, glauber_conditional,
-                  glauber_update, hom_distribution_bruteforce, hom_weight,
+                  glauber_update, hom_distribution_bruteforce, hom_weights,
                   initial_homomorphism, mesoscale_patch, pivot_acceptance,
                   pivot_update, rejection_sample_hom, tv_distance)
 
@@ -24,12 +25,12 @@ def test_edge_list_parsing(tmp_path):
     path.write_text("# comment line\na b\nb c 2.5\n\nc a 0.5\n")
     net = Network.from_edge_list_file(path)
     assert net.labels == ["a", "b", "c"]
-    assert net.weight(0, 1) == 1.0
-    assert net.weight(1, 2) == 2.5
-    assert net.weight(2, 0) == 0.5
-    assert net.weight(1, 0) == 0.0
+    assert net.weights_at(0, 1) == 1.0
+    assert net.weights_at(1, 2) == 2.5
+    assert net.weights_at(2, 0) == 0.5
+    assert net.weights_at(1, 0) == 0.0
     undirected = Network.from_edge_list_file(path, undirected=True)
-    assert undirected.weight(1, 0) == 1.0
+    assert undirected.weights_at(1, 0) == 1.0
 
 
 def test_edge_list_errors_cite_line_numbers(tmp_path):
@@ -47,7 +48,7 @@ def test_edge_list_errors_cite_line_numbers(tmp_path):
 
 def test_duplicate_edges_accumulate():
     net = Network.from_edges([("a", "b", 1.0), ("a", "b", 2.0)])
-    assert net.weight(0, 1) == 3.0
+    assert net.weights_at(0, 1) == 3.0
 
 
 def test_simple_and_bidirectional_flags():
@@ -64,7 +65,7 @@ def test_power_row_sums_match_dense_powers():
     for _ in range(10):
         n = int(rng.integers(3, 30))
         M = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
-        net = Network.from_dense(M)
+        net = dense_network(M)
         k = int(rng.integers(2, 6))
         ladder = net.power_row_sums(k)
         for j in range(k):
@@ -103,7 +104,7 @@ def test_complete_graph_acceptance_fraction():
     net = Network.from_edges(
         [(a, b) for a in range(3) for b in range(3) if a != b])
     motif = Motif.chain(2)
-    valid = sum(hom_weight(net, motif, x) > 0
+    valid = sum(hom_weights(net, motif, [x])[0] > 0
                 for x in itertools.product(range(3), repeat=2))
     assert valid == 6
 
@@ -121,7 +122,7 @@ def test_chain_walk_sample_produces_valid_homs():
     rng = np.random.default_rng(3)
     for _ in range(30):
         x = chain_walk_sample(net, motif, rng)
-        assert hom_weight(net, motif, x) > 0
+        assert hom_weights(net, motif, [x])[0] > 0
 
 
 def test_initial_homomorphism_falls_back_to_walk():
@@ -129,7 +130,7 @@ def test_initial_homomorphism_falls_back_to_walk():
     net = cycle_network(60)
     motif = Motif.chain(6)
     x = initial_homomorphism(net, motif, np.random.default_rng(4), max_tries=5)
-    assert hom_weight(net, motif, x) > 0
+    assert hom_weights(net, motif, [x])[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def test_glauber_preserves_homomorphism_validity():
     x = rejection_sample_hom(net, motif, rng)
     for _ in range(2000):
         x = glauber_update(net, motif, x, rng)
-        assert hom_weight(net, motif, x) > 0
+        assert hom_weights(net, motif, [x])[0] > 0
 
 
 def test_glauber_matches_uniform_on_odd_cycle():
@@ -220,7 +221,7 @@ def test_glauber_general_motif_triangle():
     x = rejection_sample_hom(extra, motif, rng)
     for _ in range(500):
         x = glauber_update(extra, motif, x, rng)
-        assert hom_weight(extra, motif, x) > 0
+        assert hom_weights(extra, motif, [x])[0] > 0
         assert 3 not in x  # node 3 is on no triangle
     assert net.is_simple
 
@@ -241,7 +242,7 @@ def test_symmetric_network_in_out_ratio_is_one():
     net = weighted_5node_network()
     assert np.allclose(net.in_sums, net.out_sums)
     for v in range(net.n):
-        for ell in net.out_neighbors(v):
+        for ell in net.out_edges.row(v)[0]:
             assert pivot_acceptance(net, Motif.chain(3), v, int(ell),
                                     mode="approximate") == 1.0
 
@@ -250,7 +251,7 @@ def test_regular_graph_exact_acceptance_is_one():
     net = cycle_network(6)  # 2-regular
     motif = Motif.chain(3)
     for v in range(6):
-        for ell in net.out_neighbors(v):
+        for ell in net.out_edges.row(v)[0]:
             assert pivot_acceptance(net, motif, v, int(ell)) == 1.0
 
 
@@ -258,7 +259,7 @@ def test_pivot_acceptance_clamped_to_unit_interval():
     net = weighted_5node_network()
     motif = Motif.chain(4)
     for v in range(net.n):
-        for ell in net.out_neighbors(v):
+        for ell in net.out_edges.row(v)[0]:
             for mode in ("exact", "approximate"):
                 lam = pivot_acceptance(net, motif, v, int(ell), mode=mode)
                 assert 0.0 <= lam <= 1.0
@@ -273,7 +274,7 @@ def test_pivot_preserves_homomorphism_validity():
         y = x
         for _ in range(2000):
             y = pivot_update(net, motif, y, rng, mode=mode)
-            assert hom_weight(net, motif, y) > 0
+            assert hom_weights(net, motif, [y])[0] > 0
 
 
 def test_pivot_dead_end_returns_input():
@@ -339,7 +340,7 @@ def test_oracle_directed_cycle():
 
 
 def test_oracle_guard_and_empty_hom_set():
-    big = Network.from_dense(np.ones((60, 60)))
+    big = dense_network(np.ones((60, 60)))
     with pytest.raises(OracleSizeError):
         hom_distribution_bruteforce(big, Motif.chain(5))
     empty = Network.from_edges([(0, 1)])
@@ -351,9 +352,9 @@ def test_oracle_weights_follow_products():
     net = weighted_5node_network()
     motif = Motif.chain(2)
     oracle = hom_distribution_bruteforce(net, motif)
-    z = sum(hom_weight(net, motif, x)
+    z = sum(hom_weights(net, motif, [x])[0]
             for x in itertools.product(range(5), repeat=2))
-    assert oracle[(0, 1)] == pytest.approx(net.weight(0, 1) / z)
+    assert oracle[(0, 1)] == pytest.approx(net.weights_at(0, 1) / z)
 
 
 def test_mesoscale_patch_chain_pattern():
@@ -580,16 +581,15 @@ def _pair_cases():
 @pytest.mark.parametrize("case", range(len(_pair_cases())))
 def test_csr_core_matches_the_dict_reference(case):
     n, weights = _pair_cases()[case]
-    net, ref = Network(n, weights), RefNetwork(n, weights)
+    net, ref = dict_network(n, weights), RefNetwork(n, weights)
     nodes = np.arange(n)
     full = np.array([[ref.weight(a, b) for b in range(n)] for a in range(n)])
-    assert all(net.weight(a, b) == full[a, b] for a in range(n) for b in range(n))
     assert np.array_equal(net.weights_at(nodes[:, None], nodes[None, :]), full)
     assert np.array_equal(net.dense(), full)
-    assert net.num_directed_edges == len(ref.weights)
+    assert len(net.out_edges.indices) == len(ref.weights)
     for v in range(n):
-        assert np.array_equal(net.out_neighbors(v), ref.out[v][0])
-        assert np.array_equal(net.in_neighbors(v), ref.inn[v][0])
+        assert np.array_equal(net.out_edges.row(v)[0], ref.out[v][0])
+        assert np.array_equal(net.in_edges.row(v)[0], ref.inn[v][0])
         s, e = net.out_edges.indptr[v], net.out_edges.indptr[v + 1]
         assert np.array_equal(net.out_edges.weights[s:e], ref.out[v][1])
         assert np.array_equal(net.out_edges.cum[s:e], ref.out[v][2])
@@ -620,7 +620,7 @@ def test_undirected_pairs_set_each_orientation_once():
     for u, v in pairs:
         weights[(u, v)] = weights[(v, u)] = 1.0
     net, ref = Network.from_undirected_pairs(5, pairs), RefNetwork(5, weights)
-    assert net.num_directed_edges == len(ref.weights) == 5
+    assert len(net.out_edges.indices) == len(ref.weights) == 5
     assert np.array_equal(net.dense(), [[ref.weight(a, b) for b in range(5)]
                                         for a in range(5)])
 
@@ -636,20 +636,20 @@ def test_from_edges_accumulates_like_the_dict_reference():
         ref = ref_from_edges(edges, undirected=undirected)
         assert net.labels == [str(lab) for lab in dict.fromkeys(
             lab for e in edges for lab in e[:2])]
-        assert net.num_directed_edges == len(ref.weights)
+        assert len(net.out_edges.indices) == len(ref.weights)
         for (a, b), w in ref.weights.items():
-            assert net.weight(a, b) == w
+            assert net.weights_at(a, b) == w
 
 
 def test_power_row_sums_and_tail_tables_are_sequential_row_sums():
     rng = np.random.default_rng(22)
     n, weights = _random_weighted(rng, 25, 0.4)
-    net, ref = Network(n, weights), RefNetwork(n, weights)
+    net, ref = dict_network(n, weights), RefNetwork(n, weights)
     k = 5
     ladder = net.power_row_sums(k)
     assert np.array_equal(ladder, ref_ladder(ref, k))
     tables = net.tail_cdfs(k)
-    assert tables.shape == (k - 1, net.num_directed_edges)
+    assert tables.shape == (k - 1, len(net.out_edges.indices))
     for j in range(k - 1):
         for v in range(n):
             tgt, wts, _ = ref.out[v]
@@ -694,7 +694,7 @@ def test_glauber_conditional_matches_the_per_candidate_loop(m):
     for n, density in ((6, 0.6), (9, 0.45)):
         size, weights = _random_weighted(rng, n, density)
         weights = {pair: float(rng.random() * 3) for pair in weights}
-        net, ref = Network(size, weights), RefNetwork(size, weights)
+        net, ref = dict_network(size, weights), RefNetwork(size, weights)
         homs = [x for x in itertools.product(range(size), repeat=motif.k)
                 if ref_hom_weight(ref, motif, x) > 0]
         assert homs
@@ -713,7 +713,7 @@ def test_bruteforce_oracle_matches_the_enumeration_loop(m):
     rng = np.random.default_rng(30 + m)
     size, weights = _random_weighted(rng, 7, 0.5)
     weights = {pair: float(rng.random() * 3) for pair in weights}
-    net, ref = Network(size, weights), RefNetwork(size, weights)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
     table = {}
     for x in itertools.product(range(size), repeat=motif.k):
         w = ref_hom_weight(ref, motif, x)
@@ -774,7 +774,7 @@ def test_chain_trajectories_match_the_reference(mode):
     for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
         if rng.random() < 0.8:
             weights[(b, a)] = w
-    net, ref = Network(size, weights), RefNetwork(size, weights)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
     k = 4
     motif = Motif.chain(k)
     ladder = ref_ladder(ref, k)
@@ -801,7 +801,7 @@ def test_chain_trajectories_match_the_reference(mode):
     for m, motif in enumerate(_motifs()):
         size, weights = _random_weighted(rng, 12, 0.75, isolated=1)
         weights = {pair: float(rng.random() * 3) for pair in weights}
-        net, ref = Network(size, weights), RefNetwork(size, weights)
+        net, ref = dict_network(size, weights), RefNetwork(size, weights)
         x = y = rejection_sample_hom(net, motif, np.random.default_rng(m))
         rng_new, rng_ref = np.random.default_rng(27 + m), np.random.default_rng(27 + m)
         for _ in range(300):
@@ -839,7 +839,7 @@ def test_rejection_sampling_matches_one_try_at_a_time():
     from onmf.networks import _REJECTION_CHUNK as chunk
     # one directed edge among 40 nodes: a 2-chain try hits with p = 1/1600
     sparse = {(3, 7): 1.0}
-    net, ref = Network(40, sparse), RefNetwork(40, sparse)
+    net, ref = dict_network(40, sparse), RefNetwork(40, sparse)
     motif = Motif.chain(2)
     seen = set()
     for seed in range(60):
@@ -870,6 +870,7 @@ RANGE = (ValueError, "edge endpoint out of range")
 WEIGHT = (ValueError, "edge weights must be finite and nonnegative")
 LABELS = (ValueError, "label count must match node count")
 EMPTY = (ValueError, "network needs at least one node")
+LENGTHS = (ValueError, "src, dst and weights must have equal lengths")
 
 
 def _write(tmp_path, text):
@@ -879,28 +880,18 @@ def _write(tmp_path, text):
 
 
 VALIDATION_CASES = [
-    ("init-range-high", lambda p: Network(3, {(0, 3): 1.0}), RANGE),
-    ("init-range-negative", lambda p: Network(3, {(-1, 0): 1.0}), RANGE),
-    ("init-negative", lambda p: Network(3, {(0, 1): -1.0}), WEIGHT),
-    ("init-nan", lambda p: Network(3, {(0, 1): float("nan")}), WEIGHT),
-    ("init-inf", lambda p: Network(3, {(0, 1): float("inf")}), WEIGHT),
+    ("init-range-high", lambda p: Network(3, [0], [3], [1.0]), RANGE),
+    ("init-range-negative", lambda p: Network(3, [-1], [0], [1.0]), RANGE),
+    ("init-negative", lambda p: Network(3, [0], [1], [-1.0]), WEIGHT),
+    ("init-nan", lambda p: Network(3, [0], [1], [float("nan")]), WEIGHT),
+    ("init-inf", lambda p: Network(3, [0], [1], [float("inf")]), WEIGHT),
     ("init-first-bad-is-weight",
-     lambda p: Network(3, {(0, 1): -1.0, (0, 5): 1.0}), WEIGHT),
+     lambda p: Network(3, [0, 0], [1, 5], [-1.0, 1.0]), WEIGHT),
     ("init-first-bad-is-range",
-     lambda p: Network(3, {(0, 5): 1.0, (0, 1): -1.0}), RANGE),
-    ("init-labels", lambda p: Network(3, {}, labels=["a"]), LABELS),
-    ("init-empty", lambda p: Network(0, {}), EMPTY),
-    ("dense-range", lambda p: Network.from_dense([[0.0, 0.0, 1.0],
-                                                  [0.0, 0.0, 0.0]]), RANGE),
-    ("dense-negative", lambda p: Network.from_dense([[0.0, -2.0], [0.0, 0.0]]),
-     WEIGHT),
-    ("dense-nan", lambda p: Network.from_dense([[np.nan, 0.0], [0.0, 0.0]]),
-     WEIGHT),
-    ("dense-inf", lambda p: Network.from_dense([[0.0, np.inf], [0.0, 0.0]]),
-     WEIGHT),
-    ("dense-labels", lambda p: Network.from_dense(np.eye(2), labels=["a"]),
-     LABELS),
-    ("dense-empty", lambda p: Network.from_dense(np.zeros((0, 0))), EMPTY),
+     lambda p: Network(3, [0, 0], [5, 1], [1.0, -1.0]), RANGE),
+    ("init-labels", lambda p: Network(3, [], [], [], labels=["a"]), LABELS),
+    ("init-empty", lambda p: Network(0, [], [], []), EMPTY),
+    ("init-lengths", lambda p: Network(3, [0, 1], [1], [1.0]), LENGTHS),
     ("pairs-range", lambda p: Network.from_undirected_pairs(3, [(0, 3)]), RANGE),
     ("pairs-range-negative",
      lambda p: Network.from_undirected_pairs(3, [(0, 1), (-1, 2)]), RANGE),

@@ -9,7 +9,7 @@ from helpers import empirical_distribution, exact_boltzmann
 from onmf import sources
 from onmf import (IsingConfig, PatchWalker, conditional_plus_probability,
                   image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
-                  levels_to_spins, read_pgm, read_spins_pgm, reconstruct_grid,
+                  read_pgm, read_spins_pgm, reconstruct_grid,
                   spin_patch_minibatch, spins_to_levels, tv_distance,
                   write_pgm, write_spins_pgm)
 from onmf.pgm import PgmError
@@ -252,9 +252,12 @@ def test_patch_size_guard():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4))
-def test_spin_level_map_roundtrip(bits):
+def test_spin_level_map_roundtrip(tmp_path_factory, bits):
+    # read_spins_pgm applies the inverse map on read
     spins = np.array(bits).reshape(2, 2)
-    assert np.array_equal(levels_to_spins(spins_to_levels(spins)), spins)
+    path = tmp_path_factory.getbasetemp() / "levels.pgm"
+    write_pgm(path, spins_to_levels(spins))
+    assert np.array_equal(read_spins_pgm(path), spins)
 
 
 # ---------------------------------------------------------------------------
