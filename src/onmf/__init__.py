@@ -14,15 +14,14 @@ from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   NDLParams, NetworkDictionary, ReconstructionState, RocError,
                   RocResult, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
-from .networks import (EdgeListError, Motif, Network, OracleSizeError,
-                       SamplingError, chain_update, chain_walk_sample,
-                       glauber_conditional, glauber_update,
-                       hom_distribution_bruteforce, hom_weights,
+from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
+                       chain_update, chain_walk_sample, glauber_conditional,
+                       glauber_update, hom_distribution_bruteforce, hom_weights,
                        initial_homomorphism, mesoscale_patch, pivot_acceptance,
                        pivot_update, rejection_sample_hom, tv_distance)
-from .pgm import (PgmError, read_pgm, read_spins_pgm, write_pgm,
-                  write_spins_pgm)
+from .pgm import (PgmError, read_pgm, read_spins_pgm, spins_to_levels,
+                  write_pgm, write_spins_pgm)
 from .sources import (IsingConfig, PatchWalker, conditional_plus_probability,
                       image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
                       ising_patch_stream, reconstruct_grid,
-                      spin_patch_minibatch, spins_to_levels)
+                      spin_patch_minibatch)

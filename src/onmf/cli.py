@@ -26,10 +26,9 @@ from .factorization import (ZeroDictionaryError, init_engine, learn,
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
-from .networks import (MCMC_MODES, EdgeListError, Motif, Network,
-                       OracleSizeError, SamplingError, chain_update,
-                       hom_distribution_bruteforce, initial_homomorphism,
-                       tv_distance)
+from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
+                       SamplingError, chain_update, hom_distribution_bruteforce,
+                       initial_homomorphism, tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from .sources import (IsingConfig, PatchWalker, image_patch_minibatch,
                       ising_patch_stream, reconstruct_grid)
@@ -200,6 +199,10 @@ def cmd_reconstruct(args, out_dir: Path) -> None:
 
 
 def cmd_denoise(args, out_dir: Path) -> None:
+    if args.recon_iters < 0:
+        raise UsageError("--recon-iters must be nonnegative")
+    if args.recon_lambda < 0:
+        raise UsageError("--recon-lambda must be nonnegative")
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
     if args.fraction is not None and args.labels is not None:
@@ -209,8 +212,6 @@ def cmd_denoise(args, out_dir: Path) -> None:
     if args.fraction is not None:
         result = corrupt_network(net, args.mode, args.fraction, rng)
         corrupted = result.corrupted
-        _write_pairs(out_dir / "corrupted.edgelist", None, net,
-                     corrupted.undirected_keys(), " ")
     elif args.labels is None:
         raise UsageError("need --fraction to corrupt or --labels for a "
                          "pre-corrupted network")
@@ -226,9 +227,11 @@ def cmd_denoise(args, out_dir: Path) -> None:
     if args.dict is not None:
         W = _load_dictionary(args)
     else:
-        nd = ndl_learn(corrupted, _ndl_params(args), rng)
-        W = nd.W
+        W = ndl_learn(corrupted, _ndl_params(args), rng).W
         save_dictionary(out_dir / "dictionary.txt", W)
+    if args.fraction is not None:    # once learning has checked its flags
+        _write_pairs(out_dir / "corrupted.edgelist", None, net,
+                     corrupted.undirected_keys(), " ")
 
     recons = nr_reconstruct(corrupted, W, iters=args.recon_iters,
                             lam=args.recon_lambda, mcmc=args.mcmc, rng=rng)
@@ -340,20 +343,20 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
         raise UsageError("--chains must be positive")
     if args.iters < 1:
         raise UsageError("--iters must be positive")
-    motif = Motif.chain(args.motif_k)
+    k = args.motif_k
     try:
-        oracle = hom_distribution_bruteforce(net, motif)
+        oracle = hom_distribution_bruteforce(net, k)
     except OracleSizeError as exc:
         raise OracleSizeError(f"{exc}; rerun with a smaller graph or motif")
     children = np.random.SeedSequence(args.seed).spawn(args.chains)
     for c, child in enumerate(children):
         rng = np.random.default_rng(child)
         suffix = f"_chain{c}" if args.chains > 1 else ""
-        x = initial_homomorphism(net, motif, rng)
+        x = initial_homomorphism(net, k, rng)
         counts: dict = {}
         tv_rows = []
         for step in range(1, args.iters + 1):
-            x = chain_update(net, motif, x, rng, args.mcmc)
+            x = chain_update(net, k, x, rng, args.mcmc)
             counts[x] = counts.get(x, 0) + 1
             if step % 1000 == 0 or step == args.iters:
                 emp = {k: v / step for k, v in counts.items()}

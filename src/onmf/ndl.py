@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import AggregateStats, init_engine, learn, sparse_code
-from .networks import (MCMC_MODES, Motif, Network, chain_update,
-                       initial_homomorphism, mesoscale_patch)
+from .networks import (MCMC_MODES, Network, chain_update, initial_homomorphism,
+                       mesoscale_patch)
 
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
 RECON_BLOCK = 512
@@ -79,13 +79,13 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
     return diag / total
 
 
-def _walk_patches(net: Network, motif: Motif, x, rng, mcmc: str, m: int):
+def _walk_patches(net: Network, k: int, x, rng, mcmc: str, m: int):
     """Advance the chain m steps from x: the homomorphisms as the rows of an
     (m, k) array and their vectorized patches as the columns of the
     C-contiguous k^2 x m matrix, made by one `mesoscale_patch` call."""
     maps = []
     for _ in range(m):
-        x = chain_update(net, motif, x, rng, mcmc)
+        x = chain_update(net, k, x, rng, mcmc)
         maps.append(x)
     xs = np.array(maps, dtype=np.int64)
     X = np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
@@ -99,8 +99,7 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
     into a k^2 x batch matrix which drives one engine step with balanced
     weights (beta defaults to 1).
     """
-    motif = Motif.chain(params.k)
-    x = initial_homomorphism(net, motif, rng)
+    x = initial_homomorphism(net, params.k, rng)
     engine = init_engine(params.k ** 2, params.atoms, params.dict_radius, rng,
                          beta=params.beta, lam=params.lam, kappa1=params.kappa1,
                          kappa2=params.kappa2, code_tol=1e-8, code_max_iter=500,
@@ -108,7 +107,8 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
 
     def minibatches(x):
         while True:
-            xs, X = _walk_patches(net, motif, x, rng, params.mcmc, params.batch)
+            xs, X = _walk_patches(net, params.k, x, rng, params.mcmc,
+                                  params.batch)
             x = tuple(xs[-1].tolist())
             yield X
 
@@ -185,12 +185,11 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     k = int(round(math.sqrt(k2)))
     if k * k != k2:
         raise ValueError("dictionary rows must be a perfect square")
-    motif = Motif.chain(k)
-    x = initial_homomorphism(net, motif, rng)
+    x = initial_homomorphism(net, k, rng)
     state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
     for start in range(0, iters, RECON_BLOCK):
-        xs, X = _walk_patches(net, motif, x, rng, mcmc,
+        xs, X = _walk_patches(net, k, x, rng, mcmc,
                               min(RECON_BLOCK, iters - start))
         x = tuple(xs[-1].tolist())
         H = sparse_code(X, W, lam=lam, tol=code_tol, max_iter=code_max_iter)

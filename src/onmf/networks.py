@@ -1,16 +1,17 @@
 """Weighted networks and the motif-sampling Markov chains.
 
-A network is a node set with a sparse nonnegative weight map; a motif is a
-small template network F = ([k], A_F).  A vertex map x: [k] -> V is a
-homomorphism when the product of target weights over the motif's edges is
-positive.  Three samplers walk the space of homomorphisms: plain rejection
-sampling, the Glauber chain (single-coordinate conditional resampling), and
-the Pivot chain (random-walk move of the first node with a
-Metropolis-Hastings correction, then successive resampling of the tail).
+A network is a node set with a sparse nonnegative weight map.  The motif is
+the k-chain, the directed path 1 -> 2 -> ... -> k.  A vertex map x: [k] -> V
+is a homomorphism when the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the
+weights along it is positive.  Three samplers walk the space of
+homomorphisms: plain rejection sampling, the Glauber chain (single-coordinate
+conditional resampling), and the Pivot chain (random-walk move of the first
+node with a Metropolis-Hastings correction, then successive resampling of the
+tail).
 
 The exact Pivot acceptance combines the path-count ratio with the proposal
 ratio, and the tail is resampled from conditionals weighted by remaining path
-counts, so the chain's stationary law on bidirectional networks is the motif
+counts, so the chain's stationary law on bidirectional networks is the chain
 weight distribution itself.  Approximate mode keeps only the in/out weight
 ratio and extends the tail by plain neighbor weights, trading exactness for
 speed.
@@ -291,13 +292,6 @@ class Network:
         """`out_sums` and `in_sums` as lists."""
         return self.out_sums.tolist(), self.in_sums.tolist()
 
-    @cached_property
-    def _loops(self) -> dict[int, float]:
-        """A(w, w) of every node w with a self-loop, in ascending order."""
-        src, dst = self._edge_ends()
-        loop = src == dst
-        return dict(zip(src[loop].tolist(), self.out_edges.weights[loop].tolist()))
-
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
@@ -336,87 +330,26 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# Motifs and homomorphisms
+# Chain homomorphisms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Motif:
-    """Template network ([k], A_F) with a nonnegative k x k weight matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-            raise ValueError("motif matrix must be square and nonempty")
-        if not np.isfinite(M).all() or M.min() < 0:
-            raise ValueError("motif weights must be finite and nonnegative")
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def chain(cls, k: int) -> "Motif":
-        """Directed path on [k]: edges (1,2), ..., (k-1,k)."""
-        M = np.zeros((k, k))
-        for i in range(k - 1):
-            M[i, i + 1] = 1.0
-        return cls(M)
-
-    @cached_property
-    def is_chain(self) -> bool:
-        expected = Motif.chain(self.k).matrix
-        return bool(np.array_equal(self.matrix, expected))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """Nonzero (i, j, exponent) entries of the motif matrix."""
-        out = []
-        for i in range(self.k):
-            for j in range(self.k):
-                if self.matrix[i, j] > 0:
-                    out.append((i, j, float(self.matrix[i, j])))
-        return tuple(out)
-
-    @cached_property
-    def incident(self) -> tuple:
-        """Per node v: the (u, exponent) of edges u -> v with u != v, those of
-        edges v -> u with u != v, and the self-loop exponent, in `edges` order.
-        """
-        out = []
-        for v in range(self.k):
-            into = tuple((i, e) for i, j, e in self.edges if j == v != i)
-            out_of = tuple((j, e) for i, j, e in self.edges if i == v != j)
-            loop = sum(e for i, j, e in self.edges if i == j == v)
-            out.append((into, out_of, loop))
-        return tuple(out)
+def _check_chain_length(k: int) -> None:
+    if k < 1:
+        raise ValueError("chain length k must be at least 1")
 
 
-def _power(a: np.ndarray, e: float) -> np.ndarray:
-    """a ** e entrywise, by the C library's pow like the scalar code paths.
+def hom_weights(net: Network, k: int, X) -> np.ndarray:
+    """k-chain weight of every vertex map in the rows of the (m, k) array X:
+    the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the weights along the
+    map, positive iff the map is a homomorphism.
 
-    numpy's vectorized power may round differently in the last bit (it can
-    use SIMD approximations), which would change sampled chains.
-    """
-    if e == 1.0:
-        return a
-    return np.array([w ** e for w in a.ravel().tolist()]).reshape(a.shape)
-
-
-def hom_weights(net: Network, motif: Motif, X) -> np.ndarray:
-    """Motif weight of every vertex map in the rows of the (m, k) array X: the
-    product of target weights over the motif's edges, positive iff the map is
-    a homomorphism.
-
-    The factors multiply in motif-edge order, starting from 1.0.
+    The factors multiply in chain order, starting from 1.0.
     """
     X = np.asarray(X, dtype=np.int64)
     total = np.ones(len(X))
-    for i, j, e in motif.edges:
-        total *= _power(net.weights_at(X[:, i], X[:, j]), e)
+    for i in range(k - 1):
+        total *= net.weights_at(X[:, i], X[:, i + 1])
     return total
 
 
@@ -443,9 +376,9 @@ def _row_weights(adj: Adjacency, ptr: list[int], a: int, nodes: list) -> list:
     return [row.get(b, 0.0) for b in nodes]
 
 
-def rejection_sample_hom(net: Network, motif: Motif, rng,
-                         max_tries: int = 200000):
-    """Propose i.i.d. uniform vertex maps until one has positive motif weight.
+def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
+    """Propose i.i.d. uniform vertex maps until one has positive k-chain
+    weight.
 
     Tries are drawn and tested `_REJECTION_CHUNK` at a time.  On a hit the
     generator is rewound and exactly the tries up to the hit are drawn again,
@@ -457,31 +390,28 @@ def rejection_sample_hom(net: Network, motif: Motif, rng,
     while done < max_tries:
         m = min(_REJECTION_CHUNK, max_tries - done)
         state = rng.bit_generator.state
-        tries = rng.integers(0, net.n, size=(m, motif.k))
-        hits = np.flatnonzero(hom_weights(net, motif, tries) > 0)
+        tries = rng.integers(0, net.n, size=(m, k))
+        hits = np.flatnonzero(hom_weights(net, k, tries) > 0)
         if len(hits):
             rng.bit_generator.state = state
-            tries = rng.integers(0, net.n, size=(int(hits[0]) + 1, motif.k))
+            tries = rng.integers(0, net.n, size=(int(hits[0]) + 1, k))
             return tuple(int(v) for v in tries[-1])
         done += m
     raise SamplingError("no homomorphism found by rejection sampling")
 
 
-def chain_walk_sample(net: Network, motif: Motif, rng,
-                      max_tries: int = 10000):
-    """Greedy chain-motif homomorphism by walking successive out-edges.
+def chain_walk_sample(net: Network, k: int, rng, max_tries: int = 10000):
+    """Greedy k-chain homomorphism by walking successive out-edges.
 
     Far cheaper than rejection sampling on sparse networks with long chains;
-    the draw is not from the motif weight distribution, which is irrelevant
+    the draw is not from the chain weight distribution, which is irrelevant
     for initializing an ergodic chain.
     """
-    if not motif.is_chain:
-        raise ValueError("walk construction requires a chain motif")
     ptr, indices, cum = net._out_ptr, net.out_edges.indices, net.out_edges.cum
     for _ in range(max_tries):
         x = [int(rng.integers(net.n))]
         ok = True
-        for _ in range(motif.k - 1):
+        for _ in range(k - 1):
             s, e = ptr[x[-1]], ptr[x[-1] + 1]
             if s == e:
                 ok = False
@@ -492,75 +422,57 @@ def chain_walk_sample(net: Network, motif: Motif, rng,
     raise SamplingError("no homomorphism found by chain walking")
 
 
-def initial_homomorphism(net: Network, motif: Motif, rng,
-                         max_tries: int = 20000):
-    """Rejection sampling with a chain-walk fallback for chain motifs.
+def initial_homomorphism(net: Network, k: int, rng, max_tries: int = 20000):
+    """Rejection sampling with a chain-walk fallback for k >= 2.
 
-    Rejection acceptance decays like hom(F,G)/n^k, which is hopeless for long
+    Rejection acceptance decays like hom(k-chain, G)/n^k, hopeless for long
     chains on large sparse networks; the fallback trades the proposal law
     (irrelevant for initializing an ergodic chain) for a guaranteed start.
     """
+    _check_chain_length(k)
     try:
-        return rejection_sample_hom(net, motif, rng, max_tries=max_tries)
+        return rejection_sample_hom(net, k, rng, max_tries=max_tries)
     except SamplingError:
-        if motif.is_chain and motif.k >= 2:
-            return chain_walk_sample(net, motif, rng)
+        if k >= 2:
+            return chain_walk_sample(net, k, rng)
         raise
 
 
-def glauber_conditional(net: Network, motif: Motif, x, v: int):
+def glauber_conditional(net: Network, k: int, x, v: int):
     """Candidate nodes and probabilities, as Python lists, for resampling
-    motif node v.
+    chain node v.
 
-    p(w) is proportional to the product of A(x(u), w)^{A_F(u,v)} over incoming
-    motif edges and A(w, x(u))^{A_F(v,u)} over outgoing ones; with no incident
-    motif edges the law is uniform over all nodes.  The candidates are the
-    smallest incident neighbor list, whose own factor is its row's weights;
-    the factors multiply in motif-edge order.
+    p(w) is proportional to A(x(v-1), w) A(w, x(v+1)), leaving out a factor
+    whose neighbor lies beyond the chain's ends; for k = 1 the law is uniform
+    over all nodes.  The candidates are the smaller of the two rows, the
+    out-row of x(v-1) on a tie, and that row's weights are its own factor.
     """
-    into, out_of, self_exp = motif.incident[v]
-    if not into and not out_of and self_exp == 0.0:
+    if k == 1:
         return list(range(net.n)), [1.0 / net.n] * net.n
-    # A(x(u), w) > 0 puts w among the out-neighbors of x(u); A(w, x(u)) > 0
-    # among its in-neighbors
-    terms = ([(net.out_edges, net._out_ptr, x[u], e) for u, e in into]
-             + [(net.in_edges, net._in_ptr, x[u], e) for u, e in out_of])
-    sizes = [ptr[node + 1] - ptr[node] for _, ptr, node, _ in terms]
-    loops = net._loops
-    if self_exp > 0.0:
-        sizes.append(len(loops))
-    best = sizes.index(min(sizes))
-    if best < len(terms):
-        adj, ptr, node, _ = terms[best]
-        cand = adj.indices[ptr[node]:ptr[node + 1]].tolist()
-    else:
-        cand = list(loops)
-    factors = []
-    for t, (adj, ptr, node, e) in enumerate(terms):
-        if t == best:
-            s = ptr[node]
-            a = adj.weights[s:s + len(cand)].tolist()
-        else:
-            a = _row_weights(adj, ptr, node, cand)
-        factors.append((a, e))
-    if self_exp > 0.0:
-        factors.append(([loops.get(c, 0.0) for c in cand], self_exp))
-    # the product starts from the first factor, as 1.0 * f == f exactly
-    weights = None
-    for a, e in factors:
-        if e != 1.0:
-            a = [w ** e for w in a]
-        weights = a if weights is None else [w * f for w, f in zip(weights, a)]
+    rows = []
+    if v > 0:         # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
+        rows.append((net.out_edges, net._out_ptr, x[v - 1]))
+    if v < k - 1:     # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
+        rows.append((net.in_edges, net._in_ptr, x[v + 1]))
+    # the smaller row first, the out-row of x(v-1) on a tie (a stable sort)
+    rows.sort(key=lambda row: row[1][row[2] + 1] - row[1][row[2]])
+    (adj, ptr, node), *others = rows
+    s, e = ptr[node], ptr[node + 1]
+    cand = adj.indices[s:e].tolist()
+    weights = adj.weights[s:e].tolist()
+    for adj, ptr, node in others:
+        other = _row_weights(adj, ptr, node, cand)
+        weights = [w * f for w, f in zip(weights, other)]
     total = float(np.add.reduce(weights))   # pairwise, as ndarray.sum adds
     if total <= 0.0:
         raise AssertionError("empty Glauber conditional for a valid homomorphism")
     return cand, [w / total for w in weights]
 
 
-def glauber_update(net: Network, motif: Motif, x, rng):
-    """Resample one uniformly chosen motif node from its exact conditional."""
-    v = int(rng.integers(motif.k))
-    cand, probs = glauber_conditional(net, motif, x, v)
+def glauber_update(net: Network, k: int, x, rng):
+    """Resample one uniformly chosen chain node from its exact conditional."""
+    v = int(rng.integers(k))
+    cand, probs = glauber_conditional(net, k, x, v)
     new = list(x)
     new[v] = cand[_draw(rng, list(accumulate(probs)), 0, len(cand))]
     return tuple(new)
@@ -587,25 +499,22 @@ def _acceptance(net: Network, k: int, v: int, ell: int, mode: str,
     return min(1.0, num / den)
 
 
-def pivot_acceptance(net: Network, motif: Motif, v: int, ell: int,
+def pivot_acceptance(net: Network, k: int, v: int, ell: int,
                      mode: str = "exact") -> float:
     """Acceptance probability for the pivot move v -> ell, clamped to [0, 1]."""
-    return _acceptance(net, motif.k, v, ell, mode)
+    return _acceptance(net, k, v, ell, mode)
 
 
-def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
-    """One Pivot chain step for a k-chain motif.
+def pivot_update(net: Network, k: int, x, rng, mode: str = "exact"):
+    """One Pivot chain step for the k-chain.
 
     Moves the pivot x(1) by one weighted random-walk step, accepts it with the
     Metropolis-Hastings probability, then resamples x(2..k) successively.  On
     rejection (or a dead-end pivot or tail extension) the input homomorphism
     is returned unchanged.
     """
-    if not motif.is_chain:
-        raise ValueError("pivot chain requires a chain motif")
     if mode not in ("exact", "approximate"):
         raise ValueError(f"unknown pivot mode {mode!r}")
-    k = motif.k
     v = x[0]
     if net._sums[0][v] <= 0.0:
         return x
@@ -631,34 +540,35 @@ def pivot_update(net: Network, motif: Motif, x, rng, mode: str = "exact"):
 MCMC_MODES = ("glauber", "pivot", "pivot-approx")
 
 
-def chain_update(net: Network, motif: Motif, x, rng, mode: str):
+def chain_update(net: Network, k: int, x, rng, mode: str):
     """Dispatch one MCMC update by mode name, one of `MCMC_MODES`."""
     if mode == "glauber":
-        return glauber_update(net, motif, x, rng)
+        return glauber_update(net, k, x, rng)
     if mode == "pivot":
-        return pivot_update(net, motif, x, rng, mode="exact")
+        return pivot_update(net, k, x, rng, mode="exact")
     if mode == "pivot-approx":
-        return pivot_update(net, motif, x, rng, mode="approximate")
+        return pivot_update(net, k, x, rng, mode="approximate")
     raise ValueError(f"unknown MCMC mode {mode!r}")
 
 
-def hom_distribution_bruteforce(net: Network, motif: Motif) -> dict:
-    """Exact motif weight distribution over V^[k] by full enumeration.
+def hom_distribution_bruteforce(net: Network, k: int) -> dict:
+    """Exact k-chain weight distribution over V^[k] by full enumeration: each
+    homomorphism x weighs A(x(1), x(2)) ... A(x(k-1), x(k)), normalized.
 
-    Guarded at n^k <= 10^7 states; uniform over Hom(F, G) when both weight
-    matrices are binary.
+    Guarded at n^k <= 10^7 states; uniform over the walks of k nodes (k - 1
+    edges) when the weights are binary.
     """
-    if net.n ** motif.k > _ORACLE_GUARD:
-        raise OracleSizeError(
-            f"{net.n}^{motif.k} states exceed the enumeration guard")
-    shape = (net.n,) * motif.k
-    states = net.n ** motif.k
+    _check_chain_length(k)
+    if net.n ** k > _ORACLE_GUARD:
+        raise OracleSizeError(f"{net.n}^{k} states exceed the enumeration guard")
+    shape = (net.n,) * k
+    states = net.n ** k
     table = {}
     for start in range(0, states, _ORACLE_BLOCK):
         # maps in lexicographic order, as itertools.product lists them
         flat = np.arange(start, min(start + _ORACLE_BLOCK, states))
         X = np.column_stack(np.unravel_index(flat, shape))
-        w = hom_weights(net, motif, X)
+        w = hom_weights(net, k, X)
         hit = w > 0
         table.update(zip(map(tuple, X[hit].tolist()), w[hit].tolist()))
     if not table:
@@ -668,7 +578,7 @@ def hom_distribution_bruteforce(net: Network, motif: Motif) -> dict:
 
 
 def mesoscale_patch(net: Network, x) -> np.ndarray:
-    """k x k matrix of target weights between the images of the motif nodes.
+    """k x k matrix of target weights between the images of the chain nodes.
 
     `x` may also be an (m, k) stack of vertex maps, one per row; the m
     patches then come back as an (m, k, k) array from one lookup.

@@ -65,9 +65,14 @@ def read_pgm(path) -> np.ndarray:
     return data.astype(float) / float(maxval)
 
 
+def spins_to_levels(spins: np.ndarray) -> np.ndarray:
+    """Affine map {-1, +1} -> {0, 1}; `read_spins_pgm` maps back."""
+    return (np.asarray(spins, dtype=float) + 1.0) * 0.5
+
+
 def write_spins_pgm(path, spins: np.ndarray) -> None:
     """Serialize a {-1,+1} spin grid as a {0,255} PGM."""
-    write_pgm(path, (np.asarray(spins, dtype=float) + 1.0) * 0.5)
+    write_pgm(path, spins_to_levels(spins))
 
 
 def read_spins_pgm(path) -> np.ndarray:

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .factorization import sparse_code
+from .pgm import spins_to_levels
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +211,6 @@ def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
                               run_us.tolist(), table)
         done += block
     return config
-
-
-def spins_to_levels(spins: np.ndarray) -> np.ndarray:
-    """Affine map {-1, +1} -> {0, 1}; `read_spins_pgm` maps back."""
-    return (np.asarray(spins, dtype=float) + 1.0) * 0.5
 
 
 def _extract_patches(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,

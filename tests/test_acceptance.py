@@ -18,7 +18,7 @@ from helpers import (cycle_network, edge_pairs, empirical_distribution,
                      exact_boltzmann, smallworld_network, sparse_coding_instances,
                      weighted_5node_network)
 from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
-                  IsingConfig, Motif, NDLParams, OnlineNMF, coding_objective,
+                  IsingConfig, NDLParams, OnlineNMF, coding_objective,
                   corrupt_network, candidate_pairs, dictionary_update,
                   empirical_loss, growth_check, init_dictionary, ising_gibbs_run,
                   ising_gibbs_step, ndl_learn, nr_reconstruct,
@@ -198,14 +198,13 @@ def test_criterion_06_gibbs_sampler_exactness():
 
 def test_criterion_07_glauber_chain_stationarity_on_c6():
     net = cycle_network(6)
-    motif = Motif.chain(3)
-    oracle = hom_distribution_bruteforce(net, motif)
+    oracle = hom_distribution_bruteforce(net, 3)
     assert len(oracle) == 24
     rng = np.random.default_rng(2)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, 3, rng)
     counts = {}
     for _ in range(10 ** 5):
-        x = glauber_update(net, motif, x, rng)
+        x = glauber_update(net, 3, x, rng)
         counts[x] = counts.get(x, 0) + 1
     tv = tv_distance(empirical_distribution(counts), oracle)
     report(7, "Glauber stationarity on C6", tv < 0.05,
@@ -215,21 +214,20 @@ def test_criterion_07_glauber_chain_stationarity_on_c6():
 
 def test_criterion_08_pivot_chain_stationarity():
     net = weighted_5node_network()
-    motif = Motif.chain(3)
-    oracle = hom_distribution_bruteforce(net, motif)
+    oracle = hom_distribution_bruteforce(net, 3)
     rng = np.random.default_rng(8)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, 3, rng)
     counts = {}
     steps = 2 * 10 ** 5
     for _ in range(steps):
-        x = pivot_update(net, motif, x, rng, mode="exact")
+        x = pivot_update(net, 3, x, rng, mode="exact")
         counts[x] = counts.get(x, 0) + 1
     tv_exact = tv_distance(empirical_distribution(counts), oracle)
 
     counts = {}
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, 3, rng)
     for _ in range(steps):
-        x = pivot_update(net, motif, x, rng, mode="approximate")
+        x = pivot_update(net, 3, x, rng, mode="approximate")
         counts[x] = counts.get(x, 0) + 1
     tv_approx = tv_distance(empirical_distribution(counts), oracle)
     ok = tv_exact < 0.05

@@ -340,9 +340,11 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
     assert err[0].startswith("data error: " if code == 2 else "error: ")
 
 
-# A count out of its range is refused with a message naming it, before any
-# output but metadata.txt: where the library takes it, or up front in the
-# command when the library takes it only after the learned outputs.
+# A count or flag value out of its range is refused with a message naming it,
+# before any output but metadata.txt: where the library takes it, or up front
+# in the command when the library takes it only after the learned outputs.
+DENOISE_SW = ["denoise", "--edges", "{smallworld}", "--undirected",
+              "--fraction", 0.2]
 COUNT_CASES = {
     "hom-diag-chains-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
                            "--chains", 0], "--chains must be positive"),
@@ -351,6 +353,23 @@ COUNT_CASES = {
     "hom-diag-iters-negative": (["hom-diag", "--edges", "{cycle}",
                                  "--undirected", "--iters", -3],
                                 "--iters must be positive"),
+    "hom-diag-motif-k-0": (["hom-diag", "--edges", "{cycle}", "--undirected",
+                            "--motif-k", 0],
+                           "chain length k must be at least 1"),
+    "hom-diag-motif-k-negative": (["hom-diag", "--edges", "{cycle}",
+                                   "--undirected", "--motif-k", -1],
+                                  "chain length k must be at least 1"),
+    "denoise-motif-k-0": (DENOISE_SW + ["--motif-k", 0],
+                          "counts must be positive"),
+    "denoise-atoms-0": (DENOISE_SW + ["--atoms", 0], "counts must be positive"),
+    "denoise-beta-0.5": (DENOISE_SW + ["--beta", 0.5],
+                         "beta must lie in (3/4, 1]"),
+    "denoise-dict-radius-0": (DENOISE_SW + ["--dict-radius", 0],
+                              "piece radius must be positive and finite"),
+    "denoise-recon-iters-negative": (DENOISE_SW + ["--recon-iters", -1],
+                                     "--recon-iters must be nonnegative"),
+    "denoise-recon-lambda-negative": (DENOISE_SW + ["--recon-lambda", -1],
+                                      "--recon-lambda must be nonnegative"),
     "denoise-fraction-and-labels": (["denoise", "--edges", "{cycle}",
                                      "--undirected", "--fraction", 0.3,
                                      "--labels", "{missing}"],
@@ -389,6 +408,7 @@ ISING_SMALL = ["--temperature", 2.0, "--lattice", 6, "--patch", 3,
 def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
     argv, message = COUNT_CASES[case]
     files = {"cycle": write_cycle(tmp_path / "cycle.txt"),
+             "smallworld": write_smallworld(tmp_path / "sw.txt", n=30),
              "dict": tmp_path / "dict.txt",
              "image": tmp_path / "image.pgm",
              "missing": tmp_path / "missing.csv"}

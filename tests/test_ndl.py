@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from helpers import (cycle_network, edge_pairs, mann_whitney_auc,
                      smallworld_network)
 from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
-                  Motif, NDLParams, Network, OnlineNMF, ReconstructionState,
-                  RocError, WeightSchedule, candidate_pairs,
-                  chain_update, coding_objective, corrupt_network,
+                  NDLParams, Network, OnlineNMF, ReconstructionState,
+                  RocError, WeightSchedule, candidate_pairs, chain_update,
+                  coding_objective, corrupt_network,
                   denoise_classify, dominance_scores, init_dictionary,
                   initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
                   nr_reconstruct, roc_auc, sparse_code)
@@ -61,8 +61,7 @@ def test_ndl_determinism():
 
 def _ndl_learn_by_step_loop(net, params, rng):
     """Reference: the chain, the minibatches and the engine written out."""
-    motif = Motif.chain(params.k)
-    x = initial_homomorphism(net, motif, rng)
+    x = initial_homomorphism(net, params.k, rng)
     constraint = ConstraintSpec.nonnegative(params.dict_radius)
     dictionary = init_dictionary(params.k ** 2, params.atoms, constraint, rng)
     engine = OnlineNMF(dictionary, lam=params.lam, kappa1=params.kappa1,
@@ -73,7 +72,7 @@ def _ndl_learn_by_step_loop(net, params, rng):
     for t in range(1, params.iters + 1):
         X = np.empty((params.k ** 2, params.batch))
         for j in range(params.batch):
-            x = chain_update(net, motif, x, rng, params.mcmc)
+            x = chain_update(net, params.k, x, rng, params.mcmc)
             X[:, j] = mesoscale_patch(net, x).reshape(-1)
         trace.append((t, engine.step(X).surrogate))
     return engine, trace
@@ -264,11 +263,10 @@ def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc):
                            code_tol=0.0, code_max_iter=50)
 
     ref_rng = np.random.default_rng(3)
-    motif = Motif.chain(3)
-    x = initial_homomorphism(net, motif, ref_rng)
+    x = initial_homomorphism(net, 3, ref_rng)
     sums, counts = {}, {}
     for _ in range(iters):
-        x = chain_update(net, motif, x, ref_rng, mcmc)
+        x = chain_update(net, 3, x, ref_rng, mcmc)
         patch = mesoscale_patch(net, x).reshape(-1, 1)
         h = sparse_code(patch, W, lam=0.5, tol=0.0, max_iter=50)
         approx = (W @ h).reshape(3, 3)

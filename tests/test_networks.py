@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
                      empirical_distribution, path_network,
                      weighted_5node_network)
-from onmf import (EdgeListError, Motif, Network, OracleSizeError,
+from onmf import (EdgeListError, Network, OracleSizeError,
                   SamplingError, chain_walk_sample, glauber_conditional,
                   glauber_update, hom_distribution_bruteforce, hom_weights,
                   initial_homomorphism, mesoscale_patch, pivot_acceptance,
@@ -73,15 +73,6 @@ def test_power_row_sums_match_dense_powers():
             assert np.allclose(ladder[j], expect, atol=1e-9)
 
 
-def test_motif_constructors():
-    chain = Motif.chain(4)
-    assert chain.k == 4
-    assert chain.is_chain
-    assert chain.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
-    tri = Motif(np.ones((3, 3)) - np.eye(3))
-    assert not tri.is_chain
-
-
 # ---------------------------------------------------------------------------
 # rejection sampling
 # ---------------------------------------------------------------------------
@@ -89,13 +80,13 @@ def test_motif_constructors():
 
 def test_single_node_motif_accepts_anything():
     net = Network.from_edges([(0, 1)])
-    x = rejection_sample_hom(net, Motif(np.zeros((1, 1))), np.random.default_rng(0))
+    x = rejection_sample_hom(net, 1, np.random.default_rng(0))
     assert x[0] in (0, 1)
 
 
 def test_single_edge_network_pins_the_homomorphism():
     net = Network.from_edges([("u", "v")])  # one directed edge
-    x = rejection_sample_hom(net, Motif.chain(2), np.random.default_rng(1))
+    x = rejection_sample_hom(net, 2, np.random.default_rng(1))
     assert x == (0, 1)
 
 
@@ -103,34 +94,44 @@ def test_complete_graph_acceptance_fraction():
     # K3 with the 2-chain: 6 of the 9 ordered pairs are homomorphisms
     net = Network.from_edges(
         [(a, b) for a in range(3) for b in range(3) if a != b])
-    motif = Motif.chain(2)
-    valid = sum(hom_weights(net, motif, [x])[0] > 0
+    k = 2
+    valid = sum(hom_weights(net, k, [x])[0] > 0
                 for x in itertools.product(range(3), repeat=2))
     assert valid == 6
 
 
 def test_rejection_failure_raises():
-    net = Network.from_edges([(0, 1)])
-    lonely = Motif(np.ones((2, 2)))  # needs mutual edges plus self-loops
+    net = Network.from_edges([(0, 1)])  # a 3-chain needs a walk of two edges
     with pytest.raises(SamplingError, match="no homomorphism"):
-        rejection_sample_hom(net, lonely, np.random.default_rng(2), max_tries=200)
+        rejection_sample_hom(net, 3, np.random.default_rng(2), max_tries=200)
 
 
 def test_chain_walk_sample_produces_valid_homs():
     net = weighted_5node_network()
-    motif = Motif.chain(4)
+    k = 4
     rng = np.random.default_rng(3)
     for _ in range(30):
-        x = chain_walk_sample(net, motif, rng)
-        assert hom_weights(net, motif, [x])[0] > 0
+        x = chain_walk_sample(net, k, rng)
+        assert hom_weights(net, k, [x])[0] > 0
 
 
 def test_initial_homomorphism_falls_back_to_walk():
     # 60-node cycle with a 6-chain: rejection at a tight budget is hopeless
     net = cycle_network(60)
-    motif = Motif.chain(6)
-    x = initial_homomorphism(net, motif, np.random.default_rng(4), max_tries=5)
-    assert hom_weights(net, motif, [x])[0] > 0
+    k = 6
+    x = initial_homomorphism(net, k, np.random.default_rng(4), max_tries=5)
+    assert hom_weights(net, k, [x])[0] > 0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_chain_length_below_one_is_refused(k):
+    net = cycle_network(4)
+    rng = np.random.default_rng(0)
+    for refuse in (lambda: initial_homomorphism(net, k, rng),
+                   lambda: hom_distribution_bruteforce(net, k)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == "chain length k must be at least 1"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_initial_homomorphism_falls_back_to_walk():
 
 def test_glauber_single_node_motif_resamples_uniformly():
     net = Network.from_edges([(0, 1), (1, 2)])
-    cand, probs = glauber_conditional(net, Motif(np.zeros((1, 1))), (0,), 0)
+    cand, probs = glauber_conditional(net, 1, (0,), 0)
     assert len(cand) == 3
     assert np.allclose(probs, 1.0 / 3.0)
 
@@ -150,32 +151,32 @@ def test_glauber_star_graph_conditional():
     # x(2) = center gives the uniform law over the center's neighbors
     edges = [(0, leaf) for leaf in range(1, 5)]
     net = Network.from_edges(edges, undirected=True)
-    cand, probs = glauber_conditional(net, Motif.chain(2), (1, 0), 0)
+    cand, probs = glauber_conditional(net, 2, (1, 0), 0)
     assert sorted(int(c) for c in cand) == [1, 2, 3, 4]
     assert np.allclose(probs, 0.25)
 
 
 def test_glauber_preserves_homomorphism_validity():
     net = weighted_5node_network()
-    motif = Motif.chain(3)
+    k = 3
     rng = np.random.default_rng(5)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     for _ in range(2000):
-        x = glauber_update(net, motif, x, rng)
-        assert hom_weights(net, motif, [x])[0] > 0
+        x = glauber_update(net, k, x, rng)
+        assert hom_weights(net, k, [x])[0] > 0
 
 
 def test_glauber_matches_uniform_on_odd_cycle():
     # C5 is non-bipartite, so the chain is irreducible over all homomorphisms
     net = cycle_network(5)
-    motif = Motif.chain(3)
-    oracle = hom_distribution_bruteforce(net, motif)
+    k = 3
+    oracle = hom_distribution_bruteforce(net, k)
     assert len(oracle) == 20
     rng = np.random.default_rng(6)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     counts = {}
     for _ in range(100000):
-        x = glauber_update(net, motif, x, rng)
+        x = glauber_update(net, k, x, rng)
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -184,11 +185,11 @@ def test_glauber_on_even_cycles_conserves_endpoint_parity():
     # single-site resampling cannot change the bipartition class of the
     # images, so on C6 only half of Hom(F, G) is reachable from one start
     net = cycle_network(6)
-    motif = Motif.chain(3)
+    k = 3
     rng = np.random.default_rng(7)
     x = (0, 1, 2)
     for _ in range(5000):
-        x = glauber_update(net, motif, x, rng)
+        x = glauber_update(net, k, x, rng)
         assert x[0] % 2 == 0 and x[1] % 2 == 1 and x[2] % 2 == 0
 
 
@@ -196,8 +197,8 @@ def test_glauber_is_uniform_within_the_reachable_class_on_c6():
     # the parity obstruction splits Hom(3-chain, C6) into two closed classes
     # of 12; within the start's class the chain is exactly uniform
     net = cycle_network(6)
-    motif = Motif.chain(3)
-    full = hom_distribution_bruteforce(net, motif)
+    k = 3
+    full = hom_distribution_bruteforce(net, k)
     start = (0, 1, 2)
     reachable = {x for x in full
                  if x[0] % 2 == 0 and x[1] % 2 == 1 and x[2] % 2 == 0}
@@ -207,23 +208,9 @@ def test_glauber_is_uniform_within_the_reachable_class_on_c6():
     x = start
     counts = {}
     for _ in range(100000):
-        x = glauber_update(net, motif, x, rng)
+        x = glauber_update(net, k, x, rng)
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
-
-
-def test_glauber_general_motif_triangle():
-    # triangle motif into a network with exactly one triangle stays on it
-    net = Network.from_edges([(0, 1), (1, 2), (2, 0)], undirected=True)
-    extra = Network.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], undirected=True)
-    motif = Motif(np.ones((3, 3)) - np.eye(3))
-    rng = np.random.default_rng(8)
-    x = rejection_sample_hom(extra, motif, rng)
-    for _ in range(500):
-        x = glauber_update(extra, motif, x, rng)
-        assert hom_weights(extra, motif, [x])[0] > 0
-        assert 3 not in x  # node 3 is on no triangle
-    assert net.is_simple
 
 
 # ---------------------------------------------------------------------------
@@ -231,56 +218,49 @@ def test_glauber_general_motif_triangle():
 # ---------------------------------------------------------------------------
 
 
-def test_pivot_requires_chain_motif():
-    net = cycle_network(5)
-    with pytest.raises(ValueError, match="chain motif"):
-        pivot_update(net, Motif(np.ones((2, 2))), (0, 1),
-                     np.random.default_rng(0))
-
-
 def test_symmetric_network_in_out_ratio_is_one():
     net = weighted_5node_network()
     assert np.allclose(net.in_sums, net.out_sums)
     for v in range(net.n):
         for ell in net.out_edges.row(v)[0]:
-            assert pivot_acceptance(net, Motif.chain(3), v, int(ell),
+            assert pivot_acceptance(net, 3, v, int(ell),
                                     mode="approximate") == 1.0
 
 
 def test_regular_graph_exact_acceptance_is_one():
     net = cycle_network(6)  # 2-regular
-    motif = Motif.chain(3)
+    k = 3
     for v in range(6):
         for ell in net.out_edges.row(v)[0]:
-            assert pivot_acceptance(net, motif, v, int(ell)) == 1.0
+            assert pivot_acceptance(net, k, v, int(ell)) == 1.0
 
 
 def test_pivot_acceptance_clamped_to_unit_interval():
     net = weighted_5node_network()
-    motif = Motif.chain(4)
+    k = 4
     for v in range(net.n):
         for ell in net.out_edges.row(v)[0]:
             for mode in ("exact", "approximate"):
-                lam = pivot_acceptance(net, motif, v, int(ell), mode=mode)
+                lam = pivot_acceptance(net, k, v, int(ell), mode=mode)
                 assert 0.0 <= lam <= 1.0
 
 
 def test_pivot_preserves_homomorphism_validity():
     net = weighted_5node_network()
-    motif = Motif.chain(3)
+    k = 3
     rng = np.random.default_rng(9)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     for mode in ("exact", "approximate"):
         y = x
         for _ in range(2000):
-            y = pivot_update(net, motif, y, rng, mode=mode)
-            assert hom_weights(net, motif, [y])[0] > 0
+            y = pivot_update(net, k, y, rng, mode=mode)
+            assert hom_weights(net, k, [y])[0] > 0
 
 
 def test_pivot_dead_end_returns_input():
     net = Network.from_edges([(0, 1)])  # node 1 has no outgoing edge
-    motif = Motif.chain(2)
-    assert pivot_update(net, motif, (1, 0), np.random.default_rng(10)) == (1, 0)
+    k = 2
+    assert pivot_update(net, k, (1, 0), np.random.default_rng(10)) == (1, 0)
 
 
 @pytest.mark.parametrize("x", [(1, 0), (0, 1)], ids=["dead-end", "live"])
@@ -289,33 +269,33 @@ def test_pivot_rejects_an_unknown_mode_before_drawing(x):
     rng = np.random.default_rng(10)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="unknown pivot mode 'bogus'"):
-        pivot_update(net, Motif.chain(2), x, rng, mode="bogus")
+        pivot_update(net, 2, x, rng, mode="bogus")
     assert rng.bit_generator.state == state
 
 
 def test_pivot_exact_matches_motif_distribution():
     net = weighted_5node_network()
-    motif = Motif.chain(3)
-    oracle = hom_distribution_bruteforce(net, motif)
+    k = 3
+    oracle = hom_distribution_bruteforce(net, k)
     rng = np.random.default_rng(11)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     counts = {}
     steps = 100000
     for _ in range(steps):
-        x = pivot_update(net, motif, x, rng, mode="exact")
+        x = pivot_update(net, k, x, rng, mode="exact")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
 
 def test_pivot_exact_is_unbiased_on_irregular_simple_graphs():
     net = path_network(3)
-    motif = Motif.chain(2)
-    oracle = hom_distribution_bruteforce(net, motif)
+    k = 2
+    oracle = hom_distribution_bruteforce(net, k)
     rng = np.random.default_rng(12)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     counts = {}
     for _ in range(50000):
-        x = pivot_update(net, motif, x, rng, mode="exact")
+        x = pivot_update(net, k, x, rng, mode="exact")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -327,14 +307,14 @@ def test_pivot_exact_is_unbiased_on_irregular_simple_graphs():
 
 def test_oracle_uniform_on_binary_networks():
     net = cycle_network(4)
-    oracle = hom_distribution_bruteforce(net, Motif.chain(3))
+    oracle = hom_distribution_bruteforce(net, 3)
     assert len(oracle) == 16  # 4 * 2 * 2
     assert all(p == pytest.approx(1 / 16) for p in oracle.values())
 
 
 def test_oracle_directed_cycle():
     net = Network.from_edges([(i, (i + 1) % 4) for i in range(4)])
-    oracle = hom_distribution_bruteforce(net, Motif.chain(2))
+    oracle = hom_distribution_bruteforce(net, 2)
     assert len(oracle) == 4
     assert all(p == pytest.approx(0.25) for p in oracle.values())
 
@@ -342,36 +322,36 @@ def test_oracle_directed_cycle():
 def test_oracle_guard_and_empty_hom_set():
     big = dense_network(np.ones((60, 60)))
     with pytest.raises(OracleSizeError):
-        hom_distribution_bruteforce(big, Motif.chain(5))
+        hom_distribution_bruteforce(big, 5)
     empty = Network.from_edges([(0, 1)])
     with pytest.raises(SamplingError):
-        hom_distribution_bruteforce(empty, Motif(np.ones((2, 2))))
+        hom_distribution_bruteforce(empty, 3)
 
 
 def test_oracle_weights_follow_products():
     net = weighted_5node_network()
-    motif = Motif.chain(2)
-    oracle = hom_distribution_bruteforce(net, motif)
-    z = sum(hom_weights(net, motif, [x])[0]
+    k = 2
+    oracle = hom_distribution_bruteforce(net, k)
+    z = sum(hom_weights(net, k, [x])[0]
             for x in itertools.product(range(5), repeat=2))
     assert oracle[(0, 1)] == pytest.approx(net.weights_at(0, 1) / z)
 
 
 def test_mesoscale_patch_chain_pattern():
     net = cycle_network(6)
-    motif = Motif.chain(3)
+    k = 3
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    for x in hom_distribution_bruteforce(net, motif):
+    for x in hom_distribution_bruteforce(net, k):
         assert np.array_equal(mesoscale_patch(net, x), expected)
 
 
 def test_mesoscale_patch_diagonal_zero_on_simple_graphs():
     net = cycle_network(7)
-    motif = Motif.chain(4)
+    k = 4
     rng = np.random.default_rng(13)
-    x = rejection_sample_hom(net, motif, rng)
+    x = rejection_sample_hom(net, k, rng)
     for _ in range(200):
-        x = pivot_update(net, motif, x, rng)
+        x = pivot_update(net, k, x, rng)
         patch = mesoscale_patch(net, x)
         assert np.all(np.diag(patch) == 0.0)
         assert np.all(patch[np.arange(3), np.arange(1, 4)] == 1.0)
@@ -488,61 +468,54 @@ def ref_ladder(ref, k):
     return ladder
 
 
-def ref_hom_weight(ref, motif, x):
+def chain_edges(k):
+    """The k-chain's edges (i, i + 1), in chain order."""
+    return [(i, i + 1) for i in range(k - 1)]
+
+
+def ref_hom_weight(ref, k, x):
     total = 1.0
-    for i, j, e in motif.edges:
+    for i, j in chain_edges(k):
         a = ref.weight(x[i], x[j])
         if a <= 0.0:
             return 0.0
-        total *= a if e == 1.0 else a ** e
+        total *= a
     return total
 
 
-def ref_glauber_conditional(ref, motif, x, v):
-    out_terms, in_terms, self_exp = [], [], 0.0
-    for i, j, e in motif.edges:
-        if i == v and j == v:
-            self_exp += e
-        elif j == v:
-            out_terms.append((x[i], e))
-        elif i == v:
-            in_terms.append((x[j], e))
-    if not out_terms and not in_terms and self_exp == 0.0:
+def ref_glauber_conditional(ref, k, x, v):
+    out_terms = [x[i] for i, j in chain_edges(k) if j == v]
+    in_terms = [x[j] for i, j in chain_edges(k) if i == v]
+    if not out_terms and not in_terms:
         return np.arange(ref.n), np.full(ref.n, 1.0 / ref.n)
-    pools = [ref.out[u][0] for u, _ in out_terms]
-    pools += [ref.inn[u][0] for u, _ in in_terms]
-    if self_exp > 0.0:
-        pools.append(np.array([w for w in range(ref.n) if ref.weight(w, w) > 0],
-                              dtype=np.int64))
+    pools = [ref.out[u][0] for u in out_terms]
+    pools += [ref.inn[u][0] for u in in_terms]
     cand = min(pools, key=len)
     weights = np.ones(len(cand))
     for idx, w_node in enumerate(cand):
         p = 1.0
-        for u, e in out_terms:
+        for u in out_terms:
             a = ref.weight(u, int(w_node))
             if a <= 0.0:
                 p = 0.0
                 break
-            p *= a if e == 1.0 else a ** e
+            p *= a
         if p > 0.0:
-            for u, e in in_terms:
+            for u in in_terms:
                 a = ref.weight(int(w_node), u)
                 if a <= 0.0:
                     p = 0.0
                     break
-                p *= a if e == 1.0 else a ** e
-        if p > 0.0 and self_exp > 0.0:
-            a = ref.weight(int(w_node), int(w_node))
-            p = 0.0 if a <= 0.0 else p * a ** self_exp
+                p *= a
         weights[idx] = p
     return cand, weights / float(weights.sum())
 
 
-def ref_rejection(ref, motif, rng, max_tries):
+def ref_rejection(ref, k, rng, max_tries):
     """One try at a time; returns (map or None, tries drawn)."""
     for t in range(max_tries):
-        x = tuple(int(v) for v in rng.integers(0, ref.n, size=motif.k))
-        if ref_hom_weight(ref, motif, x) > 0:
+        x = tuple(int(v) for v in rng.integers(0, ref.n, size=k))
+        if ref_hom_weight(ref, k, x) > 0:
             return x, t + 1
     return None, max_tries
 
@@ -675,52 +648,58 @@ def test_network_arrays_are_read_only():
             arr[0] = 9.0
 
 
-def _motifs():
-    rng = np.random.default_rng(23)
-    general = np.where(rng.random((4, 4)) < 0.5, rng.choice([1.0, 0.7, 2.5, 1.3],
-                                                            size=(4, 4)), 0.0)
-    general[2, 2] = 0.0
-    looped = Motif.chain(3).matrix.copy()
-    looped[1, 1] = 2.5
-    looped[2, 0] = 0.7
-    return [Motif.chain(3), Motif(np.ones((3, 3)) - np.eye(3)), Motif(general),
-            Motif(looped), Motif(np.zeros((2, 2)))]
+# (k, directed): every chain length from 1 to 4, on directed weighted networks
+# and on symmetric ones
+CHAIN_CASES = [(1, True), (2, False), (3, True), (3, False), (4, True)]
 
 
-@pytest.mark.parametrize("m", range(len(_motifs())))
-def test_glauber_conditional_matches_the_per_candidate_loop(m):
-    motif = _motifs()[m]
-    rng = np.random.default_rng(24 + m)
+def _weighted_pair(rng, n, density, directed, isolated=0):
+    """A random weighted network and its dict reference, with weights drawn
+    afresh and, unless `directed`, made symmetric."""
+    size, weights = _random_weighted(rng, n, density, isolated=isolated)
+    weights = {pair: float(rng.random() * 3) for pair in weights}
+    if not directed:
+        weights = {pair: w for (a, b), w in weights.items()
+                   for pair in ((a, b), (b, a))}
+    return dict_network(size, weights), RefNetwork(size, weights)
+
+
+@pytest.mark.parametrize("case", range(len(CHAIN_CASES)))
+def test_glauber_conditional_matches_the_per_candidate_loop(case):
+    k, directed = CHAIN_CASES[case]
+    rng = np.random.default_rng(24 + case)
+    ties = 0    # inner nodes whose two rows differ but have equal sizes
     for n, density in ((6, 0.6), (9, 0.45)):
-        size, weights = _random_weighted(rng, n, density)
-        weights = {pair: float(rng.random() * 3) for pair in weights}
-        net, ref = dict_network(size, weights), RefNetwork(size, weights)
-        homs = [x for x in itertools.product(range(size), repeat=motif.k)
-                if ref_hom_weight(ref, motif, x) > 0]
+        net, ref = _weighted_pair(rng, n, density, directed)
+        homs = [x for x in itertools.product(range(net.n), repeat=k)
+                if ref_hom_weight(ref, k, x) > 0]
         assert homs
         for idx in rng.permutation(len(homs))[:40]:
             x = homs[int(idx)]
-            for v in range(motif.k):
-                cand, probs = glauber_conditional(net, motif, x, v)
-                ref_cand, ref_probs = ref_glauber_conditional(ref, motif, x, v)
+            for v in range(k):
+                cand, probs = glauber_conditional(net, k, x, v)
+                ref_cand, ref_probs = ref_glauber_conditional(ref, k, x, v)
                 assert np.array_equal(cand, ref_cand)
                 assert np.array_equal(probs, ref_probs)
+                if 0 < v < k - 1:
+                    into, out = ref.out[x[v - 1]][0], ref.inn[x[v + 1]][0]
+                    ties += (len(into) == len(out)
+                             and not np.array_equal(into, out))
+    assert k < 3 or ties
 
 
-@pytest.mark.parametrize("m", range(len(_motifs())))
-def test_bruteforce_oracle_matches_the_enumeration_loop(m):
-    motif = _motifs()[m]
-    rng = np.random.default_rng(30 + m)
-    size, weights = _random_weighted(rng, 7, 0.5)
-    weights = {pair: float(rng.random() * 3) for pair in weights}
-    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+@pytest.mark.parametrize("case", range(len(CHAIN_CASES)))
+def test_bruteforce_oracle_matches_the_enumeration_loop(case):
+    k, directed = CHAIN_CASES[case]
+    net, ref = _weighted_pair(np.random.default_rng(30 + case), 7, 0.5,
+                              directed)
     table = {}
-    for x in itertools.product(range(size), repeat=motif.k):
-        w = ref_hom_weight(ref, motif, x)
+    for x in itertools.product(range(net.n), repeat=k):
+        w = ref_hom_weight(ref, k, x)
         if w > 0:
             table[x] = w
     total = sum(table.values())
-    oracle = hom_distribution_bruteforce(net, motif)
+    oracle = hom_distribution_bruteforce(net, k)
     assert list(oracle.items()) == [(x, w / total) for x, w in table.items()]
 
 
@@ -759,9 +738,9 @@ def ref_pivot_update(ref, ladder, k, x, rng, mode):
     return tuple(new)
 
 
-def ref_glauber_update(ref, motif, x, rng):
-    v = int(rng.integers(motif.k))
-    cand, probs = ref_glauber_conditional(ref, motif, x, v)
+def ref_glauber_update(ref, k, x, rng):
+    v = int(rng.integers(k))
+    cand, probs = ref_glauber_conditional(ref, k, x, v)
     new = list(x)
     new[v] = int(cand[_ref_sample_cdf(rng, np.cumsum(probs))])
     return tuple(new)
@@ -776,17 +755,16 @@ def test_chain_trajectories_match_the_reference(mode):
             weights[(b, a)] = w
     net, ref = dict_network(size, weights), RefNetwork(size, weights)
     k = 4
-    motif = Motif.chain(k)
     ladder = ref_ladder(ref, k)
-    x = y = rejection_sample_hom(net, motif, np.random.default_rng(0))
+    x = y = rejection_sample_hom(net, k, np.random.default_rng(0))
     rng_new, rng_ref = np.random.default_rng(26), np.random.default_rng(26)
     moves = 0
     for _ in range(3000):
         if mode == "glauber":
-            x = glauber_update(net, motif, x, rng_new)
-            y = ref_glauber_update(ref, motif, y, rng_ref)
+            x = glauber_update(net, k, x, rng_new)
+            y = ref_glauber_update(ref, k, y, rng_ref)
         else:
-            moved = pivot_update(net, motif, x, rng_new, mode=mode)
+            moved = pivot_update(net, k, x, rng_new, mode=mode)
             moves += moved != x
             x = moved
             y = ref_pivot_update(ref, ladder, k, y, rng_ref, mode)
@@ -795,22 +773,21 @@ def test_chain_trajectories_match_the_reference(mode):
     assert mode == "glauber" or moves > 300
     if mode != "glauber":
         return
-    # general motifs (self-loops, exponents other than 1, unattached nodes) on
-    # rows long enough (8 and more) that numpy's pairwise total differs from
-    # a sequential sum; the conditional along the way must match exactly.
-    for m, motif in enumerate(_motifs()):
-        size, weights = _random_weighted(rng, 12, 0.75, isolated=1)
-        weights = {pair: float(rng.random() * 3) for pair in weights}
-        net, ref = dict_network(size, weights), RefNetwork(size, weights)
-        x = y = rejection_sample_hom(net, motif, np.random.default_rng(m))
-        rng_new, rng_ref = np.random.default_rng(27 + m), np.random.default_rng(27 + m)
+    # every chain length on rows long enough (8 and more) that numpy's
+    # pairwise total differs from a sequential sum; the conditional along the
+    # way must match exactly.
+    for case, (k, directed) in enumerate(CHAIN_CASES):
+        net, ref = _weighted_pair(rng, 12, 0.75, directed, isolated=1)
+        x = y = rejection_sample_hom(net, k, np.random.default_rng(case))
+        rng_new = np.random.default_rng(27 + case)
+        rng_ref = np.random.default_rng(27 + case)
         for _ in range(300):
-            x = glauber_update(net, motif, x, rng_new)
-            y = ref_glauber_update(ref, motif, y, rng_ref)
+            x = glauber_update(net, k, x, rng_new)
+            y = ref_glauber_update(ref, k, y, rng_ref)
             assert x == y
-            for v in range(motif.k):
-                probs = glauber_conditional(net, motif, x, v)[1]
-                assert np.array_equal(probs, ref_glauber_conditional(ref, motif, x, v)[1])
+            for v in range(k):
+                probs = glauber_conditional(net, k, x, v)[1]
+                assert np.array_equal(probs, ref_glauber_conditional(ref, k, x, v)[1])
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -823,14 +800,14 @@ def test_batched_integer_draws_equal_separate_draws(n):
     assert one.bit_generator.state == many.bit_generator.state
 
 
-def _rejection_pair(ref_net, net, motif, seed, max_tries):
+def _rejection_pair(ref_net, net, k, seed, max_tries):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expect, used = ref_rejection(ref_net, motif, ref_rng, max_tries)
+    expect, used = ref_rejection(ref_net, k, ref_rng, max_tries)
     if expect is None:
         with pytest.raises(SamplingError, match="no homomorphism"):
-            rejection_sample_hom(net, motif, rng, max_tries=max_tries)
+            rejection_sample_hom(net, k, rng, max_tries=max_tries)
     else:
-        assert rejection_sample_hom(net, motif, rng, max_tries=max_tries) == expect
+        assert rejection_sample_hom(net, k, rng, max_tries=max_tries) == expect
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return used, expect is not None
 
@@ -840,10 +817,10 @@ def test_rejection_sampling_matches_one_try_at_a_time():
     # one directed edge among 40 nodes: a 2-chain try hits with p = 1/1600
     sparse = {(3, 7): 1.0}
     net, ref = dict_network(40, sparse), RefNetwork(40, sparse)
-    motif = Motif.chain(2)
+    k = 2
     seen = set()
     for seed in range(60):
-        used, hit = _rejection_pair(ref, net, motif, seed, 3 * chunk + 37)
+        used, hit = _rejection_pair(ref, net, k, seed, 3 * chunk + 37)
         if hit and used <= chunk:
             seen.add("first chunk")
         elif hit and used <= 3 * chunk:
@@ -853,13 +830,13 @@ def test_rejection_sampling_matches_one_try_at_a_time():
         else:
             seen.add("no hit")
     assert seen == {"first chunk", "later chunk", "partial last chunk", "no hit"}
-    # a dense network hits on the first try; an impossible motif never hits
+    # a dense network hits on the first try; a 3-chain on one edge never hits
     dense_net = weighted_5node_network()
     dense_ref = ref_from_edges([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 2.0), (2, 1, 2.0),
                                 (2, 0, 0.5), (0, 2, 0.5), (2, 3, 1.5), (3, 2, 1.5),
                                 (3, 4, 1.0), (4, 3, 1.0), (4, 0, 2.5), (0, 4, 2.5)])
-    assert _rejection_pair(dense_ref, dense_net, Motif.chain(3), 1, 50)[1]
-    assert not _rejection_pair(ref, net, Motif(np.ones((2, 2))), 2, chunk + 5)[1]
+    assert _rejection_pair(dense_ref, dense_net, 3, 1, 50)[1]
+    assert not _rejection_pair(ref, net, 3, 2, chunk + 5)[1]
 
 
 # ---------------------------------------------------------------------------
