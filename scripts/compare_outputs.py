@@ -2,38 +2,29 @@
 
     python3 scripts/compare_outputs.py OLD NEW [--rtol 1e-9]
 
-Matrix files (the dictionary and aggregates text format: every token a
-number) are compared entry by entry; for each one the largest absolute
-difference and that difference relative to the largest entry of OLD are
-printed.  Every other file is compared byte for byte and listed when it
-differs.  `metadata.txt` is compared with its `out_dir:` line masked, since
-that line names the output folder.
+Files are compared byte for byte, `metadata.txt` with its `out_dir:` line
+masked, since that line names the output folder.  A text file that differs
+is split into lines and each line into tokens on commas and whitespace.
+When the two files have the same layout (tokens per line) and the same
+non-numeric tokens, the number of lines whose values differ is printed with
+the largest absolute difference of their numbers and that difference
+relative to the largest finite |number| of OLD.  Any other difference is
+printed as is: a layout or a word that differs, or a binary file.
 
-Exits 1 when a matrix differs by more than `--rtol` relative, when the two
-matrices of a file differ in shape, or when a file exists on one side only.
-With `--rtol 0` it also exits 1 on any byte difference in any file, so exit
-0 means the two folders hold the same bytes; with a positive `--rtol` a byte
-difference outside the matrices is reported but does not fail.
+Exits 1 when a file exists on one side only, when two files differ in any
+way other than their numbers, or when their numbers differ by more than
+`--rtol` relative.  With `--rtol 0` it exits 1 on any byte difference, so
+exit 0 means the two folders hold the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
-
-
-def read_numbers(path: Path) -> list[list[float]] | None:
-    """The file's lines as lists of floats, or None if some token is not one."""
-    try:
-        return [[float(tok) for tok in line.split()]
-                for line in path.read_text().splitlines()]
-    except (UnicodeDecodeError, ValueError):
-        return None
 
 
 def read_bytes(path: Path) -> bytes:
@@ -44,16 +35,41 @@ def read_bytes(path: Path) -> bytes:
     return data
 
 
-def compare_matrix(old: list[list[float]], new: list[list[float]]):
-    """(largest absolute difference, relative to the largest |OLD| entry),
-    or None when the two files do not have the same layout."""
-    if [len(row) for row in old] != [len(row) for row in new]:
+def _token(tok: str) -> float | str:
+    try:
+        return float(tok)
+    except ValueError:
+        return tok
+
+
+def read_table(data: bytes) -> list[list[float | str]] | None:
+    """The lines of a text file split on commas and whitespace, each token a
+    float where it reads as one; None for a file that is not UTF-8 text."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
         return None
-    a = np.array([v for row in old for v in row])
-    b = np.array([v for row in new for v in row])
-    diff = float(np.max(np.abs(a - b), initial=0.0))
-    scale = float(np.max(np.abs(a), initial=0.0))
-    return diff, (diff / scale if scale > 0 else math.inf if diff else 0.0)
+    return [[_token(tok) for tok in re.split(r"[\s,]+", line) if tok]
+            for line in text.splitlines()]
+
+
+def compare_tables(old: list, new: list):
+    """(lines whose values differ, largest absolute difference of the
+    numbers, that difference relative to the largest finite |OLD| number),
+    or why the two tables cannot be compared number by number."""
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return "layouts differ"
+    tokens = [(a, b) for ra, rb in zip(old, new) for a, b in zip(ra, rb)]
+    if any(a != b for a, b in tokens if str in (type(a), type(b))):
+        return "words differ"
+    a, b = (np.array([t[i] for t in tokens if type(t[0]) is float])
+            for i in (0, 1))
+    same = (a == b) | (np.isnan(a) & np.isnan(b))    # inf == inf
+    diff = np.abs(np.subtract(a, b, out=np.zeros_like(a), where=~same))
+    diff = float(np.max(np.nan_to_num(diff, nan=np.inf), initial=0.0))
+    scale = float(np.max(np.abs(a[np.isfinite(a)]), initial=0.0))
+    rel = diff / scale if scale > 0 else np.inf if diff else 0.0
+    return sum(ra != rb for ra, rb in zip(old, new)), diff, rel
 
 
 def main(argv=None) -> int:
@@ -78,34 +94,31 @@ def main(argv=None) -> int:
         side = "OLD" if name in old_files else "NEW"
         print(f"only in {side}: {name}")
         failed = True
-    differing = []
-    for name in sorted(old_files & new_files):
-        old_path, new_path = args.old / name, args.new / name
-        old_bytes, new_bytes = read_bytes(old_path), read_bytes(new_path)
-        old_nums = read_numbers(old_path) if name.endswith(".txt") else None
-        new_nums = read_numbers(new_path) if old_nums is not None else None
-        if old_nums is None or new_nums is None:
-            if old_bytes != new_bytes:
-                differing.append(name)
+    common = sorted(old_files & new_files)
+    differing = 0
+    for name in common:
+        old_bytes = read_bytes(args.old / name)
+        new_bytes = read_bytes(args.new / name)
+        if old_bytes == new_bytes:
             continue
-        result = compare_matrix(old_nums, new_nums)
-        if result is None:
-            print(f"matrix {name}: layouts differ")
+        differing += 1
+        old, new = read_table(old_bytes), read_table(new_bytes)
+        if old is None or new is None:
+            result = "binary files differ"
+        else:
+            result = compare_tables(old, new)
+        if isinstance(result, str):
+            print(f"{name}: {result}")
             failed = True
             continue
-        diff, rel = result
+        lines, diff, rel = result
         bad = rel > args.rtol
-        failed |= bad
-        print(f"matrix {name}: max abs diff {diff:.3g}, relative {rel:.3g}"
+        failed |= bad or strict
+        print(f"{name}: values differ on {lines} of {len(old)} lines, max abs "
+              f"diff {diff:.3g}, relative {rel:.3g}"
               + (f"  > rtol {args.rtol:g}" if bad else ""))
-        if strict and not bad and old_bytes != new_bytes:
-            print(f"matrix {name}: same values, different bytes")
-            failed = True
-    if differing:
-        print("other files that differ byte for byte: " + ", ".join(differing))
-        failed |= strict
-    else:
-        print("every other file is byte-identical")
+    print(f"{len(common) - differing} of {len(common)} common files are "
+          "byte-identical")
     return 1 if failed else 0
 
 

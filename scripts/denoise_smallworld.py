@@ -3,8 +3,9 @@
 
 For each seed: corrupt a Watts-Strogatz graph (50% subtractive or additive
 noise), learn a 6-chain dictionary on the corrupted graph, reconstruct it,
-and report the ROC AUC for recovering the corrupted pairs, the wall time of
-each phase and the peak resident memory so far (VmHWM).
+and report the ROC AUC for recovering the corrupted pairs (high weight flags
+a removed edge, low weight an injected one), the wall time of each phase and
+the peak resident memory so far (VmHWM).
 
 Usage: python3 scripts/denoise_smallworld.py [--nodes 200] [--ring 8]
            [subtractive|additive] [seeds...]
@@ -17,7 +18,7 @@ import networkx as nx
 import numpy as np
 
 from onmf import (NDLParams, Network, candidate_pairs, corrupt_network,
-                  ndl_learn, nr_reconstruct, roc_auc)
+                  lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
 
 
 def peak_rss_mib():
@@ -46,7 +47,8 @@ def run(mode, seed, nodes, ring):
     recon_s = lap()
     pairs = candidate_pairs(result.corrupted, mode)
     positives = np.isin(pairs, result.flipped)
-    roc = roc_auc(recons.scores(pairs), positives, lower_is_positive=False)
+    roc = roc_auc(recons.scores(pairs), positives,
+                  lower_is_positive=lower_tail_is_positive(mode))
     score_s = lap()
     print(f"mode={mode} seed={seed} nodes={nodes} ring={ring}: "
           f"AUC={roc.auc:.4f} ({positives.sum()} corrupted / {len(pairs)} "

@@ -13,7 +13,8 @@ from .factorization import (AggregateStats, ConstraintPiece, ConstraintSpec,
 from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   NDLParams, NetworkDictionary, ReconstructionState, RocError,
                   RocResult, candidate_pairs, corrupt_network, denoise_classify,
-                  dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
+                  dominance_scores, lower_tail_is_positive, ndl_learn,
+                  nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
                        chain_update, chain_walk_sample, glauber_conditional,
                        glauber_update, hom_distribution_bruteforce, hom_weights,

@@ -25,7 +25,8 @@ from .factorization import (ZeroDictionaryError, init_engine, learn,
                             load_dictionary, save_aggregates, save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
-                  dominance_scores, ndl_learn, nr_reconstruct, roc_auc)
+                  dominance_scores, lower_tail_is_positive, ndl_learn,
+                  nr_reconstruct, roc_auc)
 from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
                        SamplingError, chain_update, hom_distribution_bruteforce,
                        initial_homomorphism, tv_distance)
@@ -138,10 +139,8 @@ def _write_pairs(path: Path, header, net: Network, pairs: np.ndarray,
 def _write_weighted_edges(path: Path, net: Network, recons) -> None:
     """Reconstructed weight of every visited pair u <= v, 6 significant
     digits."""
-    us, vs = np.divmod(recons.keys[:-1], net.n)
-    pairs = np.unique(np.minimum(us, vs) * net.n + np.maximum(us, vs))
-    _write_pairs(path, None, net, pairs, " ", recons.scores(pairs),
-                 "{:.6g}".format)
+    _write_pairs(path, None, net, recons.keys[:-1], " ",
+                 recons.sums[:-1] / recons.counts[:-1], "{:.6g}".format)
 
 
 def _write_flags(path: Path, net: Network, column: str, pairs: np.ndarray,
@@ -149,10 +148,6 @@ def _write_flags(path: Path, net: Network, column: str, pairs: np.ndarray,
     """``u,v,<column>`` rows of true/false, one per pair key."""
     _write_pairs(path, f"u,v,{column}", net, pairs, ",", flags,
                  ("false", "true").__getitem__)
-
-
-def _write_roc(path: Path, roc) -> None:
-    _write_csv(path, "threshold,fpr,tpr", roc.points + [("auc", roc.auc)])
 
 
 def _load_dictionary(args) -> np.ndarray:
@@ -239,9 +234,10 @@ def cmd_denoise(args, out_dir: Path) -> None:
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 
     scores = recons.scores(pairs)
-    lower = args.direction == "lower"
+    lower = lower_tail_is_positive(args.mode)
     roc = roc_auc(scores, ~labels, lower_is_positive=lower)
-    _write_roc(out_dir / "roc.csv", roc)
+    _write_csv(out_dir / "roc.csv", "threshold,fpr,tpr",
+               roc.points + [("auc", roc.auc)])
     if args.threshold is not None:
         predictions = denoise_classify(scores, args.threshold,
                                        lower_is_positive=lower)
@@ -420,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=80)
     p.add_argument("--recon-iters", type=int, default=20000)
     p.add_argument("--recon-lambda", type=float, default=0.0)
-    p.add_argument("--direction", choices=["lower", "higher"], default="higher",
-                   help="which reconstructed-weight tail flags a corrupted pair")
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_denoise)
 

@@ -123,9 +123,10 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
 
 
 class ReconstructionState:
-    """Per visited ordered node pair (u, v): the sum and the number of folded
-    proposals, at ascending keys ``u * n + v``.  Like ``Network`` keys, the
-    arrays end in a sentinel key ``n * n`` with sum 0 and count 0."""
+    """Per visited node pair {u, v}: the sum and the number of folded
+    proposals in either orientation, at ascending keys
+    ``min(u, v) * n + max(u, v)``.  Like ``Network`` keys, the arrays end in
+    a sentinel key ``n * n`` with sum 0 and count 0."""
 
     def __init__(self, n: int):
         self.n = n
@@ -133,13 +134,16 @@ class ReconstructionState:
         self.sums = np.zeros(1)
         self.counts = np.zeros(1, dtype=np.int64)
 
+    def _key(self, us, vs) -> np.ndarray:
+        return np.minimum(us, vs) * self.n + np.maximum(us, vs)
+
     def fold_many(self, us: np.ndarray, vs: np.ndarray,
                   values: np.ndarray) -> None:
-        """Fold proposals values[i] at pairs (us[i], vs[i]).  A block's values
+        """Fold proposals values[i] at pairs {us[i], vs[i]}.  A block's values
         are summed per pair in index order, then added to the pair's sum."""
         size = len(self.keys)
         self.keys, inverse = np.unique(
-            np.concatenate([self.keys, us * self.n + vs]), return_inverse=True)
+            np.concatenate([self.keys, self._key(us, vs)]), return_inverse=True)
         old, new = inverse[:size], inverse[size:]
         sums = np.bincount(new, weights=values, minlength=len(self.keys))
         counts = np.bincount(new, minlength=len(self.keys))
@@ -148,17 +152,12 @@ class ReconstructionState:
         self.sums, self.counts = sums, counts
 
     def scores(self, pairs) -> np.ndarray:
-        """(s_uv + s_vu) / (c_uv + c_vu) at keys ``u * n + v``, both
-        orientations; 0 for pairs never visited."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        total, count = 0.0, 0
-        for keys in (pairs, pairs % self.n * self.n + pairs // self.n):
-            pos = self.keys.searchsorted(keys)
-            hit = self.keys[pos] == keys
-            total = total + np.where(hit, self.sums[pos], 0.0)
-            count = count + np.where(hit, self.counts[pos], 0)
-        return np.divide(total, count, out=np.zeros(pairs.shape),
-                         where=count > 0)
+        """Mean proposal at each pair key ``u * n + v``, in either
+        orientation; 0 for pairs never visited."""
+        keys = self._key(*np.divmod(np.asarray(pairs, dtype=np.int64), self.n))
+        pos = self.keys.searchsorted(keys)
+        return np.divide(self.sums[pos], self.counts[pos],
+                         out=np.zeros(keys.shape), where=self.keys[pos] == keys)
 
     def pair_score(self, u: int, v: int) -> float:
         """``scores`` of the one pair (u, v)."""
@@ -289,13 +288,18 @@ def candidate_pairs(corrupted: Network, mode: str) -> np.ndarray:
     return np.flatnonzero(absent)
 
 
+def lower_tail_is_positive(mode: str) -> bool:
+    """Which reconstructed-weight tail flags a corrupted pair: injected edges
+    (additive) are the low tail, removed edges (subtractive) the high one."""
+    if mode not in ("additive", "subtractive"):
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    return mode == "additive"
+
+
 def denoise_classify(scores: np.ndarray, theta: float,
                      lower_is_positive: bool = True) -> np.ndarray:
-    """Classify scored pairs against a threshold.
-
-    Default rule flags a pair as positive when its score is strictly below
-    theta.  Flip ``lower_is_positive`` to flag strictly-above instead.
-    """
+    """Flag the scores strictly below theta, or strictly above it when not
+    ``lower_is_positive``."""
     return scores < theta if lower_is_positive else scores > theta
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import edge_pairs, smallworld_network
+from helpers import edge_pairs, mann_whitney_auc, smallworld_network
 from onmf import read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from onmf.cli import main
 
@@ -133,7 +133,7 @@ CONFIG_CASES = {
     "lambda-key": ("ndl-learn", "lambda: 0.5\n", [], "lam: 0.5"),
     "explicit-flag-wins": ("ndl-learn", "seed: 9\n", ["--seed", 4], "seed: 4"),
     "switch-not-true-or-false": ("ndl-learn", "undirected: yes\n", [], None),
-    "direction-not-a-choice": ("denoise", "direction: sideways\n", [], None),
+    "mode-not-a-choice": ("denoise", "mode: sideways\n", [], None),
     "mcmc-not-a-choice": ("hom-diag", "mcmc: bogus\n", [], None),
     "reconstruct-takes-no-kappa1": ("reconstruct", "", ["--kappa1", 0.1], None),
     "hom-diag-takes-no-lambda": ("hom-diag", "", ["--lambda", 1], None),
@@ -250,6 +250,36 @@ def test_denoise_pipeline_outputs(tmp_path):
     assert (float(last[1]), float(last[2])) == (1.0, 1.0)
     labels = (out / "labels.csv").read_text().splitlines()
     assert labels[0] == "u,v,label"
+
+
+def test_additive_denoise_flags_the_lower_tail(tmp_path):
+    # An additive run flags the low reconstructed weights: its ROC and its
+    # --threshold predictions, recomputed from the files, take the lower tail.
+    # Here the six digits of recons.edgelist order the pairs as the exact
+    # scores do, so the statistic from the files is the AUC.
+    edges = write_smallworld(tmp_path / "sw.txt", n=60, k=6, p=0.1, seed=3)
+    out = tmp_path / "den"
+    assert run("denoise", "--edges", edges, "--undirected", "--motif-k", 5,
+               "--mode", "additive", "--fraction", 0.3, "--atoms", 16,
+               "--iters", 20, "--batch", 40, "--recon-iters", 6000,
+               "--threshold", 0.997, "--seed", 1, "--out-dir", out) == 0
+    weights = {}
+    for row in (out / "recons.edgelist").read_text().splitlines():
+        u, v, w = row.split()
+        weights[u, v] = float(w)
+    rows = [line.split(",") for line in
+            (out / "labels.csv").read_text().splitlines()[1:]]
+    scores = [weights.get((u, v), 0.0) for u, v, _ in rows]
+    positives = [label == "false" for _, _, label in rows]
+    auc = float((out / "roc.csv").read_text().splitlines()[-1].split(",")[1])
+    assert auc == pytest.approx(mann_whitney_auc(scores, positives, True),
+                                abs=1e-12)
+    assert auc > 0.8
+    predictions = (out / "predictions.csv").read_text().splitlines()[1:]
+    flags = [s < 0.997 for s in scores]
+    assert 0 < sum(flags) < len(flags)
+    assert predictions == [f"{u},{v},{str(flag).lower()}"
+                           for (u, v, _), flag in zip(rows, flags)]
 
 
 def test_denoise_precorrupted_with_labels_roundtrip(tmp_path):

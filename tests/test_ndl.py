@@ -12,8 +12,9 @@ from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
                   RocError, WeightSchedule, candidate_pairs, chain_update,
                   coding_objective, corrupt_network,
                   denoise_classify, dominance_scores, init_dictionary,
-                  initial_homomorphism, mesoscale_patch, ndl, ndl_learn,
-                  nr_reconstruct, roc_auc, sparse_code)
+                  initial_homomorphism, lower_tail_is_positive,
+                  mesoscale_patch, ndl, ndl_learn, nr_reconstruct, roc_auc,
+                  sparse_code)
 from onmf.networks import MCMC_MODES
 
 CHAIN_PATTERN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -130,16 +131,17 @@ def test_learned_dominance_is_a_distribution():
 
 
 class DictReconstruction:
-    """Reference: the per-pair sums and counts kept in dicts keyed by (u, v)
-    tuples, each block summed per pair with ``bincount`` and then added to
-    the pair's running sum."""
+    """Reference: the per-pair sums and counts kept in dicts keyed by
+    unordered pairs, the tuples (min(u, v), max(u, v)), each block summed per
+    pair with ``bincount`` and then added to the pair's running sum."""
 
     def __init__(self):
         self.sums, self.counts = {}, {}
 
     def fold_many(self, us, vs, values):
         base = int(max(us.max(), vs.max())) + 1
-        keys, inverse = np.unique(us * base + vs, return_inverse=True)
+        keys, inverse = np.unique(np.minimum(us, vs) * base
+                                  + np.maximum(us, vs), return_inverse=True)
         block_sums = np.bincount(inverse, weights=values)
         block_counts = np.bincount(inverse)
         for key, s, c in zip(keys.tolist(), block_sums.tolist(),
@@ -149,11 +151,10 @@ class DictReconstruction:
             self.counts[pair] = self.counts.get(pair, 0) + c
 
     def pair_score(self, u, v):
-        count = self.counts.get((u, v), 0) + self.counts.get((v, u), 0)
-        if not count:
+        pair = (min(u, v), max(u, v))
+        if pair not in self.counts:
             return 0.0
-        total = self.sums.get((u, v), 0.0) + self.sums.get((v, u), 0.0)
-        return total / count
+        return self.sums[pair] / self.counts[pair]
 
 
 def _pairs(n, keys):
@@ -194,6 +195,9 @@ def test_pair_score_combines_both_orientations():
     state = ReconstructionState(6)
     state.fold_many(np.array([0, 1]), np.array([1, 0]), np.array([1.0, 0.0]))
     state.fold_many(np.array([1]), np.array([0]), np.array([0.0]))
+    # one key per node pair, min(u, v) * n + max(u, v)
+    assert state.keys.tolist() == [0 * 6 + 1, 6 * 6]
+    assert state.counts.tolist() == [3, 0]
     assert state.pair_score(0, 1) == pytest.approx(1.0 / 3.0)
     assert state.pair_score(1, 0) == state.pair_score(0, 1)
     assert state.pair_score(4, 5) == 0.0
@@ -272,7 +276,7 @@ def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc):
         approx = (W @ h).reshape(3, 3)
         for a in range(3):
             for b in range(3):
-                pair = (x[a], x[b])
+                pair = (min(x[a], x[b]), max(x[a], x[b]))
                 sums[pair] = sums.get(pair, 0.0) + float(approx[a, b])
                 counts[pair] = counts.get(pair, 0) + 1
 
@@ -621,6 +625,13 @@ def test_roc_single_class_errors():
         roc_auc(np.array([0.5, 0.7]), np.array([True, True]))
     with pytest.raises(ValueError, match="aligned"):
         roc_auc(np.array([0.5]), np.array([True, False]))
+
+
+def test_the_corruption_mode_picks_the_tail():
+    assert lower_tail_is_positive("additive") is True
+    assert lower_tail_is_positive("subtractive") is False
+    with pytest.raises(ValueError, match="unknown corruption mode"):
+        lower_tail_is_positive("sideways")
 
 
 def test_sweeping_thresholds_gives_monotone_predictions():
