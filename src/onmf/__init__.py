@@ -22,7 +22,7 @@ from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
                        pivot_update, rejection_sample_hom, tv_distance)
 from .pgm import (PgmError, read_pgm, read_spins_pgm, spins_to_levels,
                   write_pgm, write_spins_pgm)
-from .sources import (IsingConfig, PatchWalker, conditional_plus_probability,
-                      image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
+from .sources import (IsingConfig, conditional_plus_probability,
+                      image_patch_stream, ising_gibbs_run, ising_gibbs_step,
                       ising_patch_stream, reconstruct_grid,
                       spin_patch_minibatch)

@@ -10,7 +10,6 @@ with identical metadata produce byte-identical numeric outputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import platform
 import sys
@@ -31,8 +30,8 @@ from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
                        SamplingError, chain_update, hom_distribution_bruteforce,
                        initial_homomorphism, tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
-from .sources import (IsingConfig, PatchWalker, image_patch_minibatch,
-                      ising_patch_stream, reconstruct_grid)
+from .sources import (IsingConfig, image_patch_stream, ising_patch_stream,
+                      reconstruct_grid)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,11 +249,11 @@ def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
     labels."""
     index = {lab: i for i, lab in enumerate(net.labels)}
     keys, labels = array("q"), bytearray()
-    skipped = []    # line numbers of blank and header lines
+    skipped = []    # line numbers of blank lines and the header
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("u,v,"):
+            if not line or lineno == 1 and line.startswith("u,v,"):
                 skipped.append(lineno)
                 continue
             parts = line.split(",")
@@ -306,31 +305,36 @@ def cmd_ising_learn(args, out_dir: Path) -> None:
 
 
 def cmd_image_learn(args, out_dir: Path) -> None:
+    if args.patch < 1:
+        raise UsageError("--patch must be positive")
     if args.stride < 1:
         raise UsageError("--stride must be positive")
+    if args.stride > args.patch:
+        raise UsageError("--stride must not exceed --patch, or the pixels "
+                         "between patches are never reconstructed")
     if args.recon_lambda < 0:
         raise UsageError("--recon-lambda must be nonnegative")
     image = read_pgm(args.image)
     rng = np.random.default_rng(args.seed)
     engine = _engine(args, rng)
-    positions = []
+    stream = image_patch_stream(image, args.patch, args.batch, rng,
+                                mode=args.mode)
+    corners = []
 
-    def minibatches(walker):
-        for t in itertools.count(1):
-            X, walker, corners = image_patch_minibatch(
-                image, args.patch, args.batch, rng, mode=args.mode,
-                walker=walker)
-            positions.extend((t, int(r), int(c)) for r, c in corners)
+    def minibatches():
+        for X, batch_corners in stream:
+            corners.append(batch_corners)
             yield X
 
-    walker = PatchWalker.random(image.shape[0], image.shape[1], rng)
-    trace = learn(engine, minibatches(walker), args.iters)
+    trace = learn(engine, minibatches(), args.iters)
     with _learned_outputs(out_dir, engine.W, args.patch, engine.stats.A, trace):
         recon = reconstruct_grid(image, engine.W, args.patch,
                                  lam=args.recon_lambda, stride=args.stride)
         write_pgm(out_dir / "reconstruction.pgm", recon)
         if args.mode == "walk":
-            _write_csv(out_dir / "positions.csv", "t,row,col", positions)
+            _write_csv(out_dir / "positions.csv", "t,row,col",
+                       ((t, r, c) for t, batch in enumerate(corners, start=1)
+                        for r, c in batch.tolist()))
 
 
 def cmd_hom_diag(args, out_dir: Path) -> None:

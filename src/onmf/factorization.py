@@ -115,8 +115,8 @@ class ConstraintSpec:
             raise ValueError("need at least one constraint piece")
 
     @classmethod
-    def nonnegative(cls, radius: float, lower: float = 0.0) -> "ConstraintSpec":
-        return cls(pieces=(ConstraintPiece(radius=radius, lower=lower),))
+    def nonnegative(cls, radius: float) -> "ConstraintSpec":
+        return cls(pieces=(ConstraintPiece(radius=radius),))
 
 
 @dataclass

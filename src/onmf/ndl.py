@@ -11,6 +11,7 @@ pairs by their reconstructed weight, scored with an ROC curve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -79,17 +80,18 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
     return diag / total
 
 
-def _walk_patches(net: Network, k: int, x, rng, mcmc: str, m: int):
-    """Advance the chain m steps from x: the homomorphisms as the rows of an
-    (m, k) array and their vectorized patches as the columns of the
-    C-contiguous k^2 x m matrix, made by one `mesoscale_patch` call."""
-    maps = []
-    for _ in range(m):
-        x = chain_update(net, k, x, rng, mcmc)
-        maps.append(x)
-    xs = np.array(maps, dtype=np.int64)
-    X = np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
-    return xs, X
+def _motif_patches(net: Network, k: int, x, rng, mcmc: str, sizes):
+    """Advance the chain from x by each block size m in turn, yielding per
+    block the homomorphisms as the rows of an (m, k) array and their
+    vectorized patches as the columns of the C-contiguous k^2 x m matrix,
+    made by one `mesoscale_patch` call."""
+    for m in sizes:
+        maps = []
+        for _ in range(m):
+            x = chain_update(net, k, x, rng, mcmc)
+            maps.append(x)
+        xs = np.array(maps, dtype=np.int64)
+        yield xs, np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
 
 
 def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
@@ -99,20 +101,14 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
     into a k^2 x batch matrix which drives one engine step with balanced
     weights (beta defaults to 1).
     """
-    x = initial_homomorphism(net, params.k, rng)
+    blocks = _motif_patches(net, params.k,
+                            initial_homomorphism(net, params.k, rng), rng,
+                            params.mcmc, itertools.repeat(params.batch))
     engine = init_engine(params.k ** 2, params.atoms, params.dict_radius, rng,
                          beta=params.beta, lam=params.lam, kappa1=params.kappa1,
                          kappa2=params.kappa2, code_tol=1e-8, code_max_iter=500,
                          dict_tol=1e-8, dict_max_iter=100)
-
-    def minibatches(x):
-        while True:
-            xs, X = _walk_patches(net, params.k, x, rng, params.mcmc,
-                                  params.batch)
-            x = tuple(xs[-1].tolist())
-            yield X
-
-    trace = learn(engine, minibatches(x), params.iters)
+    trace = learn(engine, (X for _, X in blocks), params.iters)
     return NetworkDictionary(W=engine.W.copy(), stats=engine.stats,
                              k=params.k, loss_trace=trace)
 
@@ -184,13 +180,13 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     k = int(round(math.sqrt(k2)))
     if k * k != k2:
         raise ValueError("dictionary rows must be a perfect square")
-    x = initial_homomorphism(net, k, rng)
+    sizes = [min(RECON_BLOCK, iters - start)
+             for start in range(0, iters, RECON_BLOCK)]
+    blocks = _motif_patches(net, k, initial_homomorphism(net, k, rng), rng,
+                            mcmc, sizes)
     state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
-    for start in range(0, iters, RECON_BLOCK):
-        xs, X = _walk_patches(net, k, x, rng, mcmc,
-                              min(RECON_BLOCK, iters - start))
-        x = tuple(xs[-1].tolist())
+    for xs, X in blocks:
         H = sparse_code(X, W, lam=lam, tol=code_tol, max_iter=code_max_iter)
         state.fold_many(xs[:, rows].ravel(), xs[:, cols].ravel(),
                         (W @ H).T.ravel())

@@ -41,9 +41,6 @@ from itertools import accumulate
 import numpy as np
 
 _ORACLE_GUARD = 10 ** 7
-# Largest node count `Network.dense` materializes (a 4000 x 4000 float
-# matrix is 128 MB).
-_DENSE_GUARD = 4000
 # Rejection tries drawn and tested per batch.
 _REJECTION_CHUNK = 1024
 # Vertex maps the brute-force oracle weighs per batch.
@@ -119,8 +116,9 @@ class Network:
     `weights_at` finds A(a, b) by ``searchsorted``.  Built once and
     read-only afterwards, so many chains may read one network concurrently.
 
-    Entry i of the aligned arrays `src`, `dst` and `weights` sets
-    A(src[i], dst[i]); each pair appears at most once.
+    Entry i of the aligned one-dimensional arrays `src`, `dst` and
+    `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
+    and each pair appears at most once.
     """
 
     def __init__(self, n: int, src, dst, weights,
@@ -133,8 +131,12 @@ class Network:
             raise ValueError("label count must match node count")
         src, dst = np.asarray(src), np.asarray(dst)
         weights = np.asarray(weights, dtype=float)
+        if not src.ndim == dst.ndim == weights.ndim == 1:
+            raise ValueError("src, dst and weights must be one-dimensional")
         if not len(src) == len(dst) == len(weights):
             raise ValueError("src, dst and weights must have equal lengths")
+        if len(src) and not (src.dtype.kind in "iu" and dst.dtype.kind in "iu"):
+            raise ValueError("edge endpoints must be integers")
         inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
         valid = np.isfinite(weights) & (weights >= 0)
         bad = np.flatnonzero(~(inside & valid))
@@ -144,14 +146,18 @@ class Network:
             raise ValueError("edge weights must be finite and nonnegative")
         self.n = n = int(n)
         self.labels = list(labels)
-        keep = weights > 0
-        keys = src[keep].astype(np.int64) * n + dst[keep].astype(np.int64)
+        keys = src.astype(np.int64) * n + dst.astype(np.int64)
         order = np.argsort(keys)
         keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("each (src, dst) pair may appear only once")
+        weights = weights[order]
+        keep = weights > 0
+        keys = keys[keep]
         rows, cols = np.divmod(keys, n)
         # lookup tables: the sentinel key matches no pair, its weight is 0
         self._keys = np.append(keys, n * n)
-        self._key_weights = np.append(weights[keep][order], 0.0)
+        self._key_weights = np.append(weights[keep], 0.0)
         for arr in (self._keys, self._key_weights):
             arr.flags.writeable = False
         self.out_edges = Adjacency.from_sorted(n, rows, cols,
@@ -249,14 +255,6 @@ class Network:
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target of every edge, in `out_edges` order."""
         return np.divmod(self._keys[:-1], self.n)
-
-    def dense(self) -> np.ndarray:
-        """A as a fresh n x n array; refused above `_DENSE_GUARD` nodes."""
-        if self.n > _DENSE_GUARD:
-            raise ValueError("network too large for a dense matrix")
-        M = np.zeros((self.n, self.n))
-        M[self._edge_ends()] = self.out_edges.weights
-        return M
 
     def undirected_keys(self) -> np.ndarray:
         """Ascending keys ``u * n + v`` of the edges with u < v; requires a

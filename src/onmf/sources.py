@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -251,53 +251,46 @@ def ising_patch_stream(config: IsingConfig, epoch: int, k: int, count: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatchWalker:
-    """Top-left corner of a patch window walking on a periodic grid."""
-
-    row: int
-    col: int
-
-    @classmethod
-    def random(cls, height: int, width: int, rng) -> "PatchWalker":
-        return cls(row=int(rng.integers(height)), col=int(rng.integers(width)))
-
-
 # Row and column offsets of the four cardinal moves, indexed by the drawn move.
 _WALK_ROWS = np.array([1, -1, 0, 0])
 _WALK_COLS = np.array([0, 0, 1, -1])
 
 
-def image_patch_minibatch(image: np.ndarray, k: int, count: int, rng,
-                          mode: str = "iid", walker: PatchWalker | None = None):
-    """Patch minibatch from an image, i.i.d.-uniform or by symmetric random walk.
+def image_patch_stream(image: np.ndarray, k: int, count: int, rng,
+                       mode: str = "iid"):
+    """Endless patch minibatches ``(X, corners)`` from an image, i.i.d.-uniform
+    or by symmetric random walk.
 
-    Returns ``(X, walker, corners)``: X is k^2 x count, and row i of the
-    count x 2 array ``corners`` is the (row, col) of patch i.  In walk mode
-    each patch is taken after one single-pixel step of the corner in a
-    uniformly random cardinal direction (periodic wrap), all ``count`` moves
-    drawn in one ``integers`` call; in iid mode corners are uniform over all
-    wrapped positions and the walker is returned unchanged.
+    X is k^2 x count, and row i of the count x 2 array ``corners`` is the
+    (row, col) of patch i.  The walk's start corner is drawn uniformly when
+    the stream is made, in both modes.  In walk mode each patch is taken after
+    one single-pixel step of the corner in a uniformly random cardinal
+    direction (periodic wrap), a minibatch's ``count`` moves drawn in one
+    ``integers`` call, and the next minibatch walks on from its last corner;
+    in iid mode corners are uniform over all wrapped positions.
     """
     image = np.asarray(image, dtype=float)
     h, w = image.shape
     if k > min(h, w):
         raise ValueError("patch size exceeds image size")
-    if mode == "iid":
-        rows = rng.integers(0, h, size=count)
-        cols = rng.integers(0, w, size=count)
-    elif mode == "walk":
-        if walker is None:
-            walker = PatchWalker.random(h, w, rng)
-        moves = rng.integers(4, size=count)
-        rows = (walker.row + np.cumsum(_WALK_ROWS[moves])) % h
-        cols = (walker.col + np.cumsum(_WALK_COLS[moves])) % w
-        if count:
-            walker = replace(walker, row=int(rows[-1]), col=int(cols[-1]))
-    else:
+    if mode not in ("iid", "walk"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    X = _extract_patches(image, rows, cols, k).reshape(count, k * k).T
-    return X, walker, np.stack([rows, cols], axis=1)
+
+    def minibatches(row, col):
+        while True:
+            if mode == "iid":
+                rows = rng.integers(0, h, size=count)
+                cols = rng.integers(0, w, size=count)
+            else:
+                moves = rng.integers(4, size=count)
+                rows = (row + np.cumsum(_WALK_ROWS[moves])) % h
+                cols = (col + np.cumsum(_WALK_COLS[moves])) % w
+                if count:
+                    row, col = int(rows[-1]), int(cols[-1])
+            X = _extract_patches(image, rows, cols, k).reshape(count, k * k).T
+            yield X, np.stack([rows, cols], axis=1)
+
+    return minibatches(int(rng.integers(h)), int(rng.integers(w)))
 
 
 def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
@@ -307,7 +300,9 @@ def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
 
     Patch approximations W @ h are averaged at overlapping pixels and the
     result is clipped to [0, 1].  The grid always includes the last valid
-    corner so every pixel is covered.
+    corner of each axis, and a stride of at most k leaves no gap between
+    neighboring patches, so every pixel is covered.  Each pixel's
+    approximations are added in patch order, row-major over the corners.
     """
     image = np.asarray(image, dtype=float)
     h, w = image.shape
@@ -317,19 +312,17 @@ def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
         raise ValueError("patch size exceeds image size")
     if stride < 1:
         raise ValueError("stride must be positive")
-    rows = list(range(0, h - k + 1, stride))
-    if rows[-1] != h - k:
-        rows.append(h - k)
-    cols = list(range(0, w - k + 1, stride))
-    if cols[-1] != w - k:
-        cols.append(w - k)
-    corners = [(r, c) for r in rows for c in cols]
-    P = np.stack([image[r:r + k, c:c + k].reshape(-1) for r, c in corners], axis=1)
+    if stride > k:
+        raise ValueError("stride must not exceed the patch size, or the "
+                         "pixels between patches are never covered")
+    rows = np.unique(np.append(np.arange(0, h - k + 1, stride), h - k))
+    cols = np.unique(np.append(np.arange(0, w - k + 1, stride), w - k))
+    rows, cols = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
+    # flat pixel index of every patch entry, one patch after another
+    pixels = _extract_patches(np.arange(h * w).reshape(h, w), rows, cols,
+                              k).ravel()
+    P = np.ascontiguousarray(image.reshape(-1)[pixels].reshape(len(rows), -1).T)
     H = sparse_code(P, W, lam=lam, tol=tol, max_iter=max_iter)
-    approx = W @ H
-    acc = np.zeros_like(image)
-    cnt = np.zeros_like(image)
-    for i, (r, c) in enumerate(corners):
-        acc[r:r + k, c:c + k] += approx[:, i].reshape(k, k)
-        cnt[r:r + k, c:c + k] += 1.0
-    return np.clip(acc / cnt, 0.0, 1.0)
+    acc = np.bincount(pixels, weights=(W @ H).T.ravel(), minlength=h * w)
+    cnt = np.bincount(pixels, minlength=h * w)
+    return np.clip(acc / cnt, 0.0, 1.0).reshape(h, w)

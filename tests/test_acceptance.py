@@ -239,7 +239,6 @@ def test_criterion_08_pivot_chain_stationarity():
 
 def test_criterion_09_cycle_end_to_end():
     net = cycle_network(10)
-    dense = net.dense()
     t0 = time.time()
     worst_recon = 0.0
     matched_all = True
@@ -259,7 +258,7 @@ def test_criterion_09_cycle_end_to_end():
                                rng=rng)
         us, vs = np.divmod(state.keys[:-1], net.n)
         worst_recon = max(worst_recon, float(np.max(np.abs(
-            state.scores(state.keys[:-1]) - dense[us, vs]))))
+            state.scores(state.keys[:-1]) - net.weights_at(us, vs)))))
     elapsed = time.time() - t0
     ok = matched_all and worst_recon < 0.05 and elapsed < 120.0
     report(9, "cycle end-to-end (r = 1..9)", ok,

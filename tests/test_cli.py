@@ -299,6 +299,28 @@ def test_denoise_precorrupted_with_labels_roundtrip(tmp_path):
     assert 0.0 <= auc <= 1.0
 
 
+def test_labels_header_is_only_line_1(tmp_path):
+    # nodes named u and v: their pair's row starts with "u,v," like the header
+    edges = tmp_path / "c5.txt"
+    edges.write_text("u a\na b\nb v\nv c\nc u\n")
+    first = tmp_path / "first"
+    assert run("denoise", "--edges", edges, "--undirected", "--fraction", 0.2,
+               "--atoms", 2, "--iters", 5, "--batch", 10,
+               "--recon-iters", 200, "--seed", 1, "--out-dir", first) == 0
+    assert "u,v,true" in (first / "labels.csv").read_text().splitlines()[1:]
+    second = tmp_path / "second"
+    assert run("denoise", "--edges", first / "corrupted.edgelist",
+               "--undirected", "--labels", first / "labels.csv",
+               "--dict", first / "dictionary.txt", "--recon-iters", 200,
+               "--seed", 1, "--out-dir", second) == 0
+
+    def pairs(path):    # the rerun numbers the nodes in its own order
+        rows = (line.split(",") for line in path.read_text().splitlines()[1:])
+        return {(frozenset(row[:2]), row[2]) for row in rows}
+
+    assert pairs(second / "labels.csv") == pairs(first / "labels.csv")
+
+
 def test_denoise_additive_on_complete_graph_exits_2(tmp_path):
     k5 = tmp_path / "k5.txt"
     k5.write_text("\n".join(f"{a} {b}" for a in range(5)
@@ -418,6 +440,15 @@ COUNT_CASES = {
                                "--patch", 3, "--atoms", 2, "--iters", 2,
                                "--batch", 5, "--stride", -2],
                               "--stride must be positive"),
+    "image-patch-negative": (["image-learn", "--image", "{image}",
+                              "--patch", -2, "--atoms", 2, "--iters", 2,
+                              "--batch", 5], "--patch must be positive"),
+    "image-stride-above-patch": (["image-learn", "--image", "{image}",
+                                  "--patch", 3, "--atoms", 2, "--iters", 2,
+                                  "--batch", 5, "--stride", 4],
+                                 "--stride must not exceed --patch, or the "
+                                 "pixels between patches are never "
+                                 "reconstructed"),
     "image-recon-lambda-negative": (["image-learn", "--image", "{image}",
                                      "--patch", 3, "--atoms", 2, "--iters", 2,
                                      "--batch", 5, "--recon-lambda", -1],

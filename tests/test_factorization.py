@@ -444,8 +444,9 @@ DICT_CASES = {
     "ridge": dict(spec=ConstraintSpec.nonnegative(10.0), kappa1=0.3),
     "zero-diagonal": dict(spec=ConstraintSpec.nonnegative(10.0), zero_col=2),
     "tight-radius": dict(spec=ConstraintSpec.nonnegative(0.6), b_scale=4.0),
-    "lower-bound": dict(spec=ConstraintSpec.nonnegative(3.0, lower=0.05),
-                        b_scale=2.0),
+    "lower-bound": dict(
+        spec=ConstraintSpec(pieces=(ConstraintPiece(radius=3.0, lower=0.05),)),
+        b_scale=2.0),
     "two-pieces-ellipsoid": dict(
         spec=ConstraintSpec(pieces=(ConstraintPiece(radius=0.8),
                                     ConstraintPiece(radius=6.0, lower=0.2))),

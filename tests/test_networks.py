@@ -558,7 +558,6 @@ def test_csr_core_matches_the_dict_reference(case):
     nodes = np.arange(n)
     full = np.array([[ref.weight(a, b) for b in range(n)] for a in range(n)])
     assert np.array_equal(net.weights_at(nodes[:, None], nodes[None, :]), full)
-    assert np.array_equal(net.dense(), full)
     assert len(net.out_edges.indices) == len(ref.weights)
     for v in range(n):
         assert np.array_equal(net.out_edges.row(v)[0], ref.out[v][0])
@@ -594,8 +593,10 @@ def test_undirected_pairs_set_each_orientation_once():
         weights[(u, v)] = weights[(v, u)] = 1.0
     net, ref = Network.from_undirected_pairs(5, pairs), RefNetwork(5, weights)
     assert len(net.out_edges.indices) == len(ref.weights) == 5
-    assert np.array_equal(net.dense(), [[ref.weight(a, b) for b in range(5)]
-                                        for a in range(5)])
+    nodes = np.arange(5)
+    assert np.array_equal(net.weights_at(nodes[:, None], nodes[None, :]),
+                          [[ref.weight(a, b) for b in range(5)]
+                           for a in range(5)])
 
 
 def test_from_edges_accumulates_like_the_dict_reference():
@@ -630,15 +631,13 @@ def test_power_row_sums_and_tail_tables_are_sequential_row_sums():
             assert np.array_equal(tables[j, s:e], np.cumsum(wts * ladder[j][tgt]))
 
 
-def test_patches_above_the_old_dense_limit_and_the_dense_guard():
+def test_patches_above_the_old_dense_limit():
     n = 4001
     net = cycle_network(n)
     x = (0, 1, 2, 4000, 17)
     expect = np.array([[1.0 if (a - b) % n in (1, n - 1) else 0.0 for b in x]
                        for a in x])
     assert np.array_equal(mesoscale_patch(net, x), expect)
-    with pytest.raises(ValueError, match="too large for a dense matrix"):
-        net.dense()
 
 
 def test_network_arrays_are_read_only():
@@ -848,6 +847,9 @@ WEIGHT = (ValueError, "edge weights must be finite and nonnegative")
 LABELS = (ValueError, "label count must match node count")
 EMPTY = (ValueError, "network needs at least one node")
 LENGTHS = (ValueError, "src, dst and weights must have equal lengths")
+SHAPE = (ValueError, "src, dst and weights must be one-dimensional")
+INTEGER = (ValueError, "edge endpoints must be integers")
+REPEAT = (ValueError, "each (src, dst) pair may appear only once")
 
 
 def _write(tmp_path, text):
@@ -869,6 +871,17 @@ VALIDATION_CASES = [
     ("init-labels", lambda p: Network(3, [], [], [], labels=["a"]), LABELS),
     ("init-empty", lambda p: Network(0, [], [], []), EMPTY),
     ("init-lengths", lambda p: Network(3, [0, 1], [1], [1.0]), LENGTHS),
+    ("init-2d-ends", lambda p: Network(3, [[0, 1]], [[1, 2]], [1.0]), SHAPE),
+    ("init-2d-all", lambda p: Network(3, [[0, 1], [1, 2]], [[1, 2], [2, 0]],
+                                      [[1.0, 1.0], [1.0, 1.0]]), SHAPE),
+    ("init-2d-weights", lambda p: Network(3, [0], [1], [[1.0]]), SHAPE),
+    ("init-fractional-src",
+     lambda p: Network(3, [0.7, 1], [1, 2], [1.0, 1.0]), INTEGER),
+    ("init-float-dst", lambda p: Network(3, [0], [1.0], [1.0]), INTEGER),
+    ("init-repeated-pair",
+     lambda p: Network(3, [0, 0], [1, 1], [1.0, 2.0]), REPEAT),
+    ("init-repeated-zero-pair",
+     lambda p: Network(3, [0, 2, 0], [1, 0, 1], [0.0, 1.0, 2.0]), REPEAT),
     ("pairs-range", lambda p: Network.from_undirected_pairs(3, [(0, 3)]), RANGE),
     ("pairs-range-negative",
      lambda p: Network.from_undirected_pairs(3, [(0, 1), (-1, 2)]), RANGE),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import empirical_distribution, exact_boltzmann
 from onmf import sources
-from onmf import (IsingConfig, PatchWalker, conditional_plus_probability,
-                  image_patch_minibatch, ising_gibbs_run, ising_gibbs_step,
-                  read_pgm, read_spins_pgm, reconstruct_grid,
+from onmf import (IsingConfig, conditional_plus_probability,
+                  image_patch_stream, ising_gibbs_run, ising_gibbs_step,
+                  read_pgm, read_spins_pgm, reconstruct_grid, sparse_code,
                   spin_patch_minibatch, spins_to_levels, tv_distance,
                   write_pgm, write_spins_pgm)
 from onmf.pgm import PgmError
@@ -268,50 +268,65 @@ def test_spin_level_map_roundtrip(tmp_path_factory, bits):
 def test_constant_image_gives_constant_columns():
     rng = np.random.default_rng(7)
     image = np.full((8, 8), 0.37)
-    X, _, _ = image_patch_minibatch(image, 3, 12, mode="iid", rng=rng)
+    X, corners = next(image_patch_stream(image, 3, 12, rng, mode="iid"))
+    assert X.shape == (9, 12) and corners.shape == (12, 2)
     assert np.allclose(X, 0.37)
+
+
+def _start_corner(seed, height, width):
+    """The corner a stream made from default_rng(seed) starts its walk at."""
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(height)), int(rng.integers(width))
 
 
 def test_walk_moves_one_step_per_patch():
     rng = np.random.default_rng(8)
     image = np.zeros((7, 9))
-    walker = PatchWalker(row=2, col=3)
-    _, new_walker, corners = image_patch_minibatch(
-        image, 2, 40, mode="walk", walker=walker, rng=rng)
-    prev = (walker.row, walker.col)
-    for r, c in corners:
-        dr = (r - prev[0]) % 7
-        dc = (c - prev[1]) % 9
-        assert (dr in (1, 7 - 1) and dc == 0) or (dc in (1, 9 - 1) and dr == 0)
-        prev = (r, c)
-    assert (new_walker.row, new_walker.col) == prev
+    stream = image_patch_stream(image, 2, 40, rng, mode="walk")
+    prev = _start_corner(8, 7, 9)
+    for _ in range(3):     # the next minibatch walks on from the last corner
+        _, corners = next(stream)
+        for r, c in corners:
+            dr = (r - prev[0]) % 7
+            dc = (c - prev[1]) % 9
+            assert ((dr in (1, 7 - 1) and dc == 0)
+                    or (dc in (1, 9 - 1) and dr == 0))
+            prev = (r, c)
 
 
-def _reference_walk(walker, height, width, count, rng):
-    """The walk one draw per step on a periodic height x width grid: corners
-    and the final walker."""
-    r, c = walker.row, walker.col
+def _reference_walk(start, height, width, count, rng):
+    """The walk one draw per step on a periodic height x width grid from the
+    corner `start`: the corners it visits."""
+    r, c = start
     corners = []
     for _ in range(count):
         dr, dc = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(4))]
         r = (r + dr) % height
         c = (c + dc) % width
         corners.append((r, c))
-    return corners, (r, c)
+    return corners
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 97, 1000])
 def test_walk_matches_one_draw_per_step(count):
     image = np.zeros((7, 9))
     for seed in range(5):
-        walker = PatchWalker(row=seed % 7, col=6)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want, end = _reference_walk(walker, 7, 9, count, ref_rng)
-        _, new_walker, corners = image_patch_minibatch(
-            image, 2, count, mode="walk", walker=walker, rng=rng)
-        assert corners.tolist() == [list(rc) for rc in want]
-        assert (new_walker.row, new_walker.col) == end
+        start = int(ref_rng.integers(7)), int(ref_rng.integers(9))
+        want = _reference_walk(start, 7, 9, 2 * count, ref_rng)
+        stream = image_patch_stream(image, 2, count, rng, mode="walk")
+        got = [rc for _ in range(2) for rc in next(stream)[1].tolist()]
+        assert got == [list(rc) for rc in want]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["iid", "walk"])
+def test_stream_draws_the_start_corner_when_made(mode):
+    rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
+    image_patch_stream(np.zeros((5, 6)), 2, 10, rng, mode=mode)
+    ref_rng.integers(5)
+    ref_rng.integers(6)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_iid_corner_distribution_is_uniform():
@@ -319,8 +334,7 @@ def test_iid_corner_distribution_is_uniform():
 
     rng = np.random.default_rng(9)
     image = np.zeros((3, 3))
-    _, _, corners = image_patch_minibatch(image, 2, 100000, mode="iid",
-                                          rng=rng)
+    _, corners = next(image_patch_stream(image, 2, 100000, rng, mode="iid"))
     flat = corners[:, 0] * 3 + corners[:, 1]
     freq = np.bincount(flat, minlength=9)
     assert stats.chisquare(freq).pvalue > 0.01
@@ -329,22 +343,22 @@ def test_iid_corner_distribution_is_uniform():
 def test_walker_visits_every_position():
     rng = np.random.default_rng(10)
     image = np.zeros((10, 10))
-    _, _, corners = image_patch_minibatch(image, 2, 100000, mode="walk",
-                                          rng=rng)
+    _, corners = next(image_patch_stream(image, 2, 100000, rng, mode="walk"))
     assert len({(int(r), int(c)) for r, c in corners}) == 100
 
 
 def test_patch_mode_validation():
+    # refused when the stream is made, before any minibatch is drawn
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        image_patch_minibatch(np.zeros((4, 4)), 5, 1, mode="iid", rng=rng)
-    with pytest.raises(ValueError):
-        image_patch_minibatch(np.zeros((4, 4)), 2, 1, mode="spiral", rng=rng)
+    with pytest.raises(ValueError, match="patch size exceeds image size"):
+        image_patch_stream(np.zeros((4, 4)), 5, 1, rng, mode="iid")
+    with pytest.raises(ValueError, match="unknown sampling mode"):
+        image_patch_stream(np.zeros((4, 4)), 2, 1, rng, mode="spiral")
 
 
 def test_patch_minibatch_needs_a_generator():
     with pytest.raises(TypeError, match="rng"):
-        image_patch_minibatch(np.zeros((4, 4)), 2, 3)
+        image_patch_stream(np.zeros((4, 4)), 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +384,6 @@ def test_stride_k_is_blockwise_independent():
     W = rng.random((9, 4)) + 0.1
     out = reconstruct_grid(image, W, 3, lam=0.1, stride=3,
                            tol=1e-11, max_iter=4000)
-    from onmf import sparse_code
-
     for r in (0, 3):
         for c in (0, 3):
             patch = image[r:r + 3, c:c + 3].reshape(-1, 1)
@@ -390,6 +402,42 @@ def test_constant_atom_preserves_patch_means():
         for c in (0, 2):
             block = image[r:r + 2, c:c + 2]
             assert np.allclose(out[r:r + 2, c:c + 2], block.mean(), atol=1e-8)
+
+
+def _reference_grid(image, W, k, lam, stride):
+    """reconstruct_grid as a loop over the corners, adding each patch's
+    approximation and count to its pixels in turn."""
+    h, w = image.shape
+    rows = sorted(set(range(0, h - k + 1, stride)) | {h - k})
+    cols = sorted(set(range(0, w - k + 1, stride)) | {w - k})
+    corners = [(r, c) for r in rows for c in cols]
+    P = np.stack([image[r:r + k, c:c + k].reshape(-1) for r, c in corners],
+                 axis=1)
+    approx = W @ sparse_code(P, W, lam=lam, tol=1e-8, max_iter=1000)
+    acc, cnt = np.zeros_like(image), np.zeros_like(image)
+    for i, (r, c) in enumerate(corners):
+        acc[r:r + k, c:c + k] += approx[:, i].reshape(k, k)
+        cnt[r:r + k, c:c + k] += 1.0
+    return np.clip(acc / cnt, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape, k, stride, lam", [
+    ((12, 12), 3, 1, 0.0), ((13, 9), 4, 3, 0.2), ((10, 17), 5, 5, 1.0),
+    ((8, 8), 8, 2, 0.0), ((9, 11), 2, 2, 0.05)])
+def test_grid_matches_the_per_corner_loop(shape, k, stride, lam):
+    rng = np.random.default_rng(17)
+    image = rng.random(shape)
+    W = rng.random((k * k, 5))
+    out = reconstruct_grid(image, W, k, lam=lam, stride=stride)
+    assert np.array_equal(out, _reference_grid(image, W, k, lam, stride))
+
+
+def test_stride_above_the_patch_size_is_refused():
+    image = np.random.default_rng(18).random((96, 80))
+    W = np.ones((36, 2))
+    with pytest.raises(ValueError, match="never covered"):
+        reconstruct_grid(image, W, 6, stride=7)
+    assert reconstruct_grid(image, W, 6, stride=6).shape == (96, 80)
 
 
 # ---------------------------------------------------------------------------
