@@ -17,9 +17,9 @@ from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
                        chain_update, chain_walk_sample, glauber_conditional,
-                       glauber_update, hom_distribution_bruteforce, hom_weights,
-                       initial_homomorphism, mesoscale_patch, pivot_acceptance,
-                       pivot_update, rejection_sample_hom, tv_distance)
+                       hom_distribution_bruteforce, hom_weights,
+                       initial_homomorphism, mesoscale_patch,
+                       rejection_sample_hom, tv_distance)
 from .pgm import (PgmError, read_pgm, read_spins_pgm, spins_to_levels,
                   write_pgm, write_spins_pgm)
 from .sources import (IsingConfig, conditional_plus_probability,

@@ -157,6 +157,8 @@ def _load_dictionary(args) -> np.ndarray:
         raise DataError(f"{args.dict}: {exc}") from exc
     if not np.isfinite(W).all():
         raise DataError(f"{args.dict}: non-finite dictionary entry")
+    if W.shape[1] == 0:
+        raise DataError(f"{args.dict}: dictionary has no atoms")
     if W.shape[0] != args.motif_k ** 2:
         raise UsageError(f"dictionary has {W.shape[0]} rows; "
                          f"--motif-k {args.motif_k} needs {args.motif_k ** 2}")
@@ -287,6 +289,8 @@ def _engine(args, rng):
 
 
 def cmd_ising_learn(args, out_dir: Path) -> None:
+    if args.patch < 1:
+        raise UsageError("--patch must be positive")
     if args.patch > args.lattice:
         raise UsageError("--patch must not exceed --lattice")
     rng = np.random.default_rng(args.seed)

@@ -420,8 +420,8 @@ def _piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce, tol,
     return max_iter, False
 
 
-def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float, max_iter: int,
-           enforce_ellipsoid: bool | None) -> tuple[Dictionary, int, bool]:
+def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
+           max_iter: int) -> tuple[Dictionary, int, bool]:
     """``dictionary_update`` plus the sweeps and the converged flag of the
     descent in the piece it returns (0 and False when no piece is feasible)."""
     spec = W_prev.constraint
@@ -434,8 +434,7 @@ def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float, max_iter: int,
     B_scaled = B / denom[:, None]
     cols = [j for j in range(r) if diag_ridge[j] > 0.0]
     W0 = np.asarray(W_prev.W, dtype=float)
-    enforce = (len(spec.pieces) > 1) if enforce_ellipsoid is None \
-        else bool(enforce_ellipsoid)
+    enforce = len(spec.pieces) > 1
 
     best = None
     best_val = math.inf
@@ -464,29 +463,27 @@ def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float, max_iter: int,
 
 
 def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
-                      tol: float = 1e-6, max_iter: int = 100,
-                      enforce_ellipsoid: bool | None = None) -> Dictionary:
+                      tol: float = 1e-6, max_iter: int = 100) -> Dictionary:
     """Refit the dictionary against the current statistics.
 
     Runs damped block coordinate descent on
     ``tr(W (A + kappa1 I) W^T) - 2 tr(W B)`` independently inside every
-    constraint piece, keeps iterates inside the trust ellipsoid when
-    enforcement is on, and returns the best per-piece solution (lowest piece
-    index wins on ties).  ``enforce_ellipsoid=None`` enforces only for
-    multi-piece constraints, where the ellipsoid is not redundant.  A sweep
-    updates every column j by the damped step W_j - (W a_j - b_j)/(A_jj + 1),
-    computed as the affine map W m_j + b_j/(A_jj + 1) with
-    m_j = e_j - a_j/(A_jj + 1) and then projected into the piece; sweeps stop
-    when the Frobenius change of a sweep falls below ``tol`` or after
-    ``max_iter`` sweeps.  Inside ``OnlineNMF.step`` the sweep count and
-    whether the change test fired are reported in the ``StepResult``.
+    constraint piece and returns the best per-piece solution (lowest piece
+    index wins on ties).  Iterates are kept inside the trust ellipsoid
+    exactly when the constraint set has more than one piece, the only case
+    where the ellipsoid is not redundant.  A sweep updates every column j by
+    the damped step W_j - (W a_j - b_j)/(A_jj + 1), computed as the affine
+    map W m_j + b_j/(A_jj + 1) with m_j = e_j - a_j/(A_jj + 1) and then
+    projected into the piece; sweeps stop when the Frobenius change of a
+    sweep falls below ``tol`` or after ``max_iter`` sweeps.  Inside
+    ``OnlineNMF.step`` the sweep count and whether the change test fired are
+    reported in the ``StepResult``.
 
     Columns whose diagonal aggregate (plus ridge) is zero are never touched.
     If no piece yields a feasible iterate the previous dictionary is returned
     unchanged and a warning is logged.
     """
-    new, sweeps, converged = _refit(W_prev, stats, tol, max_iter,
-                                    enforce_ellipsoid)
+    new, sweeps, converged = _refit(W_prev, stats, tol, max_iter)
     _record_counts("dict", sweeps, converged)
     return new
 

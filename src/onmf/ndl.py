@@ -171,10 +171,14 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     against W in one call, and entry (a, b) of each step's k x k approximation
     W h is folded into the mean at node pair (x[a], x[b]).  Coding draws no
     random numbers, so the chain's trajectory does not depend on the block
-    size.
+    size.  ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if mcmc not in MCMC_MODES:
+        raise ValueError(f"unknown MCMC mode {mcmc!r}")
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
     k = int(round(math.sqrt(k2)))

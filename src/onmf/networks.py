@@ -3,18 +3,18 @@
 A network is a node set with a sparse nonnegative weight map.  The motif is
 the k-chain, the directed path 1 -> 2 -> ... -> k.  A vertex map x: [k] -> V
 is a homomorphism when the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the
-weights along it is positive.  Three samplers walk the space of
-homomorphisms: plain rejection sampling, the Glauber chain (single-coordinate
-conditional resampling), and the Pivot chain (random-walk move of the first
-node with a Metropolis-Hastings correction, then successive resampling of the
-tail).
+weights along it is positive.  Rejection sampling draws a first
+homomorphism; `chain_update` then takes one step of the chain its mode names:
+"glauber" (single-coordinate conditional resampling), "pivot" or
+"pivot-approx" (random-walk move of the first node with a
+Metropolis-Hastings correction, then successive resampling of the tail).
 
-The exact Pivot acceptance combines the path-count ratio with the proposal
-ratio, and the tail is resampled from conditionals weighted by remaining path
-counts, so the chain's stationary law on bidirectional networks is the chain
-weight distribution itself.  Approximate mode keeps only the in/out weight
-ratio and extends the tail by plain neighbor weights, trading exactness for
-speed.
+The exact Pivot acceptance ("pivot") combines the path-count ratio with the
+proposal ratio, and the tail is resampled from conditionals weighted by
+remaining path counts, so the chain's stationary law on bidirectional
+networks is the chain weight distribution itself.  "pivot-approx" keeps only
+the in/out weight ratio and extends the tail by plain neighbor weights,
+trading exactness for speed.
 
 A network stores its positive weights once, in compressed sparse row (CSR)
 form: `Adjacency` holds the out-edges and, transposed, the in-edges.  Weight
@@ -398,15 +398,15 @@ def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
     raise SamplingError("no homomorphism found by rejection sampling")
 
 
-def chain_walk_sample(net: Network, k: int, rng, max_tries: int = 10000):
+def chain_walk_sample(net: Network, k: int, rng):
     """Greedy k-chain homomorphism by walking successive out-edges.
 
     Far cheaper than rejection sampling on sparse networks with long chains;
     the draw is not from the chain weight distribution, which is irrelevant
-    for initializing an ergodic chain.
+    for initializing an ergodic chain.  Gives up after 10 000 walks.
     """
     ptr, indices, cum = net._out_ptr, net.out_edges.indices, net.out_edges.cum
-    for _ in range(max_tries):
+    for _ in range(10000):
         x = [int(rng.integers(net.n))]
         ok = True
         for _ in range(k - 1):
@@ -467,7 +467,7 @@ def glauber_conditional(net: Network, k: int, x, v: int):
     return cand, [w / total for w in weights]
 
 
-def glauber_update(net: Network, k: int, x, rng):
+def _glauber_update(net: Network, k: int, x, rng):
     """Resample one uniformly chosen chain node from its exact conditional."""
     v = int(rng.integers(k))
     cand, probs = glauber_conditional(net, k, x, v)
@@ -476,34 +476,21 @@ def glauber_update(net: Network, k: int, x, rng):
     return tuple(new)
 
 
-def _acceptance(net: Network, k: int, v: int, ell: int, mode: str,
-                w_v_ell=None) -> float:
-    """`pivot_acceptance`, given A(v, ell) when the caller already has it."""
+def _acceptance(net: Network, k: int, v: int, ell: int, w_v_ell: float,
+                exact: bool) -> float:
+    """Pivot move v -> ell's acceptance given w_v_ell = A(v, ell), in [0, 1]."""
     out_sums, in_sums = net._sums
-    if mode == "approximate":
-        if out_sums[v] <= 0:
-            return 0.0
+    if not exact:
         return min(1.0, in_sums[v] / out_sums[v])
-    if mode != "exact":
-        raise ValueError(f"unknown pivot mode {mode!r}")
-    ptr = net._out_ptr
-    if w_v_ell is None:
-        w_v_ell = _row_weight(net.out_edges, ptr, v, ell)
     rp = net.power_row_sums(k)[k - 1]
-    num = rp[ell] * _row_weight(net.out_edges, ptr, ell, v) * out_sums[v]
+    num = rp[ell] * _row_weight(net.out_edges, net._out_ptr, ell, v) * out_sums[v]
     den = rp[v] * w_v_ell * out_sums[ell]
     if den <= 0.0:
         return 0.0
     return min(1.0, num / den)
 
 
-def pivot_acceptance(net: Network, k: int, v: int, ell: int,
-                     mode: str = "exact") -> float:
-    """Acceptance probability for the pivot move v -> ell, clamped to [0, 1]."""
-    return _acceptance(net, k, v, ell, mode)
-
-
-def pivot_update(net: Network, k: int, x, rng, mode: str = "exact"):
+def _pivot_update(net: Network, k: int, x, rng, exact: bool):
     """One Pivot chain step for the k-chain.
 
     Moves the pivot x(1) by one weighted random-walk step, accepts it with the
@@ -511,21 +498,18 @@ def pivot_update(net: Network, k: int, x, rng, mode: str = "exact"):
     rejection (or a dead-end pivot or tail extension) the input homomorphism
     is returned unchanged.
     """
-    if mode not in ("exact", "approximate"):
-        raise ValueError(f"unknown pivot mode {mode!r}")
     v = x[0]
     if net._sums[0][v] <= 0.0:
         return x
     ptr, out = net._out_ptr, net.out_edges
     pick = _draw(rng, out.cum, ptr[v], ptr[v + 1])
     ell = int(out.indices[pick])
-    lam_acc = _acceptance(net, k, v, ell, mode, float(out.weights[pick]))
-    if rng.random() > lam_acc:
+    if rng.random() > _acceptance(net, k, v, ell, float(out.weights[pick]),
+                                  exact):
         return x
     # tail position i extends by an edge weighted by the (k-1-i)-edge path
     # mass beyond it (exact) or by the edge weight alone (approximate)
-    tables = (net.tail_cdfs(k)[::-1] if mode == "exact"
-              else (out.cum,) * (k - 1))
+    tables = net.tail_cdfs(k)[::-1] if exact else (out.cum,) * (k - 1)
     new = [ell]
     for cum in tables:
         s, e = ptr[new[-1]], ptr[new[-1] + 1]
@@ -539,13 +523,14 @@ MCMC_MODES = ("glauber", "pivot", "pivot-approx")
 
 
 def chain_update(net: Network, k: int, x, rng, mode: str):
-    """Dispatch one MCMC update by mode name, one of `MCMC_MODES`."""
+    """One step from the k-chain homomorphism x of the chain `mode` names,
+    one of `MCMC_MODES`; an unknown mode is refused before any draw."""
     if mode == "glauber":
-        return glauber_update(net, k, x, rng)
+        return _glauber_update(net, k, x, rng)
     if mode == "pivot":
-        return pivot_update(net, k, x, rng, mode="exact")
+        return _pivot_update(net, k, x, rng, exact=True)
     if mode == "pivot-approx":
-        return pivot_update(net, k, x, rng, mode="approximate")
+        return _pivot_update(net, k, x, rng, exact=False)
     raise ValueError(f"unknown MCMC mode {mode!r}")
 
 

@@ -79,4 +79,6 @@ def read_spins_pgm(path) -> np.ndarray:
     gray = read_pgm(path)
     if not np.isin(gray, (0.0, 1.0)).all():
         raise PgmError("spin PGM must contain only 0 and 255 pixels")
+    if gray.shape[0] != gray.shape[1]:
+        raise PgmError("spin PGM must be square")
     return (2.0 * gray - 1.0).astype(np.int64)

@@ -222,14 +222,22 @@ def _extract_patches(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return grid[rr, cc]
 
 
+def _check_patches(k: int, count: int, size: int, grid: str) -> None:
+    if k < 1:
+        raise ValueError("patch size must be positive")
+    if k > size:
+        raise ValueError(f"patch size exceeds {grid} size")
+    if count < 0:
+        raise ValueError("patch count must be nonnegative")
+
+
 def spin_patch_minibatch(config: IsingConfig, k: int, count: int, rng) -> np.ndarray:
     """k^2 x count matrix of flattened spin patches mapped to {0, 1}.
 
     Top-left corners are uniform over the torus; each column is one patch in
     row-major order.
     """
-    if k > config.n:
-        raise ValueError("patch size exceeds lattice size")
+    _check_patches(k, count, config.n, "lattice")
     rows = rng.integers(0, config.n, size=count)
     cols = rng.integers(0, config.n, size=count)
     patches = _extract_patches(config.spins, rows, cols, k)
@@ -242,6 +250,7 @@ def ising_patch_stream(config: IsingConfig, epoch: int, k: int, count: int,
     ``config`` (in place) after the last."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
+    _check_patches(k, count, config.n, "lattice")
     return (spin_patch_minibatch(ising_gibbs_run(config, epoch, rng), k, count,
                                  rng) for _ in itertools.count())
 
@@ -271,8 +280,7 @@ def image_patch_stream(image: np.ndarray, k: int, count: int, rng,
     """
     image = np.asarray(image, dtype=float)
     h, w = image.shape
-    if k > min(h, w):
-        raise ValueError("patch size exceeds image size")
+    _check_patches(k, count, min(h, w), "image")
     if mode not in ("iid", "walk"):
         raise ValueError(f"unknown sampling mode {mode!r}")
 
@@ -294,8 +302,7 @@ def image_patch_stream(image: np.ndarray, k: int, count: int, rng,
 
 
 def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
-                     lam: float = 0.0, stride: int = 1,
-                     tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
+                     lam: float = 0.0, stride: int = 1) -> np.ndarray:
     """Reconstruct an image by sparse-coding every stride-grid patch against W.
 
     Patch approximations W @ h are averaged at overlapping pixels and the
@@ -322,7 +329,7 @@ def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
     pixels = _extract_patches(np.arange(h * w).reshape(h, w), rows, cols,
                               k).ravel()
     P = np.ascontiguousarray(image.reshape(-1)[pixels].reshape(len(rows), -1).T)
-    H = sparse_code(P, W, lam=lam, tol=tol, max_iter=max_iter)
+    H = sparse_code(P, W, lam=lam, tol=1e-8, max_iter=1000)
     acc = np.bincount(pixels, weights=(W @ H).T.ravel(), minlength=h * w)
     cnt = np.bincount(pixels, minlength=h * w)
     return np.clip(acc / cnt, 0.0, 1.0).reshape(h, w)

@@ -18,13 +18,13 @@ from helpers import (cycle_network, edge_pairs, empirical_distribution,
                      exact_boltzmann, smallworld_network, sparse_coding_instances,
                      weighted_5node_network)
 from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
-                  IsingConfig, NDLParams, OnlineNMF, coding_objective,
-                  corrupt_network, candidate_pairs, dictionary_update,
-                  empirical_loss, growth_check, init_dictionary, ising_gibbs_run,
-                  ising_gibbs_step, ndl_learn, nr_reconstruct,
-                  hom_distribution_bruteforce, rejection_sample_hom, roc_auc,
-                  glauber_update, pivot_update, sparse_code, spin_patch_minibatch,
-                  tv_distance)
+                  IsingConfig, NDLParams, OnlineNMF, chain_update,
+                  coding_objective, corrupt_network, candidate_pairs,
+                  dictionary_update, empirical_loss, growth_check,
+                  init_dictionary, ising_gibbs_run, ising_gibbs_step, ndl_learn,
+                  nr_reconstruct, hom_distribution_bruteforce,
+                  rejection_sample_hom, roc_auc, sparse_code,
+                  spin_patch_minibatch, tv_distance)
 from onmf.cli import main as cli_main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -157,8 +157,7 @@ def test_criterion_05_second_order_growth():
         W0 = spec.pieces[piece].project(rng.random((d, r)) * scale)
         prev = Dictionary(W0, spec, active_piece=piece)
         stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=5)
-        new = dictionary_update(prev, stats, tol=1e-10, max_iter=150,
-                                enforce_ellipsoid=True)
+        new = dictionary_update(prev, stats, tol=1e-10, max_iter=150)
         worst = min(worst, growth_check(prev.W, new.W, stats))
     ok = worst >= -1e-8
     report(5, "second-order growth on random updates", ok,
@@ -204,7 +203,7 @@ def test_criterion_07_glauber_chain_stationarity_on_c6():
     x = rejection_sample_hom(net, 3, rng)
     counts = {}
     for _ in range(10 ** 5):
-        x = glauber_update(net, 3, x, rng)
+        x = chain_update(net, 3, x, rng, "glauber")
         counts[x] = counts.get(x, 0) + 1
     tv = tv_distance(empirical_distribution(counts), oracle)
     report(7, "Glauber stationarity on C6", tv < 0.05,
@@ -220,14 +219,14 @@ def test_criterion_08_pivot_chain_stationarity():
     counts = {}
     steps = 2 * 10 ** 5
     for _ in range(steps):
-        x = pivot_update(net, 3, x, rng, mode="exact")
+        x = chain_update(net, 3, x, rng, "pivot")
         counts[x] = counts.get(x, 0) + 1
     tv_exact = tv_distance(empirical_distribution(counts), oracle)
 
     counts = {}
     x = rejection_sample_hom(net, 3, rng)
     for _ in range(steps):
-        x = pivot_update(net, 3, x, rng, mode="approximate")
+        x = chain_update(net, 3, x, rng, "pivot-approx")
         counts[x] = counts.get(x, 0) + 1
     tv_approx = tv_distance(empirical_distribution(counts), oracle)
     ok = tv_exact < 0.05

@@ -369,6 +369,11 @@ EXIT_CASES = {
                           "--dict-radius", 0, "--iters", 1]),
     "config-value-not-a-number": (1, ["ndl-learn", "--edges", "{cycle}",
                                       "--config", "{config}"]),
+    "dict-no-atoms": (2, ["reconstruct", "--edges", "{cycle}", "--undirected",
+                          "--dict", "{empty_dict}", "--iters", 10]),
+    "init-config-not-square": (2, ["ising-learn", "--temperature", 2.0,
+                                   "--lattice", 6, "--patch", 3,
+                                   "--init-config", "{wide_spins}"]),
 }
 
 
@@ -379,8 +384,12 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
              "bad_dict": tmp_path / "bad_dict.txt",
              "dict": tmp_path / "dict.txt",
              "labels": tmp_path / "labels.csv",
-             "config": tmp_path / "run.cfg"}
+             "config": tmp_path / "run.cfg",
+             "empty_dict": tmp_path / "empty_dict.txt",
+             "wide_spins": tmp_path / "wide.pgm"}
     files["bad_dict"].write_text("2 2\n1 x\n")
+    files["empty_dict"].write_text("9 0\n" + "\n" * 9)
+    write_spins_pgm(files["wide_spins"], np.ones((6, 4), dtype=int))
     files["dict"].write_text("9 1\n" + "1.0\n" * 9)
     # one of the 35 non-edges of the 10-cycle
     files["labels"].write_text("u,v,label\n0,2,true\n")
@@ -429,10 +438,19 @@ COUNT_CASES = {
     "ising-epoch-negative": (["ising-learn", "--epoch", -4],
                              "epoch must be nonnegative"),
     "ising-batch-0": (["ising-learn", "--batch", 0], "empty data matrix"),
+    "ising-batch-negative": (["ising-learn", "--batch", -1],
+                             "patch count must be nonnegative"),
+    "ising-patch-0": (["ising-learn", "--patch", 0],
+                      "--patch must be positive"),
+    "ising-patch-negative": (["ising-learn", "--patch", -2],
+                             "--patch must be positive"),
     "ising-iters-negative": (["ising-learn", "--iters", -3],
                              "iters must be nonnegative"),
     "image-batch-0": (["image-learn", "--image", "{image}", "--patch", 3,
                        "--atoms", 2, "--batch", 0], "empty data matrix"),
+    "image-batch-negative": (["image-learn", "--image", "{image}", "--patch", 3,
+                              "--atoms", 2, "--batch", -1],
+                             "patch count must be nonnegative"),
     "image-stride-0": (["image-learn", "--image", "{image}", "--patch", 3,
                         "--atoms", 2, "--iters", 2, "--batch", 5,
                         "--stride", 0], "--stride must be positive"),
@@ -457,6 +475,10 @@ COUNT_CASES = {
                                     "--undirected", "--dict", "{dict}",
                                     "--iters", -5],
                                    "iters must be nonnegative"),
+    "reconstruct-lambda-negative": (["reconstruct", "--edges", "{cycle}",
+                                     "--undirected", "--dict", "{dict}",
+                                     "--lambda", -1, "--iters", 0],
+                                    "lambda must be nonnegative"),
     "ndl-kappa1-negative": (["ndl-learn", "--edges", "{cycle}", "--undirected",
                              "--kappa1", -5, "--iters", 1],
                             "kappa1 must be nonnegative"),
@@ -476,8 +498,8 @@ def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys, case):
     files["dict"].write_text("9 1\n" + "1.0\n" * 9)
     write_pgm(files["image"], np.random.default_rng(0).random((8, 8)))
     argv = [files[a[1:-1]] if str(a).startswith("{") else a for a in argv]
-    if argv[0] == "ising-learn":
-        argv += ISING_SMALL
+    if argv[0] == "ising-learn":    # the case's own flags come later and win
+        argv[1:1] = ISING_SMALL
     out = tmp_path / "o"
     assert run(*argv, "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

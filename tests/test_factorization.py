@@ -203,8 +203,7 @@ def test_interior_minimum_is_reached():
     spec = ConstraintSpec.nonnegative(10.0)
     prev = init_dictionary(4, 3, spec, rng)
     stats = AggregateStats(A=np.eye(3), B=Wstar.T.copy(), r_scalar=0.0, t=1)
-    new = dictionary_update(prev, stats, tol=1e-14, max_iter=400,
-                            enforce_ellipsoid=True)
+    new = dictionary_update(prev, stats, tol=1e-14, max_iter=400)
     assert np.abs(new.W - Wstar).max() < 1e-10
 
 
@@ -249,8 +248,7 @@ def test_objective_nonincreasing_and_feasible():
         W0 = spec.pieces[0].project(rng.random((d, r)))
         prev = Dictionary(W0, spec)
         stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=2)
-        new = dictionary_update(prev, stats, tol=1e-10, max_iter=100,
-                                enforce_ellipsoid=True)
+        new = dictionary_update(prev, stats, tol=1e-10, max_iter=100)
 
         def g(W):
             return float(np.sum((W @ A) * W) - 2.0 * np.sum(W * B.T))
@@ -281,8 +279,7 @@ def test_growth_margins_on_random_instances():
         spec = ConstraintSpec.nonnegative(1.5)
         prev = Dictionary(spec.pieces[0].project(rng.random((d, r))), spec)
         stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1)
-        new = dictionary_update(prev, stats, tol=1e-10, max_iter=80,
-                                enforce_ellipsoid=True)
+        new = dictionary_update(prev, stats, tol=1e-10, max_iter=80)
         assert growth_check(prev.W, new.W, stats) >= -1e-8
     # degenerate case: identical dictionaries
     assert growth_check(prev.W, prev.W, stats) == 0.0
@@ -322,8 +319,7 @@ def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
     return H, max_iter, False
 
 
-def _reference_dictionary_update(W_prev, stats, tol, max_iter,
-                                 enforce_ellipsoid=None):
+def _reference_dictionary_update(W_prev, stats, tol, max_iter):
     """Block coordinate descent with the damped column step written out per
     column; returns (W, kept piece, sweeps in the kept piece)."""
     spec = W_prev.constraint
@@ -332,8 +328,7 @@ def _reference_dictionary_update(W_prev, stats, tol, max_iter,
     A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
     diag_ridge = np.diag(A_ridge).copy()
     W0 = np.asarray(W_prev.W, dtype=float)
-    enforce = (len(spec.pieces) > 1) if enforce_ellipsoid is None \
-        else bool(enforce_ellipsoid)
+    enforce = len(spec.pieces) > 1
 
     def bisect(W, j, cand, old):
         lo, hi = 0.0, 1.0
@@ -450,23 +445,21 @@ DICT_CASES = {
     "two-pieces-ellipsoid": dict(
         spec=ConstraintSpec(pieces=(ConstraintPiece(radius=0.8),
                                     ConstraintPiece(radius=6.0, lower=0.2))),
-        b_scale=3.0, enforce=True),
+        b_scale=3.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DICT_CASES))
 def test_fused_dictionary_update_matches_reference(name):
-    case = dict(DICT_CASES[name])
-    enforce = case.pop("enforce", None)
-    prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **case)
+    prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **DICT_CASES[name])
     want, want_piece, ref_sweeps = _reference_dictionary_update(
-        prev, stats, 0.0, 40, enforce)
-    new, sweeps, converged = factorization._refit(prev, stats, 0.0, 40, enforce)
+        prev, stats, 0.0, 40)
+    new, sweeps, converged = factorization._refit(prev, stats, 0.0, 40)
     assert new.active_piece == want_piece
     assert _rel_diff(new.W, want) <= 1e-12
     assert (sweeps, converged) == (ref_sweeps, False) == (40, False)
-    assert np.array_equal(dictionary_update(prev, stats, tol=0.0, max_iter=40,
-                                            enforce_ellipsoid=enforce).W, new.W)
+    assert np.array_equal(dictionary_update(prev, stats, tol=0.0,
+                                            max_iter=40).W, new.W)
     piece = prev.constraint.pieces[new.active_piece]
     assert np.linalg.norm(new.W) <= piece.radius * (1.0 + 1e-9)
     assert new.W.min() >= piece.lower
@@ -476,7 +469,7 @@ def test_fused_dictionary_update_stops_where_reference_stops():
     prev, stats = _dict_case(np.random.default_rng(34), 6, 4,
                              ConstraintSpec.nonnegative(10.0), kappa1=0.1)
     want, _, ref_sweeps = _reference_dictionary_update(prev, stats, 1e-10, 5000)
-    new, sweeps, converged = factorization._refit(prev, stats, 1e-10, 5000, None)
+    new, sweeps, converged = factorization._refit(prev, stats, 1e-10, 5000)
     assert converged
     assert sweeps == ref_sweeps < 5000
     assert _rel_diff(new.W, want) <= 1e-12
@@ -562,11 +555,11 @@ def _count_projections(monkeypatch):
 def test_failed_ball_proof_redoes_the_sweep_without_binding(monkeypatch):
     prev, stats = _ball_case("shift")
     calls = _count_projections(monkeypatch)
-    one, _, _ = factorization._refit(prev, stats, 0.0, 1, None)
+    one, _, _ = factorization._refit(prev, stats, 0.0, 1)
     old_sq = np.sum(prev.W ** 2, axis=0)
     new_sq = np.sum(one.W ** 2, axis=0)
     assert np.maximum(old_sq, new_sq).sum() >= 0.9
-    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30, None)
+    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30)
     assert calls == []
     want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
                                                                 0.0, 30)
@@ -578,9 +571,9 @@ def test_failed_ball_proof_redoes_the_sweep_without_binding(monkeypatch):
 def test_ball_binding_matches_reference(kind, first, monkeypatch):
     prev, stats = _ball_case(kind)
     calls = _count_projections(monkeypatch)
-    factorization._refit(prev, stats, 0.0, first - 1, None)
+    factorization._refit(prev, stats, 0.0, first - 1)
     assert calls == []
-    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30, None)
+    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30)
     assert calls
     want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
                                                                 0.0, 30)
@@ -595,14 +588,12 @@ def test_ball_binding_matches_reference(kind, first, monkeypatch):
 def test_check_free_sweeps_change_no_bit(name, monkeypatch):
     if name.startswith("ball-"):
         prev, stats = _ball_case(name[len("ball-"):])
-        enforce = None
     else:
-        case = dict(DICT_CASES[name])
-        enforce = case.pop("enforce", None)
-        prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **case)
-    got = factorization._refit(prev, stats, 0.0, 40, enforce)
+        prev, stats = _dict_case(np.random.default_rng(33), 6, 4,
+                                 **DICT_CASES[name])
+    got = factorization._refit(prev, stats, 0.0, 40)
     monkeypatch.setattr(factorization, "_piece_descent", _checking_piece_descent)
-    want = factorization._refit(prev, stats, 0.0, 40, enforce)
+    want = factorization._refit(prev, stats, 0.0, 40)
     assert np.array_equal(got[0].W, want[0].W)
     assert (got[0].active_piece, got[1], got[2]) == \
         (want[0].active_piece, want[1], want[2])

@@ -323,6 +323,21 @@ def test_reconstruct_refuses_negative_iters_and_keeps_zero():
     assert state.keys.tolist() == [36] and state.counts.tolist() == [0]
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(lam=-1.0), "lambda must be nonnegative"),
+    (dict(mcmc="bogus"), "unknown MCMC mode 'bogus'"),
+], ids=["lambda-negative", "mcmc-unknown"])
+@pytest.mark.parametrize("iters", [0, 10])
+def test_reconstruct_refuses_bad_lambda_and_mode_before_drawing(kwargs, message,
+                                                                iters):
+    net = cycle_network(6)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        nr_reconstruct(net, np.eye(4), iters, rng=rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # corruption
 # ---------------------------------------------------------------------------

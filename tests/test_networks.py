@@ -9,10 +9,11 @@ from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
                      empirical_distribution, path_network,
                      weighted_5node_network)
 from onmf import (EdgeListError, Network, OracleSizeError,
-                  SamplingError, chain_walk_sample, glauber_conditional,
-                  glauber_update, hom_distribution_bruteforce, hom_weights,
-                  initial_homomorphism, mesoscale_patch, pivot_acceptance,
-                  pivot_update, rejection_sample_hom, tv_distance)
+                  SamplingError, chain_update, chain_walk_sample,
+                  glauber_conditional, hom_distribution_bruteforce,
+                  hom_weights, initial_homomorphism, mesoscale_patch,
+                  rejection_sample_hom, tv_distance)
+from onmf.networks import _acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def test_glauber_preserves_homomorphism_validity():
     rng = np.random.default_rng(5)
     x = rejection_sample_hom(net, k, rng)
     for _ in range(2000):
-        x = glauber_update(net, k, x, rng)
+        x = chain_update(net, k, x, rng, "glauber")
         assert hom_weights(net, k, [x])[0] > 0
 
 
@@ -176,7 +177,7 @@ def test_glauber_matches_uniform_on_odd_cycle():
     x = rejection_sample_hom(net, k, rng)
     counts = {}
     for _ in range(100000):
-        x = glauber_update(net, k, x, rng)
+        x = chain_update(net, k, x, rng, "glauber")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -189,7 +190,7 @@ def test_glauber_on_even_cycles_conserves_endpoint_parity():
     rng = np.random.default_rng(7)
     x = (0, 1, 2)
     for _ in range(5000):
-        x = glauber_update(net, k, x, rng)
+        x = chain_update(net, k, x, rng, "glauber")
         assert x[0] % 2 == 0 and x[1] % 2 == 1 and x[2] % 2 == 0
 
 
@@ -208,7 +209,7 @@ def test_glauber_is_uniform_within_the_reachable_class_on_c6():
     x = start
     counts = {}
     for _ in range(100000):
-        x = glauber_update(net, k, x, rng)
+        x = chain_update(net, k, x, rng, "glauber")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -222,26 +223,25 @@ def test_symmetric_network_in_out_ratio_is_one():
     net = weighted_5node_network()
     assert np.allclose(net.in_sums, net.out_sums)
     for v in range(net.n):
-        for ell in net.out_edges.row(v)[0]:
-            assert pivot_acceptance(net, 3, v, int(ell),
-                                    mode="approximate") == 1.0
+        for ell, w in zip(*net.out_edges.row(v)):
+            assert _acceptance(net, 3, v, int(ell), float(w), False) == 1.0
 
 
 def test_regular_graph_exact_acceptance_is_one():
     net = cycle_network(6)  # 2-regular
     k = 3
     for v in range(6):
-        for ell in net.out_edges.row(v)[0]:
-            assert pivot_acceptance(net, k, v, int(ell)) == 1.0
+        for ell, w in zip(*net.out_edges.row(v)):
+            assert _acceptance(net, k, v, int(ell), float(w), True) == 1.0
 
 
 def test_pivot_acceptance_clamped_to_unit_interval():
     net = weighted_5node_network()
     k = 4
     for v in range(net.n):
-        for ell in net.out_edges.row(v)[0]:
-            for mode in ("exact", "approximate"):
-                lam = pivot_acceptance(net, k, v, int(ell), mode=mode)
+        for ell, w in zip(*net.out_edges.row(v)):
+            for exact in (True, False):
+                lam = _acceptance(net, k, v, int(ell), float(w), exact)
                 assert 0.0 <= lam <= 1.0
 
 
@@ -250,17 +250,18 @@ def test_pivot_preserves_homomorphism_validity():
     k = 3
     rng = np.random.default_rng(9)
     x = rejection_sample_hom(net, k, rng)
-    for mode in ("exact", "approximate"):
+    for mode in ("pivot", "pivot-approx"):
         y = x
         for _ in range(2000):
-            y = pivot_update(net, k, y, rng, mode=mode)
+            y = chain_update(net, k, y, rng, mode)
             assert hom_weights(net, k, [y])[0] > 0
 
 
 def test_pivot_dead_end_returns_input():
     net = Network.from_edges([(0, 1)])  # node 1 has no outgoing edge
     k = 2
-    assert pivot_update(net, k, (1, 0), np.random.default_rng(10)) == (1, 0)
+    assert chain_update(net, k, (1, 0), np.random.default_rng(10),
+                        "pivot") == (1, 0)
 
 
 @pytest.mark.parametrize("x", [(1, 0), (0, 1)], ids=["dead-end", "live"])
@@ -268,8 +269,8 @@ def test_pivot_rejects_an_unknown_mode_before_drawing(x):
     net = Network.from_edges([(0, 1)])  # node 1 has no outgoing edge
     rng = np.random.default_rng(10)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="unknown pivot mode 'bogus'"):
-        pivot_update(net, 2, x, rng, mode="bogus")
+    with pytest.raises(ValueError, match="unknown MCMC mode 'bogus'"):
+        chain_update(net, 2, x, rng, "bogus")
     assert rng.bit_generator.state == state
 
 
@@ -282,7 +283,7 @@ def test_pivot_exact_matches_motif_distribution():
     counts = {}
     steps = 100000
     for _ in range(steps):
-        x = pivot_update(net, k, x, rng, mode="exact")
+        x = chain_update(net, k, x, rng, "pivot")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -295,7 +296,7 @@ def test_pivot_exact_is_unbiased_on_irregular_simple_graphs():
     x = rejection_sample_hom(net, k, rng)
     counts = {}
     for _ in range(50000):
-        x = pivot_update(net, k, x, rng, mode="exact")
+        x = chain_update(net, k, x, rng, "pivot")
         counts[x] = counts.get(x, 0) + 1
     assert tv_distance(empirical_distribution(counts), oracle) < 0.05
 
@@ -351,7 +352,7 @@ def test_mesoscale_patch_diagonal_zero_on_simple_graphs():
     rng = np.random.default_rng(13)
     x = rejection_sample_hom(net, k, rng)
     for _ in range(200):
-        x = pivot_update(net, k, x, rng)
+        x = chain_update(net, k, x, rng, "pivot")
         patch = mesoscale_patch(net, x)
         assert np.all(np.diag(patch) == 0.0)
         assert np.all(patch[np.arange(3), np.arange(1, 4)] == 1.0)
@@ -713,7 +714,7 @@ def ref_pivot_update(ref, ladder, k, x, rng, mode):
         return x
     tgt, wts, cum = ref.out[v]
     ell = int(tgt[_ref_sample_cdf(rng, cum)])
-    if mode == "approximate":
+    if mode == "pivot-approx":
         lam = min(1.0, float(ref.in_sums[v] / ref.out_sums[v]))
     else:
         rp = ladder[k - 1]
@@ -727,7 +728,7 @@ def ref_pivot_update(ref, ladder, k, x, rng, mode):
         tgt, wts, cum = ref.out[new[-1]]
         if not len(tgt):
             return x
-        if mode == "exact":
+        if mode == "pivot":
             ext = wts * ladder[k - 1 - i][tgt]
             if float(ext.sum()) <= 0.0:
                 return x
@@ -745,7 +746,7 @@ def ref_glauber_update(ref, k, x, rng):
     return tuple(new)
 
 
-@pytest.mark.parametrize("mode", ["exact", "approximate", "glauber"])
+@pytest.mark.parametrize("mode", ["pivot", "pivot-approx", "glauber"])
 def test_chain_trajectories_match_the_reference(mode):
     rng = np.random.default_rng(25)
     size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
@@ -759,13 +760,12 @@ def test_chain_trajectories_match_the_reference(mode):
     rng_new, rng_ref = np.random.default_rng(26), np.random.default_rng(26)
     moves = 0
     for _ in range(3000):
+        moved = chain_update(net, k, x, rng_new, mode)
+        moves += moved != x
+        x = moved
         if mode == "glauber":
-            x = glauber_update(net, k, x, rng_new)
             y = ref_glauber_update(ref, k, y, rng_ref)
         else:
-            moved = pivot_update(net, k, x, rng_new, mode=mode)
-            moves += moved != x
-            x = moved
             y = ref_pivot_update(ref, ladder, k, y, rng_ref, mode)
         assert x == y
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -781,7 +781,7 @@ def test_chain_trajectories_match_the_reference(mode):
         rng_new = np.random.default_rng(27 + case)
         rng_ref = np.random.default_rng(27 + case)
         for _ in range(300):
-            x = glauber_update(net, k, x, rng_new)
+            x = chain_update(net, k, x, rng_new, "glauber")
             y = ref_glauber_update(ref, k, y, rng_ref)
             assert x == y
             for v in range(k):

@@ -9,9 +9,9 @@ from helpers import empirical_distribution, exact_boltzmann
 from onmf import sources
 from onmf import (IsingConfig, conditional_plus_probability,
                   image_patch_stream, ising_gibbs_run, ising_gibbs_step,
-                  read_pgm, read_spins_pgm, reconstruct_grid, sparse_code,
-                  spin_patch_minibatch, spins_to_levels, tv_distance,
-                  write_pgm, write_spins_pgm)
+                  ising_patch_stream, read_pgm, read_spins_pgm,
+                  reconstruct_grid, sparse_code, spin_patch_minibatch,
+                  spins_to_levels, tv_distance, write_pgm, write_spins_pgm)
 from onmf.pgm import PgmError
 
 
@@ -356,6 +356,25 @@ def test_patch_mode_validation():
         image_patch_stream(np.zeros((4, 4)), 2, 1, rng, mode="spiral")
 
 
+@pytest.mark.parametrize("k,count,message", [
+    (0, 5, "patch size must be positive"),
+    (-2, 5, "patch size must be positive"),
+    (2, -1, "patch count must be nonnegative"),
+], ids=["k-0", "k-negative", "count-negative"])
+def test_patch_samplers_refuse_a_bad_size_or_count(k, count, message):
+    # every sampler refuses before drawing; a stream when it is made
+    cfg = IsingConfig(spins=np.ones((4, 4), dtype=int), temperature=1.0)
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        spin_patch_minibatch(cfg, k, count, rng)
+    with pytest.raises(ValueError, match=message):
+        ising_patch_stream(cfg, 1, k, count, rng)
+    with pytest.raises(ValueError, match=message):
+        image_patch_stream(np.zeros((4, 4)), k, count, rng, mode="walk")
+    assert rng.bit_generator.state == state
+
+
 def test_patch_minibatch_needs_a_generator():
     with pytest.raises(TypeError, match="rng"):
         image_patch_stream(np.zeros((4, 4)), 2, 3)
@@ -373,8 +392,7 @@ def test_exact_patch_basis_reconstructs_image():
     atoms = {tuple(image[r:r + k, c:c + k].reshape(-1))
              for r in range(7) for c in range(7)}
     W = np.array(sorted(atoms)).T
-    out = reconstruct_grid(image, W, k, lam=0.0, stride=1,
-                           tol=1e-12, max_iter=5000)
+    out = reconstruct_grid(image, W, k, lam=0.0, stride=1)
     assert np.abs(out - image).max() < 1e-6
 
 
@@ -382,12 +400,12 @@ def test_stride_k_is_blockwise_independent():
     rng = np.random.default_rng(12)
     image = rng.random((6, 6))
     W = rng.random((9, 4)) + 0.1
-    out = reconstruct_grid(image, W, 3, lam=0.1, stride=3,
-                           tol=1e-11, max_iter=4000)
+    out = reconstruct_grid(image, W, 3, lam=0.1, stride=3)
     for r in (0, 3):
         for c in (0, 3):
             patch = image[r:r + 3, c:c + 3].reshape(-1, 1)
-            h = sparse_code(patch, W, lam=0.1, tol=1e-11, max_iter=4000)
+            # coded alone under the grid's stopping rule
+            h = sparse_code(patch, W, lam=0.1, tol=1e-8, max_iter=1000)
             assert np.allclose(out[r:r + 3, c:c + 3],
                                np.clip((W @ h).reshape(3, 3), 0, 1), atol=1e-8)
 
@@ -396,8 +414,7 @@ def test_constant_atom_preserves_patch_means():
     rng = np.random.default_rng(13)
     image = rng.random((4, 4))
     W = np.full((4, 1), 0.5)
-    out = reconstruct_grid(image, W, 2, lam=0.0, stride=2,
-                           tol=1e-13, max_iter=10000)
+    out = reconstruct_grid(image, W, 2, lam=0.0, stride=2)
     for r in (0, 2):
         for c in (0, 2):
             block = image[r:r + 2, c:c + 2]
