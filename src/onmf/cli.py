@@ -153,7 +153,7 @@ def _load_dictionary(args) -> np.ndarray:
     """The ``--dict`` matrix, which must have ``--motif-k`` squared rows."""
     try:
         W = load_dictionary(args.dict)
-    except (ValueError, IndexError) as exc:    # IndexError: a truncated file
+    except ValueError as exc:
         raise DataError(f"{args.dict}: {exc}") from exc
     if not np.isfinite(W).all():
         raise DataError(f"{args.dict}: non-finite dictionary entry")

@@ -655,14 +655,22 @@ def _write_matrix(fh, M: np.ndarray) -> None:
         fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _line(lines, pos: int, expected: str) -> str:
+    """Line ``pos + 1`` of a file, or a `ValueError` where the file ends."""
+    if pos >= len(lines):
+        raise ValueError(f"file ends at line {len(lines)}; expected {expected}")
+    return lines[pos]
+
+
 def _read_matrix(lines, pos: int):
-    parts = lines[pos].split()
+    parts = _line(lines, pos, f"a matrix header at line {pos + 1}").split()
     if len(parts) != 2:
         raise ValueError(f"bad matrix header at line {pos + 1}")
     rows, cols = int(parts[0]), int(parts[1])
     M = np.empty((rows, cols))
     for i in range(rows):
-        vals = lines[pos + 1 + i].split()
+        vals = _line(lines, pos + 1 + i, f"{rows} matrix rows after the header "
+                     f"at line {pos + 1}").split()
         if len(vals) != cols:
             raise ValueError(f"bad matrix row at line {pos + 2 + i}")
         M[i] = [float(v) for v in vals]
@@ -697,7 +705,8 @@ def load_aggregates(path) -> tuple[AggregateStats, float]:
         lines = fh.read().splitlines()
     A, pos = _read_matrix(lines, 0)
     B, pos = _read_matrix(lines, pos)
-    trailer = lines[pos].split()
+    trailer = _line(lines, pos, f"the 't r_scalar kappa1 beta' trailer at "
+                    f"line {pos + 1}").split()
     if len(trailer) != 4:
         raise ValueError("bad aggregates trailer")
     t, r_scalar, kappa1, beta = (int(trailer[0]), float(trailer[1]),

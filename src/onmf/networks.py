@@ -76,6 +76,113 @@ def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _token_spans(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the maximal runs of non-whitespace in the
+    character codes `codes`, whitespace being what ``str.split`` splits on.
+
+    Every code up to 32 is whitespace but the controls 0-8 and 14-27; those
+    and the codes above 127 are looked up one distinct character at a time.
+    """
+    space = codes <= 32
+    rare = np.flatnonzero((codes < 9) | ((codes > 13) & (codes < 28))
+                          | (codes > 127))
+    chars, which = np.unique(codes[rare], return_inverse=True)
+    space[rare] = np.array([chr(c).isspace() for c in chars.tolist()],
+                           dtype=bool)[which]
+    bounds = np.flatnonzero(np.diff(~space, prepend=False, append=False))
+    return bounds[0::2], bounds[1::2]
+
+
+def _intern(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Intern the tokens ``codes[starts[i]:ends[i]]`` in first-seen order.
+
+    Returns the index of each distinct token's first occurrence, ascending,
+    and each token's id, its label's rank in that order.  Tokens of one
+    length are compared together, as fixed-width strings gathered through a
+    sliding window over the codes, so the strings take no more memory than
+    the codes however long one label is.
+    """
+    length = ends - starts
+    first = np.empty(len(starts), dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(length)).tolist():
+        sel = np.flatnonzero(length == size)
+        names = np.lib.stride_tricks.sliding_window_view(codes, size)[starts[sel]]
+        _, at, inverse = np.unique(names.view(f"<U{size}").ravel(),
+                                   return_index=True, return_inverse=True)
+        first[sel] = sel[at[inverse]]
+    return np.unique(first, return_inverse=True)
+
+
+def _read_edge_list(path):
+    """Node ids ``u0, v0, u1, v1, ...``, one weight per edge and the labels
+    in first-seen order of an edge-list file.
+
+    The lines are split as ``str.split`` splits them, with array operations
+    on the character codes of the whole text.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    starts, ends = _token_spans(codes)
+    # '\n' is the one line break; a line's first token leads it, and the
+    # lines led by a '#' are comments
+    breaks = np.flatnonzero(codes == ord("\n"))
+    lines = breaks.searchsorted(starts)
+    heads = np.flatnonzero(np.diff(lines, prepend=-1))
+    width = np.diff(heads, append=len(starts))
+    data = codes[starts[heads]] != ord("#")
+    heads, width = heads[data], width[data]
+    lines = lines[heads]
+
+    fail, problem = len(heads), ""   # the first bad line and its fault
+    bad = np.flatnonzero((width < 2) | (width > 3))
+    if len(bad):
+        fail = int(bad[0])
+        bounds = np.concatenate(([-1], breaks, [len(text)]))
+        line = text[bounds[lines[fail]] + 1:bounds[lines[fail] + 1]].strip()
+        problem = f"expected 'u v [w]', got {line!r}"
+    weights = np.ones(fail)
+    for i in np.flatnonzero(width[:fail] == 3).tolist():
+        token = text[starts[heads[i] + 2]:ends[heads[i] + 2]]
+        try:
+            weights[i] = w = float(token)
+        except ValueError:
+            fail, problem = i, f"bad weight {token!r}"
+            break
+        if not np.isfinite(w) or w < 0:
+            fail, problem = i, "weight must be nonnegative"
+            break
+    if problem:
+        raise EdgeListError(f"{path}: line {lines[fail] + 1}: {problem}")
+    if not len(heads):
+        raise EdgeListError(f"{path}: no edges found")
+
+    tokens = np.column_stack([heads, heads + 1]).ravel()
+    starts, ends = starts[tokens], ends[tokens]
+    firsts, ids = _intern(codes, starts, ends)
+    labels = [text[a:b] for a, b in zip(starts[firsts].tolist(),
+                                        ends[firsts].tolist())]
+    return ids, weights, labels
+
+
+def _lookup_tables(n: int, src, dst, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending keys ``a * n + b`` of the positive entries and their weights,
+    each with a sentinel appended: the key ``n * n`` matches no pair, and its
+    weight is 0.  A pair given twice raises `ValueError`.
+
+    A function of its own so that its temporaries are freed before the
+    network builds its CSR tables, the peak of its memory use.
+    """
+    keys = src.astype(np.int64) * n + dst.astype(np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("each (src, dst) pair may appear only once")
+    weights = weights[order]
+    keep = weights > 0
+    return np.append(keys[keep], n * n), np.append(weights[keep], 0.0)
+
+
 @dataclass(frozen=True)
 class Adjacency:
     """One direction of a network's edges in CSR form.
@@ -146,18 +253,8 @@ class Network:
             raise ValueError("edge weights must be finite and nonnegative")
         self.n = n = int(n)
         self.labels = list(labels)
-        keys = src.astype(np.int64) * n + dst.astype(np.int64)
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("each (src, dst) pair may appear only once")
-        weights = weights[order]
-        keep = weights > 0
-        keys = keys[keep]
-        rows, cols = np.divmod(keys, n)
-        # lookup tables: the sentinel key matches no pair, its weight is 0
-        self._keys = np.append(keys, n * n)
-        self._key_weights = np.append(weights[keep], 0.0)
+        self._keys, self._key_weights = _lookup_tables(n, src, dst, weights)
+        rows, cols = np.divmod(self._keys[:-1], n)
         for arr in (self._keys, self._key_weights):
             arr.flags.writeable = False
         self.out_edges = Adjacency.from_sorted(n, rows, cols,
@@ -175,74 +272,66 @@ class Network:
 
     @classmethod
     def from_edges(cls, edges, undirected: bool = False) -> "Network":
-        """Build from (u, v[, w]) tuples with arbitrary hashable node labels.
+        """Build from (u, v[, w]) tuples whose node labels are numbers or
+        strings.
 
         Labels are interned to indices in first-seen order; missing weights
         default to 1.0; duplicate pairs accumulate, in input order.
         """
-        index: dict = {}
-        labels: list[str] = []
-        ends: list[int] = []
-        values: list[float] = []
-
-        def intern(label):
-            if label not in index:
-                index[label] = len(labels)
-                labels.append(str(label))
-            return index[label]
-
-        for edge in edges:
-            ends.append(intern(edge[0]))
-            ends.append(intern(edge[1]))
-            values.append(float(edge[2]) if len(edge) > 2 else 1.0)
-        if not labels:
+        edges = list(edges)
+        if not edges:
             raise EdgeListError("no edges found")
-        n = len(labels)
-        u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-        w = np.array(values)
-        if undirected:   # each edge adds to (u, v), then to (v, u) if u != v
-            both = np.column_stack([u, v, v, u]).reshape(-1, 2)
-            keep = np.column_stack([u == u, u != v]).ravel()
-            u, v = both[keep].T
-            w = np.repeat(w, 2)[keep]
-        keys, inverse = np.unique(u * n + v, return_inverse=True)
-        src, dst = np.divmod(keys, n)
-        return cls(n, src, dst, np.bincount(inverse, weights=w), labels)
+        ends = [label for edge in edges for label in edge[:2]]
+        _, first, inverse = np.unique(ends, return_index=True,
+                                      return_inverse=True)
+        firsts, ids = np.unique(first[inverse], return_inverse=True)
+        weights = [float(edge[2]) if len(edge) > 2 else 1.0 for edge in edges]
+        return cls._from_ids(ids, weights,
+                             [str(ends[i]) for i in firsts.tolist()], undirected)
 
     @classmethod
     def from_edge_list_file(cls, path, undirected: bool = False) -> "Network":
-        """Parse 'u v [w]' lines; '#' starts a comment; labels are strings."""
-        edges = []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) not in (2, 3):
-                    raise EdgeListError(
-                        f"{path}: line {lineno}: expected 'u v [w]', got {line!r}")
-                if len(parts) == 3:
-                    try:
-                        w = float(parts[2])
-                    except ValueError:
-                        raise EdgeListError(
-                            f"{path}: line {lineno}: bad weight {parts[2]!r}")
-                    if not np.isfinite(w) or w < 0:
-                        raise EdgeListError(
-                            f"{path}: line {lineno}: weight must be nonnegative")
-                    edges.append((parts[0], parts[1], w))
-                else:
-                    edges.append((parts[0], parts[1]))
-        if not edges:
-            raise EdgeListError(f"{path}: no edges found")
-        return cls.from_edges(edges, undirected=undirected)
+        """Parse 'u v [w]' lines; '#' starts a comment; labels are strings.
+
+        The grammar is that of ``line.strip().split()`` on each line of the
+        text file; the first bad line raises `EdgeListError`.
+        """
+        return cls._from_ids(*_read_edge_list(path), undirected)
+
+    @classmethod
+    def _from_ids(cls, ids, weights, labels, undirected) -> "Network":
+        """Build from node ids ``u0, v0, u1, v1, ...`` and one weight per edge.
+
+        Duplicate pairs accumulate in input order; undirected, each edge adds
+        to (u, v), then to (v, u) if u != v.
+        """
+        n = len(labels)
+        u, v = ids[0::2], ids[1::2]
+        keys = u * n + v
+        weights = np.asarray(weights, dtype=float)
+        if undirected:
+            keep = np.ones(2 * len(u), dtype=bool)
+            keep[1::2] = u != v
+            keys = np.column_stack([keys, v * n + u]).ravel()[keep]
+            weights = np.repeat(weights, 2)[keep]
+        keys, inverse = np.unique(keys, return_inverse=True)
+        weights = np.bincount(inverse, weights=weights)
+        del inverse   # not held through the constructor's own peak
+        return cls(n, *np.divmod(keys, n), weights, labels)
 
     @classmethod
     def from_undirected_pairs(cls, n: int, pairs, labels=None) -> "Network":
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        ends = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0)
-        return cls(n, ends[:, 0], ends[:, 1], np.ones(len(ends)), labels)
+        u, v = ends[:, 0], ends[:, 1]
+        if not np.all((ends >= 0) & (ends < n)):   # the constructor names it
+            return cls(n, u, v, np.ones(len(u)), labels)
+        # sorted and deduplicated by hand: a values-only np.unique hashes
+        # (numpy >= 2.3), about 50x slower than sorting these keys, and its
+        # first call imports numpy.ma
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        src, dst = np.divmod(keys, n)
+        return cls(n, src, dst, np.ones(len(keys)), labels)
 
     # -- queries ------------------------------------------------------------
 

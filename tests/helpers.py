@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from onmf import Network
+from onmf import EdgeListError, Network
 from onmf.sources import _neighbor_table
 
 
@@ -41,6 +41,65 @@ def dict_network(n: int, weights: dict) -> Network:
     """Network from a ``{(a, b): w}`` dict, entries in the dict's order."""
     ends = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
     return Network(n, ends[:, 0], ends[:, 1], list(weights.values()))
+
+
+def reference_edge_list(path, undirected: bool = False) -> Network:
+    """The edge-list file parsed one line at a time with ``str.split`` and
+    its labels interned through a dict: the per-line reference of
+    `Network.from_edge_list_file`."""
+    index, labels, ends, values = {}, [], [], []
+
+    def intern(label):
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise EdgeListError(
+                    f"{path}: line {lineno}: expected 'u v [w]', got {line!r}")
+            w = 1.0
+            if len(parts) == 3:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise EdgeListError(
+                        f"{path}: line {lineno}: bad weight {parts[2]!r}")
+                if not np.isfinite(w) or w < 0:
+                    raise EdgeListError(
+                        f"{path}: line {lineno}: weight must be nonnegative")
+            ends += [intern(parts[0]), intern(parts[1])]
+            values.append(w)
+    if not labels:
+        raise EdgeListError(f"{path}: no edges found")
+    n = len(labels)
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    w = np.array(values)
+    if undirected:   # each edge adds to (u, v), then to (v, u) if u != v
+        both = np.column_stack([u, v, v, u]).reshape(-1, 2)
+        keep = np.column_stack([u == u, u != v]).ravel()
+        u, v = both[keep].T
+        w = np.repeat(w, 2)[keep]
+    keys, inverse = np.unique(u * n + v, return_inverse=True)
+    src, dst = np.divmod(keys, n)
+    return Network(n, src, dst, np.bincount(inverse, weights=w), labels)
+
+
+def same_network(a: Network, b: Network) -> bool:
+    """Equal labels, edge keys, weights and running-sum tables."""
+    return (a.n == b.n and a.labels == b.labels
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("_keys", "_key_weights", "out_sums", "in_sums"))
+            and all(np.array_equal(getattr(x, part), getattr(y, part))
+                    for x, y in ((a.out_edges, b.out_edges),
+                                 (a.in_edges, b.in_edges))
+                    for part in ("indptr", "indices", "weights", "cum")))
 
 
 def dense_network(M) -> Network:

@@ -369,6 +369,8 @@ EXIT_CASES = {
                           "--dict-radius", 0, "--iters", 1]),
     "config-value-not-a-number": (1, ["ndl-learn", "--edges", "{cycle}",
                                       "--config", "{config}"]),
+    "dict-truncated": (2, ["reconstruct", "--edges", "{cycle}", "--undirected",
+                           "--dict", "{short_dict}"]),
     "dict-no-atoms": (2, ["reconstruct", "--edges", "{cycle}", "--undirected",
                           "--dict", "{empty_dict}", "--iters", 10]),
     "init-config-not-square": (2, ["ising-learn", "--temperature", 2.0,
@@ -386,9 +388,11 @@ def test_bad_files_exit_2_and_bad_flag_values_exit_1(tmp_path, capsys, case):
              "labels": tmp_path / "labels.csv",
              "config": tmp_path / "run.cfg",
              "empty_dict": tmp_path / "empty_dict.txt",
+             "short_dict": tmp_path / "short_dict.txt",
              "wide_spins": tmp_path / "wide.pgm"}
     files["bad_dict"].write_text("2 2\n1 x\n")
     files["empty_dict"].write_text("9 0\n" + "\n" * 9)
+    files["short_dict"].write_text("9 1\n1.0\n1.0\n")
     write_spins_pgm(files["wide_spins"], np.ones((6, 4), dtype=int))
     files["dict"].write_text("9 1\n" + "1.0\n" * 9)
     # one of the 35 non-edges of the 10-cycle

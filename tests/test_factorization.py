@@ -760,6 +760,23 @@ def test_serialization_roundtrip_property(tmp_path_factory, vals):
     assert np.array_equal(load_dictionary(path), W)
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_dictionary, "", "file ends at line 0; expected a matrix header at "
+     "line 1"),
+    (load_dictionary, "9 1\n1.0\n1.0\n", "file ends at line 3; expected 9 "
+     "matrix rows after the header at line 1"),
+    (load_aggregates, "1 1\n2.0\n1 2\n3.0 4.0\n", "file ends at line 4; "
+     "expected the 't r_scalar kappa1 beta' trailer at line 5"),
+], ids=["no-header", "missing-rows", "missing-trailer"])
+def test_truncated_matrix_files_say_where_they_end(tmp_path, load, text,
+                                                   message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == message
+
+
 def test_aggregates_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(20)
     stats = AggregateStats(A=rng.standard_normal((3, 3)),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
-                     empirical_distribution, path_network,
-                     weighted_5node_network)
+                     empirical_distribution, path_network, reference_edge_list,
+                     same_network, weighted_5node_network)
 from onmf import (EdgeListError, Network, OracleSizeError,
                   SamplingError, chain_update, chain_walk_sample,
                   glauber_conditional, hom_distribution_bruteforce,
@@ -45,6 +45,96 @@ def test_edge_list_errors_cite_line_numbers(tmp_path):
     path.write_text("a b -2\n")
     with pytest.raises(EdgeListError, match="line 1"):
         Network.from_edge_list_file(path)
+
+
+# Pieces of generated edge-list files.  Separators are whitespace to
+# ``str.split`` but no line break to a text file; '#x' is a label unless it
+# leads its line; 'n' and 'n\x00' are two labels; '1_0' is a float to Python.
+NODE_NAMES = ["a", "b", "\xe9", "\u8282\u70b9", "n", "n\x00", "0", "00", "#x",
+              "a_b"]
+SEPARATORS = [" ", "\t", "\x0c", "\xa0", "\x0b", "\x1c", "\x85", "\u2028",
+              "\u3000", " \t "]
+WEIGHTS = ["1", "2.5", "1e3", "1_0", "0", "-0.0", "1E-2", "+4"]
+BAD_WEIGHTS = ["x", "1__0", "--1", "0x10", "1,5"]
+NEGATIVE_WEIGHTS = ["-1", "nan", "inf", "-inf", "-1e-300"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def edge_list_texts(draw, bad_lines: int):
+    """Text of an edge-list file with blank, comment and edge lines, and
+    `bad_lines` malformed lines of any of the three kinds at drawn places."""
+    pad = st.sampled_from(["", " ", "\t", "\xa0 "])
+    label = st.sampled_from(NODE_NAMES)
+
+    def tokens_line(tokens):
+        seps = draw(st.lists(st.sampled_from(SEPARATORS),
+                             min_size=len(tokens), max_size=len(tokens)))
+        body = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        return draw(pad) + body[len(seps[0]):] + draw(pad)
+
+    def good_line():
+        kind = draw(st.sampled_from(["blank", "comment", "edge", "edge"]))
+        if kind == "blank":
+            return draw(pad)
+        if kind == "comment":
+            return draw(pad) + "#" + "".join(draw(st.lists(
+                st.sampled_from(NODE_NAMES + SEPARATORS), max_size=3)))
+        ends = [draw(label), draw(label)]
+        if draw(st.booleans()):
+            ends.append(draw(st.sampled_from(WEIGHTS)))
+        return tokens_line(ends)
+
+    def bad_line():
+        width = draw(st.sampled_from([1, 4, 3, 3]))
+        tokens = [draw(label) for _ in range(min(width, 2))]
+        if width == 4:
+            tokens += [draw(label), draw(label)]
+        elif width == 3:
+            tokens.append(draw(st.sampled_from(BAD_WEIGHTS + NEGATIVE_WEIGHTS)))
+        return tokens_line(tokens)
+
+    lines = [good_line() for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(bad_lines):
+        lines.insert(draw(st.integers(0, len(lines))), bad_line())
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""   # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _both_loaders(path, undirected):
+    """The loader's and the per-line reference's network, or their errors."""
+    out = []
+    for load in (Network.from_edge_list_file, reference_edge_list):
+        try:
+            out.append(load(path, undirected=undirected))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edge_list_texts(bad_lines=0))
+def test_edge_list_loader_matches_the_per_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for undirected in (False, True):
+        net, ref = _both_loaders(path, undirected)
+        if isinstance(ref, Network):
+            assert same_network(net, ref)
+        else:
+            assert net == ref == (EdgeListError, f"{path}: no edges found")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edge_list_texts(bad_lines=3))
+def test_edge_list_loader_reports_the_references_first_bad_line(
+        tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    net, ref = _both_loaders(path, False)
+    assert ref[0] is EdgeListError and net == ref
 
 
 def test_duplicate_edges_accumulate():
