@@ -4,12 +4,13 @@ Maintains a dictionary ``W`` (d x r) together with running sufficient
 statistics ``(A, B, r_scalar)`` of previously computed codes.  Each arriving
 minibatch ``X`` is sparse-coded against the current dictionary, the statistics
 are folded in with a decaying weight ``w_t = t**-beta``, and the dictionary is
-refit by block coordinate descent on the quadratic surrogate objective
-``tr(W A W^T) - 2 tr(W B)`` over a union of compact convex pieces.  On
-multi-piece (non-convex) constraint sets the refit is additionally restricted
-to the trust ellipsoid ``tr((B^T - W A)(W_prev - W)^T) <= 0`` spanned between
-the previous iterate and the unconstrained minimum, which guarantees
-second-order growth of the quadratic objective per update.
+refit by accelerated projected gradient (FISTA with gradient restart) on the
+quadratic surrogate objective ``tr(W A W^T) - 2 tr(W B)`` over a union of
+compact convex pieces.  On multi-piece (non-convex) constraint sets each
+piece's refit is additionally pulled back into the trust ellipsoid
+``tr((B^T - W A)(W_prev - W)^T) <= 0`` spanned between the previous iterate
+and the unconstrained minimum, which guarantees second-order growth of the
+quadratic objective per update.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _FEAS_TOL = 1e-12
 # OnlineNMF.step calls the public sparse_code and dictionary_update, so that
 # anything wrapping those names (a profiler, a counting test double) sees every
 # solve, and reads what they did from the dict it places here: each records
-# (iterations or sweeps, converged) under "code" or "dict".  None outside a step.
+# (iterations, converged) under "code" or "dict".  None outside a step.
 _SOLVER_COUNTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "onmf_solver_counts", default=None)
 
@@ -53,10 +54,11 @@ class ZeroDictionaryError(ValueError):
 class ConstraintPiece:
     """One compact convex piece: entrywise lower bound plus Frobenius ball.
 
-    ``{W : W_ij >= lower, ||W||_F <= radius}``.  With ``lower <= 0`` the set is
-    a cone intersected with a centered ball, for which clamp-then-rescale is
-    the exact Euclidean projection; for ``lower > 0`` the projection alternates
-    the two steps (POCS), which converges to a feasible point.
+    ``{W : W_ij >= lower, ||W||_F <= radius}``.  With ``lower == 0`` the set
+    is a cone intersected with a centered ball, for which clamp-then-rescale
+    is the exact Euclidean projection; otherwise the projection alternates
+    the two steps (POCS), which reaches a feasible point but in general not
+    the nearest one.
     """
 
     radius: float
@@ -74,26 +76,14 @@ class ConstraintPiece:
             raise ValueError("empty constraint piece for this shape")
         return _clamp_and_rescale(W, self.lower, self.radius)
 
-    def project_column(self, col: np.ndarray, rest_sq: float) -> np.ndarray | None:
-        """Project one column given the squared norm of the other columns.
-
-        Returns None when the column slice of the piece is empty (the radius
-        budget left over is too small for the lower bound).
-        """
-        allowed = math.sqrt(max(self.radius ** 2 - rest_sq, 0.0))
-        if self.lower > 0 and self.lower * math.sqrt(col.size) > allowed:
-            return None
-        if allowed == 0.0:
-            return np.zeros(col.shape) if self.lower <= 0 else None
-        return _clamp_and_rescale(col, self.lower, allowed)
-
 
 def _clamp_and_rescale(V: np.ndarray, lower: float, bound: float) -> np.ndarray:
     """Alternate clamping at ``lower`` and rescaling into the ball of radius ``bound``.
 
-    One round is the exact projection when ``lower <= 0``; otherwise the
-    alternation converges to a feasible point.  Stops once the norm is within
-    a relative 1e-12 of ``bound``, or after 200 rounds.
+    One round is the exact projection when ``lower == 0`` and is feasible
+    when ``lower < 0``; otherwise the alternation converges to a feasible
+    point.  Stops once the norm is within a relative 1e-12 of ``bound``, or
+    after 200 rounds.
     """
     V = np.maximum(V, lower)
     for _ in range(200):
@@ -325,121 +315,97 @@ def growth_check(W1, W2, stats: AggregateStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_to_ellipsoid(Wt, j, cand, old, W_prev, stats):
-    """Blend column j (row j of ``Wt``) between candidate and previous value
-    until feasible.
+def _lipschitz_bound(A) -> float:
+    """Upper bound on the largest eigenvalue of the symmetric PSD matrix ``A``
+    that needs no LAPACK call: ``||A||_F ||P^8||_F^(1/8)`` with
+    ``P = A / ||A||_F``, P squared three times.  Zero for a zero matrix."""
+    nrm = float(np.linalg.norm(A))
+    if nrm == 0.0:
+        return 0.0
+    P = A / nrm
+    for _ in range(3):
+        P = P @ P
+    return nrm * float(np.linalg.norm(P)) ** 0.125
 
-    The matrix with the previous column is feasible by induction, so bisection
-    along the segment (which stays inside the convex piece slice) terminates
-    at a feasible point.
+
+def _accelerated_descent(Wt, piece, Mt, Bt, tol, max_iter):
+    """FISTA with gradient restart inside one piece, on W transposed.
+
+    Each step is the affine map ``Mt Yt + Bt`` at the extrapolated point Yt,
+    clamped at the piece's lower bound and, only when its norm exceeds the
+    radius, pulled back by ``_clamp_and_rescale``.  The momentum restarts
+    (Yt = Wt) whenever the gradient map Yt - Wt_next has a positive inner
+    product with the step Wt_next - Wt.  Stops when the Frobenius change
+    between successive iterates falls below ``tol`` or after ``max_iter``
+    steps.  ``Wt`` is overwritten.  Returns (Wt, iterations, converged).
     """
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        Wt[j] = (1.0 - mid) * cand + mid * old
-        if ellipsoid_gap(Wt.T, W_prev, stats) <= _FEAS_TOL:
-            hi = mid
-        else:
-            lo = mid
-    col = (1.0 - hi) * cand + hi * old
-    Wt[j] = col
-    return col
-
-
-def _piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce, tol,
-                   max_iter):
-    """Damped block coordinate descent inside one piece on W transposed, in place.
-
-    Row j of ``Wt`` is column j of W; its step is the affine map
-    W m_j + b_j/(A_jj + 1), with m_j and b_j/(A_jj + 1) the rows j of ``Mt``
-    and ``B_scaled``, clamped at the piece's lower bound.  The checking loop
-    runs ``project_column`` only when the column's squared norm exceeds the
-    radius budget the other columns leave, the one case where the ball can
-    bind, and keeps the ellipsoid when ``enforce`` is on.
-
-    Without the ellipsoid a sweep first runs check-free: three array calls
-    per column, written straight into the row.  After it, the ball provably
-    never bound if the sum over columns of the larger of the new and the old
-    squared norm is below radius^2 (1 - 1e-9): every budget test of the
-    checking loop compares a sum no larger than that one.  Then the sweep is
-    exactly the checking loop's.  Otherwise the sweep is undone from its
-    saved copy and rerun by the checking loop, which also runs every later
-    sweep.  Returns (sweeps, converged).
-    """
-    lower, radius_sq = piece.lower, piece.radius ** 2
-    proof_bound = radius_sq * (1.0 - 1e-9)
-    m_rows, b_rows, w_rows = list(Mt), list(B_scaled), list(Wt)
-    buf = np.empty(Wt.shape[1])
+    lower, radius = piece.lower, piece.radius
+    radius_sq = radius * radius
+    Y = Wt.copy()
+    W_next = np.empty_like(Wt)
     change = np.empty_like(Wt)
-    checked = enforce
-    old_sq = np.einsum("ij,ij->i", Wt, Wt)
-    col_sq = None
-    for sweep in range(1, max_iter + 1):
-        change[...] = Wt
-        if not checked:
-            for j in cols:
-                np.dot(m_rows[j], Wt, out=buf)
-                np.add(buf, b_rows[j], out=w_rows[j])
-                np.maximum(w_rows[j], lower, out=w_rows[j])
-            new_sq = np.einsum("ij,ij->i", Wt, Wt)
-            if float(np.maximum(new_sq, old_sq).sum()) < proof_bound:
-                old_sq = new_sq
-            else:
-                Wt[...] = change
-                checked = True
-        if checked:
-            if col_sq is None:
-                # the squared norms the checking loop keeps: each is the dot
-                # of its row with itself
-                col_sq = [float(row.dot(row)) for row in w_rows]
-            for j in cols:
-                np.dot(m_rows[j], Wt, out=buf)
-                np.add(buf, b_rows[j], out=buf)
-                np.maximum(buf, lower, out=buf)
-                new_sq = float(buf.dot(buf))
-                rest = sum(col_sq) - col_sq[j]
-                new_col = buf
-                if new_sq > radius_sq - rest:
-                    new_col = piece.project_column(buf, rest)
-                    if new_col is None:
-                        continue
-                    new_sq = float(new_col.dot(new_col))
-                if enforce:
-                    old = Wt[j].copy()
-                    Wt[j] = new_col
-                    if ellipsoid_gap(Wt.T, W0, stats) > _FEAS_TOL:
-                        new_col = _bisect_to_ellipsoid(Wt, j, new_col, old, W0,
-                                                       stats)
-                        new_sq = float(new_col.dot(new_col))
-                else:
-                    Wt[j] = new_col
-                col_sq[j] = new_sq
-        change -= Wt
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        np.matmul(Mt, Y, out=W_next)
+        W_next += Bt
+        np.maximum(W_next, lower, out=W_next)
+        if np.vdot(W_next, W_next) > radius_sq:
+            W_next = _clamp_and_rescale(W_next, lower, radius)
+        np.subtract(W_next, Wt, out=change)
+        Y -= W_next                      # Y now holds the gradient map
+        restart = np.vdot(Y, change) > 0.0
+        Wt, W_next = W_next, Wt
         if math.sqrt(np.vdot(change, change)) < tol:
-            return sweep, True
-    return max_iter, False
+            return Wt, it, True
+        if restart:
+            t = 1.0
+            Y[...] = Wt
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            np.multiply(change, (t - 1.0) / t_next, out=Y)
+            Y += Wt
+            t = t_next
+    return Wt, max_iter, False
+
+
+def _ellipsoid_step(start, D, W_prev, stats) -> float:
+    """Largest s in [0, 1] with ``ellipsoid_gap(start + s D, W_prev)`` at most
+    ``_FEAS_TOL``, for a ``start`` that meets that bound.
+
+    Along the segment the gap is the convex quadratic a s^2 + b s + c, so s
+    is its larger root (in the form that does not cancel), or 1 when the
+    whole segment is feasible.
+    """
+    A = stats.A
+    DA = D @ A
+    a = float(np.sum(DA * D))
+    b = -float(np.sum((stats.B.T - start @ A) * D) + np.sum(DA * (W_prev - start)))
+    c = ellipsoid_gap(start, W_prev, stats) - _FEAS_TOL
+    if a + b + c <= 0.0:
+        return 1.0
+    disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    s = -2.0 * c / (b + disc) if b > 0.0 else (disc - b) / (2.0 * a)
+    return min(max(s, 0.0), 1.0)
 
 
 def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
            max_iter: int) -> tuple[Dictionary, int, bool]:
-    """``dictionary_update`` plus the sweeps and the converged flag of the
+    """``dictionary_update`` plus the iterations and the converged flag of the
     descent in the piece it returns (0 and False when no piece is feasible)."""
     spec = W_prev.constraint
     A, B, kappa1 = stats.A, stats.B, stats.kappa1
     r = A.shape[0]
     A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
-    diag_ridge = np.diag(A_ridge)
-    denom = diag_ridge + 1.0
-    Mt = np.eye(r) - A_ridge.T / denom[:, None]
-    B_scaled = B / denom[:, None]
-    cols = [j for j in range(r) if diag_ridge[j] > 0.0]
+    L = _lipschitz_bound(A_ridge) or 1.0
+    Mt = np.eye(r) - A_ridge / L
+    Bt = B / L
     W0 = np.asarray(W_prev.W, dtype=float)
     enforce = len(spec.pieces) > 1
 
     best = None
     best_val = math.inf
     for idx, piece in enumerate(spec.pieces):
-        start = W0 if idx == W_prev.active_piece else piece.project(W0)
+        start = piece.project(W0)
         if enforce and ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
             # fall back to the ellipsoid midpoint between the previous iterate
             # and the unconstrained minimum, projected into the piece
@@ -447,13 +413,19 @@ def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
             start = piece.project(0.5 * (W0 + target))
             if ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
                 continue
-        Wt = start.T.copy()
-        sweeps, converged = _piece_descent(Wt, piece, Mt, B_scaled, cols, W0,
-                                           stats, enforce, tol, max_iter)
+        Wt, iters, converged = _accelerated_descent(start.T.copy(), piece, Mt,
+                                                    Bt, tol, max_iter)
         W = np.ascontiguousarray(Wt.T)
+        if enforce:
+            D = W - start
+            W = start + _ellipsoid_step(start, D, W0, stats) * D
         val = _quad_objective(W, A_ridge, B)
+        start_val = _quad_objective(start, A_ridge, B)
+        if val > start_val:
+            # the accelerated iterates need not descend; never end above start
+            W, val = start, start_val
         if val < best_val:
-            best, best_val = (Dictionary(W, spec, idx), sweeps, converged), val
+            best, best_val = (Dictionary(W, spec, idx), iters, converged), val
 
     if best is None:
         logger.warning("dictionary update found no feasible piece; "
@@ -466,25 +438,29 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
                       tol: float = 1e-6, max_iter: int = 100) -> Dictionary:
     """Refit the dictionary against the current statistics.
 
-    Runs damped block coordinate descent on
+    Runs accelerated projected gradient (FISTA with gradient restart) on
     ``tr(W (A + kappa1 I) W^T) - 2 tr(W B)`` independently inside every
     constraint piece and returns the best per-piece solution (lowest piece
-    index wins on ties).  Iterates are kept inside the trust ellipsoid
-    exactly when the constraint set has more than one piece, the only case
-    where the ellipsoid is not redundant.  A sweep updates every column j by
-    the damped step W_j - (W a_j - b_j)/(A_jj + 1), computed as the affine
-    map W m_j + b_j/(A_jj + 1) with m_j = e_j - a_j/(A_jj + 1) and then
-    projected into the piece; sweeps stop when the Frobenius change of a
-    sweep falls below ``tol`` or after ``max_iter`` sweeps.  Inside
-    ``OnlineNMF.step`` the sweep count and whether the change test fired are
-    reported in the ``StepResult``.
+    index wins on ties).  The step is 1/L, with L an upper bound on the
+    largest eigenvalue of A + kappa1 I, so each iteration is the affine map
+    W^T <- (I - (A + kappa1 I)/L) Y^T + B/L at the extrapolated point Y,
+    clamped at the piece's lower bound and rescaled into its ball only when
+    it leaves it; iterations stop when the Frobenius change between
+    successive iterates falls below ``tol`` or after ``max_iter`` of them.
+    On constraint sets with more than one piece, the only case where the
+    trust ellipsoid is not redundant, each piece's result is then moved back
+    along the segment from its feasible start to the farthest point inside
+    the ellipsoid.  A piece whose result lies above its start in the
+    objective keeps its start.  Inside ``OnlineNMF.step`` the iteration count
+    and whether the change test fired are reported in the ``StepResult``.
 
-    Columns whose diagonal aggregate (plus ridge) is zero are never touched.
-    If no piece yields a feasible iterate the previous dictionary is returned
-    unchanged and a warning is logged.
+    Columns whose rows of A (plus ridge) and B are zero have zero gradient,
+    so they move only if the ball binds.  If no piece yields a feasible
+    iterate the previous dictionary is returned unchanged and a warning is
+    logged.
     """
-    new, sweeps, converged = _refit(W_prev, stats, tol, max_iter)
-    _record_counts("dict", sweeps, converged)
+    new, iters, converged = _refit(W_prev, stats, tol, max_iter)
+    _record_counts("dict", iters, converged)
     return new
 
 
@@ -550,9 +526,10 @@ class StepResult:
     what the two solvers did.
 
     ``code_iters`` counts projected-gradient iterations of the coding and
-    ``dict_sweeps`` block coordinate descent sweeps of the dictionary update
-    (in the piece it kept).  Each converged flag is true only when that
-    solver's change test stopped it, false when it ran to its cap.
+    ``dict_iters`` accelerated projected-gradient iterations of the
+    dictionary update (in the piece it kept).  Each converged flag is true
+    only when that solver's change test stopped it, false when it ran to its
+    cap.
     """
 
     code: np.ndarray
@@ -560,7 +537,7 @@ class StepResult:
     coding_loss: float
     code_iters: int
     code_converged: bool
-    dict_sweeps: int
+    dict_iters: int
     dict_converged: bool
 
 
@@ -615,11 +592,11 @@ class OnlineNMF:
         finally:
             _SOLVER_COUNTS.reset(token)
         code_iters, code_converged = counts["code"]
-        dict_sweeps, dict_converged = counts["dict"]
+        dict_iters, dict_converged = counts["dict"]
         return StepResult(code=H, surrogate=surrogate_loss(self.W, self.stats),
                           coding_loss=loss, code_iters=code_iters,
                           code_converged=code_converged,
-                          dict_sweeps=dict_sweeps,
+                          dict_iters=dict_iters,
                           dict_converged=dict_converged)
 
 

@@ -322,9 +322,12 @@ def reconstruct_grid(image: np.ndarray, W: np.ndarray, k: int,
     if stride > k:
         raise ValueError("stride must not exceed the patch size, or the "
                          "pixels between patches are never covered")
-    rows = np.unique(np.append(np.arange(0, h - k + 1, stride), h - k))
-    cols = np.unique(np.append(np.arange(0, w - k + 1, stride), w - k))
-    rows, cols = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
+    corners = []
+    for size in (h, w):
+        axis = np.arange(0, size - k + 1, stride)
+        corners.append(axis if axis[-1] == size - k
+                       else np.append(axis, size - k))
+    rows, cols = (a.ravel() for a in np.meshgrid(*corners, indexing="ij"))
     # flat pixel index of every patch entry, one patch after another
     pixels = _extract_patches(np.arange(h * w).reshape(h, w), rows, cols,
                               k).ravel()

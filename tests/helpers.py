@@ -143,16 +143,17 @@ def edge_pairs(net: Network) -> list[tuple[int, int]]:
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def mann_whitney_auc(scores, labels, lower_is_positive: bool) -> float:
-    """Direct pairwise Mann-Whitney statistic with half credit for ties, for
-    aligned sequences of scores and boolean labels."""
+def mann_whitney_auc(scores, labels, lower_is_positive: bool,
+                     tie_credit: float = 0.5) -> float:
+    """Direct pairwise Mann-Whitney statistic, by default with half credit
+    for ties, for aligned sequences of scores and boolean labels."""
     pos = [s for s, y in zip(scores, labels) if y]
     neg = [s for s, y in zip(scores, labels) if not y]
     total = 0.0
     for sp in pos:
         for sn in neg:
             if sp == sn:
-                total += 0.5
+                total += tie_credit
             elif (sp < sn) == lower_is_positive:
                 total += 1.0
     return total / (len(pos) * len(neg))

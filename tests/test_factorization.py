@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,7 +220,8 @@ def test_single_piece_matches_plain_block_descent():
     stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1)
     got = dictionary_update(prev, stats, tol=1e-10, max_iter=150)
 
-    # independent plain BCD with the same damped column step
+    # independent plain block coordinate descent (damped column steps) to
+    # the same minimum
     W = W0.copy()
     for _ in range(150):
         before = W.copy()
@@ -319,65 +321,77 @@ def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
     return H, max_iter, False
 
 
+def _reference_lipschitz(A):
+    nrm = float(np.linalg.norm(A))
+    if nrm == 0.0:
+        return 1.0
+    return nrm * float(np.linalg.norm(np.linalg.matrix_power(A / nrm, 8))) ** 0.125
+
+
+def _reference_ellipsoid_step(start, W, W0, stats):
+    """The largest feasible s on the segment from ``start`` to ``W`` by a
+    60-step bisection."""
+    if ellipsoid_gap(W, W0, stats) <= 1e-12:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ellipsoid_gap(start + mid * (W - start), W0, stats) <= 1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _reference_dictionary_update(W_prev, stats, tol, max_iter):
-    """Block coordinate descent with the damped column step written out per
-    column; returns (W, kept piece, sweeps in the kept piece)."""
+    """FISTA with gradient restart written out per step, with the gradient
+    formed anew each iteration, then the bisection back into the ellipsoid
+    and the guard that keeps the start; returns (W, kept piece, iterations in
+    the kept piece)."""
     spec = W_prev.constraint
     A, B, kappa1 = stats.A, stats.B, stats.kappa1
     r = A.shape[0]
     A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
-    diag_ridge = np.diag(A_ridge).copy()
+    L = _reference_lipschitz(A_ridge)
     W0 = np.asarray(W_prev.W, dtype=float)
     enforce = len(spec.pieces) > 1
 
-    def bisect(W, j, cand, old):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            W[:, j] = (1.0 - mid) * cand + mid * old
-            if ellipsoid_gap(W, W0, stats) <= 1e-12:
-                hi = mid
-            else:
-                lo = mid
-        col = (1.0 - hi) * cand + hi * old
-        W[:, j] = col
-        return col
+    def g(W):
+        return float(np.sum((W @ A_ridge) * W) - 2.0 * np.sum(W * B.T))
 
     best, best_val = None, np.inf
     for idx, piece in enumerate(spec.pieces):
-        start = W0 if idx == W_prev.active_piece else piece.project(W0)
+        start = piece.project(W0)
         if enforce and ellipsoid_gap(start, W0, stats) > 1e-12:
             target = (np.linalg.pinv(A, hermitian=True) @ B).T
             start = piece.project(0.5 * (W0 + target))
             if ellipsoid_gap(start, W0, stats) > 1e-12:
                 continue
-        W = start.copy()
-        col_sq = np.einsum("ij,ij->j", W, W)
-        sweeps = 0
+        W, Y, t = start.copy(), start.copy(), 1.0
+        iters = 0
         for _ in range(max_iter):
-            sweeps += 1
-            W_before = W.copy()
-            for j in range(r):
-                if diag_ridge[j] <= 0.0:
-                    continue
-                cand = W[:, j] - (W @ A_ridge[:, j] - B[j, :]) / (A_ridge[j, j] + 1.0)
-                rest = float(col_sq.sum() - col_sq[j])
-                new_col = piece.project_column(cand, rest)
-                if new_col is None:
-                    continue
-                if enforce:
-                    old = W[:, j].copy()
-                    W[:, j] = new_col
-                    if ellipsoid_gap(W, W0, stats) > 1e-12:
-                        new_col = bisect(W, j, new_col, old)
-                else:
-                    W[:, j] = new_col
-                col_sq[j] = float(new_col @ new_col)
-            if float(np.linalg.norm(W - W_before)) < tol:
+            iters += 1
+            grad = 2.0 * (Y @ A_ridge - B.T)
+            W_next = np.maximum(Y - grad / (2.0 * L), piece.lower)
+            if np.linalg.norm(W_next) > piece.radius:
+                W_next = piece.project(W_next)
+            step = W_next - W
+            restart = float(np.sum((Y - W_next) * step)) > 0.0
+            W = W_next
+            if float(np.linalg.norm(step)) < tol:
                 break
-        val = float(np.sum((W @ A_ridge) * W) - 2.0 * np.sum(W * B.T))
-        if val < best_val:
-            best, best_val = (W, idx, sweeps), val
+            if restart:
+                Y, t = W.copy(), 1.0
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                Y = W + (t - 1.0) / t_next * step
+                t = t_next
+        if enforce:
+            W = start + _reference_ellipsoid_step(start, W, W0, stats) * (W - start)
+        if g(W) > g(start):
+            W = start.copy()
+        if g(W) < best_val:
+            best, best_val = (W, idx, iters), g(W)
     return best
 
 
@@ -452,12 +466,12 @@ DICT_CASES = {
 @pytest.mark.parametrize("name", sorted(DICT_CASES))
 def test_fused_dictionary_update_matches_reference(name):
     prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **DICT_CASES[name])
-    want, want_piece, ref_sweeps = _reference_dictionary_update(
+    want, want_piece, ref_iters = _reference_dictionary_update(
         prev, stats, 0.0, 40)
-    new, sweeps, converged = factorization._refit(prev, stats, 0.0, 40)
+    new, iters, converged = factorization._refit(prev, stats, 0.0, 40)
     assert new.active_piece == want_piece
     assert _rel_diff(new.W, want) <= 1e-12
-    assert (sweeps, converged) == (ref_sweeps, False) == (40, False)
+    assert (iters, converged) == (ref_iters, False) == (40, False)
     assert np.array_equal(dictionary_update(prev, stats, tol=0.0,
                                             max_iter=40).W, new.W)
     piece = prev.constraint.pieces[new.active_piece]
@@ -468,66 +482,24 @@ def test_fused_dictionary_update_matches_reference(name):
 def test_fused_dictionary_update_stops_where_reference_stops():
     prev, stats = _dict_case(np.random.default_rng(34), 6, 4,
                              ConstraintSpec.nonnegative(10.0), kappa1=0.1)
-    want, _, ref_sweeps = _reference_dictionary_update(prev, stats, 1e-10, 5000)
-    new, sweeps, converged = factorization._refit(prev, stats, 1e-10, 5000)
+    want, _, ref_iters = _reference_dictionary_update(prev, stats, 1e-10, 5000)
+    new, iters, converged = factorization._refit(prev, stats, 1e-10, 5000)
     assert converged
-    assert sweeps == ref_sweeps < 5000
+    assert iters == ref_iters < 5000
     assert _rel_diff(new.W, want) <= 1e-12
 
 
-def _checking_piece_descent(Wt, piece, Mt, B_scaled, cols, W0, stats, enforce,
-                            tol, max_iter):
-    """The descent with the budget test at every column: the fused loop
-    before sweeps without the ellipsoid could run check-free."""
-    lower, radius_sq = piece.lower, piece.radius ** 2
-    m_rows, b_rows = list(Mt), list(B_scaled)
-    col_sq = [float(row.dot(row)) for row in Wt]
-    buf = np.empty(Wt.shape[1])
-    change = np.empty_like(Wt)
-    for sweep in range(1, max_iter + 1):
-        change[...] = Wt
-        for j in cols:
-            np.dot(m_rows[j], Wt, out=buf)
-            np.add(buf, b_rows[j], out=buf)
-            np.maximum(buf, lower, out=buf)
-            new_sq = float(buf.dot(buf))
-            rest = sum(col_sq) - col_sq[j]
-            new_col = buf
-            if new_sq > radius_sq - rest:
-                new_col = piece.project_column(buf, rest)
-                if new_col is None:
-                    continue
-                new_sq = float(new_col.dot(new_col))
-            if enforce:
-                old = Wt[j].copy()
-                Wt[j] = new_col
-                if ellipsoid_gap(Wt.T, W0, stats) > 1e-12:
-                    new_col = factorization._bisect_to_ellipsoid(
-                        Wt, j, new_col, old, W0, stats)
-                    new_sq = float(new_col.dot(new_col))
-            else:
-                Wt[j] = new_col
-            col_sq[j] = new_sq
-        change -= Wt
-        if float(np.sqrt(np.vdot(change, change))) < tol:
-            return sweep, True
-    return max_iter, False
-
-
 def _ball_case(kind):
-    """A = I, so each sweep moves every column halfway to its row of B.
+    """A = I, so the minimum over the nonnegative orthant is B^T.
 
-    "shift": column 0 (squared norm 0.8) shrinks while column 1 grows towards
-    squared norm 0.6, inside radius^2 = 0.9.  The first sweep's sum of the
-    larger squared norm per column is 0.8 + 0.15 >= 0.9, yet no budget test
-    fires.  "mid-sweep": the same with the columns swapped, so the growing
-    column comes first and binds in the first sweep, although the squared
-    norms after that sweep sum to 0.35.  "binds": column 0 grows towards
-    squared norm 1.0 and first meets radius^2 = 0.8 in the fourth sweep.
+    "shift": column 0 (squared norm 0.8) shrinks to zero while column 1 grows
+    towards squared norm 0.6, inside radius^2 = 0.9.  "swapped": the same
+    with the two columns swapped.  "binds": column 0 grows towards squared
+    norm 1.0, outside radius^2 = 0.8, so the minimum lies on the sphere.
     """
     W0 = np.zeros((3, 2))
     B = np.zeros((2, 3))
-    if kind in ("shift", "mid-sweep"):
+    if kind in ("shift", "swapped"):
         shrinks, grows = (0, 1) if kind == "shift" else (1, 0)
         W0[:, shrinks] = np.sqrt(0.8 / 3)
         B[grows] = np.sqrt(0.6 / 3)
@@ -540,63 +512,79 @@ def _ball_case(kind):
             AggregateStats(A=np.eye(2), B=B, r_scalar=0.0, t=3))
 
 
-def _count_projections(monkeypatch):
-    calls = []
-    project = ConstraintPiece.project_column
-
-    def counted(self, col, rest_sq):
-        calls.append(rest_sq)
-        return project(self, col, rest_sq)
-
-    monkeypatch.setattr(ConstraintPiece, "project_column", counted)
-    return calls
-
-
-def test_failed_ball_proof_redoes_the_sweep_without_binding(monkeypatch):
-    prev, stats = _ball_case("shift")
-    calls = _count_projections(monkeypatch)
-    one, _, _ = factorization._refit(prev, stats, 0.0, 1)
-    old_sq = np.sum(prev.W ** 2, axis=0)
-    new_sq = np.sum(one.W ** 2, axis=0)
-    assert np.maximum(old_sq, new_sq).sum() >= 0.9
-    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30)
-    assert calls == []
-    want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
-                                                                0.0, 30)
-    assert (new.active_piece, sweeps) == (want_piece, ref_sweeps)
-    assert _rel_diff(new.W, want) <= 1e-12
-
-
-@pytest.mark.parametrize("kind,first", [("binds", 4), ("mid-sweep", 1)])
-def test_ball_binding_matches_reference(kind, first, monkeypatch):
+@pytest.mark.parametrize("kind", ["shift", "swapped", "binds"])
+def test_ball_cases_match_reference(kind):
     prev, stats = _ball_case(kind)
-    calls = _count_projections(monkeypatch)
-    factorization._refit(prev, stats, 0.0, first - 1)
-    assert calls == []
-    new, sweeps, _ = factorization._refit(prev, stats, 0.0, 30)
-    assert calls
-    want, want_piece, ref_sweeps = _reference_dictionary_update(prev, stats,
-                                                                0.0, 30)
-    assert (new.active_piece, sweeps) == (want_piece, ref_sweeps)
+    new, iters, _ = factorization._refit(prev, stats, 0.0, 30)
+    want, want_piece, ref_iters = _reference_dictionary_update(prev, stats,
+                                                               0.0, 30)
+    assert (new.active_piece, iters) == (want_piece, ref_iters)
     assert _rel_diff(new.W, want) <= 1e-12
     radius = prev.constraint.pieces[0].radius
     assert np.linalg.norm(new.W) <= radius * (1.0 + 1e-12)
-
-
-@pytest.mark.parametrize("name", sorted(DICT_CASES) + [
-    "ball-shift", "ball-mid-sweep", "ball-binds"])
-def test_check_free_sweeps_change_no_bit(name, monkeypatch):
-    if name.startswith("ball-"):
-        prev, stats = _ball_case(name[len("ball-"):])
+    if kind == "binds":
+        assert np.linalg.norm(new.W) == pytest.approx(radius, rel=1e-12)
     else:
-        prev, stats = _dict_case(np.random.default_rng(33), 6, 4,
-                                 **DICT_CASES[name])
-    got = factorization._refit(prev, stats, 0.0, 40)
-    monkeypatch.setattr(factorization, "_piece_descent", _checking_piece_descent)
-    want = factorization._refit(prev, stats, 0.0, 40)
-    assert np.array_equal(got[0].W, want[0].W)
-    assert (got[0].active_piece, got[1], got[2]) == \
-        (want[0].active_piece, want[1], want[2])
+        assert np.allclose(new.W, stats.B.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dictionary_update_matches_nnls_row_by_row(seed):
+    # with no binding ball, row i of W minimises w A w^T - 2 w b_i over
+    # w >= 0, that is ||C w - z||^2 with A = C^T C and C^T z = b_i
+    rng = np.random.default_rng(50 + seed)
+    r, d = 6, 9
+    M = rng.random((r, r + 2))
+    A = M @ M.T
+    B = rng.standard_normal((r, d))
+    spec = ConstraintSpec.nonnegative(1e6)
+    prev = Dictionary(spec.pieces[0].project(rng.random((d, r))), spec)
+    stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1)
+    new, _, converged = factorization._refit(prev, stats, 1e-13, 100000)
+    assert converged
+    C = np.linalg.cholesky(A).T
+    for i in range(d):
+        want, _ = scipy.optimize.nnls(C, np.linalg.solve(C.T, B[:, i]))
+        assert np.abs(new.W[i] - want).max() <= 1e-10
+
+
+def test_ellipsoid_step_is_the_largest_feasible_point():
+    rng = np.random.default_rng(35)
+    shortened = 0
+    for _ in range(40):
+        d, r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        M = rng.random((r, r + 1))
+        stats = AggregateStats(A=M @ M.T + 0.01 * np.eye(r),
+                               B=rng.standard_normal((r, d)), r_scalar=0.0, t=1)
+        W0 = rng.random((d, r))
+        # the ellipsoid is the A-ball on the segment from W0 to the
+        # unconstrained minimum; start anywhere on that segment
+        target = np.linalg.solve(stats.A, stats.B).T
+        start = W0 + rng.random() * (target - W0)
+        W = start + rng.standard_normal((d, r)) * rng.choice([0.1, 1.0, 10.0])
+        s = factorization._ellipsoid_step(start, W - start, W0, stats)
+        assert s == pytest.approx(_reference_ellipsoid_step(start, W, W0, stats),
+                                  abs=1e-9)
+        assert ellipsoid_gap(start + s * (W - start), W0, stats) <= 1e-10
+        shortened += s < 1.0
+    assert 10 <= shortened < 40
+
+
+def test_update_keeps_the_start_when_the_descent_ends_above_it():
+    # with lower < 0, clamp-then-rescale is not the Euclidean projection: the
+    # start is the nearest point of the piece to the minimum (3, -3), and the
+    # descent ends at a point of the sphere farther from it
+    piece = ConstraintPiece(radius=1.0, lower=-0.5)
+    start = np.array([[np.sqrt(0.75), -0.5]])
+    prev = Dictionary(start.copy(), ConstraintSpec(pieces=(piece,)))
+    stats = AggregateStats(A=np.eye(2), B=np.array([[3.0], [-3.0]]),
+                           r_scalar=0.0, t=1)
+    L = factorization._lipschitz_bound(stats.A)
+    Wt, _, _ = factorization._accelerated_descent(
+        start.T.copy(), piece, np.eye(2) - stats.A / L, stats.B / L, 1e-10, 100)
+    assert surrogate_loss(Wt.T, stats) > surrogate_loss(start, stats) + 1.0
+    new = dictionary_update(prev, stats, tol=1e-10, max_iter=100)
+    assert np.array_equal(new.W, start)
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +667,13 @@ def test_step_reports_solver_iterations():
                     dict_tol=1e-8, dict_max_iter=100000)
     res = eng.step(X)
     assert res.code_converged and 1 <= res.code_iters < 100000
-    assert res.dict_converged and 1 <= res.dict_sweeps < 100000
+    assert res.dict_converged and 1 <= res.dict_iters < 100000
     capped = OnlineNMF(init_dictionary(4, 2, spec, rng), lam=0.5,
                        code_tol=0.0, code_max_iter=1,
                        dict_tol=0.0, dict_max_iter=1)
     res = capped.step(X)
     assert (res.code_iters, res.code_converged) == (1, False)
-    assert (res.dict_sweeps, res.dict_converged) == (1, False)
+    assert (res.dict_iters, res.dict_converged) == (1, False)
 
 
 def _engine_pair(seed):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +451,22 @@ def test_grid_matches_the_per_corner_loop(shape, k, stride, lam):
     W = rng.random((k * k, 5))
     out = reconstruct_grid(image, W, k, lam=lam, stride=stride)
     assert np.array_equal(out, _reference_grid(image, W, k, lam, stride))
+
+
+def test_grid_reconstruction_leaves_numpy_ma_unimported():
+    # a values-only np.unique imports numpy.ma on its first call (numpy 2.3+)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from onmf import reconstruct_grid\n"
+            "rng = np.random.default_rng(0)\n"
+            "reconstruct_grid(rng.random((9, 11)), rng.random((4, 3)), 2, "
+            "stride=2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sources.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_stride_above_the_patch_size_is_refused():
