@@ -29,16 +29,30 @@ _FEAS_TOL = 1e-12
 
 # OnlineNMF.step calls the public sparse_code and dictionary_update, so that
 # anything wrapping those names (a profiler, a counting test double) sees every
-# solve, and reads what they did from the dict it places here: each records
-# (iterations, converged) under "code" or "dict".  None outside a step.
+# solve, and reads what they did from the dict it places here: "code" records
+# (iterations, converged, last change) and "dict" (iterations, converged).
+# None outside a step.
 _SOLVER_COUNTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "onmf_solver_counts", default=None)
 
+# Projected-gradient steps the coding takes between two tests of its
+# stopping rule.
+_TEST_EVERY = 8
 
-def _record_counts(key: str, count: int, converged: bool) -> None:
+
+def _record_counts(key: str, *report) -> None:
     counts = _SOLVER_COUNTS.get()
     if counts is not None:
-        counts[key] = (count, converged)
+        counts[key] = report
+
+
+def _check_budget(tol, max_iter) -> None:
+    """A solver's stopping rule: ``tol`` finite and nonnegative, at least one
+    step."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
 
 class ZeroDictionaryError(ValueError):
@@ -175,27 +189,75 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
 
     The step s = 1/(2 tr(gram) + kappa2) turns H - s (2 (gram H - wx) + lam +
     kappa2 H), clamped at zero, into the affine map H <- max(M H + c, 0) with
-    M = (1 - s kappa2) I - 2 s gram and c = s (2 wx - lam), both formed once.
-    Stops when the Frobenius change between successive iterates falls below
-    ``tol`` or after ``max_iter`` steps.  Returns (H, iterations, converged);
-    converged is true only when the change test stopped the loop.
+    M = (1 - s kappa2) I - 2 s gram and c = s (2 wx - lam), both formed once;
+    ``wx`` is not used after c is formed.  Stops at the first step whose
+    Frobenius change falls below ``tol``, or after ``max_iter`` steps.
+
+    The stopping rule is tested once per window of K = ``_TEST_EVERY``
+    steps, on the window's last change.  Since s <= 1/L the exact map is
+    nonexpansive, so along exact iterates the change never grows.  A computed
+    step errs by less than (r + 2) eps (sqrt(r) |H| + |c|) for an r x n code,
+    so a computed change exceeds an earlier one in its window by less than 2 K
+    such errors; once a step has passed, |H| stays within (K + 1) tol of the
+    window's last |H|.  The norms and the rounded M add a relative error below
+    (r (n + 4 K) + 8) eps.  A window whose last change exceeds tol by more
+    than these margins (``rise`` takes 4 K errors) had no passing step.  Any
+    other window, unless tol is 0, is replayed from a copy of its first
+    iterate, testing every step, and the solve stops at the first step that
+    passes, if one does.  The replay repeats the same operations on the same
+    values, so codes, iteration counts and flags are those of a loop that
+    tests every step.
+
+    Returns (H, iterations, converged); converged is true only when the
+    change test stopped the loop.  Records them for ``OnlineNMF.step`` under
+    "code", with the Frobenius change of the last step taken.
     """
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     M = (-2.0 * step) * gram
     M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
-    c = step * (2.0 * wx - lam)
-    H = np.zeros_like(wx)
-    H_next = np.empty_like(H)
-    for it in range(1, max_iter + 1):
-        np.matmul(M, H, out=H_next)
-        H_next += c
-        np.maximum(H_next, 0.0, out=H_next)
-        H -= H_next                      # H now holds minus the change
-        delta = math.sqrt(np.vdot(H, H))
-        H, H_next = H_next, H
-        if delta < tol:
-            return H, it, True
-    return H, max_iter, False
+    c = np.multiply(wx, 2.0)
+    c -= lam
+    c *= step
+    del wx                               # frees a W^T X the caller dropped
+    r, n = c.shape
+    eps = np.finfo(float).eps
+    rise = 4 * _TEST_EVERY * (r + 2) * eps
+    replay_below = (tol * (1.0 + (r * (n + 4 * _TEST_EVERY) + 8) * eps)
+                    + rise * (math.sqrt(r) * (_TEST_EVERY + 1) * tol
+                              + float(np.linalg.norm(c))))
+    rise *= math.sqrt(r)
+    H = np.zeros_like(c)
+    H_next = np.empty_like(c)
+    start = np.empty_like(c)
+    done = 0
+    while True:
+        window = min(_TEST_EVERY, max_iter - done)
+        np.copyto(start, H)
+        for _ in range(window):
+            np.matmul(M, H, out=H_next)
+            H_next += c
+            np.maximum(H_next, 0.0, out=H_next)
+            H, H_next = H_next, H
+        H_next -= H                      # minus the last change
+        change = math.sqrt(np.vdot(H_next, H_next))
+        if tol > 0 and change < replay_below + rise * math.sqrt(np.vdot(H, H)):
+            spare = H                    # recomputed by the replay
+            H = start
+            for it in range(done + 1, done + window + 1):
+                np.matmul(M, H, out=spare)
+                spare += c
+                np.maximum(spare, 0.0, out=spare)
+                H -= spare               # H now holds minus the change
+                change = math.sqrt(np.vdot(H, H))
+                H, spare = spare, H
+                if change < tol:
+                    _record_counts("code", it, True, change)
+                    return H, it, True
+            start = spare
+        done += window
+        if done == max_iter:
+            _record_counts("code", max_iter, False, change)
+            return H, max_iter, False
 
 
 def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
@@ -205,14 +267,21 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     Projected gradient descent from H = 0 with step
     s = 1/(2 tr(W^T W) + kappa2), run as the affine map H <- max(M H + c, 0)
     with M = (1 - s kappa2) I - 2 s W^T W and c = s (2 W^T X - lam); stopped
-    when the Frobenius change between successive iterates falls below ``tol``
-    or after ``max_iter`` steps.  The objective is non-increasing across
-    iterations and the columns of X are solved independently.  A batch shares
-    the Frobenius stopping rule: the whole change bounds each column's change,
-    so a column coded in a batch is never stopped earlier than it would be if
-    coded alone.  Inside
-    ``OnlineNMF.step`` the iteration count and whether the change test fired
-    are reported in the ``StepResult``.
+    at the first step whose Frobenius change between successive iterates
+    falls below ``tol``, or after ``max_iter`` steps.  The rule is tested once
+    per window of eight steps, on the window's last change: at this step the
+    map is nonexpansive, so the change can grow only by what rounding adds,
+    and a window whose last change is within that margin of ``tol`` is
+    replayed from its first iterate, testing every step.  The replay repeats
+    the same arithmetic, so the solve stops at exactly the step, with exactly
+    the code, that testing every step would give.  The objective is
+    non-increasing across iterations and the columns of X are solved
+    independently.  A batch shares the Frobenius stopping rule: the whole
+    change bounds each column's change, so a column coded in a batch is never
+    stopped earlier than it would be if coded alone.  ``tol`` must be finite
+    and nonnegative and ``max_iter`` at least 1.  Inside ``OnlineNMF.step``
+    the iteration count, whether the change test fired and the change of the
+    last step are reported in the ``StepResult``.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -222,12 +291,11 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
         raise ValueError("non-finite input")
     if lam < 0 or kappa2 < 0:
         raise ValueError("penalties must be nonnegative")
+    _check_budget(tol, max_iter)
     gram = W.T @ W
     if float(np.trace(gram)) <= 0.0:
         raise ZeroDictionaryError("zero dictionary")
-    H, iters, converged = _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter)
-    _record_counts("code", iters, converged)
-    return H
+    return _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter)[0]
 
 
 def coding_objective(X, W, H, lam: float, kappa2: float = 0.0) -> float:
@@ -457,8 +525,10 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
     Columns whose rows of A (plus ridge) and B are zero have zero gradient,
     so they move only if the ball binds.  If no piece yields a feasible
     iterate the previous dictionary is returned unchanged and a warning is
-    logged.
+    logged.  ``tol`` must be finite and nonnegative and ``max_iter`` at
+    least 1.
     """
+    _check_budget(tol, max_iter)
     new, iters, converged = _refit(W_prev, stats, tol, max_iter)
     _record_counts("dict", iters, converged)
     return new
@@ -529,7 +599,8 @@ class StepResult:
     ``dict_iters`` accelerated projected-gradient iterations of the
     dictionary update (in the piece it kept).  Each converged flag is true
     only when that solver's change test stopped it, false when it ran to its
-    cap.
+    cap.  ``code_change`` is the Frobenius change of the coding's last step,
+    the statistic its stopping rule compares with ``code_tol``.
     """
 
     code: np.ndarray
@@ -537,6 +608,7 @@ class StepResult:
     coding_loss: float
     code_iters: int
     code_converged: bool
+    code_change: float
     dict_iters: int
     dict_converged: bool
 
@@ -563,6 +635,8 @@ class OnlineNMF:
         d, r = self.dictionary.shape
         if not self.kappa1 >= 0:
             raise ValueError("kappa1 must be nonnegative")
+        _check_budget(self.code_tol, self.code_max_iter)
+        _check_budget(self.dict_tol, self.dict_max_iter)
         self.stats = AggregateStats.zeros(r, d, kappa1=self.kappa1)
 
     @property
@@ -591,12 +665,12 @@ class OnlineNMF:
                 max_iter=self.dict_max_iter)
         finally:
             _SOLVER_COUNTS.reset(token)
-        code_iters, code_converged = counts["code"]
+        code_iters, code_converged, code_change = counts["code"]
         dict_iters, dict_converged = counts["dict"]
         return StepResult(code=H, surrogate=surrogate_loss(self.W, self.stats),
                           coding_loss=loss, code_iters=code_iters,
                           code_converged=code_converged,
-                          dict_iters=dict_iters,
+                          code_change=code_change, dict_iters=dict_iters,
                           dict_converged=dict_converged)
 
 

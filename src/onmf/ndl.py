@@ -24,6 +24,10 @@ from .networks import (MCMC_MODES, Network, chain_update, initial_homomorphism,
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
 RECON_BLOCK = 512
 
+# Stopping rule of the sparse coding in ndl_learn and nr_reconstruct.
+CODE_TOL = 1e-8
+CODE_MAX_ITER = 500
+
 
 class CorruptionError(ValueError):
     """Requested corruption cannot be realized on this graph."""
@@ -106,7 +110,8 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
                             params.mcmc, itertools.repeat(params.batch))
     engine = init_engine(params.k ** 2, params.atoms, params.dict_radius, rng,
                          beta=params.beta, lam=params.lam, kappa1=params.kappa1,
-                         kappa2=params.kappa2, code_tol=1e-8, code_max_iter=500,
+                         kappa2=params.kappa2, code_tol=CODE_TOL,
+                         code_max_iter=CODE_MAX_ITER,
                          dict_tol=1e-8, dict_max_iter=100)
     trace = learn(engine, (X for _, X in blocks), params.iters)
     return NetworkDictionary(W=engine.W.copy(), stats=engine.stats,
@@ -161,17 +166,15 @@ class ReconstructionState:
 
 
 def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
-                   lam: float = 0.0, mcmc: str = "pivot",
-                   code_tol: float = 1e-8, code_max_iter: int = 500
-                   ) -> ReconstructionState:
+                   lam: float = 0.0, mcmc: str = "pivot") -> ReconstructionState:
     """Reconstruct a network by averaging dictionary approximations of patches.
 
     The chain advances ``RECON_BLOCK`` steps at a time, keeping each step's
     homomorphism x and mesoscale patch.  The block's patches are sparse-coded
-    against W in one call, and entry (a, b) of each step's k x k approximation
-    W h is folded into the mean at node pair (x[a], x[b]).  Coding draws no
-    random numbers, so the chain's trajectory does not depend on the block
-    size.  ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
+    against W in one call, stopped by ``CODE_TOL`` and ``CODE_MAX_ITER``, and
+    entry (a, b) of each step's k x k approximation W h is folded into the
+    mean at node pair (x[a], x[b]).  Coding draws no random numbers, so the
+    chain's trajectory does not depend on the block size.  ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
@@ -191,7 +194,7 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
     for xs, X in blocks:
-        H = sparse_code(X, W, lam=lam, tol=code_tol, max_iter=code_max_iter)
+        H = sparse_code(X, W, lam=lam, tol=CODE_TOL, max_iter=CODE_MAX_ITER)
         state.fold_many(xs[:, rows].ravel(), xs[:, cols].ravel(),
                         (W @ H).T.ravel())
     return state

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -437,6 +439,99 @@ def test_affine_projected_gradient_stops_where_reference_stops():
     assert _rel_diff(got, want) <= 1e-12
 
 
+def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
+    """The fused affine loop that tests the stopping rule after every step;
+    returns (H, iterations, converged)."""
+    step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
+    M = (-2.0 * step) * gram
+    M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
+    c = step * (2.0 * wx - lam)
+    H = np.zeros_like(wx)
+    H_next = np.empty_like(H)
+    for it in range(1, max_iter + 1):
+        np.matmul(M, H, out=H_next)
+        H_next += c
+        np.maximum(H_next, 0.0, out=H_next)
+        H -= H_next
+        delta = math.sqrt(np.vdot(H, H))
+        H, H_next = H_next, H
+        if delta < tol:
+            return H, it, True
+    return H, max_iter, False
+
+
+def _change_of_step(gram, wx, lam, k):
+    """Frobenius change of step k of the per-step loop, computed as it is."""
+    before = _per_step_pg_solve(gram, wx, lam, 0.0, 0.0, k - 1)[0] if k > 1 \
+        else np.zeros_like(wx)
+    before -= _per_step_pg_solve(gram, wx, lam, 0.0, 0.0, k)[0]
+    return math.sqrt(np.vdot(before, before))
+
+
+def _assert_same_solve(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+TEST_EVERY = factorization._TEST_EVERY
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 8), r=st.integers(1, 8), n=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([(1.0, 1.0), (0.01, 100.0)]),
+       lam=st.sampled_from([0.0, 0.1, 1.0]), kappa2=st.sampled_from([0.0, 0.2]),
+       tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6]),
+       max_iter=st.integers(1, 3 * TEST_EVERY + 1)
+       | st.sampled_from([200, 1000, 5000]))
+def test_windowed_stop_test_matches_testing_every_step(d, r, n, seed, scale,
+                                                       lam, kappa2, tol,
+                                                       max_iter):
+    rng = np.random.default_rng(seed)
+    W = scale[0] * rng.random((d, r))
+    X = scale[1] * rng.random((d, n))
+    gram, wx = W.T @ W, W.T @ X
+    _assert_same_solve(
+        factorization._pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter),
+        _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter))
+
+
+@pytest.mark.parametrize("residue", range(TEST_EVERY))
+def test_windowed_stop_test_stops_at_every_step_of_a_window(residue):
+    # tol just above the change of step `stop` stops the per-step loop there,
+    # at each position in a window, under caps on and off the window grid
+    rng = np.random.default_rng(33)
+    W = rng.random((6, 3))
+    X = rng.random((6, 4))
+    gram, wx = W.T @ W, W.T @ X
+    changes = [_change_of_step(gram, wx, 0.1, k)
+               for k in range(1, 5 * TEST_EVERY)]
+    assert all(b < a for a, b in zip(changes, changes[1:]))
+    stop = 2 * TEST_EVERY + residue + 1
+    tol = np.nextafter(changes[stop - 1], np.inf)
+    for max_iter in (stop, stop + 1, 3 * TEST_EVERY, 4 * TEST_EVERY + 3, 10000):
+        want = _per_step_pg_solve(gram, wx, 0.1, 0.0, tol, max_iter)
+        assert want[1:3] == (min(stop, max_iter), stop <= max_iter)
+        _assert_same_solve(
+            factorization._pg_solve(gram, wx.copy(), 0.1, 0.0, tol, max_iter),
+            want)
+
+
+def test_windowed_stop_test_allows_for_rounding_rises():
+    # Large codes: near tol = 1e-12 rounding makes the change rise inside a
+    # window, from below tol at step 271 back above it by the window's end.
+    rng = np.random.default_rng(46)
+    W = 0.01 * rng.random((3, 3))
+    X = 100.0 * rng.random((3, 3))
+    gram, wx = W.T @ W, W.T @ X
+    want = _per_step_pg_solve(gram, wx, 1.0, 0.0, 1e-12, 5000)
+    assert want[1:3] == (271, True)
+    window_end = -(-271 // TEST_EVERY) * TEST_EVERY
+    assert _change_of_step(gram, wx, 1.0, window_end) >= 1e-12
+    _assert_same_solve(
+        factorization._pg_solve(gram, wx.copy(), 1.0, 0.0, 1e-12, 5000), want)
+
+
 def _dict_case(rng, d, r, spec, kappa1=0.0, b_scale=1.0, zero_col=None):
     M = rng.random((r, r + 2))
     A = M @ M.T
@@ -674,6 +769,53 @@ def test_step_reports_solver_iterations():
     res = capped.step(X)
     assert (res.code_iters, res.code_converged) == (1, False)
     assert (res.dict_iters, res.dict_converged) == (1, False)
+
+
+@pytest.mark.parametrize("max_iter", [200, 7])
+def test_step_reports_the_change_of_the_last_coding_step(max_iter):
+    # The change of the last step is the KKT residual at the iterate before
+    # the returned code: the iterate that max_iter - 1 steps reach.
+    rng = np.random.default_rng(26)
+    spec = ConstraintSpec.nonnegative(10.0)
+    X = rng.random((6, 5))
+    eng = OnlineNMF(init_dictionary(6, 3, spec, rng), lam=0.3, kappa2=0.2,
+                    code_tol=1e-3, code_max_iter=max_iter)
+    W = eng.W.copy()
+    res = eng.step(X)
+    assert res.code_converged == (max_iter == 200)
+    before = sparse_code(X, W, lam=0.3, kappa2=0.2, tol=0.0,
+                         max_iter=res.code_iters - 1)
+    want = kkt_residual(X, W, before, 0.3, kappa2=0.2)
+    assert res.code_change == pytest.approx(want, rel=1e-12)
+    assert (res.code_change < 1e-3) == res.code_converged
+
+
+BAD_BUDGETS = [dict(max_iter=0), dict(max_iter=-1), dict(tol=-1e-9),
+               dict(tol=float("nan")), dict(tol=float("inf"))]
+BUDGET_IDS = ["max_iter=0", "max_iter=-1", "tol<0", "tol=nan", "tol=inf"]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=BUDGET_IDS)
+def test_sparse_code_rejects_a_bad_budget(budget):
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        sparse_code(np.ones((2, 2)), np.eye(2), **budget)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=BUDGET_IDS)
+def test_dictionary_update_rejects_a_bad_budget(budget):
+    prev = Dictionary(np.ones((2, 2)), ConstraintSpec.nonnegative(10.0))
+    stats = AggregateStats.zeros(2, 2)
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        dictionary_update(prev, stats, **budget)
+
+
+@pytest.mark.parametrize("solver", ["code", "dict"])
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=BUDGET_IDS)
+def test_engine_rejects_a_bad_budget(solver, budget):
+    dictionary = Dictionary(np.ones((2, 2)), ConstraintSpec.nonnegative(10.0))
+    options = {f"{solver}_{key}": value for key, value in budget.items()}
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        OnlineNMF(dictionary, **options)
 
 
 def _engine_pair(seed):

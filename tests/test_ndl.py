@@ -256,15 +256,16 @@ def test_reconstruction_determinism():
 
 
 @pytest.mark.parametrize("mcmc", MCMC_MODES)
-def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc):
+def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc, monkeypatch):
     net = smallworld_network(30, 4, 0.2, seed=5)
     W = np.random.default_rng(1).random((9, 4))
     iters = ndl.RECON_BLOCK + 7
     # tol=0 runs every solve to max_iter, alone or in a block, so both sides
     # take the same projected-gradient steps on every column.
+    monkeypatch.setattr(ndl, "CODE_TOL", 0.0)
+    monkeypatch.setattr(ndl, "CODE_MAX_ITER", 50)
     rng = np.random.default_rng(3)
-    state = nr_reconstruct(net, W, iters=iters, lam=0.5, mcmc=mcmc, rng=rng,
-                           code_tol=0.0, code_max_iter=50)
+    state = nr_reconstruct(net, W, iters=iters, lam=0.5, mcmc=mcmc, rng=rng)
 
     ref_rng = np.random.default_rng(3)
     x = initial_homomorphism(net, 3, ref_rng)
