@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Replay one workload's sparse-coding calls on two checkouts' solvers.
+"""Replay one workload's coding and refit calls on two checkouts' solvers.
 
     python3 scripts/replay_coding.py PARENT CHANGE --workload NAME --seed S
 
@@ -7,16 +7,20 @@ Builds the inputs of the benchmark workload NAME for seed S with CHANGE's
 `perfbench/workloads.py` (the first input set, as `perfbench/run.py` numbers
 them) and runs PARENT's `onmf` command line on them once, in a child process
 that calls this script again with `--record`.  The child wraps
-`sparse_code` wherever the package refers to it and records each call's
-(X, W, lam, kappa2, tol, max_iter).
+`sparse_code` and `dictionary_update` wherever the package refers to them
+and records each coding call's (X, W, lam, kappa2, tol, max_iter) and each
+refit call's (W, its constraint pieces and active piece, A, B, kappa1, tol,
+max_iter).
 
-Then it runs the projected-gradient solver `factorization._pg_solve` of both
-checkouts on every recorded call: once to compare, then five times per group
-of calls with the same shapes and arguments, alternating the sides, to time
-them.  Prints per group the calls, columns and iterations, the best of the
-five totals in ms for each side, and the time per iteration in us.  Exits 1
-unless every code is equal entry for entry and every iteration count and
-converged flag matches.
+Then it runs both checkouts' projected-gradient coding solver
+`factorization._pg_solve` and dictionary refit `factorization._refit` on
+every recorded call: once to compare, then five times per group of calls
+with the same shapes and arguments, alternating the sides, to time them.
+Prints per group the calls, columns (coding) or converged calls (refit)
+and iterations, the best of the five totals in ms for each side, and the
+time per iteration in us.  Exits 1 unless every code and every refit W is
+equal byte for byte and every iteration count, converged flag and chosen
+piece matches.
 
 Both sides run in this one process, pinned to one CPU and one BLAS thread,
 so run nothing else on the machine meanwhile.
@@ -32,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 PINNED = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -42,43 +48,72 @@ os.environ.update(PINNED)   # before numpy is imported, here and in the child
 import numpy as np  # noqa: E402
 
 REPEATS = 5
-ARGS = ("lam", "kappa2", "tol", "max_iter")
+SIDES = ("parent", "change")
+CODE_ARGS = ("lam", "kappa2", "tol", "max_iter")
+
+
+def code_call(values) -> dict:
+    return {"X": np.array(values["X"], dtype=float),
+            "W": np.array(values["W"], dtype=float),
+            "args": np.array([float(values[name]) for name in CODE_ARGS])}
+
+
+def refit_call(values) -> dict:
+    prev, stats = values["W_prev"], values["stats"]
+    return {"W": np.array(prev.W, dtype=float),
+            "pieces": np.array([(p.radius, p.lower)
+                                for p in prev.constraint.pieces]),
+            "A": np.array(stats.A, dtype=float),
+            "B": np.array(stats.B, dtype=float),
+            "args": np.array([stats.kappa1, values["tol"], values["max_iter"],
+                              prev.active_piece], dtype=float)}
+
+
+RECORDED = {"sparse_code": code_call, "dictionary_update": refit_call}
+FIELDS = {"sparse_code": ("X", "W", "args"),
+          "dictionary_update": ("W", "pieces", "A", "B", "args")}
 
 
 def record(calls_path: str, argv: list[str]) -> int:
-    """Run `onmf` with every `sparse_code` call recorded to `calls_path`."""
+    """Run `onmf` with every coding and refit call recorded to `calls_path`."""
     import onmf.cli
     modules = [m for name, m in sys.modules.items()
                if name.startswith("onmf.") and m is not None]
-    original = sys.modules["onmf.factorization"].sparse_code
-    signature = inspect.signature(original)
-    calls = []
+    factorization = sys.modules["onmf.factorization"]
+    calls = {name: [] for name in RECORDED}
 
-    def recorded(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        values = bound.arguments
-        calls.append((np.array(values["X"], dtype=float),
-                      np.array(values["W"], dtype=float),
-                      [float(values[name]) for name in ARGS]))
-        return original(*args, **kwargs)
+    def wrap(name):
+        original = getattr(factorization, name)
+        signature = inspect.signature(original)
 
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                setattr(module, attr, recorded)
+        def recorded(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[name].append(RECORDED[name](bound.arguments))
+            return original(*args, **kwargs)
+        return original, recorded
+
+    for original, recorded in map(wrap, RECORDED):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, attr, recorded)
     rc = onmf.cli.main(argv)
     arrays = {}
-    for i, (X, W, args) in enumerate(calls):
-        arrays[f"X{i}"], arrays[f"W{i}"], arrays[f"a{i}"] = X, W, np.array(args)
-    np.savez(calls_path, count=len(calls), **arrays)
+    for name, found in calls.items():
+        arrays[f"{name}_count"] = len(found)
+        for i, call in enumerate(found):
+            for key, value in call.items():
+                arrays[f"{name}{i}_{key}"] = value
+    np.savez(calls_path, **arrays)
     return rc
 
 
-def load_calls(path: Path) -> list[tuple]:
+def load_calls(path: Path) -> dict[str, list[dict]]:
     with np.load(path) as data:
-        return [(data[f"X{i}"], data[f"W{i}"], *data[f"a{i}"])
-                for i in range(int(data["count"]))]
+        return {name: [{key: data[f"{name}{i}_{key}"] for key in fields}
+                       for i in range(int(data[f"{name}_count"]))]
+                for name, fields in FIELDS.items()}
 
 
 def load_factorization(root: Path, name: str):
@@ -91,9 +126,120 @@ def load_factorization(root: Path, name: str):
     return module
 
 
+def code_problem(module, call):
+    X, W = call["X"], call["W"]
+    return (W.T @ W, W.T @ X, *call["args"])
+
+
 def solve(module, problem):
     gram, wx, lam, kappa2, tol, max_iter = problem
     return module._pg_solve(gram, wx, lam, kappa2, tol, int(max_iter))
+
+
+def refit_problem(module, call):
+    """`_refit`'s arguments built from the checkout's own classes."""
+    kappa1, tol, max_iter, active = call["args"]
+    spec = module.ConstraintSpec(tuple(
+        module.ConstraintPiece(radius=float(radius), lower=float(lower))
+        for radius, lower in call["pieces"]))
+    prev = module.Dictionary(call["W"].copy(), spec, int(active))
+    stats = module.AggregateStats(A=call["A"], B=call["B"],
+                                  kappa1=float(kappa1))
+    return prev, stats, float(tol), int(max_iter)
+
+
+def refit(module, problem):
+    return module._refit(*problem)
+
+
+def same_code(a, b) -> bool:
+    return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+
+def same_refit(a, b) -> bool:
+    return (a[0].W.tobytes() == b[0].W.tobytes()
+            and a[0].active_piece == b[0].active_piece and a[1:] == b[1:])
+
+
+def code_label(call) -> str:
+    d, r = call["W"].shape
+    lam, kappa2, tol, max_iter = call["args"]
+    return f"{d} x {r}, {lam:g}, {kappa2:g}, {tol:g}, {int(max_iter)}"
+
+
+def refit_label(call) -> str:
+    d, r = call["W"].shape
+    kappa1, tol, max_iter, _ = call["args"]
+    pieces = " ".join(f"({radius:g}, {lower:g})"
+                      for radius, lower in call["pieces"])
+    return f"{d} x {r}, {pieces}, {kappa1:g}, {tol:g}, {int(max_iter)}"
+
+
+@dataclass(frozen=True)
+class Solver:
+    build: Callable      # (module, call) -> the solver's arguments
+    run: Callable        # (module, arguments) -> (output, iterations, flag)
+    same: Callable       # (one side's result, the other's) -> bool
+    label: Callable      # call -> the label of its group of alike calls
+    header: str          # what the label shows
+    counted: str         # what a group counts besides calls and iterations
+    count: Callable      # (call, result) -> its share of that count
+
+
+SOLVERS = {
+    "sparse_code": Solver(code_problem, solve, same_code, code_label,
+                          "d x r, lam, kappa2, tol, max_iter", "columns",
+                          lambda call, out: call["X"].shape[1]),
+    "dictionary_update": Solver(
+        refit_problem, refit, same_refit, refit_label,
+        "d x r, (radius, lower), kappa1, tol, max_iter", "conv",
+        lambda call, out: int(out[2])),
+}
+
+
+def best_of(modules, problems, run) -> dict[str, float]:
+    """Best of REPEATS totals per side over `problems`, alternating sides."""
+    best = dict.fromkeys(SIDES, np.inf)
+    for rep in range(REPEATS):
+        for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
+            t0 = time.perf_counter()
+            for problem in problems[side]:
+                run(modules[side], problem)
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best
+
+
+def replay(name, calls, modules) -> int:
+    """Compare and time both sides on `calls`; the number that differ."""
+    solver = SOLVERS[name]
+    groups, mismatched = {}, 0
+    for call in calls:
+        problems = {side: solver.build(modules[side], call) for side in SIDES}
+        out = {side: solver.run(modules[side], problems[side])
+               for side in SIDES}
+        mismatched += not solver.same(out["parent"], out["change"])
+        group = groups.setdefault(solver.label(call), {
+            "problems": {side: [] for side in SIDES}, "count": 0, "iters": 0})
+        for side in SIDES:
+            group["problems"][side].append(problems[side])
+        group["count"] += solver.count(call, out["parent"])
+        group["iters"] += out["parent"][1]
+
+    print(f"\n{name}: {len(calls)} calls")
+    print(f"{solver.header:48} {'calls':>5} {solver.counted:>7} {'iters':>6} "
+          f"{'parent ms':>9} {'change ms':>9} {'ratio':>6} "
+          f"{'parent us/it':>12} {'change us/it':>12}")
+    for label, group in groups.items():
+        best = best_of(modules, group["problems"], solver.run)
+        iters = max(group["iters"], 1)
+        print(f"{label:48} "
+              f"{len(group['problems']['parent']):>5} {group['count']:>7} "
+              f"{group['iters']:>6} {best['parent'] * 1e3:>9.2f} "
+              f"{best['change'] * 1e3:>9.2f} "
+              f"{best['change'] / best['parent']:>6.3f} "
+              f"{best['parent'] * 1e6 / iters:>12.2f} "
+              f"{best['change'] * 1e6 / iters:>12.2f}")
+    return mismatched
 
 
 def main(argv=None) -> int:
@@ -125,50 +271,20 @@ def main(argv=None) -> int:
             return 1
         calls = load_calls(calls_path)
 
-    sides = {"parent": load_factorization(parent, "parent_factorization"),
-             "change": load_factorization(change, "change_factorization")}
-    groups, mismatched = {}, 0
-    for X, W, *rest in calls:
-        problem = (W.T @ W, W.T @ X, *rest)
-        H0, it0, conv0 = solve(sides["parent"], problem)
-        H1, it1, conv1 = solve(sides["change"], problem)
-        if not (np.array_equal(H0, H1) and (it0, conv0) == (it1, conv1)):
-            mismatched += 1
-        key = (W.shape[0], W.shape[1], *rest)
-        group = groups.setdefault(key, {"problems": [], "columns": 0,
-                                        "iters": 0})
-        group["problems"].append(problem)
-        group["columns"] += X.shape[1]
-        group["iters"] += it0
-
-    print(f"{args.workload} seed {args.seed}: {len(calls)} sparse_code calls "
-          f"recorded from {parent}")
-    print(f"{'d x r, lam, kappa2, tol, max_iter':42} {'calls':>5} "
-          f"{'columns':>7} {'iters':>6} {'parent ms':>9} {'change ms':>9} "
-          f"{'ratio':>6} {'parent us/it':>12} {'change us/it':>12}")
-    for key, group in groups.items():
-        best = {"parent": np.inf, "change": np.inf}
-        for rep in range(REPEATS):
-            for side in (["parent", "change"] if rep % 2 == 0
-                         else ["change", "parent"]):
-                t0 = time.perf_counter()
-                for problem in group["problems"]:
-                    solve(sides[side], problem)
-                best[side] = min(best[side], time.perf_counter() - t0)
-        d, r, lam, kappa2, tol, max_iter = key
-        label = f"{d} x {r}, {lam:g}, {kappa2:g}, {tol:g}, {int(max_iter)}"
-        print(f"{label:42} {len(group['problems']):>5} {group['columns']:>7} "
-              f"{group['iters']:>6} {best['parent'] * 1e3:>9.2f} "
-              f"{best['change'] * 1e3:>9.2f} "
-              f"{best['change'] / best['parent']:>6.3f} "
-              f"{best['parent'] * 1e6 / group['iters']:>12.2f} "
-              f"{best['change'] * 1e6 / group['iters']:>12.2f}")
-    if mismatched:
-        print(f"{mismatched} of {len(calls)} calls differ in code, iteration "
-              "count or converged flag")
+    modules = {side: load_factorization(root, f"{side}_factorization")
+               for side, root in zip(SIDES, (parent, change))}
+    print(f"{args.workload} seed {args.seed}: calls recorded from {parent}")
+    failed = False
+    for name, found in calls.items():
+        mismatched = replay(name, found, modules)
+        if mismatched:
+            print(f"{mismatched} of {len(found)} {name} calls differ in "
+                  "output, iteration count or converged flag")
+            failed = True
+    if failed:
         return 1
-    print(f"all {len(calls)} codes, iteration counts and converged flags "
-          "are identical")
+    print("\nall codes and refits, iteration counts and converged flags are "
+          "identical")
     return 0
 
 

@@ -229,6 +229,11 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
     H = np.zeros_like(c)
     H_next = np.empty_like(c)
     start = np.empty_like(c)
+    # Clamp against an array, not the scalar 0.0: on numpy 2.4.6 a scalar
+    # operand takes np.maximum's slow loop, 3.5-3.8 us at 16 x 500 against
+    # 0.88-0.93 us with this floor (one AMD EPYC core; the step's matmul
+    # takes 2.75 us).  The results are the same bytes.
+    floor = np.zeros_like(c)
     done = 0
     while True:
         window = min(_TEST_EVERY, max_iter - done)
@@ -236,7 +241,7 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
         for _ in range(window):
             np.matmul(M, H, out=H_next)
             H_next += c
-            np.maximum(H_next, 0.0, out=H_next)
+            np.maximum(H_next, floor, out=H_next)
             H, H_next = H_next, H
         H_next -= H                      # minus the last change
         change = math.sqrt(np.vdot(H_next, H_next))
@@ -246,7 +251,7 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
             for it in range(done + 1, done + window + 1):
                 np.matmul(M, H, out=spare)
                 spare += c
-                np.maximum(spare, 0.0, out=spare)
+                np.maximum(spare, floor, out=spare)
                 H -= spare               # H now holds minus the change
                 change = math.sqrt(np.vdot(H, H))
                 H, spare = spare, H
@@ -262,7 +267,8 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
 
 def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
                 tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
-    """Nonnegative code H minimizing ||X - WH||_F^2 + lam*||H||_1 + (kappa2/2)*||H||_F^2.
+    """Nonnegative code H minimizing
+    ||X - WH||_F^2 + lam*||H||_1 + (kappa2/2)*||H||_F^2.
 
     Projected gradient descent from H = 0 with step
     s = 1/(2 tr(W^T W) + kappa2), run as the affine map H <- max(M H + c, 0)
@@ -412,11 +418,13 @@ def _accelerated_descent(Wt, piece, Mt, Bt, tol, max_iter):
     Y = Wt.copy()
     W_next = np.empty_like(Wt)
     change = np.empty_like(Wt)
+    floor = np.full_like(Wt, lower)      # an array clamps 3-4x faster than a
+                                         # scalar; see _pg_solve
     t = 1.0
     for it in range(1, max_iter + 1):
         np.matmul(Mt, Y, out=W_next)
         W_next += Bt
-        np.maximum(W_next, lower, out=W_next)
+        np.maximum(W_next, floor, out=W_next)
         if np.vdot(W_next, W_next) > radius_sq:
             W_next = _clamp_and_rescale(W_next, lower, radius)
         np.subtract(W_next, Wt, out=change)

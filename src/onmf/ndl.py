@@ -174,7 +174,9 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     against W in one call, stopped by ``CODE_TOL`` and ``CODE_MAX_ITER``, and
     entry (a, b) of each step's k x k approximation W h is folded into the
     mean at node pair (x[a], x[b]).  Coding draws no random numbers, so the
-    chain's trajectory does not depend on the block size.  ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
+    chain's trajectory does not depend on the block size.
+
+    ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")

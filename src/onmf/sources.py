@@ -187,8 +187,9 @@ def ising_gibbs_run(config: IsingConfig, steps: int, rng) -> IsingConfig:
     updates.  A piece of at least ``_LEVEL_MIN_UPDATES`` updates on a
     lattice of n >= 3 runs by dependency levels (``_update_levels``): each
     level is one array gather, compare and scatter.  Shorter pieces, and the
-    2 x 2 lattice, run the per-site loop.  Every update reads the spins it would read in draw
-    order, so both paths leave the same spins and the same generator state.
+    2 x 2 lattice, run the per-site loop.  Every update reads the spins it
+    would read in draw order, so both paths leave the same spins and the
+    same generator state.
     """
     n = config.n
     nbrs, _ = _neighbor_table(n)

@@ -469,7 +469,9 @@ def _change_of_step(gram, wx, lam, k):
 
 
 def _assert_same_solve(got, want):
-    assert np.array_equal(got[0], want[0])
+    # bytes, not array_equal, which takes -0.0 for 0.0
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
 
 
@@ -582,6 +584,68 @@ def test_fused_dictionary_update_stops_where_reference_stops():
     assert converged
     assert iters == ref_iters < 5000
     assert _rel_diff(new.W, want) <= 1e-12
+
+
+def _scalar_floor_descent(Wt, piece, Mt, Bt, tol, max_iter):
+    """The fused FISTA loop of ``_accelerated_descent`` clamping against the
+    scalar ``piece.lower``; returns (Wt, iterations, converged, steps on which
+    the ball bound)."""
+    lower, radius = piece.lower, piece.radius
+    Y = Wt.copy()
+    W_next = np.empty_like(Wt)
+    change = np.empty_like(Wt)
+    t, bound = 1.0, 0
+    for it in range(1, max_iter + 1):
+        np.matmul(Mt, Y, out=W_next)
+        W_next += Bt
+        np.maximum(W_next, lower, out=W_next)
+        if np.vdot(W_next, W_next) > radius * radius:
+            W_next = factorization._clamp_and_rescale(W_next, lower, radius)
+            bound += 1
+        np.subtract(W_next, Wt, out=change)
+        Y -= W_next
+        restart = np.vdot(Y, change) > 0.0
+        Wt, W_next = W_next, Wt
+        if math.sqrt(np.vdot(change, change)) < tol:
+            return Wt, it, True, bound
+        if restart:
+            t = 1.0
+            Y[...] = Wt
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            np.multiply(change, (t - 1.0) / t_next, out=Y)
+            Y += Wt
+            t = t_next
+    return Wt, max_iter, False, bound
+
+
+REFIT_PIECES = {
+    "cone": (ConstraintPiece(radius=10.0), False),
+    "cone-ball-binds": (ConstraintPiece(radius=0.6), True),
+    "lower": (ConstraintPiece(radius=10.0, lower=0.05), False),
+    "lower-ball-binds": (ConstraintPiece(radius=0.8, lower=0.05), True),
+}
+
+
+@pytest.mark.parametrize("tol, max_iter, converged",
+                         [(0.0, 40, False), (1e-10, 5000, True)])
+@pytest.mark.parametrize("name", sorted(REFIT_PIECES))
+def test_refit_clamp_matches_the_scalar_floor_loop(name, tol, max_iter,
+                                                   converged):
+    piece, binds = REFIT_PIECES[name]
+    prev, stats = _dict_case(np.random.default_rng(36), 6, 4,
+                             ConstraintSpec(pieces=(piece,)), b_scale=4.0)
+    L = factorization._lipschitz_bound(stats.A)
+    Mt, Bt = np.eye(4) - stats.A / L, stats.B / L
+    start = piece.project(prev.W).T.copy()
+    want, want_iters, want_conv, bound = _scalar_floor_descent(
+        start.copy(), piece, Mt, Bt, tol, max_iter)
+    assert want_conv == converged and (bound > 0) == binds
+    got, iters, conv = factorization._accelerated_descent(
+        start.copy(), piece, Mt, Bt, tol, max_iter)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert (iters, conv) == (want_iters, want_conv)
 
 
 def _ball_case(kind):
