@@ -16,11 +16,14 @@ Then it runs both checkouts' projected-gradient coding solver
 `factorization._pg_solve` and dictionary refit `factorization._refit` on
 every recorded call: once to compare, then five times per group of calls
 with the same shapes and arguments, alternating the sides, to time them.
-Prints per group the calls, columns (coding) or converged calls (refit)
-and iterations, the best of the five totals in ms for each side, and the
-time per iteration in us.  Exits 1 unless every code and every refit W is
-equal byte for byte and every iteration count, converged flag and chosen
-piece matches.
+Prints per group the calls, then for each side the columns (coding) or
+converged calls (refit) and the iterations (the exact refit's rounds), the
+best of the five totals in ms, and the time per iteration in us.  For each
+refit group whose W differ, it also prints in how many of those calls
+CHANGE's surrogate `tr(W (A + kappa1 I) W^T) - 2 tr(W B)` lies above
+PARENT's, and the largest relative difference each way.  Exits 1 unless
+every code and every refit W is equal byte for byte and every iteration
+count, converged flag and chosen piece matches.
 
 Both sides run in this one process, pinned to one CPU and one BLAS thread,
 so run nothing else on the machine meanwhile.
@@ -156,6 +159,13 @@ def same_code(a, b) -> bool:
     return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
 
 
+def refit_surrogate(call, out) -> float:
+    kappa1 = call["args"][0]
+    W, A, B = out[0].W, call["A"], call["B"]
+    return float(np.sum((W @ A) * W) + kappa1 * np.sum(W * W)
+                 - 2.0 * np.sum(W * B.T))
+
+
 def same_refit(a, b) -> bool:
     return (a[0].W.tobytes() == b[0].W.tobytes()
             and a[0].active_piece == b[0].active_piece and a[1:] == b[1:])
@@ -184,6 +194,8 @@ class Solver:
     header: str          # what the label shows
     counted: str         # what a group counts besides calls and iterations
     count: Callable      # (call, result) -> its share of that count
+    objective: Callable | None = None    # (call, result) -> the value to
+                                         # compare where the outputs differ
 
 
 SOLVERS = {
@@ -193,7 +205,7 @@ SOLVERS = {
     "dictionary_update": Solver(
         refit_problem, refit, same_refit, refit_label,
         "d x r, (radius, lower), kappa1, tol, max_iter", "conv",
-        lambda call, out: int(out[2])),
+        lambda call, out: int(out[2]), refit_surrogate),
 }
 
 
@@ -217,28 +229,42 @@ def replay(name, calls, modules) -> int:
         problems = {side: solver.build(modules[side], call) for side in SIDES}
         out = {side: solver.run(modules[side], problems[side])
                for side in SIDES}
-        mismatched += not solver.same(out["parent"], out["change"])
         group = groups.setdefault(solver.label(call), {
-            "problems": {side: [] for side in SIDES}, "count": 0, "iters": 0})
+            "problems": {side: [] for side in SIDES},
+            "count": dict.fromkeys(SIDES, 0), "iters": dict.fromkeys(SIDES, 0),
+            "excess": []})
+        if not solver.same(out["parent"], out["change"]):
+            mismatched += 1
+            if solver.objective:
+                parent, change = (solver.objective(call, out[side])
+                                  for side in SIDES)
+                group["excess"].append((change - parent)
+                                       / max(abs(parent), 1e-300))
         for side in SIDES:
             group["problems"][side].append(problems[side])
-        group["count"] += solver.count(call, out["parent"])
-        group["iters"] += out["parent"][1]
+            group["count"][side] += solver.count(call, out[side])
+            group["iters"][side] += out[side][1]
 
-    print(f"\n{name}: {len(calls)} calls")
-    print(f"{solver.header:48} {'calls':>5} {solver.counted:>7} {'iters':>6} "
+    print(f"\n{name}: {len(calls)} calls (parent/change where two counts)")
+    print(f"{solver.header:48} {'calls':>5} {solver.counted:>11} {'iters':>13} "
           f"{'parent ms':>9} {'change ms':>9} {'ratio':>6} "
           f"{'parent us/it':>12} {'change us/it':>12}")
     for label, group in groups.items():
         best = best_of(modules, group["problems"], solver.run)
-        iters = max(group["iters"], 1)
-        print(f"{label:48} "
-              f"{len(group['problems']['parent']):>5} {group['count']:>7} "
-              f"{group['iters']:>6} {best['parent'] * 1e3:>9.2f} "
-              f"{best['change'] * 1e3:>9.2f} "
+        count, iters = group["count"], group["iters"]
+        print(f"{label:48} {len(group['problems']['parent']):>5} "
+              f"{count['parent']:>5}/{count['change']:<5} "
+              f"{iters['parent']:>6}/{iters['change']:<6} "
+              f"{best['parent'] * 1e3:>9.2f} {best['change'] * 1e3:>9.2f} "
               f"{best['change'] / best['parent']:>6.3f} "
-              f"{best['parent'] * 1e6 / iters:>12.2f} "
-              f"{best['change'] * 1e6 / iters:>12.2f}")
+              f"{best['parent'] * 1e6 / max(iters['parent'], 1):>12.2f} "
+              f"{best['change'] * 1e6 / max(iters['change'], 1):>12.2f}")
+        excess = np.array(group["excess"])
+        if excess.size:
+            print(f"    W differ in {excess.size} calls: change's surrogate "
+                  f"above parent's in {int(np.sum(excess > 0))}; largest "
+                  f"relative difference {max(excess.max(), 0.0):.2e} above, "
+                  f"{max(-excess.min(), 0.0):.2e} below")
     return mismatched
 
 

@@ -4,13 +4,15 @@ Maintains a dictionary ``W`` (d x r) together with running sufficient
 statistics ``(A, B, r_scalar)`` of previously computed codes.  Each arriving
 minibatch ``X`` is sparse-coded against the current dictionary, the statistics
 are folded in with a decaying weight ``w_t = t**-beta``, and the dictionary is
-refit by accelerated projected gradient (FISTA with gradient restart) on the
-quadratic surrogate objective ``tr(W A W^T) - 2 tr(W B)`` over a union of
-compact convex pieces.  On multi-piece (non-convex) constraint sets each
-piece's refit is additionally pulled back into the trust ellipsoid
-``tr((B^T - W A)(W_prev - W)^T) <= 0`` spanned between the previous iterate
-and the unconstrained minimum, which guarantees second-order growth of the
-quadratic objective per update.
+refit on the quadratic surrogate objective ``tr(W A W^T) - 2 tr(W B)`` over a
+union of compact convex pieces.  In one nonnegative piece whose ball does
+not bind, the refit is one nonnegative least-squares problem per row of W,
+solved exactly by block principal pivoting; otherwise it runs accelerated
+projected gradient (FISTA with gradient restart).  On multi-piece
+(non-convex) constraint sets each piece's refit is additionally pulled back
+into the trust ellipsoid ``tr((B^T - W A)(W_prev - W)^T) <= 0`` spanned
+between the previous iterate and the unconstrained minimum, which guarantees
+second-order growth of the quadratic objective per update.
 """
 
 from __future__ import annotations
@@ -464,16 +466,107 @@ def _ellipsoid_step(start, D, W_prev, stats) -> float:
     return min(max(s, 0.0), 1.0)
 
 
+def _ridged(stats: AggregateStats) -> np.ndarray:
+    """A + kappa1 I, the quadratic form of the surrogate."""
+    A, kappa1 = stats.A, stats.kappa1
+    return A + kappa1 * np.eye(A.shape[0]) if kappa1 > 0 else A
+
+
+def _nnls_refit(start, Q, B, max_iter):
+    """Minimise ``tr(W Q W^T) - 2 tr(W B)`` over ``W >= 0`` exactly, by block
+    principal pivoting on the rows of W (Kim & Park 2011), from the support
+    of ``start``.
+
+    Row i solves ``min w Q w^T - 2 w b`` over ``w >= 0``, ``b = B[:, i]``.
+    Each round solves the rows still infeasible in one stacked call, with Q
+    on the row's passive set F and the identity elsewhere, and flips the
+    infeasible indices: ``w < 0`` on F, and off F a gradient ``Q w - b``
+    below minus its rounding bound ``(u + 1) eps (|Q| |w| + |b|)``.  It
+    flips all of them while their number falls, three more times, then
+    only the largest (Júdice & Pires 1994).  An atom whose rows of Q and B
+    are zero has zero gradient, so its column keeps the start's.
+
+    Returns (W, rounds), or None when ``max_iter`` rounds leave a row
+    infeasible or Q on the other u atoms is numerically singular: its
+    condition number ``||Q||_F ||Q^-1||_F`` reaches ``1 / (u eps)``, the
+    threshold of ``numpy.linalg.matrix_rank``.  That number bounds the
+    2-norm condition of every F x F block of Q, so the one test covers every
+    round.  (``inv`` runs the LAPACK routine the solves run; ``eigvalsh``
+    would page in 0.65 MiB more of the library.)
+    """
+    W = start.copy()
+    used = np.flatnonzero(Q.any(axis=1) | B.any(axis=1))
+    if used.size == 0:
+        return W, 0
+    Qu = Q[np.ix_(used, used)]
+    try:
+        cond = np.linalg.norm(Qu) * np.linalg.norm(np.linalg.inv(Qu))
+    except np.linalg.LinAlgError:
+        return None
+    if not cond * used.size * np.finfo(float).eps < 1.0:
+        return None
+    P = B[used].T                        # row i: B[:, i] on the used atoms
+    Q_abs = np.abs(Qu)
+    gamma = (used.size + 1) * np.finfo(float).eps   # bounds the rounding of y
+    F = W[:, used] > 0.0                 # passive sets, from the start's support
+    eye = np.eye(used.size)
+    rows = np.arange(P.shape[0])         # rows not yet known to be feasible
+    fewest = np.full(rows.size, used.size + 1)
+    tries = np.full(rows.size, 3)
+    for rounds in range(1, max_iter + 1):
+        Fr, Pr = F[rows], P[rows]
+        # the stacked systems die with the call, so two rounds' never coexist
+        x = np.linalg.solve(np.where(Fr[:, :, None] & Fr[:, None, :], Qu, eye),
+                            np.where(Fr, Pr, 0.0)[:, :, None])[:, :, 0]
+        y = x @ Qu
+        y -= Pr
+        # A gradient above minus its rounding bound counts as nonnegative;
+        # else an index with x = y = 0 at the minimum flips for ever.
+        slack = np.abs(x) @ Q_abs
+        slack += np.abs(Pr)
+        bad = np.where(Fr, x < 0.0, y < -gamma * slack)
+        W[np.ix_(rows, used)] = x
+        n_bad = bad.sum(axis=1)
+        left = n_bad > 0
+        if not left.any():
+            return W, rounds
+        rows, bad, n_bad = rows[left], bad[left], n_bad[left]
+        fall = n_bad < fewest[rows]
+        whole = fall | (tries[rows] > 0)
+        fewest[rows] = np.where(fall, n_bad, fewest[rows])
+        tries[rows] = np.where(fall, 3, tries[rows] - whole)
+        last = used.size - 1 - np.argmax(bad[:, ::-1], axis=1)
+        bad[~whole] = False
+        bad[~whole, last[~whole]] = True
+        F[rows] ^= bad
+    return None
+
+
 def _refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
            max_iter: int) -> tuple[Dictionary, int, bool]:
-    """``dictionary_update`` plus the iterations and the converged flag of the
-    descent in the piece it returns (0 and False when no piece is feasible)."""
+    """``dictionary_update`` plus the rounds of the exact path, or the
+    iterations and the converged flag of the descent in the piece it returns
+    (0 and False when no piece is feasible)."""
     spec = W_prev.constraint
-    A, B, kappa1 = stats.A, stats.B, stats.kappa1
-    r = A.shape[0]
-    A_ridge = A + kappa1 * np.eye(r) if kappa1 > 0 else A
+    piece = spec.pieces[0]
+    if len(spec.pieces) == 1 and piece.lower == 0.0:
+        exact = _nnls_refit(piece.project(W_prev.W), _ridged(stats), stats.B,
+                            max_iter)
+        if exact is not None:
+            W, rounds = exact
+            if np.vdot(W, W) <= piece.radius * piece.radius:
+                return Dictionary(W, spec), rounds, True
+    return _descent_refit(W_prev, stats, tol, max_iter)
+
+
+def _descent_refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
+                   max_iter: int) -> tuple[Dictionary, int, bool]:
+    """``_refit`` by accelerated projected gradient in every piece."""
+    spec = W_prev.constraint
+    A, B = stats.A, stats.B
+    A_ridge = _ridged(stats)
     L = _lipschitz_bound(A_ridge) or 1.0
-    Mt = np.eye(r) - A_ridge / L
+    Mt = np.eye(A.shape[0]) - A_ridge / L
     Bt = B / L
     W0 = np.asarray(W_prev.W, dtype=float)
     enforce = len(spec.pieces) > 1
@@ -514,27 +607,35 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
                       tol: float = 1e-6, max_iter: int = 100) -> Dictionary:
     """Refit the dictionary against the current statistics.
 
-    Runs accelerated projected gradient (FISTA with gradient restart) on
-    ``tr(W (A + kappa1 I) W^T) - 2 tr(W B)`` independently inside every
-    constraint piece and returns the best per-piece solution (lowest piece
-    index wins on ties).  The step is 1/L, with L an upper bound on the
-    largest eigenvalue of A + kappa1 I, so each iteration is the affine map
-    W^T <- (I - (A + kappa1 I)/L) Y^T + B/L at the extrapolated point Y,
-    clamped at the piece's lower bound and rescaled into its ball only when
-    it leaves it; iterations stop when the Frobenius change between
-    successive iterates falls below ``tol`` or after ``max_iter`` of them.
-    On constraint sets with more than one piece, the only case where the
-    trust ellipsoid is not redundant, each piece's result is then moved back
-    along the segment from its feasible start to the farthest point inside
-    the ellipsoid.  A piece whose result lies above its start in the
-    objective keeps its start.  Inside ``OnlineNMF.step`` the iteration count
-    and whether the change test fired are reported in the ``StepResult``.
+    Minimises ``tr(W (A + kappa1 I) W^T) - 2 tr(W B)`` over the constraint
+    set.  When the set is one piece with lower bound 0, the exact minimiser
+    over ``W >= 0`` is found first, by block principal pivoting on the rows
+    of W (``_nnls_refit``), in at most ``max_iter`` rounds; if it lies in
+    the piece's ball it is returned, converged, and ``tol`` plays no part.
 
-    Columns whose rows of A (plus ridge) and B are zero have zero gradient,
-    so they move only if the ball binds.  If no piece yields a feasible
-    iterate the previous dictionary is returned unchanged and a warning is
-    logged.  ``tol`` must be finite and nonnegative and ``max_iter`` at
-    least 1.
+    Otherwise (the ball binds, A + kappa1 I is numerically singular on the
+    atoms in use, or the rounds run out), and for every other constraint
+    set, the refit runs accelerated projected gradient (FISTA with gradient
+    restart) independently inside every constraint piece and returns the
+    best per-piece solution (lowest piece index wins on ties).  The step is
+    1/L, with L an upper bound on the largest eigenvalue of A + kappa1 I, so
+    each iteration is the affine map W^T <- (I - (A + kappa1 I)/L) Y^T + B/L
+    at the extrapolated point Y, clamped at the piece's lower bound and
+    rescaled into its ball only when it leaves it; iterations stop when the
+    Frobenius change between successive iterates falls below ``tol`` or
+    after ``max_iter`` of them.  On constraint sets with more than one
+    piece, the only case where the trust ellipsoid is not redundant, each
+    piece's result is then moved back along the segment from its feasible
+    start to the farthest point inside the ellipsoid.  A piece whose result
+    lies above its start in the objective keeps its start.
+
+    Inside ``OnlineNMF.step`` the rounds or iterations and whether the refit
+    converged are reported in the ``StepResult``.  Columns whose rows of A
+    (plus ridge) and B are zero have zero gradient, so both solvers leave
+    them in place, and they move only if the ball binds.  If no piece
+    yields a feasible iterate the previous dictionary is returned unchanged
+    and a warning is logged.  ``tol`` must be finite and nonnegative and
+    ``max_iter`` at least 1.
     """
     _check_budget(tol, max_iter)
     new, iters, converged = _refit(W_prev, stats, tol, max_iter)
@@ -603,12 +704,15 @@ class StepResult:
     """Code, surrogate value after the update, the plug-in coding loss, and
     what the two solvers did.
 
-    ``code_iters`` counts projected-gradient iterations of the coding and
-    ``dict_iters`` accelerated projected-gradient iterations of the
-    dictionary update (in the piece it kept).  Each converged flag is true
-    only when that solver's change test stopped it, false when it ran to its
-    cap.  ``code_change`` is the Frobenius change of the coding's last step,
-    the statistic its stopping rule compares with ``code_tol``.
+    ``code_iters`` counts projected-gradient iterations of the coding.
+    ``dict_iters`` counts the dictionary update's block-pivoting rounds when
+    its exact path solved the refit (0 when no atom is in use), and
+    ``dict_converged`` is then true.  Otherwise ``dict_iters`` counts
+    accelerated projected-gradient iterations in the piece it kept.  A
+    converged flag of a gradient solver is true only when its change test
+    stopped it, false when it ran to its cap.  ``code_change`` is the
+    Frobenius change of the coding's last step, the statistic its stopping
+    rule compares with ``code_tol``.
     """
 
     code: np.ndarray

@@ -43,6 +43,8 @@ import numpy as np
 _ORACLE_GUARD = 10 ** 7
 # Rejection tries drawn and tested per batch.
 _REJECTION_CHUNK = 1024
+# Rejection tries `initial_homomorphism` makes before it walks.
+_INITIAL_TRIES = 20000
 # Vertex maps the brute-force oracle weighs per batch.
 _ORACLE_BLOCK = 65536
 
@@ -509,8 +511,9 @@ def chain_walk_sample(net: Network, k: int, rng):
     raise SamplingError("no homomorphism found by chain walking")
 
 
-def initial_homomorphism(net: Network, k: int, rng, max_tries: int = 20000):
-    """Rejection sampling with a chain-walk fallback for k >= 2.
+def initial_homomorphism(net: Network, k: int, rng):
+    """Rejection sampling (`_INITIAL_TRIES` tries) with a chain-walk fallback
+    for k >= 2.
 
     Rejection acceptance decays like hom(k-chain, G)/n^k, hopeless for long
     chains on large sparse networks; the fallback trades the proposal law
@@ -518,7 +521,7 @@ def initial_homomorphism(net: Network, k: int, rng, max_tries: int = 20000):
     """
     _check_chain_length(k)
     try:
-        return rejection_sample_hom(net, k, rng, max_tries=max_tries)
+        return rejection_sample_hom(net, k, rng, max_tries=_INITIAL_TRIES)
     except SamplingError:
         if k >= 2:
             return chain_walk_sample(net, k, rng)

@@ -560,17 +560,23 @@ DICT_CASES = {
 }
 
 
+# The cases whose single piece has lower bound 0 and a ball that does not
+# bind; dictionary_update solves them exactly, the others by the descent.
+EXACT_CASES = ("ridge", "zero-diagonal")
+
+
 @pytest.mark.parametrize("name", sorted(DICT_CASES))
 def test_fused_dictionary_update_matches_reference(name):
     prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **DICT_CASES[name])
     want, want_piece, ref_iters = _reference_dictionary_update(
         prev, stats, 0.0, 40)
-    new, iters, converged = factorization._refit(prev, stats, 0.0, 40)
+    new, iters, converged = factorization._descent_refit(prev, stats, 0.0, 40)
     assert new.active_piece == want_piece
     assert _rel_diff(new.W, want) <= 1e-12
     assert (iters, converged) == (ref_iters, False) == (40, False)
-    assert np.array_equal(dictionary_update(prev, stats, tol=0.0,
-                                            max_iter=40).W, new.W)
+    if name not in EXACT_CASES:
+        assert dictionary_update(prev, stats, tol=0.0,
+                                 max_iter=40).W.tobytes() == new.W.tobytes()
     piece = prev.constraint.pieces[new.active_piece]
     assert np.linalg.norm(new.W) <= piece.radius * (1.0 + 1e-9)
     assert new.W.min() >= piece.lower
@@ -580,10 +586,40 @@ def test_fused_dictionary_update_stops_where_reference_stops():
     prev, stats = _dict_case(np.random.default_rng(34), 6, 4,
                              ConstraintSpec.nonnegative(10.0), kappa1=0.1)
     want, _, ref_iters = _reference_dictionary_update(prev, stats, 1e-10, 5000)
-    new, iters, converged = factorization._refit(prev, stats, 1e-10, 5000)
+    new, iters, converged = factorization._descent_refit(prev, stats, 1e-10,
+                                                         5000)
     assert converged
     assert iters == ref_iters < 5000
     assert _rel_diff(new.W, want) <= 1e-12
+
+
+def _nnls_reference(start, stats):
+    """Row i of W minimises w Q w^T - 2 w b_i over w >= 0, Q = A + kappa1 I:
+    ``||C w - z||^2`` with ``Q = C^T C`` and ``C^T z = b_i``, solved by
+    scipy on the atoms whose rows of Q or B are nonzero; the other atoms
+    keep the start's column."""
+    Q = stats.A + stats.kappa1 * np.eye(stats.A.shape[0])
+    used = np.flatnonzero(Q.any(axis=1) | stats.B.any(axis=1))
+    C = np.linalg.cholesky(Q[np.ix_(used, used)]).T
+    W = start.copy()
+    for i in range(W.shape[0]):
+        W[i, used] = scipy.optimize.nnls(
+            C, np.linalg.solve(C.T, stats.B[used, i]))[0]
+    return W
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_exact_cases_match_nnls(name):
+    prev, stats = _dict_case(np.random.default_rng(33), 6, 4, **DICT_CASES[name])
+    new, rounds, converged = factorization._refit(prev, stats, 0.0, 40)
+    assert converged and 1 <= rounds <= 5
+    assert np.abs(new.W - _nnls_reference(prev.W, stats)).max() <= 1e-12
+    assert dictionary_update(prev, stats, tol=0.0,
+                             max_iter=40).W.tobytes() == new.W.tobytes()
+    if name == "zero-diagonal":
+        # the unused atom keeps its column, byte for byte
+        assert new.W[:, 2].tobytes() == prev.W[:, 2].tobytes()
+        assert prev.W[:, 2].min() > 0.0
 
 
 def _scalar_floor_descent(Wt, piece, Mt, Bt, tol, max_iter):
@@ -674,23 +710,29 @@ def _ball_case(kind):
 @pytest.mark.parametrize("kind", ["shift", "swapped", "binds"])
 def test_ball_cases_match_reference(kind):
     prev, stats = _ball_case(kind)
-    new, iters, _ = factorization._refit(prev, stats, 0.0, 30)
+    fista, fista_iters, _ = factorization._descent_refit(prev, stats, 0.0, 30)
     want, want_piece, ref_iters = _reference_dictionary_update(prev, stats,
                                                                0.0, 30)
-    assert (new.active_piece, iters) == (want_piece, ref_iters)
-    assert _rel_diff(new.W, want) <= 1e-12
+    assert (fista.active_piece, fista_iters) == (want_piece, ref_iters)
+    assert _rel_diff(fista.W, want) <= 1e-12
+    new, iters, converged = factorization._refit(prev, stats, 0.0, 30)
     radius = prev.constraint.pieces[0].radius
     assert np.linalg.norm(new.W) <= radius * (1.0 + 1e-12)
     if kind == "binds":
+        # the exact minimiser leaves the ball, so the descent refits
+        assert new.W.tobytes() == fista.W.tobytes()
+        assert (iters, converged) == (ref_iters, False)
         assert np.linalg.norm(new.W) == pytest.approx(radius, rel=1e-12)
     else:
-        assert np.allclose(new.W, stats.B.T, atol=1e-12)
+        # A = I: one round solves the identity on B's support
+        assert np.array_equal(new.W, stats.B.T)
+        assert (iters, converged) == (2, True)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dictionary_update_matches_nnls_row_by_row(seed):
-    # with no binding ball, row i of W minimises w A w^T - 2 w b_i over
-    # w >= 0, that is ||C w - z||^2 with A = C^T C and C^T z = b_i
+    # with no binding ball, the refit is one nonnegative least-squares
+    # problem per row of W, with or without the ridge
     rng = np.random.default_rng(50 + seed)
     r, d = 6, 9
     M = rng.random((r, r + 2))
@@ -698,13 +740,122 @@ def test_dictionary_update_matches_nnls_row_by_row(seed):
     B = rng.standard_normal((r, d))
     spec = ConstraintSpec.nonnegative(1e6)
     prev = Dictionary(spec.pieces[0].project(rng.random((d, r))), spec)
-    stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1)
-    new, _, converged = factorization._refit(prev, stats, 1e-13, 100000)
-    assert converged
-    C = np.linalg.cholesky(A).T
-    for i in range(d):
-        want, _ = scipy.optimize.nnls(C, np.linalg.solve(C.T, B[:, i]))
-        assert np.abs(new.W[i] - want).max() <= 1e-10
+    for kappa1 in (0.0, 0.3):
+        stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1, kappa1=kappa1)
+        new, rounds, converged = factorization._refit(prev, stats, 1e-13,
+                                                      100000)
+        assert converged and 1 <= rounds <= 6
+        assert np.abs(new.W - _nnls_reference(prev.W, stats)).max() <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 10), r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kappa1=st.sampled_from([0.0, 0.05]), unused=st.integers(0, 2),
+       support=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_exact_refit_matches_nnls_from_any_support(d, r, seed, kappa1, unused,
+                                                   support):
+    # any warm start reaches the minimiser; unused atoms keep their column
+    rng = np.random.default_rng(seed)
+    M = rng.random((r, r + 2))
+    A = M @ M.T
+    B = rng.standard_normal((r, d))
+    unused = min(unused, r) if kappa1 == 0.0 else 0
+    A[:unused] = A[:, :unused] = B[:unused] = 0.0
+    W0 = rng.random((d, r)) * (rng.random((d, r)) < support)
+    stats = AggregateStats(A=A, B=B, r_scalar=0.0, t=1, kappa1=kappa1)
+    Q = stats.A + kappa1 * np.eye(r)
+    got = factorization._nnls_refit(W0, Q, B, 1000)
+    assert got is not None
+    W, rounds = got
+    assert 0 <= rounds <= 20 and (rounds == 0) == (unused == r)
+    assert W[:, :unused].tobytes() == W0[:, :unused].tobytes()
+    if unused < r:
+        want = _nnls_reference(W0, stats)
+        assert np.abs(W - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+def test_exact_refit_stops_on_a_degenerate_row():
+    # At the minimum (0, 0, 2, 1) index 0 has both w = 0 and gradient 0.
+    # Comparing the computed gradient with 0 exactly, the rounds alternate
+    # between {2, 3} (gradient -8.9e-16 at index 0) and {0, 2, 3} (w_0 < 0).
+    Q = np.array([[10.0, -7.0, 3.0, -6.0], [-7.0, 13.0, -1.0, 4.0],
+                  [3.0, -1.0, 3.0, -5.0], [-6.0, 4.0, -5.0, 13.0]])
+    b = np.array([[0.0], [-3.0], [1.0], [3.0]])
+    got = factorization._nnls_refit(np.array([[0.0, 1.0, 0.0, 1.0]]), Q, b, 100)
+    assert got is not None
+    W, rounds = got
+    assert rounds <= 3
+    assert np.abs(W - [[0.0, 0.0, 2.0, 1.0]]).max() <= 1e-14
+    assert W.min() >= 0.0
+
+
+def _full_exchange_cycles(Q, b, F):
+    """Whether flipping every infeasible index each round revisits a set."""
+    seen = set()
+    while F.tobytes() not in seen:
+        seen.add(F.tobytes())
+        x = np.zeros_like(b)
+        x[F] = np.linalg.solve(Q[np.ix_(F, F)], b[F])
+        bad = np.where(F, x < 0.0, Q @ x - b < 0.0)
+        if not bad.any():
+            return False
+        F = F ^ bad
+    return True
+
+
+@pytest.mark.parametrize("seed", [2283, 2499, 3513, 6589, 10163])
+def test_exact_refit_leaves_a_cycle_of_full_exchanges(seed):
+    # from these starts, flipping whole infeasible sets cycles; the backup
+    # rule's single flips reach the minimum
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, 4))
+    Q, b, F = M @ M.T, rng.standard_normal(4), rng.random(4) < 0.5
+    assert _full_exchange_cycles(Q, b, F.copy())
+    got = factorization._nnls_refit(F[None, :] * 1.0, Q, b[:, None], 100)
+    assert got is not None and got[1] <= 20
+    stats = AggregateStats(A=Q, B=b[:, None], r_scalar=0.0, t=1)
+    assert np.abs(got[0] - _nnls_reference(F[None, :] * 1.0, stats)).max() \
+        <= 1e-9
+
+
+# A rank-one A, as a stream of one repeated pattern gives (LAPACK finds it
+# singular), and an A whose condition number, about 4e15, passes 1 / (3 eps).
+SINGULAR_GRAMS = {
+    "rank-one": np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]),
+    "numerically-singular": np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0],
+                                      [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_GRAMS))
+def test_rank_deficient_refit_falls_back_to_the_descent(name):
+    prev = Dictionary(np.full((4, 3), 0.2), ConstraintSpec.nonnegative(10.0))
+    A = SINGULAR_GRAMS[name]
+    stats = AggregateStats(A=A, B=A @ np.array([[1.0, 0.0, 2.0, 3.0],
+                                                [0.5, 1.0, 0.0, 1.0],
+                                                [1.0, 1.0, 1.0, 0.0]]),
+                           r_scalar=0.0, t=2)
+    Q = factorization._ridged(stats)
+    assert factorization._nnls_refit(prev.W, Q, stats.B, 100) is None
+    for tol, max_iter in [(0.0, 40), (1e-10, 5000)]:
+        new, iters, converged = factorization._refit(prev, stats, tol, max_iter)
+        want, want_iters, want_conv = factorization._descent_refit(
+            prev, stats, tol, max_iter)
+        assert new.W.tobytes() == want.W.tobytes()
+        assert (iters, converged) == (want_iters, want_conv)
+
+
+def test_refit_that_needs_more_rounds_than_its_cap_falls_back():
+    prev, stats = _dict_case(np.random.default_rng(33), 6, 4,
+                             **DICT_CASES["ridge"])
+    _, rounds, _ = factorization._refit(prev, stats, 0.0, 40)
+    assert rounds >= 2
+    Q = factorization._ridged(stats)
+    assert factorization._nnls_refit(prev.W, Q, stats.B, rounds - 1) is None
+    new, iters, converged = factorization._refit(prev, stats, 0.0, rounds - 1)
+    want, _, _ = factorization._descent_refit(prev, stats, 0.0, rounds - 1)
+    assert new.W.tobytes() == want.W.tobytes()
+    assert (iters, converged) == (rounds - 1, False)
 
 
 def test_ellipsoid_step_is_the_largest_feasible_point():
@@ -827,6 +978,8 @@ def test_step_reports_solver_iterations():
     res = eng.step(X)
     assert res.code_converged and 1 <= res.code_iters < 100000
     assert res.dict_converged and 1 <= res.dict_iters < 100000
+    # one round does not solve this refit exactly, so at a cap of one the
+    # refit falls back to the descent and runs its one step
     capped = OnlineNMF(init_dictionary(4, 2, spec, rng), lam=0.5,
                        code_tol=0.0, code_max_iter=1,
                        dict_tol=0.0, dict_max_iter=1)

@@ -13,6 +13,7 @@ from onmf import (EdgeListError, Network, OracleSizeError,
                   glauber_conditional, hom_distribution_bruteforce,
                   hom_weights, initial_homomorphism, mesoscale_patch,
                   rejection_sample_hom, tv_distance)
+from onmf import networks
 from onmf.networks import _acceptance
 
 
@@ -66,6 +67,7 @@ def edge_list_texts(draw, bad_lines: int):
     `bad_lines` malformed lines of any of the three kinds at drawn places."""
     pad = st.sampled_from(["", " ", "\t", "\xa0 "])
     label = st.sampled_from(NODE_NAMES)
+    first_label = st.sampled_from([name for name in NODE_NAMES if name != "#x"])
 
     def tokens_line(tokens):
         seps = draw(st.lists(st.sampled_from(SEPARATORS),
@@ -86,8 +88,10 @@ def edge_list_texts(draw, bad_lines: int):
         return tokens_line(ends)
 
     def bad_line():
+        # a bad line cannot lead with '#x': that would make it a comment
         width = draw(st.sampled_from([1, 4, 3, 3]))
-        tokens = [draw(label) for _ in range(min(width, 2))]
+        tokens = [draw(first_label)]
+        tokens += [draw(label) for _ in range(min(width, 2) - 1)]
         if width == 4:
             tokens += [draw(label), draw(label)]
         elif width == 3:
@@ -206,11 +210,20 @@ def test_chain_walk_sample_produces_valid_homs():
         assert hom_weights(net, k, [x])[0] > 0
 
 
-def test_initial_homomorphism_falls_back_to_walk():
-    # 60-node cycle with a 6-chain: rejection at a tight budget is hopeless
+def test_initial_homomorphism_falls_back_to_walk(monkeypatch):
+    # 60-node cycle with a 6-chain: a try is accepted with probability
+    # 60 * 2**5 / 60**6, about 4e-8, so rejection gives up and the walk runs
     net = cycle_network(60)
     k = 6
-    x = initial_homomorphism(net, k, np.random.default_rng(4), max_tries=5)
+    walks = []
+
+    def walk(*args):
+        walks.append(args)
+        return chain_walk_sample(*args)
+
+    monkeypatch.setattr(networks, "chain_walk_sample", walk)
+    x = initial_homomorphism(net, k, np.random.default_rng(4))
+    assert len(walks) == 1
     assert hom_weights(net, k, [x])[0] > 0
 
 
