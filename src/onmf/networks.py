@@ -21,20 +21,23 @@ form: `Adjacency` holds the out-edges and, transposed, the in-edges.  Weight
 lookups go through the sorted edge keys ``a * n + b``, so ``A(a, b)`` over
 whole arrays of pairs is one binary search and one gather.
 
-A chain step touches a handful of rows, so it runs on Python scalars: per-node
-tables are cached on the network as lists (O(n), never per edge), and a
-neighbor is drawn from a CSR running-sum table by ``bisect`` over the row's
-span.  Products, quotients and running sums of Python floats round exactly as
-numpy's elementwise operations and sequential ``cumsum`` do, so the chains
-draw the same states from the same random stream.  The one exception is the
-total of a Glauber conditional: numpy adds an array pairwise, which a Python
-sum does not reproduce, so that total stays a numpy sum.
+A chain step touches a handful of rows, so it runs on Python scalars, and a
+chain visits a few hundred nodes, not the whole graph.  Glauber caches the
+rows of the nodes it visits as lists, at most O(E) entries.  Pivot keeps
+only per-node tables as lists (O(n)): on large graphs most of its visits are
+first visits to a row, so it draws a neighbor from a CSR running-sum table
+by ``bisect`` over the row's span.  Products, quotients and running sums of
+Python floats round exactly as numpy's elementwise operations and sequential
+``cumsum`` do, so the chains draw the same states from the same random
+stream.  The one exception is the total of a Glauber conditional: numpy adds
+an array pairwise, which a Python sum does not reproduce, so that total
+stays a numpy sum.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -192,13 +195,16 @@ class Adjacency:
     Row v spans ``indptr[v]:indptr[v + 1]``: its neighbors in ascending order
     in `indices`, their weights in `weights` and the running sum of those
     weights within the row in `cum` (the inverse-CDF table for sampling a
-    neighbor).  The arrays are read-only.
+    neighbor).  The arrays are read-only; `row_lists` fills a cache of the
+    rows it is asked for.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
     cum: np.ndarray
+    _lists: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def from_sorted(cls, n: int, rows, cols, weights) -> "Adjacency":
@@ -215,15 +221,31 @@ class Adjacency:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.indices[s:e], self.weights[s:e]
 
+    def row_lists(self, v: int) -> tuple[list[int], list[float], dict]:
+        """Row v as Python objects, read once and then cached: its neighbors,
+        their weights, and a dict from each neighbor to its weight.  The
+        cached objects are shared and must not be modified."""
+        try:
+            return self._lists[v]
+        except KeyError:
+            s, e = self.indptr[v], self.indptr[v + 1]
+            nodes, wts = self.indices[s:e].tolist(), self.weights[s:e].tolist()
+            row = self._lists[v] = (nodes, wts, dict(zip(nodes, wts)))
+            return row
+
 
 class Network:
     """Node set plus sparse nonnegative weight matrix A.
 
     The positive entries live in two CSR tables, `out_edges` (row a holds the
-    b with A(a, b) > 0) and `in_edges` (its transpose), plus the sorted keys
-    ``a * n + b`` of the out-edges with a sentinel ``n * n`` appended, so that
-    `weights_at` finds A(a, b) by ``searchsorted``.  Built once and
-    read-only afterwards, so many chains may read one network concurrently.
+    b with A(a, b) > 0) and `in_edges` (its transpose, the same object when A
+    is symmetric), plus the sorted keys ``a * n + b`` of the out-edges with a
+    sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
+    ``searchsorted``.  The tables are built once and read-only afterwards.
+    The chains' caches (Glauber's rows in `Adjacency.row_lists`, Pivot's
+    per-k tables and ladder row) fill lazily from them on first use; many
+    chains may still read one network concurrently, since a concurrent fill
+    only repeats work and stores an equal value.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -262,13 +284,20 @@ class Network:
         self.out_edges = Adjacency.from_sorted(n, rows, cols,
                                                self._key_weights[:-1])
         t = np.argsort(cols * n + rows)
-        self.in_edges = Adjacency.from_sorted(n, cols[t], rows[t],
-                                              self._key_weights[t])
+        in_rows, in_cols, in_weights = cols[t], rows[t], self._key_weights[t]
+        if (np.array_equal(in_rows, rows) and np.array_equal(in_cols, cols)
+                and np.array_equal(in_weights, self.out_edges.weights)):
+            # a symmetric map is its own transpose: one table, one row cache
+            self.in_edges = self.out_edges
+        else:
+            self.in_edges = Adjacency.from_sorted(n, in_rows, in_cols,
+                                                  in_weights)
         # row sums added in row order, as the last entry of each row's cum
         self.out_sums = np.bincount(rows, self.out_edges.weights, minlength=n)
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
+        self._pivot_cache: dict[int, tuple] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -373,10 +402,6 @@ class Network:
         return self.out_edges.indptr.tolist()
 
     @cached_property
-    def _in_ptr(self) -> list[int]:
-        return self.in_edges.indptr.tolist()
-
-    @cached_property
     def _sums(self) -> tuple[list[float], list[float]]:
         """`out_sums` and `in_sums` as lists."""
         return self.out_sums.tolist(), self.in_sums.tolist()
@@ -417,6 +442,15 @@ class Network:
             self._tail_cache[k] = tables
         return self._tail_cache[k]
 
+    def _pivot_tables(self, k: int) -> tuple[tuple, list[float]]:
+        """The exact Pivot step's tables for the k-chain: the rows of
+        `tail_cdfs` in the order the tail uses them (the last row first), and
+        the path-mass row ``power_row_sums(k)[k - 1]`` as a list."""
+        if k not in self._pivot_cache:
+            self._pivot_cache[k] = (tuple(self.tail_cdfs(k)[::-1]),
+                                    self.power_row_sums(k)[k - 1].tolist())
+        return self._pivot_cache[k]
+
 
 # ---------------------------------------------------------------------------
 # Chain homomorphisms
@@ -455,14 +489,6 @@ def _row_weight(adj: Adjacency, ptr: list[int], a: int, b: int) -> float:
     s, e = ptr[a], ptr[a + 1]
     pos = bisect_left(adj.indices, b, s, e)
     return float(adj.weights[pos]) if pos < e and adj.indices[pos] == b else 0.0
-
-
-def _row_weights(adj: Adjacency, ptr: list[int], a: int, nodes: list) -> list:
-    """`_row_weight` of each of `nodes` in row a of `adj`, read from the row
-    as one dict."""
-    s, e = ptr[a], ptr[a + 1]
-    row = dict(zip(adj.indices[s:e].tolist(), adj.weights[s:e].tolist()))
-    return [row.get(b, 0.0) for b in nodes]
 
 
 def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
@@ -536,23 +562,23 @@ def glauber_conditional(net: Network, k: int, x, v: int):
     whose neighbor lies beyond the chain's ends; for k = 1 the law is uniform
     over all nodes.  The candidates are the smaller of the two rows, the
     out-row of x(v-1) on a tie, and that row's weights are its own factor.
+    The rows come from `Adjacency.row_lists`, so the candidate list is the
+    network's cached row: read it, do not modify it.
     """
     if k == 1:
         return list(range(net.n)), [1.0 / net.n] * net.n
-    rows = []
-    if v > 0:         # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
-        rows.append((net.out_edges, net._out_ptr, x[v - 1]))
-    if v < k - 1:     # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
-        rows.append((net.in_edges, net._in_ptr, x[v + 1]))
-    # the smaller row first, the out-row of x(v-1) on a tie (a stable sort)
-    rows.sort(key=lambda row: row[1][row[2] + 1] - row[1][row[2]])
-    (adj, ptr, node), *others = rows
-    s, e = ptr[node], ptr[node + 1]
-    cand = adj.indices[s:e].tolist()
-    weights = adj.weights[s:e].tolist()
-    for adj, ptr, node in others:
-        other = _row_weights(adj, ptr, node, cand)
-        weights = [w * f for w, f in zip(weights, other)]
+    if v == 0:        # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
+        cand, weights, _ = net.in_edges.row_lists(x[1])
+    elif v == k - 1:  # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
+        cand, weights, _ = net.out_edges.row_lists(x[v - 1])
+    else:             # the smaller row's weights times the other's
+        row = net.out_edges.row_lists(x[v - 1])
+        other = net.in_edges.row_lists(x[v + 1])
+        if len(other[0]) < len(row[0]):   # the out-row of x(v-1) on a tie
+            row, other = other, row
+        cand, weights, _ = row
+        factor = other[2]
+        weights = [w * factor.get(b, 0.0) for w, b in zip(weights, cand)]
     total = float(np.add.reduce(weights))   # pairwise, as ndarray.sum adds
     if total <= 0.0:
         raise AssertionError("empty Glauber conditional for a valid homomorphism")
@@ -574,7 +600,7 @@ def _acceptance(net: Network, k: int, v: int, ell: int, w_v_ell: float,
     out_sums, in_sums = net._sums
     if not exact:
         return min(1.0, in_sums[v] / out_sums[v])
-    rp = net.power_row_sums(k)[k - 1]
+    rp = net._pivot_tables(k)[1]
     num = rp[ell] * _row_weight(net.out_edges, net._out_ptr, ell, v) * out_sums[v]
     den = rp[v] * w_v_ell * out_sums[ell]
     if den <= 0.0:
@@ -601,7 +627,7 @@ def _pivot_update(net: Network, k: int, x, rng, exact: bool):
         return x
     # tail position i extends by an edge weighted by the (k-1-i)-edge path
     # mass beyond it (exact) or by the edge weight alone (approximate)
-    tables = net.tail_cdfs(k)[::-1] if exact else (out.cum,) * (k - 1)
+    tables = net._pivot_tables(k)[0] if exact else (out.cum,) * (k - 1)
     new = [ell]
     for cum in tables:
         s, e = ptr[new[-1]], ptr[new[-1] + 1]
@@ -656,9 +682,19 @@ def mesoscale_patch(net: Network, x) -> np.ndarray:
     """k x k matrix of target weights between the images of the chain nodes.
 
     `x` may also be an (m, k) stack of vertex maps, one per row; the m
-    patches then come back as an (m, k, k) array from one lookup.
+    patches then come back as an (m, k, k) array.  When the stack holds u
+    distinct nodes with u^2 < m k^2 (a chain revisits its nodes), the u x u
+    block among them is looked up once and the patches are gathered from it;
+    otherwise every entry is looked up.  Both give the same values.
     """
     idx = np.asarray(x, dtype=np.int64)
+    nodes = np.sort(idx, axis=None)
+    new = nodes[1:] != nodes[:-1]     # where the next distinct node starts
+    if (np.count_nonzero(new) + 1) ** 2 < idx.size * idx.shape[-1]:
+        nodes = nodes[np.append(True, new)]
+        block = net.weights_at(nodes[:, None], nodes[None, :])
+        at = nodes.searchsorted(idx)
+        return block[at[..., :, None], at[..., None, :]]
     return net.weights_at(idx[..., :, None], idx[..., None, :])
 
 

@@ -673,6 +673,8 @@ def test_csr_core_matches_the_dict_reference(case):
         assert np.array_equal(net.in_edges.cum[s:e], ref.inn[v][2])
     assert np.array_equal(net.out_sums, ref.out_sums)
     assert np.array_equal(net.in_sums, ref.in_sums)
+    symmetric = all(ref.weight(b, a) == w for (a, b), w in ref.weights.items())
+    assert (net.in_edges is net.out_edges) == symmetric
     assert net.is_simple == ref.is_simple
     assert net.is_bidirectional == ref.is_bidirectional
     if ref.is_bidirectional:
@@ -891,6 +893,94 @@ def test_chain_trajectories_match_the_reference(mode):
                 probs = glauber_conditional(net, k, x, v)[1]
                 assert np.array_equal(probs, ref_glauber_conditional(ref, k, x, v)[1])
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _run_against_reference(net, ref, k, mode, seed, steps=400):
+    """Steps one chain of `mode` on `net` and the reference on `ref` from the
+    same start and seed; each state and the final generator states must
+    agree.  Returns the number of moves."""
+    ladder = ref_ladder(ref, k)
+    x = y = rejection_sample_hom(net, k, np.random.default_rng(seed))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    moves = 0
+    for _ in range(steps):
+        moved = chain_update(net, k, x, rng_new, mode)
+        moves += moved != x
+        x = moved
+        if mode == "glauber":
+            y = ref_glauber_update(ref, k, y, rng_ref)
+        else:
+            y = ref_pivot_update(ref, ladder, k, y, rng_ref, mode)
+        assert x == y
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return moves
+
+
+def test_chains_on_warm_caches_match_the_reference():
+    # the caches a chain fills (Glauber's rows, Pivot's per-k tables) must
+    # serve a later chain on the same network as if it were the first
+    rng = np.random.default_rng(29)
+    size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
+    for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
+        if rng.random() < 0.8:
+            weights[(b, a)] = float(rng.random() * 3)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    assert _run_against_reference(net, ref, 4, "glauber", 40)
+    cached = len(net.out_edges._lists) + len(net.in_edges._lists)
+    assert cached
+    assert _run_against_reference(net, ref, 3, "glauber", 41)
+    for k, seed in ((3, 42), (5, 43), (3, 44)):
+        assert _run_against_reference(net, ref, k, "pivot", seed) > 40
+    assert sorted(net._pivot_cache) == [3, 5]
+
+
+def _patch_stacks(n, rng, net):
+    """(stack, path the rule u^2 < m k^2 picks) pairs, u the distinct nodes
+    of the stack: m x 1 stacks, both sides of the boundary and one chain
+    trajectory, which revisits its nodes."""
+    x = rejection_sample_hom(net, 4, rng)
+    walk = []
+    for _ in range(60):
+        x = chain_update(net, 4, x, rng, "pivot")
+        walk.append(x)
+    distinct = rng.permutation(n)
+    return [
+        (np.array([[3], [5], [3], [3], [5], [5], [3]]), "block"),   # 4 < 7
+        (distinct[:7, None], "entries"),                           # 49 >= 7
+        (distinct[:8].reshape(4, 2), "entries"),                  # 64 >= 16
+        (np.array([[1, 2], [2, 3], [3, 1], [1, 1]]), "block"),     # 9 < 16
+        (distinct[:4].reshape(1, 4), "entries"),                  # 16 == 16
+        (distinct[:15].reshape(3, 5), "entries"),                 # 225 >= 75
+        (np.array(walk), "block"),                                # u <= n
+        (np.empty((0, 3), dtype=np.int64), "entries"),
+    ]
+
+
+def test_stacked_patches_equal_the_per_entry_lookup(monkeypatch):
+    rng = np.random.default_rng(31)
+    size, weights = _random_weighted(rng, 12, 0.4, isolated=4)
+    assert any(a == b for a, b in weights)                   # self-loops
+    assert any((b, a) not in weights for a, b in weights)     # directed
+    net = dict_network(size, weights)
+    lookup = Network.weights_at
+    shapes = []
+
+    def spy(self, a, b):
+        shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return lookup(self, a, b)
+
+    for stack, path in _patch_stacks(size, rng, net):
+        m, k = stack.shape
+        want = lookup(net, stack[:, :, None], stack[:, None, :])
+        monkeypatch.setattr(Network, "weights_at", spy)
+        got = mesoscale_patch(net, stack)
+        monkeypatch.setattr(Network, "weights_at", lookup)
+        assert got.shape == want.shape == (m, k, k)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        u = len(np.unique(stack))
+        assert shapes == [(u, u) if path == "block" else (m, k, k)]
+        shapes.clear()
 
 
 @pytest.mark.parametrize("n", [3, 200, 5000, 2 ** 31 + 7, 2 ** 33])
