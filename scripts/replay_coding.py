@@ -12,14 +12,18 @@ and records each coding call's (X, W, lam, kappa2, tol, max_iter) and each
 refit call's (W, its constraint pieces and active piece, A, B, kappa1, tol,
 max_iter).
 
-Then it runs both checkouts' projected-gradient coding solver
-`factorization._pg_solve` and dictionary refit `factorization._refit` on
-every recorded call: once to compare, then five times per group of calls
-with the same shapes and arguments, alternating the sides, to time them.
-Prints per group the calls, then for each side the columns (coding) or
-converged calls (refit) and the iterations (the exact refit's rounds), the
-best of the five totals in ms, and the time per iteration in us.  For each
-refit group whose W differ, it also prints in how many of those calls
+Then it runs both checkouts' public coding function
+`factorization.sparse_code` (reading its iterations and converged flag from
+the counts it records for `OnlineNMF.step`) and dictionary refit
+`factorization._refit` on every recorded call: once to compare, then five
+times per group of calls with the same shapes and arguments, alternating
+the sides, to time them.  Prints per group the calls, then for each side
+the columns (coding) or converged calls (refit) and the iterations (the
+exact refit's rounds), the best of the five totals in ms, and the time per
+iteration in us.  For each coding group whose codes are not byte-equal, it
+also prints in how many calls they differ, in how many of those the
+iteration count or converged flag differs, and the largest code difference.
+For each refit group whose W differ, it prints in how many of those calls
 CHANGE's surrogate `tr(W (A + kappa1 I) W^T) - 2 tr(W B)` lies above
 PARENT's, and the largest relative difference each way.  Exits 1 unless
 every code and every refit W is equal byte for byte and every iteration
@@ -130,13 +134,21 @@ def load_factorization(root: Path, name: str):
 
 
 def code_problem(module, call):
-    X, W = call["X"], call["W"]
-    return (W.T @ W, W.T @ X, *call["args"])
+    return (call["X"], call["W"], *call["args"])
 
 
 def solve(module, problem):
-    gram, wx, lam, kappa2, tol, max_iter = problem
-    return module._pg_solve(gram, wx, lam, kappa2, tol, int(max_iter))
+    """`sparse_code` on the call, with the iterations and converged flag it
+    records for `OnlineNMF.step`."""
+    X, W, lam, kappa2, tol, max_iter = problem
+    counts = {}
+    token = module._SOLVER_COUNTS.set(counts)
+    try:
+        H = module.sparse_code(X, W, lam=lam, kappa2=kappa2, tol=tol,
+                               max_iter=int(max_iter))
+    finally:
+        module._SOLVER_COUNTS.reset(token)
+    return H, *counts["code"][:2]
 
 
 def refit_problem(module, call):
@@ -157,6 +169,10 @@ def refit(module, problem):
 
 def same_code(a, b) -> bool:
     return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+
+def code_difference(a, b) -> float:
+    return float(np.abs(a[0] - b[0]).max(initial=0.0))
 
 
 def refit_surrogate(call, out) -> float:
@@ -196,12 +212,15 @@ class Solver:
     count: Callable      # (call, result) -> its share of that count
     objective: Callable | None = None    # (call, result) -> the value to
                                          # compare where the outputs differ
+    difference: Callable | None = None   # (one side's result, the other's)
+                                         # -> the largest output difference
 
 
 SOLVERS = {
     "sparse_code": Solver(code_problem, solve, same_code, code_label,
                           "d x r, lam, kappa2, tol, max_iter", "columns",
-                          lambda call, out: call["X"].shape[1]),
+                          lambda call, out: call["X"].shape[1],
+                          difference=code_difference),
     "dictionary_update": Solver(
         refit_problem, refit, same_refit, refit_label,
         "d x r, (radius, lower), kappa1, tol, max_iter", "conv",
@@ -232,9 +251,13 @@ def replay(name, calls, modules) -> int:
         group = groups.setdefault(solver.label(call), {
             "problems": {side: [] for side in SIDES},
             "count": dict.fromkeys(SIDES, 0), "iters": dict.fromkeys(SIDES, 0),
-            "excess": []})
+            "excess": [], "differences": [], "counts_differ": 0})
         if not solver.same(out["parent"], out["change"]):
             mismatched += 1
+            if solver.difference:
+                group["differences"].append(
+                    solver.difference(out["parent"], out["change"]))
+                group["counts_differ"] += out["parent"][1:] != out["change"][1:]
             if solver.objective:
                 parent, change = (solver.objective(call, out[side])
                                   for side in SIDES)
@@ -259,6 +282,11 @@ def replay(name, calls, modules) -> int:
               f"{best['change'] / best['parent']:>6.3f} "
               f"{best['parent'] * 1e6 / max(iters['parent'], 1):>12.2f} "
               f"{best['change'] * 1e6 / max(iters['change'], 1):>12.2f}")
+        if group["differences"]:
+            print(f"    codes not byte-equal in {len(group['differences'])} "
+                  f"calls, {group['counts_differ']} of them in iteration "
+                  "count or converged flag; largest code difference "
+                  f"{max(group['differences']):.2e}")
         excess = np.array(group["excess"])
         if excess.size:
             print(f"    W differ in {excess.size} calls: change's surrogate "

@@ -242,10 +242,11 @@ class Network:
     is symmetric), plus the sorted keys ``a * n + b`` of the out-edges with a
     sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
     ``searchsorted``.  The tables are built once and read-only afterwards.
-    The chains' caches (Glauber's rows in `Adjacency.row_lists`, Pivot's
-    per-k tables and ladder row) fill lazily from them on first use; many
-    chains may still read one network concurrently, since a concurrent fill
-    only repeats work and stores an equal value.
+    The chains' caches (Glauber's rows in `Adjacency.row_lists` and its
+    uniform law for k = 1, Pivot's per-k tables and ladder row) fill lazily
+    from them on first use; many chains may still read one network
+    concurrently, since a concurrent fill only repeats work and stores an
+    equal value.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -298,6 +299,7 @@ class Network:
         self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
         self._pivot_cache: dict[int, tuple] = {}
+        self._uniform: tuple | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -442,6 +444,15 @@ class Network:
             self._tail_cache[k] = tables
         return self._tail_cache[k]
 
+    def _uniform_law(self) -> tuple[list[int], list[float], list[float]]:
+        """The 1-chain's Glauber law, uniform over the nodes, as lists: the
+        nodes, their probabilities and the running sums of those."""
+        if self._uniform is None:
+            probs = [1.0 / self.n] * self.n
+            self._uniform = (list(range(self.n)), probs,
+                             list(accumulate(probs)))
+        return self._uniform
+
     def _pivot_tables(self, k: int) -> tuple[tuple, list[float]]:
         """The exact Pivot step's tables for the k-chain: the rows of
         `tail_cdfs` in the order the tail uses them (the last row first), and
@@ -562,11 +573,12 @@ def glauber_conditional(net: Network, k: int, x, v: int):
     whose neighbor lies beyond the chain's ends; for k = 1 the law is uniform
     over all nodes.  The candidates are the smaller of the two rows, the
     out-row of x(v-1) on a tie, and that row's weights are its own factor.
-    The rows come from `Adjacency.row_lists`, so the candidate list is the
-    network's cached row: read it, do not modify it.
+    The rows come from `Adjacency.row_lists`, or for k = 1 from the
+    network's cached uniform law, so the candidate list is shared: read it,
+    do not modify it.
     """
     if k == 1:
-        return list(range(net.n)), [1.0 / net.n] * net.n
+        return net._uniform_law()[:2]
     if v == 0:        # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
         cand, weights, _ = net.in_edges.row_lists(x[1])
     elif v == k - 1:  # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
@@ -588,9 +600,13 @@ def glauber_conditional(net: Network, k: int, x, v: int):
 def _glauber_update(net: Network, k: int, x, rng):
     """Resample one uniformly chosen chain node from its exact conditional."""
     v = int(rng.integers(k))
-    cand, probs = glauber_conditional(net, k, x, v)
+    if k == 1:    # the running sums are cached with the uniform law
+        cand, _, cum = net._uniform_law()
+    else:
+        cand, probs = glauber_conditional(net, k, x, v)
+        cum = list(accumulate(probs))
     new = list(x)
-    new[v] = cand[_draw(rng, list(accumulate(probs)), 0, len(cand))]
+    new[v] = cand[_draw(rng, cum, 0, len(cand))]
     return tuple(new)
 
 

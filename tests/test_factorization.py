@@ -534,6 +534,135 @@ def test_windowed_stop_test_allows_for_rounding_rises():
         factorization._pg_solve(gram, wx.copy(), 1.0, 0.0, 1e-12, 5000), want)
 
 
+# ---------------------------------------------------------------------------
+# repeated columns: each distinct column is coded once
+# ---------------------------------------------------------------------------
+
+
+def _coded(X, W, **options):
+    """``sparse_code`` with what it records: (H, iterations, converged,
+    columns coded)."""
+    counts = {}
+    token = factorization._SOLVER_COUNTS.set(counts)
+    try:
+        H = sparse_code(X, W, **options)
+    finally:
+        factorization._SOLVER_COUNTS.reset(token)
+    iters, converged, _, columns = counts["code"]
+    return H, iters, converged, columns
+
+
+def _assert_codes_as_full_width(X, W, lam, kappa2, tol, max_iter):
+    """sparse_code on X against the per-step loop over every column of X."""
+    want, iters, converged = _per_step_pg_solve(W.T @ W, W.T @ X, lam, kappa2,
+                                                tol, max_iter)
+    got = _coded(X, W, lam=lam, kappa2=kappa2, tol=tol, max_iter=max_iter)
+    assert got[1:3] == (iters, converged)
+    assert np.abs(got[0] - want).max() <= 1e-12
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 8), r=st.integers(1, 6), distinct=st.integers(1, 5),
+       extra=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       values=st.sampled_from(["binary", "eighths", "random"]),
+       lam=st.sampled_from([0.0, 0.1, 1.0]), kappa2=st.sampled_from([0.0, 0.2]),
+       tol=st.sampled_from([0.0, 1e-8, 1e-6, 1e-4]),
+       max_iter=st.sampled_from([1, 7, 60, 5000]))
+def test_repeated_columns_code_as_the_full_batch(d, r, distinct, extra, seed,
+                                                 values, lam, kappa2, tol,
+                                                 max_iter):
+    rng = np.random.default_rng(seed)
+    W = rng.random((d, r))
+    base = rng.random((d, distinct))
+    if values == "binary":               # 0/1 columns, as network patches
+        base = (base < 0.5).astype(float)
+    elif values == "eighths":
+        base = np.floor(8.0 * base) / 8.0
+    X = base[:, rng.integers(distinct, size=distinct + extra)]
+    H, _, _, columns = _assert_codes_as_full_width(X, W, lam, kappa2, tol,
+                                                   max_iter)
+    if values != "random":   # exact fingerprints: every repeat is merged
+        assert columns == len({col.tobytes() for col in X.T})
+    perm = rng.permutation(X.shape[1])
+    H_perm = _assert_codes_as_full_width(X[:, perm], W, lam, kappa2, tol,
+                                         max_iter)[0]
+    assert np.abs(H_perm - H[:, perm]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol, max_iter, converged",
+                         [(1e-7, 100000, True), (1e-7, 40, False)])
+def test_repeated_columns_stop_where_the_full_batch_stops(tol, max_iter,
+                                                          converged):
+    rng = np.random.default_rng(47)
+    W = rng.random((9, 4))
+    X = np.floor(8.0 * rng.random((9, 5)))[:, [0, 1, 0, 2, 3, 1, 0, 4, 4, 0]]
+    H, iters, flag, columns = _assert_codes_as_full_width(X, W, 0.2, 0.0, tol,
+                                                          max_iter)
+    assert flag == converged and columns == 5
+    assert (iters < max_iter) == converged
+    assert H[:, 0].tobytes() == H[:, 2].tobytes() == H[:, 9].tobytes()
+
+
+def test_repeats_weigh_in_the_stop_rule():
+    # 40 copies of one column and one other: the full batch's change stays
+    # above tol for longer than the change of the two distinct columns alone,
+    # so the repeats' weight decides where the solve stops.
+    rng = np.random.default_rng(48)
+    W = rng.random((6, 3))
+    pair = rng.random((6, 2))
+    X = pair[:, [0] * 40 + [1]]
+    gram = W.T @ W
+    stop = 30
+    tol = np.nextafter(_change_of_step(gram, W.T @ X, 0.1, stop), np.inf)
+    assert _per_step_pg_solve(gram, W.T @ pair, 0.1, 0.0, tol, 10000)[1] < stop
+    H, iters, converged, columns = _assert_codes_as_full_width(
+        X, W, 0.1, 0.0, tol, 10000)
+    assert (iters, converged, columns) == (stop, True, 2)
+
+
+def test_signed_zeros_are_different_columns():
+    # Columns equal as values but not as bytes share a fingerprint but are
+    # coded apart; the copies of each are merged.
+    W = np.random.default_rng(49).random((4, 3))
+    col = np.array([1.0, 0.0, 0.5, 0.0])
+    neg = col.copy()
+    neg[1] = -0.0
+    X = np.stack([col, col, neg, neg, neg], axis=1)
+    H, _, _, columns = _assert_codes_as_full_width(X, W, 0.1, 0.0, 1e-9, 5000)
+    assert columns == 2
+    dictionary = Dictionary(W, ConstraintSpec.nonnegative(10.0))
+    assert OnlineNMF(dictionary, lam=0.1).step(X).code_columns == 2
+
+
+def test_a_shared_fingerprint_never_merges_different_columns(monkeypatch):
+    # With every fingerprint equal, only bytes decide: equal neighbours in
+    # the (stable) order merge, and nothing else does.
+    monkeypatch.setattr(factorization, "_fingerprint", lambda d: np.zeros(d))
+    rng = np.random.default_rng(50)
+    W = rng.random((5, 3))
+    base = rng.random((5, 3))
+    X = base[:, [0, 0, 1, 2, 2, 2, 0]]
+    H, _, _, columns = _assert_codes_as_full_width(X, W, 0.2, 0.0, 1e-8, 5000)
+    assert columns == 4                  # the last copy of 0 is not merged
+    assert np.abs(H[:, 0] - H[:, 6]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("repeats", [0, 1])
+def test_batches_with_few_repeats_take_one_full_width_solve(repeats):
+    # Below one repeat in _REPEATS_WORTH columns no column is merged.
+    rng = np.random.default_rng(51)
+    W = rng.random((6, 3))
+    n = 2 * factorization._REPEATS_WORTH
+    X = np.floor(8.0 * rng.random((6, n)))
+    X[:, :repeats] = X[:, n - repeats:]
+    H, iters, converged, columns = _coded(X, W, lam=0.2, tol=1e-8,
+                                          max_iter=5000)
+    assert columns == n
+    _assert_same_solve((H, iters, converged), _per_step_pg_solve(
+        W.T @ W, W.T @ X, 0.2, 0.0, 1e-8, 5000))
+
+
 def _dict_case(rng, d, r, spec, kappa1=0.0, b_scale=1.0, zero_col=None):
     M = rng.random((r, r + 2))
     A = M @ M.T

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
                      empirical_distribution, path_network, reference_edge_list,
-                     same_network, weighted_5node_network)
+                     same_network, smallworld_network, weighted_5node_network)
 from onmf import (EdgeListError, Network, OracleSizeError,
                   SamplingError, chain_update, chain_walk_sample,
                   glauber_conditional, hom_distribution_bruteforce,
@@ -248,6 +249,25 @@ def test_glauber_single_node_motif_resamples_uniformly():
     cand, probs = glauber_conditional(net, 1, (0,), 0)
     assert len(cand) == 3
     assert np.allclose(probs, 1.0 / 3.0)
+
+
+def test_glauber_one_chain_steps_match_the_uncached_draw():
+    # The 1-chain's law and running sums are cached per network; the draws
+    # equal those of building them anew at every step, as the step once did.
+    net = smallworld_network(200, 4, 0.1, seed=3)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    x = ref = (7,)
+    for _ in range(2000):
+        x = chain_update(net, 1, x, rng, "glauber")
+        assert int(ref_rng.integers(1)) == 0
+        cand, probs = list(range(net.n)), [1.0 / net.n] * net.n
+        cum = list(itertools.accumulate(probs))
+        u = ref_rng.random() * cum[-1]
+        ref = (cand[min(bisect.bisect_right(cum, u), len(cand) - 1)],)
+        assert x == ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    cand, probs = glauber_conditional(net, 1, x, 0)
+    assert cand == list(range(net.n)) and probs == [1.0 / net.n] * net.n
 
 
 def test_glauber_star_graph_conditional():
