@@ -804,8 +804,9 @@ class StepResult:
     stopped it, false when it ran to its cap.  ``code_change`` is the
     Frobenius change of the coding's last step, the statistic its stopping
     rule compares with ``code_tol``.  ``code_columns`` is the number of
-    distinct columns the coding solved: the batch's columns less its
-    repeats.
+    columns the coding solved: the batch's distinct columns when it repeats
+    enough of them to code each once (see ``sparse_code``), else all of its
+    columns.
     """
 
     code: np.ndarray
