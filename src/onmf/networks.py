@@ -23,7 +23,9 @@ whole arrays of pairs is one binary search and one gather.
 
 A chain step touches a handful of rows, so it runs on Python scalars, and a
 chain visits a few hundred nodes, not the whole graph.  Glauber caches the
-rows of the nodes it visits as lists, at most O(E) entries.  Pivot keeps
+rows of the nodes it visits as lists, at most O(E) entries, and the
+conditional laws it builds, keyed by the two neighbors that fix a law, also
+at most O(E) entries.  Pivot keeps
 only per-node tables as lists (O(n)): on large graphs most of its visits are
 first visits to a row, so it draws a neighbor from a CSR running-sum table
 by ``bisect`` over the row's span.  Products, quotients and running sums of
@@ -36,6 +38,7 @@ stays a numpy sum.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -221,16 +224,16 @@ class Adjacency:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.indices[s:e], self.weights[s:e]
 
-    def row_lists(self, v: int) -> tuple[list[int], list[float], dict]:
-        """Row v as Python objects, read once and then cached: its neighbors,
-        their weights, and a dict from each neighbor to its weight.  The
-        cached objects are shared and must not be modified."""
+    def row_lists(self, v: int) -> tuple[list[int], list[float]]:
+        """Row v as Python lists, read once and then cached: its neighbors,
+        ascending, and their weights.  The cached lists are shared and must
+        not be modified."""
         try:
             return self._lists[v]
         except KeyError:
             s, e = self.indptr[v], self.indptr[v + 1]
-            nodes, wts = self.indices[s:e].tolist(), self.weights[s:e].tolist()
-            row = self._lists[v] = (nodes, wts, dict(zip(nodes, wts)))
+            row = self._lists[v] = (self.indices[s:e].tolist(),
+                                    self.weights[s:e].tolist())
             return row
 
 
@@ -242,11 +245,13 @@ class Network:
     is symmetric), plus the sorted keys ``a * n + b`` of the out-edges with a
     sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
     ``searchsorted``.  The tables are built once and read-only afterwards.
-    The chains' caches (Glauber's rows in `Adjacency.row_lists` and its
-    uniform law for k = 1, Pivot's per-k tables and ladder row) fill lazily
-    from them on first use; many chains may still read one network
-    concurrently, since a concurrent fill only repeats work and stores an
-    equal value.
+    The chains' caches (Glauber's rows in `Adjacency.row_lists`, its
+    conditional laws and its uniform law for k = 1, Pivot's per-k tables and
+    ladder row) fill lazily from them on first use; many chains may still
+    read one network concurrently, since a concurrent fill only repeats work
+    and stores an equal value.  The law cache empties itself rather than
+    hold more candidates than A has positive entries; that only loses
+    work.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -300,6 +305,9 @@ class Network:
         self._tail_cache: dict[int, np.ndarray] = {}
         self._pivot_cache: dict[int, tuple] = {}
         self._uniform: tuple | None = None
+        self._laws: dict[int, tuple] = {}
+        self._law_entries = 0   # candidates held over all laws
+        self._law_lock = threading.Lock()
 
     # -- constructors -------------------------------------------------------
 
@@ -444,13 +452,13 @@ class Network:
             self._tail_cache[k] = tables
         return self._tail_cache[k]
 
-    def _uniform_law(self) -> tuple[list[int], list[float], list[float]]:
-        """The 1-chain's Glauber law, uniform over the nodes, as lists: the
-        nodes, their probabilities and the running sums of those."""
+    def _uniform_law(self) -> tuple:
+        """The 1-chain's Glauber law, uniform over the nodes, in the form
+        `_glauber_law` returns: the running sums of the probabilities
+        ``1 / n``, then the nodes."""
         if self._uniform is None:
-            probs = [1.0 / self.n] * self.n
-            self._uniform = (list(range(self.n)), probs,
-                             list(accumulate(probs)))
+            cum = tuple(accumulate([1.0 / self.n] * self.n))
+            self._uniform = cum + tuple(range(self.n))
         return self._uniform
 
     def _pivot_tables(self, k: int) -> tuple[tuple, list[float]]:
@@ -533,12 +541,13 @@ def chain_walk_sample(net: Network, k: int, rng):
     the draw is not from the chain weight distribution, which is irrelevant
     for initializing an ergodic chain.  Gives up after 10 000 walks.
     """
-    ptr, indices, cum = net._out_ptr, net.out_edges.indices, net.out_edges.cum
+    ptr, indices, cum = (net.out_edges.indptr, net.out_edges.indices,
+                         net.out_edges.cum)
     for _ in range(10000):
         x = [int(rng.integers(net.n))]
         ok = True
         for _ in range(k - 1):
-            s, e = ptr[x[-1]], ptr[x[-1] + 1]
+            s, e = int(ptr[x[-1]]), int(ptr[x[-1] + 1])
             if s == e:
                 ok = False
                 break
@@ -565,48 +574,103 @@ def initial_homomorphism(net: Network, k: int, rng):
         raise
 
 
+def _check_map(k: int, x) -> None:
+    _check_chain_length(k)
+    if len(x) != k:
+        raise ValueError(f"vertex map has {len(x)} entries, the {k}-chain "
+                         f"needs {k}")
+
+
 def glauber_conditional(net: Network, k: int, x, v: int):
     """Candidate nodes and probabilities, as Python lists, for resampling
-    chain node v.
+    chain node v of the k-chain map x.
 
     p(w) is proportional to A(x(v-1), w) A(w, x(v+1)), leaving out a factor
     whose neighbor lies beyond the chain's ends; for k = 1 the law is uniform
     over all nodes.  The candidates are the smaller of the two rows, the
-    out-row of x(v-1) on a tie, and that row's weights are its own factor.
-    The rows come from `Adjacency.row_lists`, or for k = 1 from the
-    network's cached uniform law, so the candidate list is shared: read it,
-    do not modify it.
+    out-row of x(v-1) on a tie, and that row's weights are its own factor;
+    a candidate missing from the other row has probability 0.  The law is
+    built anew on every call from the rows of `Adjacency.row_lists`, so the
+    candidate list may be a cached row: read it, do not modify it.  The
+    chain step does not call this function on every step: it draws from the
+    network's cache of these laws (`_glauber_law`).  A map whose length is
+    not k, or a v outside 0..k-1, raises `ValueError` before any row is read.
     """
+    _check_map(k, x)
+    if not 0 <= v < k:
+        raise ValueError(f"chain node v must lie in 0..{k - 1}, got {v}")
     if k == 1:
-        return net._uniform_law()[:2]
+        return list(range(net.n)), [1.0 / net.n] * net.n
     if v == 0:        # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
-        cand, weights, _ = net.in_edges.row_lists(x[1])
+        cand, weights = net.in_edges.row_lists(x[1])
     elif v == k - 1:  # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
-        cand, weights, _ = net.out_edges.row_lists(x[v - 1])
+        cand, weights = net.out_edges.row_lists(x[v - 1])
     else:             # the smaller row's weights times the other's
         row = net.out_edges.row_lists(x[v - 1])
         other = net.in_edges.row_lists(x[v + 1])
         if len(other[0]) < len(row[0]):   # the out-row of x(v-1) on a tie
             row, other = other, row
-        cand, weights, _ = row
-        factor = other[2]
-        weights = [w * factor.get(b, 0.0) for w, b in zip(weights, cand)]
+        cand, own = row
+        # both rows ascend, so each candidate's search starts where the
+        # previous one's ended
+        nodes, factors = other
+        at, end, weights = 0, len(nodes), []
+        for b, w in zip(cand, own):
+            at = bisect_left(nodes, b, at, end)
+            weights.append(w * factors[at] if at < end and nodes[at] == b
+                           else 0.0)
     total = float(np.add.reduce(weights))   # pairwise, as ndarray.sum adds
     if total <= 0.0:
         raise AssertionError("empty Glauber conditional for a valid homomorphism")
     return cand, [w / total for w in weights]
 
 
+def _glauber_law(net: Network, k: int, x, v: int) -> tuple:
+    """`glauber_conditional` as the step draws from it, cached per network:
+    the running sums that rise, then the candidates at which they rise.
+
+    The law depends on x(v-1) and x(v+1) alone, so they key it, the node
+    index n standing for a neighbor beyond an end of the chain.  `_draw`
+    never lands on a candidate whose running sum equals its predecessor's
+    (``U * cum[-1] < cum[-1]`` for ``U < 1``), so leaving those out draws the
+    same nodes.  The cache holds at most as many candidates, summed over
+    its laws, as A has positive entries (a law holds at most one row's), so
+    it takes O(E) memory like the row cache; it is emptied when a new law
+    would pass that bound.  A law is built whole and then stored by one
+    assignment, so a concurrent fill only repeats work; the count and the
+    store happen under one lock.
+    """
+    n = net.n
+    key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
+    laws = net._laws
+    try:
+        return laws[key]
+    except KeyError:
+        pass
+    cand, probs = glauber_conditional(net, k, x, v)
+    nodes, cum, last = [], [], 0.0
+    for b, s in zip(cand, accumulate(probs)):
+        if s > last:
+            nodes.append(b)
+            cum.append(s)
+            last = s
+    law = tuple(cum + nodes)
+    with net._law_lock:   # the bound holds however many chains fill at once
+        net._law_entries += len(nodes)
+        if net._law_entries > len(net.out_edges.indices):
+            laws.clear()
+            net._law_entries = len(nodes)
+        laws[key] = law
+    return law
+
+
 def _glauber_update(net: Network, k: int, x, rng):
     """Resample one uniformly chosen chain node from its exact conditional."""
     v = int(rng.integers(k))
-    if k == 1:    # the running sums are cached with the uniform law
-        cand, _, cum = net._uniform_law()
-    else:
-        cand, probs = glauber_conditional(net, k, x, v)
-        cum = list(accumulate(probs))
+    law = net._uniform_law() if k == 1 else _glauber_law(net, k, x, v)
+    m = len(law) >> 1
     new = list(x)
-    new[v] = cand[_draw(rng, cum, 0, len(cand))]
+    new[v] = law[m + _draw(rng, law, 0, m)]
     return tuple(new)
 
 
@@ -658,7 +722,10 @@ MCMC_MODES = ("glauber", "pivot", "pivot-approx")
 
 def chain_update(net: Network, k: int, x, rng, mode: str):
     """One step from the k-chain homomorphism x of the chain `mode` names,
-    one of `MCMC_MODES`; an unknown mode is refused before any draw."""
+    one of `MCMC_MODES`.  An unknown mode, a k below 1 and a map whose
+    length is not k are refused with `ValueError` before any draw."""
+    if k < 1 or len(x) != k:
+        _check_map(k, x)
     if mode == "glauber":
         return _glauber_update(net, k, x, rng)
     if mode == "pivot":

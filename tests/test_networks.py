@@ -1,5 +1,7 @@
 import bisect
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from onmf import (EdgeListError, Network, OracleSizeError,
                   hom_weights, initial_homomorphism, mesoscale_patch,
                   rejection_sample_hom, tv_distance)
 from onmf import networks
-from onmf.networks import _acceptance
+from onmf.networks import MCMC_MODES, _acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +397,57 @@ def test_pivot_rejects_an_unknown_mode_before_drawing(x):
     with pytest.raises(ValueError, match="unknown MCMC mode 'bogus'"):
         chain_update(net, 2, x, rng, "bogus")
     assert rng.bit_generator.state == state
+
+
+def _refused_before_drawing(step, message):
+    """`step(rng)` raises `ValueError` with `message` and draws nothing."""
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        step(rng)
+    assert str(info.value) == message
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode", MCMC_MODES)
+def test_chain_update_refuses_a_map_of_the_wrong_length(mode):
+    # (0, 1, 2, 3) is a homomorphism of C6 but a 4-chain map: the Glauber
+    # step once resampled one of its first three nodes and returned
+    # (0, 1, 0, 3)
+    net = cycle_network(6)
+    for x, size in (((0, 1, 2, 3), 4), ((0, 1), 2)):
+        _refused_before_drawing(
+            lambda rng: chain_update(net, 3, x, rng, mode),
+            f"vertex map has {size} entries, the 3-chain needs 3")
+
+
+@pytest.mark.parametrize("mode", MCMC_MODES)
+@pytest.mark.parametrize("k", [0, -1])
+def test_chain_update_refuses_a_chain_length_below_one(mode, k):
+    # k = 0 once reached numpy's `high <= 0` in the Glauber draw
+    net = cycle_network(6)
+    _refused_before_drawing(lambda rng: chain_update(net, k, (), rng, mode),
+                            "chain length k must be at least 1")
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_glauber_conditional_refuses_a_node_outside_the_chain(v):
+    # v = -1 once read x(-2) and x(0) for its neighbors: the law of the
+    # wrong positions on K4, an AssertionError on C6
+    for net in (dense_network(np.ones((4, 4)) - np.eye(4)), cycle_network(6)):
+        _refused_before_drawing(
+            lambda rng: glauber_conditional(net, 3, (0, 1, 2), v),
+            f"chain node v must lie in 0..2, got {v}")
+
+
+def test_glauber_conditional_refuses_a_map_of_the_wrong_length():
+    net = cycle_network(6)
+    for x in ((0, 1, 2, 3), (0, 1)):
+        _refused_before_drawing(
+            lambda rng: glauber_conditional(net, 3, x, 1),
+            f"vertex map has {len(x)} entries, the 3-chain needs 3")
+    _refused_before_drawing(lambda rng: glauber_conditional(net, 0, (), 0),
+                            "chain length k must be at least 1")
 
 
 def test_pivot_exact_matches_motif_distribution():
@@ -952,6 +1005,130 @@ def test_chains_on_warm_caches_match_the_reference():
     for k, seed in ((3, 42), (5, 43), (3, 44)):
         assert _run_against_reference(net, ref, k, "pivot", seed) > 40
     assert sorted(net._pivot_cache) == [3, 5]
+
+
+def _rising_law(ref, k, x, v):
+    """The reference conditional of node v as the step draws from it: the
+    running sums that rise, then the candidates at which they rise."""
+    cand, probs = ref_glauber_conditional(ref, k, x, v)
+    cum = np.cumsum(probs)
+    rise = np.diff(cum, prepend=0.0) > 0
+    return tuple(cum[rise].tolist()) + tuple(int(b) for b in cand[rise])
+
+
+def _glauber_against_reference(net, ref, chains, steps):
+    """Steps the Glauber chains `chains`, a list of (k, seed), in turn on
+    `net` and on the reference, one step each per round; every state, the
+    cached law of every node of it, and the final generator states must
+    agree, and the law cache must never hold more candidates than the
+    network has edges.  Returns the number of times the cache was emptied
+    and the number of laws met that leave out a zero-probability
+    candidate."""
+    runs = []
+    for k, seed in chains:
+        x = rejection_sample_hom(net, k, np.random.default_rng(seed))
+        runs.append([k, x, x, np.random.default_rng(seed),
+                     np.random.default_rng(seed)])
+    bound = len(net.out_edges.indices)
+    emptied = shortened = held = 0
+
+    def watch(value):
+        nonlocal emptied, held
+        entries = sum(len(law) >> 1 for law in net._laws.values())
+        assert entries == net._law_entries <= bound
+        emptied += len(net._laws) < held
+        held = len(net._laws)
+        return value
+
+    for _ in range(steps):
+        for run in runs:
+            k, x, y, rng_new, rng_ref = run
+            run[1] = x = watch(chain_update(net, k, x, rng_new, "glauber"))
+            run[2] = y = ref_glauber_update(ref, k, y, rng_ref)
+            assert x == y
+            for v in range(k):
+                law = watch(networks._glauber_law(net, k, x, v))
+                assert law == _rising_law(ref, k, x, v)
+                shortened += len(law) < 2 * len(glauber_conditional(
+                    net, k, x, v)[0])
+    for k, x, y, rng_new, rng_ref in runs:
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return emptied, shortened
+
+
+def test_glauber_laws_leave_out_zero_probability_candidates():
+    # directed, weighted, with self-loops and one-way edges: a candidate of
+    # the smaller row that the other row lacks has probability 0 and sits
+    # inside the running sums, which the cached law leaves out
+    rng = np.random.default_rng(31)
+    size, weights = _random_weighted(rng, 12, 0.35, isolated=1)
+    weights = {pair: float(rng.choice([1.0, rng.random() * 3]))
+               for pair in weights}
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    assert any(a == b for a, b in weights)
+    assert any((b, a) not in weights for a, b in weights)
+    _, shortened = _glauber_against_reference(net, ref, [(4, 50)], 600)
+    assert shortened > 100
+
+
+def test_glauber_laws_serve_every_chain_length_on_one_network():
+    # the law of node v depends on x(v-1) and x(v+1) only, so chains of
+    # different lengths share the laws they meet, ends included
+    rng = np.random.default_rng(32)
+    size, weights = _random_weighted(rng, 10, 0.4)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    _glauber_against_reference(net, ref, [(2, 51), (3, 52), (4, 53)], 400)
+    n = net.n
+    ends = [divmod(key, n + 1) for key in net._laws]
+    assert any(a == n for a, _ in ends) and any(b == n for _, b in ends)
+    assert any(a < n and b < n for a, b in ends)
+
+
+def test_glauber_law_cache_empties_itself_when_full():
+    # 16 edges on 4 nodes, all with self-loops: the 3-chain meets up to 24
+    # laws (16 inner pairs, 4 + 4 ends) of 4 candidates each, far more than
+    # the cache's bound of 16 candidates
+    M = np.random.default_rng(33).random((4, 4)) + 0.5
+    net = dense_network(M)
+    ref = RefNetwork(4, {(a, b): M[a, b] for a in range(4) for b in range(4)})
+    emptied, _ = _glauber_against_reference(net, ref, [(3, 54), (2, 55)], 300)
+    assert emptied > 3
+
+
+def test_glauber_law_cache_keeps_its_bound_under_concurrent_chains():
+    # more threads than cores fill and empty one network's law cache at
+    # once; each chain must still follow its single-threaded trajectory
+    M = np.random.default_rng(34).random((4, 4)) + 0.5
+    bound, steps = 16, 1500
+
+    def trajectory(net, seed, out):
+        rng = np.random.default_rng(seed)
+        x = (0, 1, 2)
+        for _ in range(steps):
+            x = chain_update(net, 3, x, rng, "glauber")
+            laws = list(net._laws.values())
+            out.append((x, sum(len(law) >> 1 for law in laws)))
+
+    expected = []
+    for seed in range(6):
+        expected.append([])
+        trajectory(dense_network(M), seed, expected[-1])
+    net, runs = dense_network(M), [[] for _ in range(6)]
+    threads = [threading.Thread(target=trajectory, args=(net, seed, runs[seed]))
+               for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for run, ref in zip(runs, expected):
+        assert [x for x, _ in run] == [x for x, _ in ref]
+        assert max(held for _, held in run) <= bound
 
 
 def _patch_stacks(n, rng, net):
