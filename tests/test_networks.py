@@ -990,8 +990,9 @@ def _run_against_reference(net, ref, k, mode, seed, steps=400):
 
 
 def test_chains_on_warm_caches_match_the_reference():
-    # the caches a chain fills (Glauber's rows, Pivot's per-k tables) must
-    # serve a later chain on the same network as if it were the first
+    # the caches a chain fills (Glauber's rows and laws, Pivot's per-k
+    # tables) must serve a later chain on the same network as if it were the
+    # first
     rng = np.random.default_rng(29)
     size, weights = _random_weighted(rng, 14, 0.3, loops=False, isolated=2)
     for (a, b), w in list(weights.items()):   # mostly two-way, a few one-way
