@@ -27,7 +27,7 @@ from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   dominance_scores, lower_tail_is_positive, ndl_learn,
                   nr_reconstruct, roc_auc)
 from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
-                       SamplingError, chain_update, hom_distribution_bruteforce,
+                       SamplingError, chain_steps, hom_distribution_bruteforce,
                        initial_homomorphism, tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from .sources import (IsingConfig, image_patch_stream, ising_patch_stream,
@@ -359,12 +359,13 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
         x = initial_homomorphism(net, k, rng)
         counts: dict = {}
         tv_rows = []
-        for step in range(1, args.iters + 1):
-            x = chain_update(net, k, x, rng, args.mcmc)
-            counts[x] = counts.get(x, 0) + 1
-            if step % 1000 == 0 or step == args.iters:
-                emp = {k: v / step for k, v in counts.items()}
-                tv_rows.append((step, float(tv_distance(emp, oracle))))
+        # one TV row per 1 000 steps and one at the end
+        for done in range(0, args.iters, 1000):
+            step = min(done + 1000, args.iters)
+            for x in chain_steps(net, k, x, rng, args.mcmc, step - done):
+                counts[x] = counts.get(x, 0) + 1
+            emp = {k: v / step for k, v in counts.items()}
+            tv_rows.append((step, float(tv_distance(emp, oracle))))
         _write_csv(out_dir / f"empirical_dist{suffix}.csv", "state,frequency",
                    (("-".join(net.labels[v] for v in state),
                      counts[state] / args.iters) for state in sorted(counts)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import AggregateStats, init_engine, learn, sparse_code
-from .networks import (MCMC_MODES, Network, chain_update, initial_homomorphism,
+from .networks import (MCMC_MODES, Network, chain_steps, initial_homomorphism,
                        mesoscale_patch)
 
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
@@ -90,10 +90,8 @@ def _motif_patches(net: Network, k: int, x, rng, mcmc: str, sizes):
     vectorized patches as the columns of the C-contiguous k^2 x m matrix,
     made by one `mesoscale_patch` call."""
     for m in sizes:
-        maps = []
-        for _ in range(m):
-            x = chain_update(net, k, x, rng, mcmc)
-            maps.append(x)
+        maps = chain_steps(net, k, x, rng, mcmc, m)
+        x = maps[-1]
         xs = np.array(maps, dtype=np.int64)
         yield xs, np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
 

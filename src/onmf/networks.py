@@ -25,15 +25,18 @@ A chain step touches a handful of rows, so it runs on Python scalars, and a
 chain visits a few hundred nodes, not the whole graph.  Glauber caches the
 rows of the nodes it visits as lists, at most O(E) entries, and the
 conditional laws it builds, keyed by the two neighbors that fix a law, also
-at most O(E) entries.  Pivot keeps
-only per-node tables as lists (O(n)): on large graphs most of its visits are
-first visits to a row, so it draws a neighbor from a CSR running-sum table
-by ``bisect`` over the row's span.  Products, quotients and running sums of
-Python floats round exactly as numpy's elementwise operations and sequential
-``cumsum`` do, so the chains draw the same states from the same random
-stream.  The one exception is the total of a Glauber conditional: numpy adds
-an array pairwise, which a Python sum does not reproduce, so that total
-stays a numpy sum.
+at most O(E) entries.  Pivot copies nothing per node: on large graphs most
+of its visits are first visits to a row, so it reads the CSR arrays through
+``memoryview``s, which index to Python scalars, draws a neighbor by
+``bisect`` over the row's span of a running-sum table and reads its
+acceptance from a table aligned with the out-edges, both built once per
+chain length and mode.  A Pivot step draws only uniforms, so `chain_steps`
+draws those of a block of steps in one call.  Products, quotients and
+running sums of Python floats round exactly as numpy's elementwise
+operations and sequential ``cumsum`` do, so the chains draw the same states
+from the same random stream.  The one exception is the total of a Glauber
+conditional: numpy adds an array pairwise, which a Python sum does not
+reproduce, so that total stays a numpy sum.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import length_hint
 
 import numpy as np
 
@@ -246,12 +250,12 @@ class Network:
     sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
     ``searchsorted``.  The tables are built once and read-only afterwards.
     The chains' caches (Glauber's rows in `Adjacency.row_lists`, its
-    conditional laws and its uniform law for k = 1, Pivot's per-k tables and
-    ladder row) fill lazily from them on first use; many chains may still
-    read one network concurrently, since a concurrent fill only repeats work
-    and stores an equal value.  The law cache empties itself rather than
-    hold more candidates than A has positive entries; that only loses
-    work.
+    conditional laws and its uniform law for k = 1, Pivot's views and
+    acceptance table per chain length and mode) fill lazily from them on
+    first use; many chains may still read one network concurrently, since a
+    concurrent fill only repeats work and stores an equal value.  The law
+    cache empties itself rather than hold more candidates than A has
+    positive entries; that only loses work.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -303,7 +307,7 @@ class Network:
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
-        self._pivot_cache: dict[int, tuple] = {}
+        self._pivot_cache: dict[tuple[int, bool], tuple] = {}
         self._uniform: tuple | None = None
         self._laws: dict[int, tuple] = {}
         self._law_entries = 0   # candidates held over all laws
@@ -411,11 +415,6 @@ class Network:
     def _out_ptr(self) -> list[int]:
         return self.out_edges.indptr.tolist()
 
-    @cached_property
-    def _sums(self) -> tuple[list[float], list[float]]:
-        """`out_sums` and `in_sums` as lists."""
-        return self.out_sums.tolist(), self.in_sums.tolist()
-
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
@@ -461,14 +460,39 @@ class Network:
             self._uniform = cum + tuple(range(self.n))
         return self._uniform
 
-    def _pivot_tables(self, k: int) -> tuple[tuple, list[float]]:
-        """The exact Pivot step's tables for the k-chain: the rows of
-        `tail_cdfs` in the order the tail uses them (the last row first), and
-        the path-mass row ``power_row_sums(k)[k - 1]`` as a list."""
-        if k not in self._pivot_cache:
-            self._pivot_cache[k] = (tuple(self.tail_cdfs(k)[::-1]),
-                                    self.power_row_sums(k)[k - 1].tolist())
-        return self._pivot_cache[k]
+    def _pivot_views(self, k: int, exact: bool) -> tuple:
+        """The Pivot step's tables for the k-chain, exact or approximate, as
+        ``memoryview``s, which index to Python scalars without copying: the
+        out-neighbors, their running sums, each out-edge's acceptance and
+        the running-sum rows the tail draws from, in the order it uses them.
+
+        The move v -> ell along an out-edge is accepted with probability
+        min(1, r).  Approximate, r is ``in_sums[v] / out_sums[v]``.  Exact,
+        r is ``rp[ell] * A(ell, v) * out_sums[v]`` over
+        ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with
+        rp the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
+        denominator is 0.  ``np.fmin`` takes a NaN ratio (where the ladder
+        overflows to inf) to 1, as ``min(1.0, r)`` does.
+        """
+        if (k, exact) not in self._pivot_cache:
+            src, dst = self._edge_ends()
+            out = self.out_edges
+            with np.errstate(over="ignore", invalid="ignore"):
+                if exact:
+                    rp = self.power_row_sums(k)[k - 1]
+                    num = rp[dst] * self.weights_at(dst, src) * self.out_sums[src]
+                    den = rp[src] * out.weights * self.out_sums[dst]
+                    tails = [memoryview(row) for row in self.tail_cdfs(k)[::-1]]
+                else:
+                    num, den = self.in_sums[src], self.out_sums[src]
+                    tails = [memoryview(out.cum)] * (k - 1)
+                accept = np.fmin(1.0, np.divide(num, den, out=np.zeros(len(den)),
+                                                where=den != 0.0))
+            accept.flags.writeable = False
+            self._pivot_cache[k, exact] = (memoryview(out.indices),
+                                           memoryview(out.cum),
+                                           memoryview(accept), tuple(tails))
+        return self._pivot_cache[k, exact]
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +526,6 @@ def _draw(rng, cum, s: int, e: int) -> int:
     return min(bisect_right(cum, u, s, e), e - 1)
 
 
-def _row_weight(adj: Adjacency, ptr: list[int], a: int, b: int) -> float:
-    """Weight of neighbor b in row a of `adj` (A(a, b) for out-edges, A(b, a)
-    for in-edges); 0.0 when b is not in the row."""
-    s, e = ptr[a], ptr[a + 1]
-    pos = bisect_left(adj.indices, b, s, e)
-    return float(adj.weights[pos]) if pos < e and adj.indices[pos] == b else 0.0
-
-
 def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
     """Propose i.i.d. uniform vertex maps until one has positive k-chain
     weight.
@@ -518,14 +534,21 @@ def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
     generator is rewound and exactly the tries up to the hit are drawn again,
     so the map returned and the generator's final state are those of drawing
     one size-k try at a time (a batched ``integers`` draw yields the same
-    values and state as that many separate draws).
+    values and state as that many separate draws).  A try's weight is
+    multiplied out one edge at a time, as `hom_weights` multiplies it, over
+    the tries whose product is still positive, so most tries are dropped at
+    their first edge.
     """
     done = 0
     while done < max_tries:
         m = min(_REJECTION_CHUNK, max_tries - done)
         state = rng.bit_generator.state
         tries = rng.integers(0, net.n, size=(m, k))
-        hits = np.flatnonzero(hom_weights(net, k, tries) > 0)
+        hits, weight = np.arange(m), np.ones(m)
+        for i in range(k - 1):
+            weight *= net.weights_at(tries[hits, i], tries[hits, i + 1])
+            live = weight > 0
+            hits, weight = hits[live], weight[live]
         if len(hits):
             rng.bit_generator.state = state
             tries = rng.integers(0, net.n, size=(int(hits[0]) + 1, k))
@@ -674,46 +697,31 @@ def _glauber_update(net: Network, k: int, x, rng):
     return tuple(new)
 
 
-def _acceptance(net: Network, k: int, v: int, ell: int, w_v_ell: float,
-                exact: bool) -> float:
-    """Pivot move v -> ell's acceptance given w_v_ell = A(v, ell), in [0, 1]."""
-    out_sums, in_sums = net._sums
-    if not exact:
-        return min(1.0, in_sums[v] / out_sums[v])
-    rp = net._pivot_tables(k)[1]
-    num = rp[ell] * _row_weight(net.out_edges, net._out_ptr, ell, v) * out_sums[v]
-    den = rp[v] * w_v_ell * out_sums[ell]
-    if den <= 0.0:
-        return 0.0
-    return min(1.0, num / den)
-
-
 def _pivot_update(net: Network, k: int, x, rng, exact: bool):
     """One Pivot chain step for the k-chain.
 
     Moves the pivot x(1) by one weighted random-walk step, accepts it with the
     Metropolis-Hastings probability, then resamples x(2..k) successively.  On
     rejection (or a dead-end pivot or tail extension) the input homomorphism
-    is returned unchanged.
+    is returned unchanged.  The step calls only ``rng.random()``, at most
+    k + 1 times.
     """
-    v = x[0]
-    if net._sums[0][v] <= 0.0:
+    ptr = net._out_ptr
+    nbrs, cum, accept, tails = net._pivot_views(k, exact)
+    s, e = ptr[x[0]], ptr[x[0] + 1]
+    if s == e:
         return x
-    ptr, out = net._out_ptr, net.out_edges
-    pick = _draw(rng, out.cum, ptr[v], ptr[v + 1])
-    ell = int(out.indices[pick])
-    if rng.random() > _acceptance(net, k, v, ell, float(out.weights[pick]),
-                                  exact):
+    pick = _draw(rng, cum, s, e)
+    if rng.random() > accept[pick]:
         return x
     # tail position i extends by an edge weighted by the (k-1-i)-edge path
     # mass beyond it (exact) or by the edge weight alone (approximate)
-    tables = net._pivot_tables(k)[0] if exact else (out.cum,) * (k - 1)
-    new = [ell]
-    for cum in tables:
+    new = [nbrs[pick]]
+    for cum in tails:
         s, e = ptr[new[-1]], ptr[new[-1] + 1]
         if s == e or cum[e - 1] <= 0.0:
             return x
-        new.append(int(out.indices[_draw(rng, cum, s, e)]))
+        new.append(nbrs[_draw(rng, cum, s, e)])
     return tuple(new)
 
 
@@ -733,6 +741,46 @@ def chain_update(net: Network, k: int, x, rng, mode: str):
     if mode == "pivot-approx":
         return _pivot_update(net, k, x, rng, exact=False)
     raise ValueError(f"unknown MCMC mode {mode!r}")
+
+
+class _Drawn:
+    """Uniforms drawn ahead, served in order by `random` as
+    ``Generator.random()`` serves them."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, draw):
+        self.random = draw
+
+
+def chain_steps(net: Network, k: int, x, rng, mode: str, m: int) -> list:
+    """The maps of m successive `chain_update` steps from x, in order.
+
+    A Pivot step draws only uniforms, at most k + 1, so the block's steps
+    read theirs from m (k + 1) uniforms drawn in one call; the generator is
+    then rewound and exactly the uniforms used are drawn again, which leaves
+    it where m separate steps leave it (a batched ``random`` draw yields the
+    same values and state as that many separate draws).  Glauber steps mix
+    ``integers`` and ``random`` and draw from `rng` itself.  Each step is
+    still one `chain_update` call.
+    """
+    if k < 1 or len(x) != k:
+        _check_map(k, x)
+    source, uniforms = rng, None
+    if mode in ("pivot", "pivot-approx"):
+        state = rng.bit_generator.state
+        uniforms = iter(rng.random(m * (k + 1)).tolist())
+        source = _Drawn(uniforms.__next__)
+    maps = []
+    try:
+        for _ in range(m):
+            x = chain_update(net, k, x, source, mode)
+            maps.append(x)
+    finally:
+        if uniforms is not None:
+            rng.bit_generator.state = state
+            rng.random(m * (k + 1) - length_hint(uniforms))
+    return maps
 
 
 def hom_distribution_bruteforce(net: Network, k: int) -> dict:

@@ -17,7 +17,7 @@ from onmf import (EdgeListError, Network, OracleSizeError,
                   hom_weights, initial_homomorphism, mesoscale_patch,
                   rejection_sample_hom, tv_distance)
 from onmf import networks
-from onmf.networks import MCMC_MODES, _acceptance
+from onmf.networks import MCMC_MODES, chain_steps
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +344,28 @@ def test_glauber_is_uniform_within_the_reachable_class_on_c6():
 # ---------------------------------------------------------------------------
 
 
+def _acceptance_table(net, k, exact):
+    """The Pivot step's acceptance of every out-edge, in `out_edges` order."""
+    return np.asarray(net._pivot_views(k, exact)[2])
+
+
 def test_symmetric_network_in_out_ratio_is_one():
     net = weighted_5node_network()
     assert np.allclose(net.in_sums, net.out_sums)
-    for v in range(net.n):
-        for ell, w in zip(*net.out_edges.row(v)):
-            assert _acceptance(net, 3, v, int(ell), float(w), False) == 1.0
+    assert np.all(_acceptance_table(net, 3, False) == 1.0)
 
 
 def test_regular_graph_exact_acceptance_is_one():
     net = cycle_network(6)  # 2-regular
-    k = 3
-    for v in range(6):
-        for ell, w in zip(*net.out_edges.row(v)):
-            assert _acceptance(net, k, v, int(ell), float(w), True) == 1.0
+    assert np.all(_acceptance_table(net, 3, True) == 1.0)
 
 
 def test_pivot_acceptance_clamped_to_unit_interval():
     net = weighted_5node_network()
-    k = 4
-    for v in range(net.n):
-        for ell, w in zip(*net.out_edges.row(v)):
-            for exact in (True, False):
-                lam = _acceptance(net, k, v, int(ell), float(w), exact)
-                assert 0.0 <= lam <= 1.0
+    for exact in (True, False):
+        lam = _acceptance_table(net, 4, exact)
+        assert lam.shape == net.out_edges.indices.shape
+        assert np.all((0.0 <= lam) & (lam <= 1.0))
 
 
 def test_pivot_preserves_homomorphism_validity():
@@ -419,14 +417,19 @@ def test_chain_update_refuses_a_map_of_the_wrong_length(mode):
         _refused_before_drawing(
             lambda rng: chain_update(net, 3, x, rng, mode),
             f"vertex map has {size} entries, the 3-chain needs 3")
+        _refused_before_drawing(
+            lambda rng: chain_steps(net, 3, x, rng, mode, 5),
+            f"vertex map has {size} entries, the 3-chain needs 3")
 
 
 @pytest.mark.parametrize("mode", MCMC_MODES)
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, -2])
 def test_chain_update_refuses_a_chain_length_below_one(mode, k):
     # k = 0 once reached numpy's `high <= 0` in the Glauber draw
     net = cycle_network(6)
     _refused_before_drawing(lambda rng: chain_update(net, k, (), rng, mode),
+                            "chain length k must be at least 1")
+    _refused_before_drawing(lambda rng: chain_steps(net, k, (), rng, mode, 5),
                             "chain length k must be at least 1")
 
 
@@ -989,6 +992,90 @@ def _run_against_reference(net, ref, k, mode, seed, steps=400):
     return moves
 
 
+def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
+    # weights near 1e300 overflow the path-mass ladder to inf from its second
+    # row on, so exact ratios read inf / inf, or nan / inf on a one-way
+    # edge: NaN, which min(1.0, r) and np.fmin take to 1 (np.minimum would
+    # store NaN)
+    rng = np.random.default_rng(35)
+    size, weights = _random_weighted(rng, 10, 0.35, loops=False)
+    for (a, b), w in list(weights.items()):
+        if rng.random() < 0.8:
+            weights[(b, a)] = w
+    weights = {pair: float(rng.random() + 0.5) * 1e300 for pair in weights}
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    k = 4
+    ratios, expect = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        rp = ref_ladder(ref, k)[k - 1]
+        assert np.isinf(rp).any() and np.isfinite(ref.out_sums).all()
+        for v in range(size):
+            for ell, w in zip(*ref.out[v][:2]):
+                num = rp[ell] * ref.weight(ell, v) * ref.out_sums[v]
+                den = rp[v] * w * ref.out_sums[ell]
+                ratios.append(num / den)
+                expect.append(0.0 if den <= 0.0 else min(1.0, float(num / den)))
+        assert _run_against_reference(net, ref, k, "pivot", 45) > 40
+    assert np.isnan(ratios).sum() > 5
+    assert _acceptance_table(net, k, True).tolist() == expect
+
+
+class _CountedUniforms:
+    """A generator's ``random()`` one call at a time, counting the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+
+def _same_state(a, b) -> bool:
+    """Equal bit generator states, nested dicts of numbers and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key])
+                                            for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", MCMC_MODES)
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox])
+def test_chain_steps_match_one_step_at_a_time(bit_generator, mode):
+    # directed and weighted, with self-loops, one-way edges and a dead end
+    # (node 12 has in-edges only), so steps are rejected or stop in the tail
+    rng = np.random.default_rng(38)
+    size, weights = _random_weighted(rng, 12, 0.25)
+    weights.update({(a, 12): 1.0 for a in range(0, 12, 3)})
+    net = dict_network(size + 1, weights)
+    k = 4
+    x = y = rejection_sample_hom(net, k, np.random.default_rng(0))
+    block, one = np.random.Generator(bit_generator(39)), \
+        np.random.Generator(bit_generator(39))
+    counted = _CountedUniforms(one)
+    used = set()
+    for m in (1, 1, 7, 300, 1, 80):
+        maps = chain_steps(net, k, x, block, mode, m)
+        steps = []
+        for _ in range(m):
+            calls = counted.calls
+            y = chain_update(net, k, y, one if mode == "glauber" else counted,
+                             mode)
+            used.add(counted.calls - calls)
+            steps.append(y)
+        assert maps == steps
+        assert _same_state(block.bit_generator.state, one.bit_generator.state)
+        x = maps[-1]
+    assert chain_steps(net, k, x, block, mode, 0) == []
+    assert _same_state(block.bit_generator.state, one.bit_generator.state)
+    # a Pivot step draws at most k + 1 uniforms, so m of them at most the
+    # m (k + 1) a block draws ahead; rejected moves draw 2, and approximate
+    # tails also stop at the dead end
+    assert used == ({0} if mode == "glauber" else
+                    {2, k + 1} if mode == "pivot" else {2, 3, 4, k + 1})
+
+
 def test_chains_on_warm_caches_match_the_reference():
     # the caches a chain fills (Glauber's rows and laws, Pivot's per-k
     # tables) must serve a later chain on the same network as if it were the
@@ -1005,7 +1092,7 @@ def test_chains_on_warm_caches_match_the_reference():
     assert _run_against_reference(net, ref, 3, "glauber", 41)
     for k, seed in ((3, 42), (5, 43), (3, 44)):
         assert _run_against_reference(net, ref, k, "pivot", seed) > 40
-    assert sorted(net._pivot_cache) == [3, 5]
+    assert sorted(net._pivot_cache) == [(3, True), (5, True)]
 
 
 def _rising_law(ref, k, x, v):
@@ -1227,6 +1314,29 @@ def test_rejection_sampling_matches_one_try_at_a_time():
                                 (3, 4, 1.0), (4, 3, 1.0), (4, 0, 2.5), (0, 4, 2.5)])
     assert _rejection_pair(dense_ref, dense_net, 3, 1, 50)[1]
     assert not _rejection_pair(ref, net, 3, 2, chunk + 5)[1]
+    # a 5-chain on a random directed network: a chunk's tries fail at each
+    # of the four edges, and the ones left are tested again at the next
+    size, weights = _random_weighted(np.random.default_rng(36), 8, 0.5)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    tries = np.random.default_rng(0).integers(0, size, size=(chunk, 5))
+    failed_at = [next((i for i in range(4) if ref.weight(x[i], x[i + 1]) == 0),
+                      4) for x in tries.tolist()]
+    assert set(failed_at) == {0, 1, 2, 3, 4}
+    for seed in range(8):
+        assert _rejection_pair(ref, net, 5, seed, chunk)[1]
+    # a 6-chain on a sparser one rarely hits: tries fail at every edge over
+    # several chunks
+    size, weights = _random_weighted(np.random.default_rng(37), 12, 0.15)
+    net, ref = dict_network(size, weights), RefNetwork(size, weights)
+    outcomes = {_rejection_pair(ref, net, 6, seed, 3 * chunk)[1]
+                for seed in range(6)}
+    assert outcomes == {True, False}
+    # every factor positive, the product not: 1e-200 squared underflows to
+    # 0, so the 3-chain has no homomorphism of positive weight
+    tiny = {(0, 1): 1e-200, (1, 2): 1e-200}
+    net, ref = dict_network(3, tiny), RefNetwork(3, tiny)
+    assert _rejection_pair(ref, net, 2, 3, 50)[1]
+    assert not _rejection_pair(ref, net, 3, 3, chunk + 5)[1]
 
 
 # ---------------------------------------------------------------------------
