@@ -994,14 +994,16 @@ def _run_against_reference(net, ref, k, mode, seed, steps=400):
 
 def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
     # weights near 1e300 overflow the path-mass ladder to inf from its second
-    # row on, so exact ratios read inf / inf, or nan / inf on a one-way
-    # edge: NaN, which min(1.0, r) and np.fmin take to 1 (np.minimum would
-    # store NaN)
+    # row on, so exact ratios read inf / inf, nan / inf on a one-way edge or
+    # 0 / nan on an edge into the dead end, node 10: NaN, which min(1.0, r)
+    # and np.fmin take to 1 (np.minimum would store NaN)
     rng = np.random.default_rng(35)
     size, weights = _random_weighted(rng, 10, 0.35, loops=False)
     for (a, b), w in list(weights.items()):
         if rng.random() < 0.8:
             weights[(b, a)] = w
+    weights.update({(a, size): 1.0 for a in (2, 5)})
+    size += 1
     weights = {pair: float(rng.random() + 0.5) * 1e300 for pair in weights}
     net, ref = dict_network(size, weights), RefNetwork(size, weights)
     k = 4
