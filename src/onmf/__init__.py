@@ -16,10 +16,10 @@ from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   dominance_scores, lower_tail_is_positive, ndl_learn,
                   nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
-                       chain_update, chain_walk_sample, glauber_conditional,
+                       chain_update, glauber_conditional,
                        hom_distribution_bruteforce, hom_weights,
                        initial_homomorphism, mesoscale_patch,
-                       rejection_sample_hom, tv_distance)
+                       sample_homomorphisms, tv_distance)
 from .pgm import (PgmError, read_pgm, read_spins_pgm, spins_to_levels,
                   write_pgm, write_spins_pgm)
 from .sources import (IsingConfig, conditional_plus_probability,

@@ -3,9 +3,11 @@
 A network is a node set with a sparse nonnegative weight map.  The motif is
 the k-chain, the directed path 1 -> 2 -> ... -> k.  A vertex map x: [k] -> V
 is a homomorphism when the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the
-weights along it is positive.  Rejection sampling draws a first
-homomorphism; `chain_update` then takes one step of the chain its mode names:
-"glauber" (single-coordinate conditional resampling), "pivot" or
+weights along it is positive.  The chain weight law, each homomorphism in
+proportion to that product, is a path measure, so `sample_homomorphisms`
+draws from it exactly, node by node, and a chain starts from one such draw
+(`initial_homomorphism`).  `chain_update` then takes one step of the chain its
+mode names: "glauber" (single-coordinate conditional resampling), "pivot" or
 "pivot-approx" (random-walk move of the first node with a
 Metropolis-Hastings correction, then successive resampling of the tail).
 
@@ -51,10 +53,6 @@ from operator import length_hint
 import numpy as np
 
 _ORACLE_GUARD = 10 ** 7
-# Rejection tries drawn and tested per batch.
-_REJECTION_CHUNK = 1024
-# Rejection tries `initial_homomorphism` makes before it walks.
-_INITIAL_TRIES = 20000
 # Vertex maps the brute-force oracle weighs per batch.
 _ORACLE_BLOCK = 65536
 
@@ -64,7 +62,8 @@ class EdgeListError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """Homomorphism sampling failed (none found within the try budget)."""
+    """No homomorphism can be drawn: none exists, or its law's path mass
+    overflows float64."""
 
 
 class OracleSizeError(ValueError):
@@ -305,7 +304,6 @@ class Network:
         # row sums added in row order, as the last entry of each row's cum
         self.out_sums = np.bincount(rows, self.out_edges.weights, minlength=n)
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
-        self._pow_cache: dict[int, np.ndarray] = {}
         self._tail_cache: dict[int, np.ndarray] = {}
         self._pivot_cache: dict[tuple[int, bool], tuple] = {}
         self._uniform: tuple | None = None
@@ -418,21 +416,28 @@ class Network:
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
-        Row j holds (A^j 1)(v) per node; row k-1 is the path-weight mass of
-        length-(k-1) extensions used by the exact Pivot chain.
+        Row j holds (A^j 1)(v) per node, the path-weight mass of the
+        length-j walks from v; row k-1 weighs the first node of the exact
+        Pivot chain and of `sample_homomorphisms`.  Row j grows like the
+        spectral radius of A to the power j and is at most
+        ``max(out_sums) ** j``.  An entry that passes float64's largest
+        value, about 1.8e308, reads inf, and the next row reads inf at every
+        node with an edge to it; weights near 1e300 reach inf in row 2.
+
+        The ladder is built on every call and not kept: a Glauber chain
+        needs it for its start alone and would hold its k n floats to the
+        end.
         """
         if k < 1:
             raise ValueError("need k >= 1")
-        if k not in self._pow_cache:
-            src, dst = self._edge_ends()
-            wts = self.out_edges.weights
-            ladder = np.empty((k, self.n))
-            ladder[0] = 1.0
-            for j in range(1, k):
-                ladder[j] = np.bincount(src, weights=wts * ladder[j - 1][dst],
-                                        minlength=self.n)
-            self._pow_cache[k] = ladder
-        return self._pow_cache[k]
+        src, dst = self._edge_ends()
+        wts = self.out_edges.weights
+        ladder = np.empty((k, self.n))
+        ladder[0] = 1.0
+        for j in range(1, k):
+            ladder[j] = np.bincount(src, weights=wts * ladder[j - 1][dst],
+                                    minlength=self.n)
+        return ladder
 
     def tail_cdfs(self, k: int) -> np.ndarray:
         """Inverse-CDF tables of the exact Pivot chain's tail extensions.
@@ -526,75 +531,56 @@ def _draw(rng, cum, s: int, e: int) -> int:
     return min(bisect_right(cum, u, s, e), e - 1)
 
 
-def rejection_sample_hom(net: Network, k: int, rng, max_tries: int = 200000):
-    """Propose i.i.d. uniform vertex maps until one has positive k-chain
-    weight.
+def sample_homomorphisms(net: Network, k: int, rng, m: int) -> np.ndarray:
+    """m independent draws from the k-chain weight law, the rows of an
+    (m, k) int64 array.
 
-    Tries are drawn and tested `_REJECTION_CHUNK` at a time.  On a hit the
-    generator is rewound and exactly the tries up to the hit are drawn again,
-    so the map returned and the generator's final state are those of drawing
-    one size-k try at a time (a batched ``integers`` draw yields the same
-    values and state as that many separate draws).  A try's weight is
-    multiplied out one edge at a time, as `hom_weights` multiplies it, over
-    the tries whose product is still positive, so most tries are dropped at
-    their first edge.
-    """
-    done = 0
-    while done < max_tries:
-        m = min(_REJECTION_CHUNK, max_tries - done)
-        state = rng.bit_generator.state
-        tries = rng.integers(0, net.n, size=(m, k))
-        hits, weight = np.arange(m), np.ones(m)
-        for i in range(k - 1):
-            weight *= net.weights_at(tries[hits, i], tries[hits, i + 1])
-            live = weight > 0
-            hits, weight = hits[live], weight[live]
-        if len(hits):
-            rng.bit_generator.state = state
-            tries = rng.integers(0, net.n, size=(int(hits[0]) + 1, k))
-            return tuple(int(v) for v in tries[-1])
-        done += m
-    raise SamplingError("no homomorphism found by rejection sampling")
+    The law is a path measure, so it is sampled forward: x(0) with weight
+    ``(A^(k-1) 1)(v)``, the last row of `power_row_sums`, and x(i+1) given
+    x(i) from the out-row of x(i) with weight ``A(x(i), w) (A^(k-2-i) 1)(w)``.
+    A draw inverts the running sums of its own row, as `_draw` does, at the
+    first entry whose sum exceeds U times the row's total, but never past
+    the last entry to rise, so it never lands on a weight of 0.  The rows
+    the m draws read at one position are padded to the longest of them.  The
+    k m uniforms come from one ``random`` call, x(0)'s first.
 
-
-def chain_walk_sample(net: Network, k: int, rng):
-    """Greedy k-chain homomorphism by walking successive out-edges.
-
-    Far cheaper than rejection sampling on sparse networks with long chains;
-    the draw is not from the chain weight distribution, which is irrelevant
-    for initializing an ergodic chain.  Gives up after 10 000 walks.
-    """
-    ptr, indices, cum = (net.out_edges.indptr, net.out_edges.indices,
-                         net.out_edges.cum)
-    for _ in range(10000):
-        x = [int(rng.integers(net.n))]
-        ok = True
-        for _ in range(k - 1):
-            s, e = int(ptr[x[-1]]), int(ptr[x[-1] + 1])
-            if s == e:
-                ok = False
-                break
-            x.append(int(indices[_draw(rng, cum, s, e)]))
-        if ok:
-            return tuple(x)
-    raise SamplingError("no homomorphism found by chain walking")
-
-
-def initial_homomorphism(net: Network, k: int, rng):
-    """Rejection sampling (`_INITIAL_TRIES` tries) with a chain-walk fallback
-    for k >= 2.
-
-    Rejection acceptance decays like hom(k-chain, G)/n^k, hopeless for long
-    chains on large sparse networks; the fallback trades the proposal law
-    (irrelevant for initializing an ergodic chain) for a guaranteed start.
+    `SamplingError` is raised before any draw when no homomorphism exists,
+    the ladder's last row being all zero, or when that row's total
+    overflows to inf (see `Network.power_row_sums`).
     """
     _check_chain_length(k)
-    try:
-        return rejection_sample_hom(net, k, rng, max_tries=_INITIAL_TRIES)
-    except SamplingError:
-        if k >= 2:
-            return chain_walk_sample(net, k, rng)
-        raise
+    ladder = net.power_row_sums(k)
+    cum = np.cumsum(ladder[k - 1])
+    total = cum[-1]
+    if not total < np.inf:
+        raise SamplingError(f"the path mass of the {k}-chain overflows float64")
+    if total <= 0.0:
+        raise SamplingError("no homomorphism exists")
+    u = rng.random((k, m))
+    x = np.empty((m, k), dtype=np.int64)
+    x[:, 0] = np.minimum(cum.searchsorted(u[0] * total, "right"),
+                         cum.searchsorted(total))
+    out = net.out_edges
+    ptr, nbrs, wts = out.indptr, out.indices, out.weights
+    draws = np.arange(m)
+    for i in range(k - 1):
+        s, e = ptr[x[:, i]], ptr[x[:, i] + 1]
+        # entries past a row's end repeat its last one, so their sums reach
+        # at least the row's total and are never counted below
+        at = np.minimum(s[:, None] + np.arange(np.max(e - s, initial=0)),
+                        e[:, None] - 1)
+        cum = np.cumsum(wts[at] * ladder[k - 2 - i][nbrs[at]], axis=1)
+        total = cum[draws, e - s - 1][:, None]
+        pick = np.minimum(np.sum(cum <= u[i + 1][:, None] * total, axis=1),
+                          np.sum(cum < total, axis=1))
+        x[:, i + 1] = nbrs[s + pick]
+    return x
+
+
+def initial_homomorphism(net: Network, k: int, rng) -> tuple:
+    """A chain's start: one draw of `sample_homomorphisms`, as a tuple of
+    Python ints."""
+    return tuple(sample_homomorphisms(net, k, rng, 1)[0].tolist())
 
 
 def _check_map(k: int, x) -> None:
@@ -617,7 +603,9 @@ def glauber_conditional(net: Network, k: int, x, v: int):
     candidate list may be a cached row: read it, do not modify it.  The
     chain step does not call this function on every step: it draws from the
     network's cache of these laws (`_glauber_law`).  A map whose length is
-    not k, or a v outside 0..k-1, raises `ValueError` before any row is read.
+    not k, or a v outside 0..k-1, raises `ValueError` before any row is read;
+    so does a law with no candidate of positive weight, which only a map
+    that is not a homomorphism has.
     """
     _check_map(k, x)
     if not 0 <= v < k:
@@ -644,7 +632,8 @@ def glauber_conditional(net: Network, k: int, x, v: int):
                            else 0.0)
     total = float(np.add.reduce(weights))   # pairwise, as ndarray.sum adds
     if total <= 0.0:
-        raise AssertionError("empty Glauber conditional for a valid homomorphism")
+        raise ValueError(f"vertex map is not a homomorphism of the {k}-chain: "
+                         f"chain node {v} has no candidate")
     return cand, [w / total for w in weights]
 
 
@@ -762,10 +751,14 @@ def chain_steps(net: Network, k: int, x, rng, mode: str, m: int) -> list:
     it where m separate steps leave it (a batched ``random`` draw yields the
     same values and state as that many separate draws).  Glauber steps mix
     ``integers`` and ``random`` and draw from `rng` itself.  Each step is
-    still one `chain_update` call.
+    still one `chain_update` call.  A start x that is not a homomorphism is
+    refused with `ValueError` before any draw.
     """
     if k < 1 or len(x) != k:
         _check_map(k, x)
+    if not hom_weights(net, k, [x])[0] > 0.0:
+        raise ValueError(f"vertex map is not a homomorphism of the {k}-chain: "
+                         "its weight is 0")
     source, uniforms = rng, None
     if mode in ("pivot", "pivot-approx"):
         state = rng.bit_generator.state

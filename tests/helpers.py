@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from onmf import EdgeListError, Network
+from onmf import EdgeListError, Network, hom_weights
 from onmf.sources import _neighbor_table
 
 
@@ -100,6 +100,18 @@ def same_network(a: Network, b: Network) -> bool:
                     for x, y in ((a.out_edges, b.out_edges),
                                  (a.in_edges, b.in_edges))
                     for part in ("indptr", "indices", "weights", "cum")))
+
+
+def ref_rejection(net: Network, k: int, rng):
+    """A k-chain homomorphism drawn by rejection: uniform maps, one size-k
+    ``integers`` draw at a time, until one has positive weight (at most
+    200 000 tries).  Tests whose chains start from it keep their random
+    streams."""
+    for _ in range(200000):
+        x = tuple(int(v) for v in rng.integers(0, net.n, size=k))
+        if hom_weights(net, k, [x])[0] > 0:
+            return x
+    raise AssertionError(f"no {k}-chain homomorphism in 200 000 tries")
 
 
 def dense_network(M) -> Network:

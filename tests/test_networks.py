@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cycle_network, dense_network, dict_network, edge_pairs,
-                     empirical_distribution, path_network, reference_edge_list,
-                     same_network, smallworld_network, weighted_5node_network)
+                     empirical_distribution, path_network, ref_rejection,
+                     reference_edge_list, same_network, smallworld_network,
+                     weighted_5node_network)
 from onmf import (EdgeListError, Network, OracleSizeError,
-                  SamplingError, chain_update, chain_walk_sample,
-                  glauber_conditional, hom_distribution_bruteforce,
-                  hom_weights, initial_homomorphism, mesoscale_patch,
-                  rejection_sample_hom, tv_distance)
+                  SamplingError, chain_update, glauber_conditional,
+                  hom_distribution_bruteforce, hom_weights,
+                  initial_homomorphism, mesoscale_patch, sample_homomorphisms,
+                  tv_distance)
 from onmf import networks
 from onmf.networks import MCMC_MODES, chain_steps
 
@@ -172,19 +173,19 @@ def test_power_row_sums_match_dense_powers():
 
 
 # ---------------------------------------------------------------------------
-# rejection sampling
+# exact sampling
 # ---------------------------------------------------------------------------
 
 
 def test_single_node_motif_accepts_anything():
     net = Network.from_edges([(0, 1)])
-    x = rejection_sample_hom(net, 1, np.random.default_rng(0))
+    x = initial_homomorphism(net, 1, np.random.default_rng(0))
     assert x[0] in (0, 1)
 
 
 def test_single_edge_network_pins_the_homomorphism():
     net = Network.from_edges([("u", "v")])  # one directed edge
-    x = rejection_sample_hom(net, 2, np.random.default_rng(1))
+    x = initial_homomorphism(net, 2, np.random.default_rng(1))
     assert x == (0, 1)
 
 
@@ -198,36 +199,106 @@ def test_complete_graph_acceptance_fraction():
     assert valid == 6
 
 
-def test_rejection_failure_raises():
-    net = Network.from_edges([(0, 1)])  # a 3-chain needs a walk of two edges
-    with pytest.raises(SamplingError, match="no homomorphism"):
-        rejection_sample_hom(net, 3, np.random.default_rng(2), max_tries=200)
+# Draws per sampler check, and the chance that one check fails although the
+# sampler is exact.  With m draws from a law p on the states s, the expected
+# TV of their empirical law is at most 0.5 * sum_s sqrt(p(s) (1 - p(s)) / m),
+# and one draw moves the TV by at most 1 / m, so by McDiarmid's inequality
+# the TV passes that mean by more than sqrt(ln(1 / FALSE_ALARM) / (2 m)) with
+# probability at most FALSE_ALARM.
+DRAWS, FALSE_ALARM = 20000, 1e-6
 
 
-def test_chain_walk_sample_produces_valid_homs():
-    net = weighted_5node_network()
-    k = 4
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        x = chain_walk_sample(net, k, rng)
-        assert hom_weights(net, k, [x])[0] > 0
+def _sampled_tv_bound(oracle, m=DRAWS):
+    p = np.array(list(oracle.values()))
+    return (0.5 * np.sum(np.sqrt(p * (1.0 - p) / m))
+            + np.sqrt(np.log(1.0 / FALSE_ALARM) / (2 * m)))
 
 
-def test_initial_homomorphism_falls_back_to_walk(monkeypatch):
-    # 60-node cycle with a 6-chain: a try is accepted with probability
-    # 60 * 2**5 / 60**6, about 4e-8, so rejection gives up and the walk runs
+def _sampled_law(X) -> dict:
+    states, counts = np.unique(X, axis=0, return_counts=True)
+    return {tuple(x): c / len(X) for x, c in zip(states.tolist(), counts.tolist())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 4),
+       weights=st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.3, 2.5]),
+                        min_size=25, max_size=25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_homomorphisms_follow_the_chain_weight_law(n, k, weights, seed):
+    # directed and weighted, with self-loops, one-way edges and dead ends; the
+    # session's chance of a false failure is at most 40 * FALSE_ALARM
+    M = np.array(weights[:n * n]).reshape(n, n)
+    net = dense_network(M)
+    rng = np.random.default_rng(seed)
+    try:
+        oracle = hom_distribution_bruteforce(net, k)
+    except SamplingError:
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError, match="no homomorphism exists"):
+            sample_homomorphisms(net, k, rng, DRAWS)
+        assert rng.bit_generator.state == state
+        return
+    X = sample_homomorphisms(net, k, rng, DRAWS)
+    assert X.shape == (DRAWS, k) and X.dtype == np.int64
+    assert np.all(hom_weights(net, k, X) > 0)
+    assert tv_distance(_sampled_law(X), oracle) <= _sampled_tv_bound(oracle)
+
+
+def test_sampled_homomorphisms_are_homomorphisms_on_large_sparse_graphs():
+    for net, k in ((smallworld_network(300, 4, 0.1, seed=2), 8),
+                   (cycle_network(60), 6)):
+        X = sample_homomorphisms(net, k, np.random.default_rng(14), 5000)
+        assert np.all(hom_weights(net, k, X) > 0)
+        empty = sample_homomorphisms(net, k, np.random.default_rng(14), 0)
+        assert empty.shape == (0, k) and empty.dtype == np.int64
+
+
+def test_no_homomorphism_raises_before_drawing():
+    # one edge: no walk of two edges, so no 3-chain homomorphism; and every
+    # factor positive but the product not: 1e-200 squared underflows to 0
+    for net, k in ((Network.from_edges([(0, 1)]), 3),
+                   (dict_network(3, {(0, 1): 1e-200, (1, 2): 1e-200}), 3)):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        for sample in (lambda: sample_homomorphisms(net, k, rng, 10),
+                       lambda: initial_homomorphism(net, k, rng)):
+            with pytest.raises(SamplingError, match="no homomorphism exists"):
+                sample()
+        assert rng.bit_generator.state == state
+
+
+def test_sampled_homomorphisms_stay_on_rows_with_subnormal_totals():
+    # a subnormal total t rounds U * t up to t for about one U in six, so the
+    # first sum above the target would lie past the row's last entry to rise:
+    # node 0's row of 3-chain path masses is [3 * 2**-1074, 0] (node 2 is a
+    # dead end), and the ladder's last row is that total at node 0, 0 elsewhere
+    w = 3 * 2.0 ** -1074
+    net = dict_network(4, {(0, 1): w, (0, 2): 1.0, (1, 3): 1.0})
+    X = sample_homomorphisms(net, 3, np.random.default_rng(15), 1000)
+    assert X.tolist() == [[0, 1, 3]] * 1000
+
+
+def test_initial_homomorphism_is_one_draw_of_the_sampler():
+    net = smallworld_network(200, 8, 0.1, seed=1)
+    for k, seed in ((1, 0), (2, 1), (6, 2), (10, 3)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = initial_homomorphism(net, k, rng)
+        assert x == tuple(sample_homomorphisms(net, k, ref_rng, 1)[0].tolist())
+        assert all(type(v) is int for v in x)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_initial_homomorphism_on_a_long_cycle_takes_one_call():
+    # 60-node cycle with a 6-chain: a uniform try is a homomorphism with
+    # probability 60 * 2**5 / 60**6, about 4e-8; the start costs one call of
+    # k uniforms
     net = cycle_network(60)
     k = 6
-    walks = []
-
-    def walk(*args):
-        walks.append(args)
-        return chain_walk_sample(*args)
-
-    monkeypatch.setattr(networks, "chain_walk_sample", walk)
-    x = initial_homomorphism(net, k, np.random.default_rng(4))
-    assert len(walks) == 1
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    x = initial_homomorphism(net, k, rng)
     assert hom_weights(net, k, [x])[0] > 0
+    ref_rng.random((k, 1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -286,7 +357,7 @@ def test_glauber_preserves_homomorphism_validity():
     net = weighted_5node_network()
     k = 3
     rng = np.random.default_rng(5)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     for _ in range(2000):
         x = chain_update(net, k, x, rng, "glauber")
         assert hom_weights(net, k, [x])[0] > 0
@@ -299,7 +370,7 @@ def test_glauber_matches_uniform_on_odd_cycle():
     oracle = hom_distribution_bruteforce(net, k)
     assert len(oracle) == 20
     rng = np.random.default_rng(6)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     counts = {}
     for _ in range(100000):
         x = chain_update(net, k, x, rng, "glauber")
@@ -372,7 +443,7 @@ def test_pivot_preserves_homomorphism_validity():
     net = weighted_5node_network()
     k = 3
     rng = np.random.default_rng(9)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     for mode in ("pivot", "pivot-approx"):
         y = x
         for _ in range(2000):
@@ -433,6 +504,51 @@ def test_chain_update_refuses_a_chain_length_below_one(mode, k):
                             "chain length k must be at least 1")
 
 
+@pytest.mark.parametrize("mode", MCMC_MODES)
+def test_chain_steps_refuse_a_start_that_is_not_a_homomorphism(mode):
+    # (0, 3, 1) on C6 has weight 0: a Glauber step from it once moved to
+    # another such map or raised AssertionError, depending on the draw
+    net = cycle_network(6)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            chain_steps(net, 3, (0, 3, 1), rng, mode, 5)
+        assert str(info.value) == ("vertex map is not a homomorphism of the "
+                                   "3-chain: its weight is 0")
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode", MCMC_MODES)
+def test_chain_steps_weigh_the_start_once_per_block(mode, monkeypatch):
+    net = cycle_network(6)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return hom_weights(*args)
+
+    monkeypatch.setattr(networks, "hom_weights", spy)
+    maps = chain_steps(net, 3, (0, 1, 2), np.random.default_rng(13), mode, 50)
+    assert len(maps) == 50 and len(calls) == 1
+
+
+def test_glauber_step_from_a_non_homomorphism_raises_value_error():
+    net = cycle_network(6)
+    raised = 0
+    for seed in range(20):
+        try:
+            chain_update(net, 3, (0, 3, 1), np.random.default_rng(seed),
+                         "glauber")
+        except ValueError as exc:
+            assert str(exc) == ("vertex map is not a homomorphism of the "
+                                "3-chain: chain node 1 has no candidate")
+            raised += 1
+    assert raised
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        glauber_conditional(net, 3, (0, 3, 1), 1)
+
+
 @pytest.mark.parametrize("v", [-1, 3])
 def test_glauber_conditional_refuses_a_node_outside_the_chain(v):
     # v = -1 once read x(-2) and x(0) for its neighbors: the law of the
@@ -458,7 +574,7 @@ def test_pivot_exact_matches_motif_distribution():
     k = 3
     oracle = hom_distribution_bruteforce(net, k)
     rng = np.random.default_rng(11)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     counts = {}
     steps = 100000
     for _ in range(steps):
@@ -472,7 +588,7 @@ def test_pivot_exact_is_unbiased_on_irregular_simple_graphs():
     k = 2
     oracle = hom_distribution_bruteforce(net, k)
     rng = np.random.default_rng(12)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     counts = {}
     for _ in range(50000):
         x = chain_update(net, k, x, rng, "pivot")
@@ -529,7 +645,7 @@ def test_mesoscale_patch_diagonal_zero_on_simple_graphs():
     net = cycle_network(7)
     k = 4
     rng = np.random.default_rng(13)
-    x = rejection_sample_hom(net, k, rng)
+    x = ref_rejection(net, k, rng)
     for _ in range(200):
         x = chain_update(net, k, x, rng, "pivot")
         patch = mesoscale_patch(net, x)
@@ -689,15 +805,6 @@ def ref_glauber_conditional(ref, k, x, v):
                 p *= a
         weights[idx] = p
     return cand, weights / float(weights.sum())
-
-
-def ref_rejection(ref, k, rng, max_tries):
-    """One try at a time; returns (map or None, tries drawn)."""
-    for t in range(max_tries):
-        x = tuple(int(v) for v in rng.integers(0, ref.n, size=k))
-        if ref_hom_weight(ref, k, x) > 0:
-            return x, t + 1
-    return None, max_tries
 
 
 def _random_weighted(rng, n, density, loops=True, isolated=0):
@@ -937,7 +1044,7 @@ def test_chain_trajectories_match_the_reference(mode):
     net, ref = dict_network(size, weights), RefNetwork(size, weights)
     k = 4
     ladder = ref_ladder(ref, k)
-    x = y = rejection_sample_hom(net, k, np.random.default_rng(0))
+    x = y = ref_rejection(net, k, np.random.default_rng(0))
     rng_new, rng_ref = np.random.default_rng(26), np.random.default_rng(26)
     moves = 0
     for _ in range(3000):
@@ -958,7 +1065,7 @@ def test_chain_trajectories_match_the_reference(mode):
     # way must match exactly.
     for case, (k, directed) in enumerate(CHAIN_CASES):
         net, ref = _weighted_pair(rng, 12, 0.75, directed, isolated=1)
-        x = y = rejection_sample_hom(net, k, np.random.default_rng(case))
+        x = y = ref_rejection(net, k, np.random.default_rng(case))
         rng_new = np.random.default_rng(27 + case)
         rng_ref = np.random.default_rng(27 + case)
         for _ in range(300):
@@ -976,7 +1083,7 @@ def _run_against_reference(net, ref, k, mode, seed, steps=400):
     same start and seed; each state and the final generator states must
     agree.  Returns the number of moves."""
     ladder = ref_ladder(ref, k)
-    x = y = rejection_sample_hom(net, k, np.random.default_rng(seed))
+    x = y = ref_rejection(net, k, np.random.default_rng(seed))
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     moves = 0
     for _ in range(steps):
@@ -992,11 +1099,10 @@ def _run_against_reference(net, ref, k, mode, seed, steps=400):
     return moves
 
 
-def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
-    # weights near 1e300 overflow the path-mass ladder to inf from its second
-    # row on, so exact ratios read inf / inf, nan / inf on a one-way edge or
-    # 0 / nan on an edge into the dead end, node 10: NaN, which min(1.0, r)
-    # and np.fmin take to 1 (np.minimum would store NaN)
+def _overflowing_network():
+    """Size and weights of a network whose weights near 1e300 overflow the
+    path-mass ladder to inf from its second row on; node 10 is a dead end,
+    and some edges are one-way."""
     rng = np.random.default_rng(35)
     size, weights = _random_weighted(rng, 10, 0.35, loops=False)
     for (a, b), w in list(weights.items()):
@@ -1004,7 +1110,14 @@ def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
             weights[(b, a)] = w
     weights.update({(a, size): 1.0 for a in (2, 5)})
     size += 1
-    weights = {pair: float(rng.random() + 0.5) * 1e300 for pair in weights}
+    return size, {pair: float(rng.random() + 0.5) * 1e300 for pair in weights}
+
+
+def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
+    # exact ratios read inf / inf, nan / inf on a one-way edge or 0 / nan on
+    # an edge into the dead end: NaN, which min(1.0, r) and np.fmin take to
+    # 1 (np.minimum would store NaN)
+    size, weights = _overflowing_network()
     net, ref = dict_network(size, weights), RefNetwork(size, weights)
     k = 4
     ratios, expect = [], []
@@ -1020,6 +1133,23 @@ def test_exact_pivot_matches_the_reference_where_the_ladder_overflows():
         assert _run_against_reference(net, ref, k, "pivot", 45) > 40
     assert np.isnan(ratios).sum() > 5
     assert _acceptance_table(net, k, True).tolist() == expect
+
+
+def test_sampler_refuses_an_overflowing_path_mass():
+    size, weights = _overflowing_network()
+    net = dict_network(size, weights)
+    rng = np.random.default_rng(46)
+    state = rng.bit_generator.state
+    with np.errstate(over="ignore"):
+        assert np.isinf(net.power_row_sums(3)[2]).any()
+        for k in (3, 4):
+            with pytest.raises(SamplingError,
+                               match=f"path mass of the {k}-chain overflows"):
+                sample_homomorphisms(net, k, rng, 10)
+    assert rng.bit_generator.state == state
+    assert np.isfinite(net.power_row_sums(2)).all()
+    X = sample_homomorphisms(net, 2, rng, 1000)
+    assert np.all(hom_weights(net, 2, X) > 0)
 
 
 class _CountedUniforms:
@@ -1052,7 +1182,7 @@ def test_chain_steps_match_one_step_at_a_time(bit_generator, mode):
     weights.update({(a, 12): 1.0 for a in range(0, 12, 3)})
     net = dict_network(size + 1, weights)
     k = 4
-    x = y = rejection_sample_hom(net, k, np.random.default_rng(0))
+    x = y = ref_rejection(net, k, np.random.default_rng(0))
     block, one = np.random.Generator(bit_generator(39)), \
         np.random.Generator(bit_generator(39))
     counted = _CountedUniforms(one)
@@ -1116,7 +1246,7 @@ def _glauber_against_reference(net, ref, chains, steps):
     candidate."""
     runs = []
     for k, seed in chains:
-        x = rejection_sample_hom(net, k, np.random.default_rng(seed))
+        x = ref_rejection(net, k, np.random.default_rng(seed))
         runs.append([k, x, x, np.random.default_rng(seed),
                      np.random.default_rng(seed)])
     bound = len(net.out_edges.indices)
@@ -1225,7 +1355,7 @@ def _patch_stacks(n, rng, net):
     """(stack, path the rule u^2 < m k^2 picks) pairs, u the distinct nodes
     of the stack: m x 1 stacks, both sides of the boundary and one chain
     trajectory, which revisits its nodes."""
-    x = rejection_sample_hom(net, 4, rng)
+    x = ref_rejection(net, 4, rng)
     walk = []
     for _ in range(60):
         x = chain_update(net, 4, x, rng, "pivot")
@@ -1268,77 +1398,6 @@ def test_stacked_patches_equal_the_per_entry_lookup(monkeypatch):
         u = len(np.unique(stack))
         assert shapes == [(u, u) if path == "block" else (m, k, k)]
         shapes.clear()
-
-
-@pytest.mark.parametrize("n", [3, 200, 5000, 2 ** 31 + 7, 2 ** 33])
-def test_batched_integer_draws_equal_separate_draws(n):
-    # rejection_sample_hom relies on this property of numpy's Generator
-    one, many = np.random.default_rng(n), np.random.default_rng(n)
-    rows = np.array([one.integers(0, n, size=3) for _ in range(101)])
-    assert np.array_equal(many.integers(0, n, size=(101, 3)), rows)
-    assert one.bit_generator.state == many.bit_generator.state
-
-
-def _rejection_pair(ref_net, net, k, seed, max_tries):
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expect, used = ref_rejection(ref_net, k, ref_rng, max_tries)
-    if expect is None:
-        with pytest.raises(SamplingError, match="no homomorphism"):
-            rejection_sample_hom(net, k, rng, max_tries=max_tries)
-    else:
-        assert rejection_sample_hom(net, k, rng, max_tries=max_tries) == expect
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    return used, expect is not None
-
-
-def test_rejection_sampling_matches_one_try_at_a_time():
-    from onmf.networks import _REJECTION_CHUNK as chunk
-    # one directed edge among 40 nodes: a 2-chain try hits with p = 1/1600
-    sparse = {(3, 7): 1.0}
-    net, ref = dict_network(40, sparse), RefNetwork(40, sparse)
-    k = 2
-    seen = set()
-    for seed in range(60):
-        used, hit = _rejection_pair(ref, net, k, seed, 3 * chunk + 37)
-        if hit and used <= chunk:
-            seen.add("first chunk")
-        elif hit and used <= 3 * chunk:
-            seen.add("later chunk")
-        elif hit:
-            seen.add("partial last chunk")
-        else:
-            seen.add("no hit")
-    assert seen == {"first chunk", "later chunk", "partial last chunk", "no hit"}
-    # a dense network hits on the first try; a 3-chain on one edge never hits
-    dense_net = weighted_5node_network()
-    dense_ref = ref_from_edges([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 2.0), (2, 1, 2.0),
-                                (2, 0, 0.5), (0, 2, 0.5), (2, 3, 1.5), (3, 2, 1.5),
-                                (3, 4, 1.0), (4, 3, 1.0), (4, 0, 2.5), (0, 4, 2.5)])
-    assert _rejection_pair(dense_ref, dense_net, 3, 1, 50)[1]
-    assert not _rejection_pair(ref, net, 3, 2, chunk + 5)[1]
-    # a 5-chain on a random directed network: a chunk's tries fail at each
-    # of the four edges, and the ones left are tested again at the next
-    size, weights = _random_weighted(np.random.default_rng(36), 8, 0.5)
-    net, ref = dict_network(size, weights), RefNetwork(size, weights)
-    tries = np.random.default_rng(0).integers(0, size, size=(chunk, 5))
-    failed_at = [next((i for i in range(4) if ref.weight(x[i], x[i + 1]) == 0),
-                      4) for x in tries.tolist()]
-    assert set(failed_at) == {0, 1, 2, 3, 4}
-    for seed in range(8):
-        assert _rejection_pair(ref, net, 5, seed, chunk)[1]
-    # a 6-chain on a sparser one rarely hits: tries fail at every edge over
-    # several chunks
-    size, weights = _random_weighted(np.random.default_rng(37), 12, 0.15)
-    net, ref = dict_network(size, weights), RefNetwork(size, weights)
-    outcomes = {_rejection_pair(ref, net, 6, seed, 3 * chunk)[1]
-                for seed in range(6)}
-    assert outcomes == {True, False}
-    # every factor positive, the product not: 1e-200 squared underflows to
-    # 0, so the 3-chain has no homomorphism of positive weight
-    tiny = {(0, 1): 1e-200, (1, 2): 1e-200}
-    net, ref = dict_network(3, tiny), RefNetwork(3, tiny)
-    assert _rejection_pair(ref, net, 2, 3, 50)[1]
-    assert not _rejection_pair(ref, net, 3, 3, chunk + 5)[1]
 
 
 # ---------------------------------------------------------------------------
