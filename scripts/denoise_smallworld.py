@@ -18,7 +18,8 @@ import networkx as nx
 import numpy as np
 
 from onmf import (NDLParams, Network, candidate_pairs, corrupt_network,
-                  lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
+                  folds_chain_entries, lower_tail_is_positive, ndl_learn,
+                  nr_reconstruct, roc_auc)
 
 
 def peak_rss_mib():
@@ -43,7 +44,8 @@ def run(mode, seed, nodes, ring):
                    NDLParams(k=6, atoms=16, iters=60, batch=80, lam=1.0), rng)
     learn_s = lap()
     recons = nr_reconstruct(result.corrupted, nd.W, iters=20000, lam=0.0,
-                            mcmc="pivot", rng=rng)
+                            mcmc="pivot", rng=rng,
+                            chain_entries=folds_chain_entries(mode))
     recon_s = lap()
     pairs = candidate_pairs(result.corrupted, mode)
     positives = np.isin(pairs, result.flipped)

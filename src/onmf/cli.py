@@ -24,8 +24,8 @@ from .factorization import (ZeroDictionaryError, init_engine, learn,
                             load_dictionary, save_aggregates, save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
-                  dominance_scores, lower_tail_is_positive, ndl_learn,
-                  nr_reconstruct, roc_auc)
+                  dominance_scores, folds_chain_entries,
+                  lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
 from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
                        SamplingError, chain_steps, hom_distribution_bruteforce,
                        initial_homomorphism, tv_distance)
@@ -230,7 +230,8 @@ def cmd_denoise(args, out_dir: Path) -> None:
                      corrupted.undirected_keys(), " ")
 
     recons = nr_reconstruct(corrupted, W, iters=args.recon_iters,
-                            lam=args.recon_lambda, mcmc=args.mcmc, rng=rng)
+                            lam=args.recon_lambda, mcmc=args.mcmc, rng=rng,
+                            chain_entries=folds_chain_entries(args.mode))
     _write_flags(out_dir / "labels.csv", net, "label", pairs, labels)
     _write_weighted_edges(out_dir / "recons.edgelist", net, recons)
 

@@ -164,7 +164,8 @@ class ReconstructionState:
 
 
 def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
-                   lam: float = 0.0, mcmc: str = "pivot") -> ReconstructionState:
+                   lam: float = 0.0, mcmc: str = "pivot",
+                   chain_entries: bool = True) -> ReconstructionState:
     """Reconstruct a network by averaging dictionary approximations of patches.
 
     The chain advances ``RECON_BLOCK`` steps at a time, keeping each step's
@@ -173,6 +174,10 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     entry (a, b) of each step's k x k approximation W h is folded into the
     mean at node pair (x[a], x[b]).  Coding draws no random numbers, so the
     chain's trajectory does not depend on the block size.
+
+    With ``chain_entries`` false the chain entries (a, a ± 1) fold 0: they
+    still count as visits of their pair, but only off-chain entries add
+    weight (see ``folds_chain_entries``).
 
     ``iters``, ``lam`` and ``mcmc`` are checked before any draw.
     """
@@ -193,10 +198,11 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
                             mcmc, sizes)
     state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
+    weight = np.where(np.abs(rows - cols) == 1, float(chain_entries), 1.0)
     for xs, X in blocks:
         H = sparse_code(X, W, lam=lam, tol=CODE_TOL, max_iter=CODE_MAX_ITER)
         state.fold_many(xs[:, rows].ravel(), xs[:, cols].ravel(),
-                        (W @ H).T.ravel())
+                        ((W @ H).T * weight).ravel())
     return state
 
 
@@ -297,6 +303,22 @@ def lower_tail_is_positive(mode: str) -> bool:
     if mode not in ("additive", "subtractive"):
         raise ValueError(f"unknown corruption mode {mode!r}")
     return mode == "additive"
+
+
+def folds_chain_entries(mode: str) -> bool:
+    """Whether denoising in this corruption mode folds the chain entries'
+    approximations (``nr_reconstruct``'s ``chain_entries``).
+
+    Every patch is 1 at its chain entries (a, a ± 1), since x is a
+    homomorphism of the chain, so they say nothing of whether an edge is
+    genuine.  Additive candidates are edges: folded, the chain entries pull
+    every walked edge to a mean near 1, injected or not.  Folded as 0, they
+    leave each edge the share of its visits in which the dictionary joins
+    its ends off the chain, which is low for an injected shortcut that
+    closes few short cycles.  Subtractive candidates are non-edges, which no
+    chain entry visits, so that mode folds them and keeps the edges' weights.
+    """
+    return not lower_tail_is_positive(mode)
 
 
 def denoise_classify(scores: np.ndarray, theta: float,

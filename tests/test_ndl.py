@@ -12,7 +12,8 @@ from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
                   RocError, WeightSchedule, candidate_pairs, chain_update,
                   coding_objective, corrupt_network,
                   denoise_classify, dominance_scores, init_dictionary,
-                  initial_homomorphism, lower_tail_is_positive,
+                  folds_chain_entries, initial_homomorphism,
+                  lower_tail_is_positive,
                   mesoscale_patch, ndl, ndl_learn, nr_reconstruct, roc_auc,
                   sparse_code)
 from onmf.networks import MCMC_MODES
@@ -285,6 +286,40 @@ def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc, monkeypatch):
     assert state_counts == counts
     assert max(abs(state_sums[p] / state_counts[p] - sums[p] / counts[p])
                for p in counts) < 1e-12
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reconstruction_without_chain_entries_folds_them_as_zero(monkeypatch):
+    # The same chain and codes: every pair keeps its visit count, and its sum
+    # holds only the approximations at off-chain entries (|a - b| != 1).
+    net = smallworld_network(30, 4, 0.2, seed=5)
+    W = np.random.default_rng(1).random((9, 4))
+    iters = ndl.RECON_BLOCK + 7
+    monkeypatch.setattr(ndl, "CODE_TOL", 0.0)
+    monkeypatch.setattr(ndl, "CODE_MAX_ITER", 50)
+    full = nr_reconstruct(net, W, iters=iters, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    state = nr_reconstruct(net, W, iters=iters, rng=rng, chain_entries=False)
+    assert np.array_equal(state.keys, full.keys)
+    assert np.array_equal(state.counts, full.counts)
+
+    ref_rng = np.random.default_rng(3)
+    x = initial_homomorphism(net, 3, ref_rng)
+    sums = {}
+    for _ in range(iters):
+        x = chain_update(net, 3, x, ref_rng, "pivot")
+        patch = mesoscale_patch(net, x).reshape(-1, 1)
+        h = sparse_code(patch, W, lam=0.0, tol=0.0, max_iter=50)
+        approx = (W @ h).reshape(3, 3)
+        for a in range(3):
+            for b in range(3):
+                pair = (min(x[a], x[b]), max(x[a], x[b]))
+                value = 0.0 if abs(a - b) == 1 else float(approx[a, b])
+                sums[pair] = sums.get(pair, 0.0) + value
+
+    state_sums, _ = _state_dicts(state)
+    assert state_sums.keys() == sums.keys()
+    assert max(abs(state_sums[p] - sums[p]) for p in sums) < 1e-9
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -648,6 +683,13 @@ def test_the_corruption_mode_picks_the_tail():
     assert lower_tail_is_positive("subtractive") is False
     with pytest.raises(ValueError, match="unknown corruption mode"):
         lower_tail_is_positive("sideways")
+
+
+def test_only_additive_denoising_folds_chain_entries_as_zero():
+    assert folds_chain_entries("additive") is False
+    assert folds_chain_entries("subtractive") is True
+    with pytest.raises(ValueError, match="unknown corruption mode"):
+        folds_chain_entries("sideways")
 
 
 def test_sweeping_thresholds_gives_monotone_predictions():
