@@ -15,8 +15,8 @@ from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
                   RocResult, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, folds_chain_entries,
                   lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
-from .networks import (EdgeListError, Network, OracleSizeError, SamplingError,
-                       chain_update, glauber_conditional,
+from .networks import (EdgeListError, MotifChain, Network, OracleSizeError,
+                       SamplingError, chain_update, glauber_conditional,
                        hom_distribution_bruteforce, hom_weights,
                        initial_homomorphism, mesoscale_patch,
                        sample_homomorphisms, tv_distance)

@@ -26,9 +26,10 @@ from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, folds_chain_entries,
                   lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
-from .networks import (MCMC_MODES, EdgeListError, Network, OracleSizeError,
-                       SamplingError, chain_steps, hom_distribution_bruteforce,
-                       initial_homomorphism, tv_distance)
+from .networks import (MCMC_MODES, EdgeListError, MotifChain, Network,
+                       OracleSizeError, SamplingError, chain_steps,
+                       hom_distribution_bruteforce, initial_homomorphism,
+                       tv_distance)
 from .pgm import PgmError, read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from .sources import (IsingConfig, image_patch_stream, ising_patch_stream,
                       reconstruct_grid)
@@ -353,6 +354,7 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
         oracle = hom_distribution_bruteforce(net, k)
     except OracleSizeError as exc:
         raise OracleSizeError(f"{exc}; rerun with a smaller graph or motif")
+    chain = MotifChain(net, k, args.mcmc)   # its caches serve every chain
     children = np.random.SeedSequence(args.seed).spawn(args.chains)
     for c, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -363,7 +365,7 @@ def cmd_hom_diag(args, out_dir: Path) -> None:
         # one TV row per 1 000 steps and one at the end
         for done in range(0, args.iters, 1000):
             step = min(done + 1000, args.iters)
-            for x in chain_steps(net, k, x, rng, args.mcmc, step - done):
+            for x in chain_steps(chain, x, rng, step - done):
                 counts[x] = counts.get(x, 0) + 1
             emp = {k: v / step for k, v in counts.items()}
             tv_rows.append((step, float(tv_distance(emp, oracle))))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import AggregateStats, init_engine, learn, sparse_code
-from .networks import (MCMC_MODES, Network, chain_steps, initial_homomorphism,
-                       mesoscale_patch)
+from .networks import (MCMC_MODES, MotifChain, Network, chain_steps,
+                       initial_homomorphism, mesoscale_patch)
 
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
 RECON_BLOCK = 512
@@ -85,12 +85,13 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
 
 
 def _motif_patches(net: Network, k: int, x, rng, mcmc: str, sizes):
-    """Advance the chain from x by each block size m in turn, yielding per
-    block the homomorphisms as the rows of an (m, k) array and their
-    vectorized patches as the columns of the C-contiguous k^2 x m matrix,
-    made by one `mesoscale_patch` call."""
+    """Advance a `MotifChain` of mode `mcmc` from x by each block size m,
+    yielding per block the homomorphisms as the rows of an (m, k) array and
+    their vectorized patches as the columns of the C-contiguous k^2 x m
+    matrix, made by one `mesoscale_patch` call."""
+    chain = MotifChain(net, k, mcmc)
     for m in sizes:
-        maps = chain_steps(net, k, x, rng, mcmc, m)
+        maps = chain_steps(chain, x, rng, m)
         x = maps[-1]
         xs = np.array(maps, dtype=np.int64)
         yield xs, np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)

@@ -6,9 +6,9 @@ is a homomorphism when the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the
 weights along it is positive.  The chain weight law, each homomorphism in
 proportion to that product, is a path measure, so `sample_homomorphisms`
 draws from it exactly, node by node, and a chain starts from one such draw
-(`initial_homomorphism`).  `chain_update` then takes one step of the chain its
-mode names: "glauber" (single-coordinate conditional resampling), "pivot" or
-"pivot-approx" (random-walk move of the first node with a
+(`initial_homomorphism`).  `chain_update` then takes one step of a
+`MotifChain` of mode "glauber" (single-coordinate conditional resampling),
+"pivot" or "pivot-approx" (random-walk move of the first node with a
 Metropolis-Hastings correction, then successive resampling of the tail).
 
 The exact Pivot acceptance ("pivot") combines the path-count ratio with the
@@ -21,7 +21,8 @@ trading exactness for speed.
 A network stores its positive weights once, in compressed sparse row (CSR)
 form: `Adjacency` holds the out-edges and, transposed, the in-edges.  Weight
 lookups go through the sorted edge keys ``a * n + b``, so ``A(a, b)`` over
-whole arrays of pairs is one binary search and one gather.
+whole arrays of pairs is one binary search and one gather.  A network is
+read-only; the tables a chain reads belong to its `MotifChain`.
 
 A chain step touches a handful of rows, so it runs on Python scalars, and a
 chain visits a few hundred nodes, not the whole graph.  Glauber caches the
@@ -31,24 +32,22 @@ at most O(E) entries.  Pivot copies nothing per node: on large graphs most
 of its visits are first visits to a row, so it reads the CSR arrays through
 ``memoryview``s, which index to Python scalars, draws a neighbor by
 ``bisect`` over the row's span of a running-sum table and reads its
-acceptance from a table aligned with the out-edges, both built once per
-chain length and mode.  A Pivot step draws only uniforms, so `chain_steps`
-draws those of a block of steps in one call.  Products, quotients and
-running sums of Python floats round exactly as numpy's elementwise
-operations and sequential ``cumsum`` do, so the chains draw the same states
-from the same random stream.  The one exception is the total of a Glauber
-conditional: numpy adds an array pairwise, which a Python sum does not
-reproduce, so that total stays a numpy sum.
+acceptance from a table aligned with the out-edges.  A Pivot step draws
+only uniforms, so `chain_steps` draws those of a block of steps in one call.
+Products, quotients and running sums of Python floats round exactly as
+numpy's elementwise operations and sequential ``cumsum`` do, so the chains
+draw the same states from the same random stream.  The one exception is the
+total of a Glauber conditional: numpy adds an array pairwise, which a Python
+sum does not reproduce, so that total stays a numpy sum.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import length_hint
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -201,16 +200,13 @@ class Adjacency:
     Row v spans ``indptr[v]:indptr[v + 1]``: its neighbors in ascending order
     in `indices`, their weights in `weights` and the running sum of those
     weights within the row in `cum` (the inverse-CDF table for sampling a
-    neighbor).  The arrays are read-only; `row_lists` fills a cache of the
-    rows it is asked for.
+    neighbor).  The arrays are read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
     cum: np.ndarray
-    _lists: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @classmethod
     def from_sorted(cls, n: int, rows, cols, weights) -> "Adjacency":
@@ -227,18 +223,6 @@ class Adjacency:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.indices[s:e], self.weights[s:e]
 
-    def row_lists(self, v: int) -> tuple[list[int], list[float]]:
-        """Row v as Python lists, read once and then cached: its neighbors,
-        ascending, and their weights.  The cached lists are shared and must
-        not be modified."""
-        try:
-            return self._lists[v]
-        except KeyError:
-            s, e = self.indptr[v], self.indptr[v + 1]
-            row = self._lists[v] = (self.indices[s:e].tolist(),
-                                    self.weights[s:e].tolist())
-            return row
-
 
 class Network:
     """Node set plus sparse nonnegative weight matrix A.
@@ -247,14 +231,9 @@ class Network:
     b with A(a, b) > 0) and `in_edges` (its transpose, the same object when A
     is symmetric), plus the sorted keys ``a * n + b`` of the out-edges with a
     sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
-    ``searchsorted``.  The tables are built once and read-only afterwards.
-    The chains' caches (Glauber's rows in `Adjacency.row_lists`, its
-    conditional laws and its uniform law for k = 1, Pivot's views and
-    acceptance table per chain length and mode) fill lazily from them on
-    first use; many chains may still read one network concurrently, since a
-    concurrent fill only repeats work and stores an equal value.  The law
-    cache empties itself rather than hold more candidates than A has
-    positive entries; that only loses work.
+    ``searchsorted``.  The tables are built once and read-only afterwards,
+    and a network keeps nothing else: what a chain reads or caches belongs
+    to its `MotifChain`.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -288,15 +267,13 @@ class Network:
         self.labels = list(labels)
         self._keys, self._key_weights = _lookup_tables(n, src, dst, weights)
         rows, cols = np.divmod(self._keys[:-1], n)
-        for arr in (self._keys, self._key_weights):
-            arr.flags.writeable = False
         self.out_edges = Adjacency.from_sorted(n, rows, cols,
                                                self._key_weights[:-1])
         t = np.argsort(cols * n + rows)
         in_rows, in_cols, in_weights = cols[t], rows[t], self._key_weights[t]
         if (np.array_equal(in_rows, rows) and np.array_equal(in_cols, cols)
                 and np.array_equal(in_weights, self.out_edges.weights)):
-            # a symmetric map is its own transpose: one table, one row cache
+            # a symmetric map is its own transpose: one table
             self.in_edges = self.out_edges
         else:
             self.in_edges = Adjacency.from_sorted(n, in_rows, in_cols,
@@ -304,12 +281,8 @@ class Network:
         # row sums added in row order, as the last entry of each row's cum
         self.out_sums = np.bincount(rows, self.out_edges.weights, minlength=n)
         self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
-        self._tail_cache: dict[int, np.ndarray] = {}
-        self._pivot_cache: dict[tuple[int, bool], tuple] = {}
-        self._uniform: tuple | None = None
-        self._laws: dict[int, tuple] = {}
-        self._law_entries = 0   # candidates held over all laws
-        self._law_lock = threading.Lock()
+        for arr in (self._keys, self._key_weights, self.out_sums, self.in_sums):
+            arr.flags.writeable = False
 
     # -- constructors -------------------------------------------------------
 
@@ -379,8 +352,12 @@ class Network:
     # -- queries ------------------------------------------------------------
 
     def weights_at(self, a, b) -> np.ndarray:
-        """A(a, b) for node index arrays `a` and `b`, broadcast; 0 off-edge."""
-        q = np.asarray(a, dtype=np.int64) * self.n + b
+        """A(a, b) for node index arrays `a` and `b`, broadcast; 0 off-edge.
+        An index outside 0..n-1 raises `ValueError`."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if any(e.size and not 0 <= e.min() <= e.max() < self.n for e in (a, b)):
+            raise ValueError("node index out of range")
+        q = a * self.n + b
         pos = self._keys.searchsorted(q)
         return self._key_weights[pos] * (self._keys[pos] == q)
 
@@ -396,22 +373,16 @@ class Network:
         src, dst = self._edge_ends()
         return self._keys[:-1][src < dst]
 
-    @cached_property
+    @property
     def is_simple(self) -> bool:
         src, dst = self._edge_ends()
         return bool(np.all(src != dst) and np.all(self.out_edges.weights == 1.0)
                     and np.all(self.weights_at(dst, src) == 1.0))
 
-    @cached_property
+    @property
     def is_bidirectional(self) -> bool:
         src, dst = self._edge_ends()
         return bool(np.all(self.weights_at(dst, src) > 0.0))
-
-    # -- per-node lists for the chains' scalar steps ---------------------------
-
-    @cached_property
-    def _out_ptr(self) -> list[int]:
-        return self.out_edges.indptr.tolist()
 
     def power_row_sums(self, k: int) -> np.ndarray:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
@@ -446,58 +417,13 @@ class Network:
         row of A(a, b) (A^j 1)(b): the weight of extending a path from a
         through b by j more edges.  Rows j = 0..k-2 serve a k-chain.
         """
-        if k not in self._tail_cache:
-            ladder = self.power_row_sums(k)
-            ptr, dst = self.out_edges.indptr, self.out_edges.indices
-            tables = np.empty((k - 1, len(dst)))
-            for j in range(k - 1):
-                tables[j] = _row_cumsum(ptr, self.out_edges.weights * ladder[j][dst])
-            tables.flags.writeable = False
-            self._tail_cache[k] = tables
-        return self._tail_cache[k]
-
-    def _uniform_law(self) -> tuple:
-        """The 1-chain's Glauber law, uniform over the nodes, in the form
-        `_glauber_law` returns: the running sums of the probabilities
-        ``1 / n``, then the nodes."""
-        if self._uniform is None:
-            cum = tuple(accumulate([1.0 / self.n] * self.n))
-            self._uniform = cum + tuple(range(self.n))
-        return self._uniform
-
-    def _pivot_views(self, k: int, exact: bool) -> tuple:
-        """The Pivot step's tables for the k-chain, exact or approximate, as
-        ``memoryview``s, which index to Python scalars without copying: the
-        out-neighbors, their running sums, each out-edge's acceptance and
-        the running-sum rows the tail draws from, in the order it uses them.
-
-        The move v -> ell along an out-edge is accepted with probability
-        min(1, r).  Approximate, r is ``in_sums[v] / out_sums[v]``.  Exact,
-        r is ``rp[ell] * A(ell, v) * out_sums[v]`` over
-        ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with
-        rp the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
-        denominator is 0.  ``np.fmin`` takes a NaN ratio (where the ladder
-        overflows to inf) to 1, as ``min(1.0, r)`` does.
-        """
-        if (k, exact) not in self._pivot_cache:
-            src, dst = self._edge_ends()
-            out = self.out_edges
-            with np.errstate(over="ignore", invalid="ignore"):
-                if exact:
-                    rp = self.power_row_sums(k)[k - 1]
-                    num = rp[dst] * self.weights_at(dst, src) * self.out_sums[src]
-                    den = rp[src] * out.weights * self.out_sums[dst]
-                    tails = [memoryview(row) for row in self.tail_cdfs(k)[::-1]]
-                else:
-                    num, den = self.in_sums[src], self.out_sums[src]
-                    tails = [memoryview(out.cum)] * (k - 1)
-                accept = np.fmin(1.0, np.divide(num, den, out=np.zeros(len(den)),
-                                                where=den != 0.0))
-            accept.flags.writeable = False
-            self._pivot_cache[k, exact] = (memoryview(out.indices),
-                                           memoryview(out.cum),
-                                           memoryview(accept), tuple(tails))
-        return self._pivot_cache[k, exact]
+        ladder = self.power_row_sums(k)
+        ptr, dst = self.out_edges.indptr, self.out_edges.indices
+        tables = np.empty((k - 1, len(dst)))
+        for j in range(k - 1):
+            tables[j] = _row_cumsum(ptr, self.out_edges.weights * ladder[j][dst])
+        tables.flags.writeable = False
+        return tables
 
 
 # ---------------------------------------------------------------------------
@@ -584,41 +510,125 @@ def initial_homomorphism(net: Network, k: int, rng) -> tuple:
 
 
 def _check_map(k: int, x) -> None:
-    _check_chain_length(k)
     if len(x) != k:
         raise ValueError(f"vertex map has {len(x)} entries, the {k}-chain "
                          f"needs {k}")
 
 
-def glauber_conditional(net: Network, k: int, x, v: int):
+MCMC_MODES = ("glauber", "pivot", "pivot-approx")
+
+
+class MotifChain:
+    """What the k-chain sampler of mode `mode` (one of `MCMC_MODES`) reads
+    from `net`, built once; `chain_update` and `chain_steps` step a map with
+    it.  Maps that share one, as the chains of one `hom-diag` run do, share
+    its caches.
+
+    Glauber keeps the rows it visits as lists (`_row_lists`), its
+    conditional laws (`_glauber_law`) and, for k = 1, the uniform law.
+    Pivot keeps the row offsets as a list and ``memoryview``s of the
+    out-neighbors, their running sums, each out-edge's acceptance and the
+    running-sum rows the tail draws from, in the order it uses them.  The
+    move v -> ell along an out-edge is accepted with probability min(1, r).
+    Approximate, r is ``in_sums[v] / out_sums[v]``.  Exact, r is
+    ``rp[ell] * A(ell, v) * out_sums[v]`` over
+    ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with rp
+    the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
+    denominator is 0; ``np.fmin`` takes a NaN ratio (a product that
+    overflows) to 1, as ``min(1.0, r)`` does.
+
+    A k below 1 and an unknown mode raise `ValueError`; the exact Pivot chain
+    raises `SamplingError` where its ladder `Network.power_row_sums(k)`
+    overflows to inf, as `sample_homomorphisms` does.
+    """
+
+    def __init__(self, net: Network, k: int, mode: str):
+        _check_chain_length(k)
+        if mode not in MCMC_MODES:
+            raise ValueError(f"unknown MCMC mode {mode!r}")
+        self.net, self.k, self.mode = net, k, mode
+        if mode == "glauber":
+            self._update = _glauber_update
+            # (table, cache) per direction; a symmetric network has one
+            self._out_rows = (net.out_edges, {})
+            self._in_rows = (self._out_rows if net.in_edges is net.out_edges
+                             else (net.in_edges, {}))
+            self._laws: dict[int, tuple] = {}
+            self._law_entries = 0   # candidates held over all laws
+            self._law_bound = len(net.out_edges.indices)
+            if k == 1:   # running sums of the probabilities 1 / n, the nodes
+                self._uniform = (tuple(accumulate([1.0 / net.n] * net.n))
+                                 + tuple(range(net.n)))
+            return
+        out = net.out_edges
+        src, dst = net._edge_ends()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode == "pivot":
+                ladder = net.power_row_sums(k)
+                if np.isinf(ladder).any():
+                    raise SamplingError(f"the path mass of the {k}-chain "
+                                        "overflows float64")
+                rp = ladder[k - 1]
+                num = rp[dst] * net.weights_at(dst, src) * net.out_sums[src]
+                den = rp[src] * out.weights * net.out_sums[dst]
+                tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
+            else:
+                num, den = net.in_sums[src], net.out_sums[src]
+                tails = [memoryview(out.cum)] * (k - 1)
+            accept = np.fmin(1.0, np.divide(num, den, out=np.zeros(len(den)),
+                                            where=den != 0.0))
+        accept.flags.writeable = False
+        self._update = _pivot_update
+        self._pivot = (out.indptr.tolist(), memoryview(out.indices),
+                       memoryview(out.cum), memoryview(accept), tuple(tails))
+
+
+def _row_lists(rows: tuple, v: int) -> tuple[list[int], list[float]]:
+    """Row v of a Glauber chain's (table, cache) pair as Python lists, read
+    once and then cached: its neighbors, ascending, and their weights.  The
+    cached lists are shared and must not be modified."""
+    table, cache = rows
+    try:
+        return cache[v]
+    except KeyError:
+        s, e = table.indptr[v], table.indptr[v + 1]
+        row = cache[v] = (table.indices[s:e].tolist(),
+                          table.weights[s:e].tolist())
+        return row
+
+
+def glauber_conditional(chain: MotifChain, x, v: int):
     """Candidate nodes and probabilities, as Python lists, for resampling
-    chain node v of the k-chain map x.
+    chain node v of the map x under the Glauber chain `chain`.
 
     p(w) is proportional to A(x(v-1), w) A(w, x(v+1)), leaving out a factor
     whose neighbor lies beyond the chain's ends; for k = 1 the law is uniform
     over all nodes.  The candidates are the smaller of the two rows, the
     out-row of x(v-1) on a tie, and that row's weights are its own factor;
     a candidate missing from the other row has probability 0.  The law is
-    built anew on every call from the rows of `Adjacency.row_lists`, so the
-    candidate list may be a cached row: read it, do not modify it.  The
-    chain step does not call this function on every step: it draws from the
-    network's cache of these laws (`_glauber_law`).  A map whose length is
-    not k, or a v outside 0..k-1, raises `ValueError` before any row is read;
-    so does a law with no candidate of positive weight, which only a map
-    that is not a homomorphism has.
+    built anew on every call from the rows the chain caches (`_row_lists`),
+    so the candidate list may be a cached row: read it, do not modify it.
+    The chain step does not call this function on every step: it draws from
+    the chain's cache of these laws (`_glauber_law`).  A chain of another
+    mode, a map whose length is not k, or a v outside 0..k-1, raises
+    `ValueError` before any row is read; so does a law with no candidate of
+    positive weight, which only a map that is not a homomorphism has.
     """
+    if chain.mode != "glauber":
+        raise ValueError(f"a {chain.mode!r} chain has no Glauber conditional")
+    k = chain.k
     _check_map(k, x)
     if not 0 <= v < k:
         raise ValueError(f"chain node v must lie in 0..{k - 1}, got {v}")
     if k == 1:
-        return list(range(net.n)), [1.0 / net.n] * net.n
+        return list(range(chain.net.n)), [1.0 / chain.net.n] * chain.net.n
     if v == 0:        # A(w, x(v+1)) > 0: w is an in-neighbor of x(v+1)
-        cand, weights = net.in_edges.row_lists(x[1])
+        cand, weights = _row_lists(chain._in_rows, x[1])
     elif v == k - 1:  # A(x(v-1), w) > 0: w is an out-neighbor of x(v-1)
-        cand, weights = net.out_edges.row_lists(x[v - 1])
+        cand, weights = _row_lists(chain._out_rows, x[v - 1])
     else:             # the smaller row's weights times the other's
-        row = net.out_edges.row_lists(x[v - 1])
-        other = net.in_edges.row_lists(x[v + 1])
+        row = _row_lists(chain._out_rows, x[v - 1])
+        other = _row_lists(chain._in_rows, x[v + 1])
         if len(other[0]) < len(row[0]):   # the out-row of x(v-1) on a tie
             row, other = other, row
         cand, own = row
@@ -637,9 +647,9 @@ def glauber_conditional(net: Network, k: int, x, v: int):
     return cand, [w / total for w in weights]
 
 
-def _glauber_law(net: Network, k: int, x, v: int) -> tuple:
-    """`glauber_conditional` as the step draws from it, cached per network:
-    the running sums that rise, then the candidates at which they rise.
+def _glauber_law(chain: MotifChain, x, v: int) -> tuple:
+    """`glauber_conditional` as the step draws from it, cached per chain: the
+    running sums that rise, then the candidates at which they rise.
 
     The law depends on x(v-1) and x(v+1) alone, so they key it, the node
     index n standing for a neighbor beyond an end of the chain.  `_draw`
@@ -648,45 +658,42 @@ def _glauber_law(net: Network, k: int, x, v: int) -> tuple:
     same nodes.  The cache holds at most as many candidates, summed over
     its laws, as A has positive entries (a law holds at most one row's), so
     it takes O(E) memory like the row cache; it is emptied when a new law
-    would pass that bound.  A law is built whole and then stored by one
-    assignment, so a concurrent fill only repeats work; the count and the
-    store happen under one lock.
+    would pass that bound.
     """
-    n = net.n
+    n, k = chain.net.n, chain.k
     key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
-    laws = net._laws
+    laws = chain._laws
     try:
         return laws[key]
     except KeyError:
         pass
-    cand, probs = glauber_conditional(net, k, x, v)
+    cand, probs = glauber_conditional(chain, x, v)
     nodes, cum, last = [], [], 0.0
     for b, s in zip(cand, accumulate(probs)):
         if s > last:
             nodes.append(b)
             cum.append(s)
             last = s
-    law = tuple(cum + nodes)
-    with net._law_lock:   # the bound holds however many chains fill at once
-        net._law_entries += len(nodes)
-        if net._law_entries > len(net.out_edges.indices):
-            laws.clear()
-            net._law_entries = len(nodes)
-        laws[key] = law
+    chain._law_entries += len(nodes)
+    if chain._law_entries > chain._law_bound:
+        laws.clear()
+        chain._law_entries = len(nodes)
+    law = laws[key] = tuple(cum + nodes)
     return law
 
 
-def _glauber_update(net: Network, k: int, x, rng):
+def _glauber_update(chain: MotifChain, x, rng):
     """Resample one uniformly chosen chain node from its exact conditional."""
+    k = chain.k
     v = int(rng.integers(k))
-    law = net._uniform_law() if k == 1 else _glauber_law(net, k, x, v)
+    law = chain._uniform if k == 1 else _glauber_law(chain, x, v)
     m = len(law) >> 1
     new = list(x)
     new[v] = law[m + _draw(rng, law, 0, m)]
     return tuple(new)
 
 
-def _pivot_update(net: Network, k: int, x, rng, exact: bool):
+def _pivot_update(chain: MotifChain, x, rng):
     """One Pivot chain step for the k-chain.
 
     Moves the pivot x(1) by one weighted random-walk step, accepts it with the
@@ -695,8 +702,7 @@ def _pivot_update(net: Network, k: int, x, rng, exact: bool):
     is returned unchanged.  The step calls only ``rng.random()``, at most
     k + 1 times.
     """
-    ptr = net._out_ptr
-    nbrs, cum, accept, tails = net._pivot_views(k, exact)
+    ptr, nbrs, cum, accept, tails = chain._pivot
     s, e = ptr[x[0]], ptr[x[0] + 1]
     if s == e:
         return x
@@ -714,36 +720,17 @@ def _pivot_update(net: Network, k: int, x, rng, exact: bool):
     return tuple(new)
 
 
-MCMC_MODES = ("glauber", "pivot", "pivot-approx")
+def chain_update(chain: MotifChain, x, rng):
+    """One step of `chain` from the homomorphism x of its k-chain.  A map
+    whose length is not k is refused with `ValueError` before any draw."""
+    if len(x) != chain.k:
+        _check_map(chain.k, x)
+    return chain._update(chain, x, rng)
 
 
-def chain_update(net: Network, k: int, x, rng, mode: str):
-    """One step from the k-chain homomorphism x of the chain `mode` names,
-    one of `MCMC_MODES`.  An unknown mode, a k below 1 and a map whose
-    length is not k are refused with `ValueError` before any draw."""
-    if k < 1 or len(x) != k:
-        _check_map(k, x)
-    if mode == "glauber":
-        return _glauber_update(net, k, x, rng)
-    if mode == "pivot":
-        return _pivot_update(net, k, x, rng, exact=True)
-    if mode == "pivot-approx":
-        return _pivot_update(net, k, x, rng, exact=False)
-    raise ValueError(f"unknown MCMC mode {mode!r}")
-
-
-class _Drawn:
-    """Uniforms drawn ahead, served in order by `random` as
-    ``Generator.random()`` serves them."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, draw):
-        self.random = draw
-
-
-def chain_steps(net: Network, k: int, x, rng, mode: str, m: int) -> list:
-    """The maps of m successive `chain_update` steps from x, in order.
+def chain_steps(chain: MotifChain, x, rng, m: int) -> list:
+    """The maps of m successive `chain_update` steps of `chain` from x, in
+    order.
 
     A Pivot step draws only uniforms, at most k + 1, so the block's steps
     read theirs from m (k + 1) uniforms drawn in one call; the generator is
@@ -751,23 +738,27 @@ def chain_steps(net: Network, k: int, x, rng, mode: str, m: int) -> list:
     it where m separate steps leave it (a batched ``random`` draw yields the
     same values and state as that many separate draws).  Glauber steps mix
     ``integers`` and ``random`` and draw from `rng` itself.  Each step is
-    still one `chain_update` call.  A start x that is not a homomorphism is
-    refused with `ValueError` before any draw.
+    still one `chain_update` call.  A start x that is not a homomorphism,
+    or that names a node outside the network, is refused with `ValueError`
+    before any draw.
     """
-    if k < 1 or len(x) != k:
-        _check_map(k, x)
-    if not hom_weights(net, k, [x])[0] > 0.0:
+    k = chain.k
+    _check_map(k, x)
+    if not hom_weights(chain.net, k, [x])[0] > 0.0:
         raise ValueError(f"vertex map is not a homomorphism of the {k}-chain: "
                          "its weight is 0")
     source, uniforms = rng, None
-    if mode in ("pivot", "pivot-approx"):
+    if chain.mode != "glauber":
         state = rng.bit_generator.state
         uniforms = iter(rng.random(m * (k + 1)).tolist())
-        source = _Drawn(uniforms.__next__)
+        # served in order by `random`, as ``Generator.random()`` serves them
+        source = SimpleNamespace(random=uniforms.__next__)
     maps = []
     try:
         for _ in range(m):
-            x = chain_update(net, k, x, source, mode)
+            # x by keyword: perfbench/probe.py wraps `chain_update` and counts
+            # a move where the result differs from the keyword x
+            x = chain_update(chain, x=x, rng=source)
             maps.append(x)
     finally:
         if uniforms is not None:

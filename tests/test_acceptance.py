@@ -18,7 +18,7 @@ from helpers import (cycle_network, edge_pairs, empirical_distribution,
                      exact_boltzmann, ref_rejection, smallworld_network,
                      sparse_coding_instances, weighted_5node_network)
 from onmf import (AggregateStats, ConstraintPiece, ConstraintSpec, Dictionary,
-                  IsingConfig, NDLParams, OnlineNMF, chain_update,
+                  IsingConfig, MotifChain, NDLParams, OnlineNMF, chain_update,
                   coding_objective, corrupt_network, candidate_pairs,
                   dictionary_update, empirical_loss, growth_check,
                   init_dictionary, ising_gibbs_run, ising_gibbs_step, ndl_learn,
@@ -200,9 +200,10 @@ def test_criterion_07_glauber_chain_stationarity_on_c6():
     assert len(oracle) == 24
     rng = np.random.default_rng(2)
     x = ref_rejection(net, 3, rng)
+    chain = MotifChain(net, 3, "glauber")
     counts = {}
     for _ in range(10 ** 5):
-        x = chain_update(net, 3, x, rng, "glauber")
+        x = chain_update(chain, x, rng)
         counts[x] = counts.get(x, 0) + 1
     tv = tv_distance(empirical_distribution(counts), oracle)
     report(7, "Glauber stationarity on C6", tv < 0.05,
@@ -217,15 +218,17 @@ def test_criterion_08_pivot_chain_stationarity():
     x = ref_rejection(net, 3, rng)
     counts = {}
     steps = 2 * 10 ** 5
+    chain = MotifChain(net, 3, "pivot")
     for _ in range(steps):
-        x = chain_update(net, 3, x, rng, "pivot")
+        x = chain_update(chain, x, rng)
         counts[x] = counts.get(x, 0) + 1
     tv_exact = tv_distance(empirical_distribution(counts), oracle)
 
     counts = {}
     x = ref_rejection(net, 3, rng)
+    chain = MotifChain(net, 3, "pivot-approx")
     for _ in range(steps):
-        x = chain_update(net, 3, x, rng, "pivot-approx")
+        x = chain_update(chain, x, rng)
         counts[x] = counts.get(x, 0) + 1
     tv_approx = tv_distance(empirical_distribution(counts), oracle)
     ok = tv_exact < 0.05

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (cycle_network, edge_pairs, mann_whitney_auc,
                      smallworld_network)
 from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
-                  NDLParams, Network, OnlineNMF, ReconstructionState,
+                  MotifChain, NDLParams, Network, OnlineNMF, ReconstructionState,
                   RocError, WeightSchedule, candidate_pairs, chain_update,
                   coding_objective, corrupt_network,
                   denoise_classify, dominance_scores, init_dictionary,
@@ -71,10 +71,11 @@ def _ndl_learn_by_step_loop(net, params, rng):
                        schedule=WeightSchedule(params.beta), code_tol=1e-8,
                        code_max_iter=500, dict_tol=1e-8, dict_max_iter=100)
     trace = []
+    chain = MotifChain(net, params.k, params.mcmc)
     for t in range(1, params.iters + 1):
         X = np.empty((params.k ** 2, params.batch))
         for j in range(params.batch):
-            x = chain_update(net, params.k, x, rng, params.mcmc)
+            x = chain_update(chain, x, rng)
             X[:, j] = mesoscale_patch(net, x).reshape(-1)
         trace.append((t, engine.step(X).surrogate))
     return engine, trace
@@ -271,8 +272,9 @@ def test_blocked_reconstruction_matches_one_step_at_a_time(mcmc, monkeypatch):
     ref_rng = np.random.default_rng(3)
     x = initial_homomorphism(net, 3, ref_rng)
     sums, counts = {}, {}
+    chain = MotifChain(net, 3, mcmc)
     for _ in range(iters):
-        x = chain_update(net, 3, x, ref_rng, mcmc)
+        x = chain_update(chain, x, ref_rng)
         patch = mesoscale_patch(net, x).reshape(-1, 1)
         h = sparse_code(patch, W, lam=0.5, tol=0.0, max_iter=50)
         approx = (W @ h).reshape(3, 3)
@@ -306,8 +308,9 @@ def test_reconstruction_without_chain_entries_folds_them_as_zero(monkeypatch):
     ref_rng = np.random.default_rng(3)
     x = initial_homomorphism(net, 3, ref_rng)
     sums = {}
+    chain = MotifChain(net, 3, "pivot")
     for _ in range(iters):
-        x = chain_update(net, 3, x, ref_rng, "pivot")
+        x = chain_update(chain, x, ref_rng)
         patch = mesoscale_patch(net, x).reshape(-1, 1)
         h = sparse_code(patch, W, lam=0.0, tol=0.0, max_iter=50)
         approx = (W @ h).reshape(3, 3)
