@@ -2,9 +2,11 @@
 
     python3 scripts/compare_outputs.py OLD NEW [--rtol 1e-9]
 
-Files are compared byte for byte, `metadata.txt` with its `out_dir:` line
-masked, since that line names the output folder.  A text file that differs
-is split into lines and each line into tokens on commas and whitespace.
+Files are compared byte for byte, `metadata.txt` with its path lines
+masked: `out_dir:`, which names the output folder, and `dict:`, `edges:`,
+`labels:`, `image:` and `init_config:`, which name input files that two
+runs may read from different folders.  A text file that differs is split
+into lines and each line into tokens on commas and whitespace.
 When the two files have the same layout (tokens per line) and the same
 non-numeric tokens, the number of lines whose values differ is printed with
 the largest absolute difference of their numbers and that difference
@@ -14,7 +16,7 @@ printed as is: a layout or a word that differs, or a binary file.
 Exits 1 when a file exists on one side only, when two files differ in any
 way other than their numbers, or when their numbers differ by more than
 `--rtol` relative.  With `--rtol 0` it exits 1 on any byte difference, so
-exit 0 means the two folders hold the same bytes.
+exit 0 means the two folders hold the same bytes outside those path lines.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from pathlib import Path
 import numpy as np
 
 
+PATH_LINES = re.compile(
+    rb"(?m)^(out_dir|dict|edges|labels|image|init_config): .*$")
+
+
 def read_bytes(path: Path) -> bytes:
-    """The file's bytes, with the `out_dir:` line of metadata.txt masked."""
+    """The file's bytes, with the path lines of metadata.txt masked."""
     data = path.read_bytes()
     if path.name == "metadata.txt":
-        data = re.sub(rb"(?m)^out_dir: .*$", b"out_dir: *", data)
+        data = PATH_LINES.sub(rb"\1: *", data)
     return data
 
 

@@ -201,8 +201,7 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     The step s = 1/(2 tr(gram) + kappa2) turns H - s (2 (gram H - wx) + lam +
     kappa2 H), clamped at zero, into the affine map H <- max(M H + c, 0) with
     M = (1 - s kappa2) I - 2 s gram and c = s (2 wx - lam), both formed once;
-    ``wx`` is not used after c is formed.  Stops at the first step whose
-    Frobenius change falls below ``tol``, or after ``max_iter`` steps.
+    ``wx`` is not used after c is formed.
 
     ``counts``, when given, says how many columns of the batch each column
     of ``wx`` stands for.  The loop then runs in the scaled coordinates
@@ -212,27 +211,12 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     The codes G / sqrt(counts) are returned; a column with count 1 is scaled
     by exactly 1.0.
 
-    The stopping rule is tested once per window of K = ``_TEST_EVERY``
-    steps, on the window's last change.  Since s <= 1/L the exact map is
-    nonexpansive, so along exact iterates the change never grows.  A computed
-    step errs by less than (r + 3) eps (sqrt(r) |H| + |c|) for an r-row code
-    (r + 2 for the step, one for the rounding of a scaled c), so a computed
-    change exceeds an earlier one in its window by less than 2 K such errors;
-    once a step has passed, |H| stays within (K + 1) tol of the window's last
-    |H|.  The norms and the rounded M add a relative error below
-    (r (n + 4 K) + 8) eps, with n the batch width (the sum of ``counts``).  A
-    window whose last change exceeds tol by more than these margins
-    (``rise`` takes 4 K errors) had no passing step.  Any other window,
-    unless tol is 0, is replayed from a copy of its first iterate, testing
-    every step, and the solve stops at the first step that passes, if one
-    does.  The replay repeats the same operations on the same values, so
-    codes, iteration counts and flags are those of a loop that tests every
-    step of the same (scaled) problem.
-
-    Returns (H, iterations, converged); converged is true only when the
-    change test stopped the loop.  Records them for ``OnlineNMF.step`` under
-    "code", with the Frobenius change of the last step taken and the number
-    of columns coded.
+    The Frobenius change is tested at the end of each window of
+    K = ``_TEST_EVERY`` steps and at ``max_iter``, and the solve stops there
+    when it is below ``tol``.  Returns (H, iterations, converged); converged
+    is true only when the change test stopped the loop.  Records them for
+    ``OnlineNMF.step`` under "code", with the Frobenius change of the last
+    step taken and the number of columns coded.
     """
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     M = (-2.0 * step) * gram
@@ -241,21 +225,11 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     c -= lam
     c *= step
     del wx                               # frees a W^T X the caller dropped
-    r, n = c.shape
-    scale = None
-    if counts is not None:
-        scale = np.sqrt(counts)
+    scale = None if counts is None else np.sqrt(counts)
+    if scale is not None:
         c *= scale
-        n = int(counts.sum())
-    eps = np.finfo(float).eps
-    rise = 4 * _TEST_EVERY * (r + 3) * eps
-    replay_below = (tol * (1.0 + (r * (n + 4 * _TEST_EVERY) + 8) * eps)
-                    + rise * (math.sqrt(r) * (_TEST_EVERY + 1) * tol
-                              + float(np.linalg.norm(c))))
-    rise *= math.sqrt(r)
     H = np.zeros_like(c)
     H_next = np.empty_like(c)
-    start = np.empty_like(c)
     # Clamp against an array, not the scalar 0.0: on numpy 2.4.6 a scalar
     # operand takes np.maximum's slow loop, 3.5-3.8 us at 16 x 500 against
     # 0.88-0.93 us with this floor (one AMD EPYC core; the step's matmul
@@ -263,42 +237,23 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     floor = np.zeros_like(c)
     done = 0
     while True:
-        window = min(_TEST_EVERY, max_iter - done)
-        np.copyto(start, H)
-        for _ in range(window):
+        for _ in range(min(_TEST_EVERY, max_iter - done)):
             # np.dot, not np.matmul: the same dgemm and bytes, less call
             # overhead (0.69 against 0.96 us at 16 x 80, one AMD EPYC core)
             np.dot(M, H, out=H_next)
             H_next += c
             np.maximum(H_next, floor, out=H_next)
             H, H_next = H_next, H
+        done = min(done + _TEST_EVERY, max_iter)
         H_next -= H                      # minus the last change
         change = math.sqrt(np.vdot(H_next, H_next))
-        if tol > 0 and change < replay_below + rise * math.sqrt(np.vdot(H, H)):
-            spare = H                    # recomputed by the replay
-            H = start
-            for it in range(done + 1, done + window + 1):
-                np.dot(M, H, out=spare)
-                spare += c
-                np.maximum(spare, floor, out=spare)
-                H -= spare               # H now holds minus the change
-                change = math.sqrt(np.vdot(H, H))
-                H, spare = spare, H
-                if change < tol:
-                    return _solved(H, scale, it, True, change)
-            start = spare
-        done += window
-        if done == max_iter:
-            return _solved(H, scale, max_iter, False, change)
-
-
-def _solved(G, scale, iters, converged, change):
-    """``_pg_solve``'s result: the codes G / scale, recorded with the
-    solve's counts."""
-    _record_counts("code", iters, converged, change, G.shape[1])
+        converged = change < tol
+        if converged or done == max_iter:
+            break
+    _record_counts("code", done, converged, change, H.shape[1])
     if scale is not None:
-        G /= scale
-    return G, iters, converged
+        H /= scale
+    return H, done, converged
 
 
 @functools.cache
@@ -350,8 +305,8 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     Projected gradient descent from H = 0 with step
     s = 1/(2 tr(W^T W) + kappa2), run as the affine map H <- max(M H + c, 0)
     with M = (1 - s kappa2) I - 2 s W^T W and c = s (2 W^T X - lam); stopped
-    at the first step whose Frobenius change between successive iterates
-    falls below ``tol``, or after ``max_iter`` steps.  The objective is
+    when the Frobenius change between successive iterates falls below
+    ``tol``, or after ``max_iter`` steps.  The objective is
     non-increasing across iterations and the columns of X are solved
     independently.  A batch shares the Frobenius stopping rule: the whole
     change bounds each column's change, so a column coded in a batch is never
@@ -365,13 +320,11 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     batch's rule in exact arithmetic, and the codes differ from a solve of
     every column only by rounding.
 
-    The rule is tested once per window of eight steps, on the window's last
-    change: at this step the map is nonexpansive, so the change can grow only
-    by what rounding adds, and a window whose last change is within that
-    margin of ``tol`` is replayed from its first iterate, testing every step.
-    The replay repeats the same arithmetic, so the solve stops at exactly the
-    step, with exactly the code, that testing every step would give.  ``tol``
-    must be finite and nonnegative and ``max_iter`` at least 1.  Inside
+    The rule is tested only at the end of each window of eight steps and at
+    ``max_iter``; the map is nonexpansive, so in exact arithmetic a solve
+    stops at most seven steps after its first passing step, with a code no
+    worse.  ``tol`` must be finite and nonnegative and ``max_iter`` at least
+    1.  Inside
     ``OnlineNMF.step`` the iteration count, whether the change test fired,
     the change of the last step and the number of distinct columns coded are
     reported in the ``StepResult``.

@@ -84,17 +84,17 @@ def dominance_scores(P: np.ndarray) -> np.ndarray:
     return diag / total
 
 
-def _motif_patches(net: Network, k: int, x, rng, mcmc: str, sizes):
-    """Advance a `MotifChain` of mode `mcmc` from x by each block size m,
-    yielding per block the homomorphisms as the rows of an (m, k) array and
-    their vectorized patches as the columns of the C-contiguous k^2 x m
-    matrix, made by one `mesoscale_patch` call."""
-    chain = MotifChain(net, k, mcmc)
+def _motif_patches(chain: MotifChain, x, rng, sizes):
+    """Advance `chain` from x by each block size m, yielding per block the
+    homomorphisms as the rows of an (m, k) array and their vectorized
+    patches as the columns of the C-contiguous k^2 x m matrix, made by one
+    `mesoscale_patch` call."""
     for m in sizes:
         maps = chain_steps(chain, x, rng, m)
         x = maps[-1]
         xs = np.array(maps, dtype=np.int64)
-        yield xs, np.ascontiguousarray(mesoscale_patch(net, xs).reshape(m, -1).T)
+        yield xs, np.ascontiguousarray(
+            mesoscale_patch(chain.net, xs).reshape(m, -1).T)
 
 
 def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
@@ -104,9 +104,9 @@ def ndl_learn(net: Network, params: NDLParams, rng) -> NetworkDictionary:
     into a k^2 x batch matrix which drives one engine step with balanced
     weights (beta defaults to 1).
     """
-    blocks = _motif_patches(net, params.k,
-                            initial_homomorphism(net, params.k, rng), rng,
-                            params.mcmc, itertools.repeat(params.batch))
+    chain = MotifChain(net, params.k, params.mcmc)
+    blocks = _motif_patches(chain, initial_homomorphism(net, params.k, rng),
+                            rng, itertools.repeat(params.batch))
     engine = init_engine(params.k ** 2, params.atoms, params.dict_radius, rng,
                          beta=params.beta, lam=params.lam, kappa1=params.kappa1,
                          kappa2=params.kappa2, code_tol=CODE_TOL,
@@ -186,17 +186,16 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
         raise ValueError("iters must be nonnegative")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if mcmc not in MCMC_MODES:
-        raise ValueError(f"unknown MCMC mode {mcmc!r}")
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
     k = int(round(math.sqrt(k2)))
     if k * k != k2:
         raise ValueError("dictionary rows must be a perfect square")
+    chain = MotifChain(net, k, mcmc)
     sizes = [min(RECON_BLOCK, iters - start)
              for start in range(0, iters, RECON_BLOCK)]
-    blocks = _motif_patches(net, k, initial_homomorphism(net, k, rng), rng,
-                            mcmc, sizes)
+    blocks = _motif_patches(chain, initial_homomorphism(net, k, rng), rng,
+                            sizes)
     state = ReconstructionState(net.n)
     rows, cols = np.divmod(np.arange(k2), k)
     weight = np.where(np.abs(rows - cols) == 1, float(chain_entries), 1.0)

@@ -534,8 +534,10 @@ class MotifChain:
     ``rp[ell] * A(ell, v) * out_sums[v]`` over
     ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with rp
     the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
-    denominator is 0; ``np.fmin`` takes a NaN ratio (a product that
-    overflows) to 1, as ``min(1.0, r)`` does.
+    denominator is 0.  Where either product overflows, r is instead the
+    product of the quotients ``rp[ell] / rp[v]``, ``A(ell, v) / A(v, ell)``
+    and ``out_sums[v] / out_sums[ell]``, which stay finite, and still 0
+    where a factor of the denominator is 0.
 
     A k below 1 and an unknown mode raise `ValueError`; the exact Pivot chain
     raises `SamplingError` where its ladder `Network.power_row_sums(k)`
@@ -562,15 +564,23 @@ class MotifChain:
             return
         out = net.out_edges
         src, dst = net._edge_ends()
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if mode == "pivot":
                 ladder = net.power_row_sums(k)
                 if np.isinf(ladder).any():
                     raise SamplingError(f"the path mass of the {k}-chain "
                                         "overflows float64")
                 rp = ladder[k - 1]
-                num = rp[dst] * net.weights_at(dst, src) * net.out_sums[src]
-                den = rp[src] * out.weights * net.out_sums[dst]
+                back, sums = net.weights_at(dst, src), net.out_sums
+                num = rp[dst] * back * sums[src]
+                den = rp[src] * out.weights * sums[dst]
+                # where a product overflows, quotients of like factors; den
+                # stays 0 where one of its factors is
+                big = ~(np.isfinite(num) & np.isfinite(den))
+                s, d = src[big], dst[big]
+                num[big] = (rp[d] / rp[s] * (back[big] / out.weights[big])
+                            * (sums[s] / sums[d]))
+                den[big] = (rp[s] > 0.0) & (sums[d] > 0.0)
                 tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
             else:
                 num, den = net.in_sums[src], net.out_sums[src]

@@ -1,3 +1,8 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -752,3 +757,52 @@ def test_metadata_written_and_stable(tmp_path):
     assert a == b
     assert any(l.startswith("command: hom-diag") for l in a)
     assert any(l.startswith("seed: 5") for l in a)
+
+
+# ---------------------------------------------------------------------------
+# scripts/compare_outputs.py
+# ---------------------------------------------------------------------------
+
+
+COMPARE_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / \
+    "compare_outputs.py"
+
+
+def _compare_outputs(old, new):
+    return subprocess.run([sys.executable, str(COMPARE_OUTPUTS), str(old),
+                           str(new), "--rtol", "0"],
+                          capture_output=True, text=True)
+
+
+def test_compare_outputs_masks_input_paths_only(tmp_path):
+    # The same reconstruction from copies of its inputs in two folders:
+    # metadata.txt differs in its dict:, edges: and out_dir: lines alone.
+    learned = tmp_path / "learned"
+    assert run("ndl-learn", "--edges", write_cycle(tmp_path / "cycle.txt"),
+               "--undirected", "--motif-k", 3, "--atoms", 4, "--iters", 5,
+               "--batch", 10, "--seed", 1, "--out-dir", learned) == 0
+    outs = []
+    for side in ("a", "b"):
+        inputs = tmp_path / f"inputs-{side}"
+        inputs.mkdir()
+        shutil.copy(learned / "dictionary.txt", inputs)
+        out = tmp_path / f"out-{side}"
+        assert run("reconstruct", "--edges", write_cycle(inputs / "cycle.txt"),
+                   "--undirected", "--motif-k", 3, "--dict",
+                   inputs / "dictionary.txt", "--iters", 200, "--seed", 2,
+                   "--out-dir", out) == 0
+        outs.append(out)
+    meta = [(out / "metadata.txt").read_text().splitlines() for out in outs]
+    assert {a.split(":")[0] for a, b in zip(*meta) if a != b} == \
+        {"dict", "edges", "out_dir"}
+    done = _compare_outputs(*outs)
+    assert done.returncode == 0, done.stdout
+    # one number changed in one output file
+    edgelist = outs[1] / "recons.edgelist"
+    rows = edgelist.read_text().splitlines()
+    u, v, w = rows[0].split()
+    rows[0] = f"{u} {v} {float(w) + 1e-3!r}"
+    edgelist.write_text("\n".join(rows) + "\n")
+    done = _compare_outputs(*outs)
+    assert done.returncode == 1
+    assert "recons.edgelist: values differ on 1 of" in done.stdout

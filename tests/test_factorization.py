@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -426,22 +427,28 @@ def test_affine_projected_gradient_matches_reference(name):
 
 
 def test_affine_projected_gradient_stops_where_reference_stops():
+    # The reference tests every step; the solve stops at the end of the
+    # window in which the reference stopped, with the reference's code there.
     rng = np.random.default_rng(32)
     X = rng.random((9, 5))
     W = rng.random((9, 4))
     gram, wx = W.T @ W, W.T @ X
-    want, ref_iters, ref_conv = _reference_pg_solve(gram, wx, 0.2, 0.0, 1e-8,
-                                                    100000)
-    got, iters, converged = factorization._pg_solve(gram, wx, 0.2, 0.0, 1e-8,
-                                                    100000)
-    assert ref_conv and converged
-    assert iters == ref_iters < 100000
-    assert _rel_diff(got, want) <= 1e-12
+    ref_iters, ref_conv = _reference_pg_solve(gram, wx, 0.2, 0.0, 1e-8,
+                                              100000)[1:]
+    got = factorization._pg_solve(gram, wx, 0.2, 0.0, 1e-8, 100000)
+    _assert_same_solve(got, _window_end_pg_solve(gram, wx, 0.2, 0.0, 1e-8,
+                                                 100000))
+    assert ref_conv and got[2]
+    assert ref_iters % TEST_EVERY != 0
+    assert got[1] == -(-ref_iters // TEST_EVERY) * TEST_EVERY < 100000
+    want = _reference_pg_solve(gram, wx, 0.2, 0.0, 0.0, got[1])[0]
+    assert _rel_diff(got[0], want) <= 1e-12
 
 
-def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
-    """The fused affine loop that tests the stopping rule after every step;
-    returns (H, iterations, converged)."""
+def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter, every=1):
+    """The fused affine loop, one step at a time, that tests the stopping
+    rule after every ``every``-th step and after step ``max_iter``; returns
+    (H, iterations, converged)."""
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     M = (-2.0 * step) * gram
     M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
@@ -455,9 +462,14 @@ def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
         H -= H_next
         delta = math.sqrt(np.vdot(H, H))
         H, H_next = H_next, H
-        if delta < tol:
+        if (it % every == 0 or it == max_iter) and delta < tol:
             return H, it, True
     return H, max_iter, False
+
+
+TEST_EVERY = factorization._TEST_EVERY
+# the rule _pg_solve keeps: tested at each window's end and at max_iter
+_window_end_pg_solve = functools.partial(_per_step_pg_solve, every=TEST_EVERY)
 
 
 def _change_of_step(gram, wx, lam, k):
@@ -475,9 +487,6 @@ def _assert_same_solve(got, want):
     assert got[1:] == want[1:]
 
 
-TEST_EVERY = factorization._TEST_EVERY
-
-
 @settings(max_examples=300, deadline=None)
 @given(d=st.integers(1, 8), r=st.integers(1, 8), n=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1),
@@ -489,19 +498,24 @@ TEST_EVERY = factorization._TEST_EVERY
 def test_windowed_stop_test_matches_testing_every_step(d, r, n, seed, scale,
                                                        lam, kappa2, tol,
                                                        max_iter):
+    # The window-end loop stops only on a passing step, so never before the
+    # loop that tests every step, and converges only if that loop does.
     rng = np.random.default_rng(seed)
     W = scale[0] * rng.random((d, r))
     X = scale[1] * rng.random((d, n))
     gram, wx = W.T @ W, W.T @ X
-    _assert_same_solve(
-        factorization._pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter),
-        _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter))
+    got = factorization._pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter)
+    _assert_same_solve(got, _window_end_pg_solve(gram, wx, lam, kappa2, tol,
+                                                 max_iter))
+    every_step = _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter)
+    assert got[1] >= every_step[1] and got[2] <= every_step[2]
 
 
 @pytest.mark.parametrize("residue", range(TEST_EVERY))
 def test_windowed_stop_test_stops_at_every_step_of_a_window(residue):
     # tol just above the change of step `stop` stops the per-step loop there,
-    # at each position in a window, under caps on and off the window grid
+    # at each position in a window; the solve runs on to that window's end,
+    # or to a cap that comes first, under caps on and off the window grid
     rng = np.random.default_rng(33)
     W = rng.random((6, 3))
     X = rng.random((6, 4))
@@ -512,8 +526,10 @@ def test_windowed_stop_test_stops_at_every_step_of_a_window(residue):
     stop = 2 * TEST_EVERY + residue + 1
     tol = np.nextafter(changes[stop - 1], np.inf)
     for max_iter in (stop, stop + 1, 3 * TEST_EVERY, 4 * TEST_EVERY + 3, 10000):
-        want = _per_step_pg_solve(gram, wx, 0.1, 0.0, tol, max_iter)
-        assert want[1:3] == (min(stop, max_iter), stop <= max_iter)
+        every_step = _per_step_pg_solve(gram, wx, 0.1, 0.0, tol, max_iter)
+        assert every_step[1:3] == (min(stop, max_iter), stop <= max_iter)
+        want = _window_end_pg_solve(gram, wx, 0.1, 0.0, tol, max_iter)
+        assert want[1:3] == (min(3 * TEST_EVERY, max_iter), True)
         _assert_same_solve(
             factorization._pg_solve(gram, wx.copy(), 0.1, 0.0, tol, max_iter),
             want)
@@ -521,15 +537,18 @@ def test_windowed_stop_test_stops_at_every_step_of_a_window(residue):
 
 def test_windowed_stop_test_allows_for_rounding_rises():
     # Large codes: near tol = 1e-12 rounding makes the change rise inside a
-    # window, from below tol at step 271 back above it by the window's end.
+    # window, from below tol at step 271 back above it by the window's end,
+    # so the solve runs past that window.
     rng = np.random.default_rng(46)
     W = 0.01 * rng.random((3, 3))
     X = 100.0 * rng.random((3, 3))
     gram, wx = W.T @ W, W.T @ X
-    want = _per_step_pg_solve(gram, wx, 1.0, 0.0, 1e-12, 5000)
-    assert want[1:3] == (271, True)
+    assert _per_step_pg_solve(gram, wx, 1.0, 0.0, 1e-12, 5000)[1:] == (271,
+                                                                      True)
     window_end = -(-271 // TEST_EVERY) * TEST_EVERY
     assert _change_of_step(gram, wx, 1.0, window_end) >= 1e-12
+    want = _window_end_pg_solve(gram, wx, 1.0, 0.0, 1e-12, 5000)
+    assert want[2] and want[1] > window_end
     _assert_same_solve(
         factorization._pg_solve(gram, wx.copy(), 1.0, 0.0, 1e-12, 5000), want)
 
@@ -553,9 +572,9 @@ def _coded(X, W, **options):
 
 
 def _assert_codes_as_full_width(X, W, lam, kappa2, tol, max_iter):
-    """sparse_code on X against the per-step loop over every column of X."""
-    want, iters, converged = _per_step_pg_solve(W.T @ W, W.T @ X, lam, kappa2,
-                                                tol, max_iter)
+    """sparse_code on X against the window-end loop over every column of X."""
+    want, iters, converged = _window_end_pg_solve(W.T @ W, W.T @ X, lam,
+                                                  kappa2, tol, max_iter)
     got = _coded(X, W, lam=lam, kappa2=kappa2, tol=tol, max_iter=max_iter)
     assert got[1:3] == (iters, converged)
     assert np.abs(got[0] - want).max() <= 1e-12
@@ -607,18 +626,20 @@ def test_repeated_columns_stop_where_the_full_batch_stops(tol, max_iter,
 def test_repeats_weigh_in_the_stop_rule():
     # 40 copies of one column and one other: the full batch's change stays
     # above tol for longer than the change of the two distinct columns alone,
-    # so the repeats' weight decides where the solve stops.
+    # so the repeats' weight moves the stop to a later window.
     rng = np.random.default_rng(48)
     W = rng.random((6, 3))
     pair = rng.random((6, 2))
     X = pair[:, [0] * 40 + [1]]
     gram = W.T @ W
-    stop = 30
+    stop = 30                            # the full batch's first passing step
     tol = np.nextafter(_change_of_step(gram, W.T @ X, 0.1, stop), np.inf)
-    assert _per_step_pg_solve(gram, W.T @ pair, 0.1, 0.0, tol, 10000)[1] < stop
+    window_end = -(-stop // TEST_EVERY) * TEST_EVERY
+    alone = _window_end_pg_solve(gram, W.T @ pair, 0.1, 0.0, tol, 10000)
+    assert alone[1:] == (window_end - 2 * TEST_EVERY, True)
     H, iters, converged, columns = _assert_codes_as_full_width(
         X, W, 0.1, 0.0, tol, 10000)
-    assert (iters, converged, columns) == (stop, True, 2)
+    assert (iters, converged, columns) == (window_end, True, 2)
 
 
 def test_signed_zeros_are_different_columns():
@@ -659,7 +680,7 @@ def test_batches_with_few_repeats_take_one_full_width_solve(repeats):
     H, iters, converged, columns = _coded(X, W, lam=0.2, tol=1e-8,
                                           max_iter=5000)
     assert columns == n
-    _assert_same_solve((H, iters, converged), _per_step_pg_solve(
+    _assert_same_solve((H, iters, converged), _window_end_pg_solve(
         W.T @ W, W.T @ X, 0.2, 0.0, 1e-8, 5000))
 
 
@@ -1134,6 +1155,29 @@ def test_step_reports_the_change_of_the_last_coding_step(max_iter):
     want = kkt_residual(X, W, before, 0.3, kappa2=0.2)
     assert res.code_change == pytest.approx(want, rel=1e-12)
     assert (res.code_change < 1e-3) == res.code_converged
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 8), r=st.integers(1, 6), n=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1), repeats=st.booleans(),
+       lam=st.sampled_from([0.0, 0.1, 1.0]),
+       tol=st.sampled_from([0.0, 1e-8, 1e-6, 1e-3, 1e-1]),
+       max_iter=st.integers(1, 3 * TEST_EVERY + 1)
+       | st.sampled_from([200, 5000]))
+def test_step_stops_the_coding_only_at_window_ends(d, r, n, seed, repeats, lam,
+                                                   tol, max_iter):
+    # With repeats, 0/1 columns drawn from three: the distinct-column solve.
+    rng = np.random.default_rng(seed)
+    X = rng.random((d, n))
+    if repeats:
+        X = (rng.random((d, 3)) < 0.5)[:, rng.integers(3, size=n)] * 1.0
+    eng = OnlineNMF(init_dictionary(d, r, ConstraintSpec.nonnegative(10.0),
+                                    rng), lam=lam, code_tol=tol,
+                    code_max_iter=max_iter)
+    res = eng.step(X)
+    assert res.code_iters % TEST_EVERY == 0 or res.code_iters == max_iter
+    assert 1 <= res.code_iters <= max_iter
+    assert res.code_converged == (res.code_change < tol)
 
 
 BAD_BUDGETS = [dict(max_iter=0), dict(max_iter=-1), dict(tol=-1e-9),

@@ -1166,6 +1166,40 @@ def test_exact_pivot_refuses_an_overflowing_ladder():
     assert MotifChain(net, 2, "pivot").k == 2
 
 
+def test_exact_pivot_acceptance_is_scale_free_where_products_overflow():
+    # Scaling the weights by 2^s scales each product of the exact ratio by
+    # 2^(4s) exactly, until it overflows (s >= 255) while the ladder stays
+    # finite; the ratios of like factors keep the unscaled table.
+    want = _acceptance_table(
+        Network(3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 3.0, 3.0]), 3, True)
+    assert want.tolist() == [0.625, 1.0, 1.0, 0.625]
+    for s in (0, 50, 200, 254, 255, 256, 300, 400, 500, 508):
+        net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
+                      np.array([1.0, 1.0, 3.0, 3.0]) * 2.0 ** s)
+        with np.errstate(over="ignore"):
+            ladder = net.power_row_sums(3)
+            src, dst = net._edge_ends()
+            products = (ladder[2][dst] * net.weights_at(dst, src)
+                        * net.out_sums[src])
+        assert np.isfinite(ladder).all()
+        assert np.isinf(products).any() == (s >= 255)
+        got = _acceptance_table(net, 3, True)
+        if s < 255:
+            assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+    # At k = 2 the products overflow on this network but its ladder does
+    # not: the table is the one of its weights scaled by 2^-997 up to
+    # rounding, and 0 on the edges into its dead end.
+    size, weights = _overflowing_network()
+    net = dict_network(size, weights)
+    scaled = dict_network(size, {e: w * 2.0 ** -997
+                                 for e, w in weights.items()})
+    got = _acceptance_table(net, 2, True)
+    want = _acceptance_table(scaled, 2, True)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.all(got[net._edge_ends()[1] == size - 1] == 0.0)
+
+
 def test_sampler_refuses_an_overflowing_path_mass():
     size, weights = _overflowing_network()
     net = dict_network(size, weights)
