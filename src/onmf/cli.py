@@ -214,7 +214,10 @@ def cmd_denoise(args, out_dir: Path) -> None:
                          "pre-corrupted network")
     pairs = candidate_pairs(corrupted, args.mode)
     if args.fraction is not None:
-        labels = ~np.isin(pairs, result.flipped)
+        # the flipped pairs are candidates; found by a search, as np.isin
+        # would import numpy.ma
+        labels = np.ones(len(pairs), dtype=bool)
+        labels[pairs.searchsorted(result.flipped)] = False
     else:
         keys, labels = _read_labels(args.labels, net)
         if not np.array_equal(keys, pairs):

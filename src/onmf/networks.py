@@ -32,13 +32,14 @@ at most O(E) entries.  Pivot copies nothing per node: on large graphs most
 of its visits are first visits to a row, so it reads the CSR arrays through
 ``memoryview``s, which index to Python scalars, draws a neighbor by
 ``bisect`` over the row's span of a running-sum table and reads its
-acceptance from a table aligned with the out-edges.  A Pivot step draws
-only uniforms, so `chain_steps` draws those of a block of steps in one call.
-Products, quotients and running sums of Python floats round exactly as
-numpy's elementwise operations and sequential ``cumsum`` do, so the chains
-draw the same states from the same random stream.  The one exception is the
-total of a Glauber conditional: numpy adds an array pairwise, which a Python
-sum does not reproduce, so that total stays a numpy sum.
+acceptance from a table aligned with the out-edges.  Both chains draw only
+uniforms, a Glauber step exactly two, so `chain_steps` draws those of a
+block of steps in one call.  Products, quotients and running sums of Python
+floats round exactly as numpy's elementwise operations and sequential
+``cumsum`` do, so the chains draw the same states from the same random
+stream.  The one exception is the total of a Glauber conditional: numpy adds
+an array pairwise, which a Python sum does not reproduce, so that total
+stays a numpy sum.
 """
 
 from __future__ import annotations
@@ -534,9 +535,10 @@ class MotifChain:
     ``rp[ell] * A(ell, v) * out_sums[v]`` over
     ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with rp
     the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
-    denominator is 0.  Where either product overflows, r is instead the
+    denominator is 0.  Where either product overflows, or falls below the
+    smallest normal double while its factors are positive, r is instead the
     product of the quotients ``rp[ell] / rp[v]``, ``A(ell, v) / A(v, ell)``
-    and ``out_sums[v] / out_sums[ell]``, which stay finite, and still 0
+    and ``out_sums[v] / out_sums[ell]``, which stay in range, and still 0
     where a factor of the denominator is 0.
 
     A k below 1 and an unknown mode raise `ValueError`; the exact Pivot chain
@@ -574,13 +576,19 @@ class MotifChain:
                 back, sums = net.weights_at(dst, src), net.out_sums
                 num = rp[dst] * back * sums[src]
                 den = rp[src] * out.weights * sums[dst]
-                # where a product overflows, quotients of like factors; den
-                # stays 0 where one of its factors is
-                big = ~(np.isfinite(num) & np.isfinite(den))
-                s, d = src[big], dst[big]
-                num[big] = (rp[d] / rp[s] * (back[big] / out.weights[big])
-                            * (sums[s] / sums[d]))
-                den[big] = (rp[s] > 0.0) & (sums[d] > 0.0)
+                # where a product overflows, or falls below the normal range
+                # from positive factors, quotients of like factors; den stays
+                # 0 where one of its factors is (out.weights are positive)
+                tiny = np.finfo(float).tiny
+                den_factors = (rp[src] > 0.0) & (sums[dst] > 0.0)
+                lost = (~(np.isfinite(num) & np.isfinite(den))
+                        | ((den < tiny) & den_factors)
+                        | ((num < tiny) & (rp[dst] > 0.0) & (back > 0.0)
+                           & (sums[src] > 0.0)))
+                s, d = src[lost], dst[lost]
+                num[lost] = (rp[d] / rp[s] * (back[lost] / out.weights[lost])
+                             * (sums[s] / sums[d]))
+                den[lost] = den_factors[lost]
                 tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
             else:
                 num, den = net.in_sums[src], net.out_sums[src]
@@ -657,26 +665,22 @@ def glauber_conditional(chain: MotifChain, x, v: int):
     return cand, [w / total for w in weights]
 
 
-def _glauber_law(chain: MotifChain, x, v: int) -> tuple:
-    """`glauber_conditional` as the step draws from it, cached per chain: the
-    running sums that rise, then the candidates at which they rise.
+def _glauber_law(chain: MotifChain, x, v: int, key: int) -> tuple:
+    """`glauber_conditional` as the step draws from it, built and cached per
+    chain under `key`: the running sums that rise, then the candidates at
+    which they rise.
 
-    The law depends on x(v-1) and x(v+1) alone, so they key it, the node
-    index n standing for a neighbor beyond an end of the chain.  `_draw`
-    never lands on a candidate whose running sum equals its predecessor's
-    (``U * cum[-1] < cum[-1]`` for ``U < 1``), so leaving those out draws the
-    same nodes.  The cache holds at most as many candidates, summed over
-    its laws, as A has positive entries (a law holds at most one row's), so
-    it takes O(E) memory like the row cache; it is emptied when a new law
-    would pass that bound.
+    The law depends on x(v-1) and x(v+1) alone, so the step keys it by
+    ``x(v-1) * (n + 1) + x(v+1)``, the node index n standing for a neighbor
+    beyond an end of the chain, reads it with one lookup and calls this
+    function only on a miss.  An inverse-CDF draw never lands on a candidate
+    whose running sum equals its predecessor's (``U * cum[-1] < cum[-1]``
+    for ``U < 1``), so leaving those out draws the same nodes.  The cache
+    holds at most as many candidates, summed over its laws, as A has
+    positive entries (a law holds at most one row's), so it takes O(E)
+    memory like the row cache; it is emptied when a new law would pass that
+    bound.
     """
-    n, k = chain.net.n, chain.k
-    key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
-    laws = chain._laws
-    try:
-        return laws[key]
-    except KeyError:
-        pass
     cand, probs = glauber_conditional(chain, x, v)
     nodes, cum, last = [], [], 0.0
     for b, s in zip(cand, accumulate(probs)):
@@ -684,6 +688,7 @@ def _glauber_law(chain: MotifChain, x, v: int) -> tuple:
             nodes.append(b)
             cum.append(s)
             last = s
+    laws = chain._laws
     chain._law_entries += len(nodes)
     if chain._law_entries > chain._law_bound:
         laws.clear()
@@ -693,13 +698,26 @@ def _glauber_law(chain: MotifChain, x, v: int) -> tuple:
 
 
 def _glauber_update(chain: MotifChain, x, rng):
-    """Resample one uniformly chosen chain node from its exact conditional."""
+    """Resample one uniformly chosen chain node from its exact conditional.
+
+    The step calls only ``rng.random()``, exactly twice: the node is
+    ``int(k * U)``, below k for every U < 1, and its new value the
+    inverse-CDF draw of the second uniform from the cached law: the first
+    candidate whose running sum exceeds U times the law's total.  That total
+    is about 1, a normal double, so ``U * total < total`` and the draw never
+    passes the last candidate.
+    """
     k = chain.k
-    v = int(rng.integers(k))
-    law = chain._uniform if k == 1 else _glauber_law(chain, x, v)
+    v = int(k * rng.random())
+    if k == 1:
+        law = chain._uniform
+    else:
+        n = chain.net.n
+        key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
+        law = chain._laws.get(key) or _glauber_law(chain, x, v, key)
     m = len(law) >> 1
     new = list(x)
-    new[v] = law[m + _draw(rng, law, 0, m)]
+    new[v] = law[m + bisect_right(law, rng.random() * law[m - 1], 0, m)]
     return tuple(new)
 
 
@@ -742,27 +760,26 @@ def chain_steps(chain: MotifChain, x, rng, m: int) -> list:
     """The maps of m successive `chain_update` steps of `chain` from x, in
     order.
 
-    A Pivot step draws only uniforms, at most k + 1, so the block's steps
-    read theirs from m (k + 1) uniforms drawn in one call; the generator is
-    then rewound and exactly the uniforms used are drawn again, which leaves
-    it where m separate steps leave it (a batched ``random`` draw yields the
-    same values and state as that many separate draws).  Glauber steps mix
-    ``integers`` and ``random`` and draw from `rng` itself.  Each step is
-    still one `chain_update` call.  A start x that is not a homomorphism,
-    or that names a node outside the network, is refused with `ValueError`
-    before any draw.
+    A step draws only uniforms, exactly 2 (Glauber) or at most k + 1
+    (Pivot), so the block's steps read theirs from the m times as many
+    uniforms drawn in one call.  Where a Pivot step used fewer, the
+    generator is then rewound and exactly the uniforms used are drawn again,
+    which leaves it where m separate steps leave it (a batched ``random``
+    draw yields the same values and state as that many separate draws).
+    Each step is still one `chain_update` call.  A start x that is not a
+    homomorphism, or that names a node outside the network, is refused with
+    `ValueError` before any draw.
     """
     k = chain.k
     _check_map(k, x)
     if not hom_weights(chain.net, k, [x])[0] > 0.0:
         raise ValueError(f"vertex map is not a homomorphism of the {k}-chain: "
                          "its weight is 0")
-    source, uniforms = rng, None
-    if chain.mode != "glauber":
-        state = rng.bit_generator.state
-        uniforms = iter(rng.random(m * (k + 1)).tolist())
-        # served in order by `random`, as ``Generator.random()`` serves them
-        source = SimpleNamespace(random=uniforms.__next__)
+    drawn = m * (2 if chain.mode == "glauber" else k + 1)
+    state = rng.bit_generator.state
+    uniforms = iter(rng.random(drawn).tolist())
+    # served in order by `random`, as ``Generator.random()`` serves them
+    source = SimpleNamespace(random=uniforms.__next__)
     maps = []
     try:
         for _ in range(m):
@@ -771,9 +788,10 @@ def chain_steps(chain: MotifChain, x, rng, m: int) -> list:
             x = chain_update(chain, x=x, rng=source)
             maps.append(x)
     finally:
-        if uniforms is not None:
+        left = length_hint(uniforms)
+        if left:
             rng.bit_generator.state = state
-            rng.random(m * (k + 1) - length_hint(uniforms))
+            rng.random(drawn - left)
     return maps
 
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import edge_pairs, mann_whitney_auc, smallworld_network
+import onmf
 from onmf import read_pgm, read_spins_pgm, write_pgm, write_spins_pgm
 from onmf.cli import main
 
@@ -290,6 +292,27 @@ def test_additive_denoise_flags_the_lower_tail(tmp_path):
     assert 0 < sum(flags) < len(flags)
     assert predictions == [f"{u},{v},{str(flag).lower()}"
                            for (u, v, _), flag in zip(rows, flags)]
+
+
+def test_denoise_leaves_numpy_ma_unimported(tmp_path):
+    # np.isin calls a values-only np.unique, which imports numpy.ma on its
+    # first call (numpy 2.3+); membership in the flipped pairs is a search
+    edges = write_smallworld(tmp_path / "sw.txt")
+    code = ("import sys\n"
+            "from onmf.cli import main\n"
+            "for mode in ('subtractive', 'additive'):\n"
+            f"    assert main(['denoise', '--edges', {str(edges)!r}, "
+            "'--undirected', '--motif-k', '3', '--mode', mode, "
+            "'--fraction', '0.3', '--atoms', '3', '--iters', '3', "
+            "'--batch', '10', '--recon-iters', '200', '--seed', '1', "
+            f"'--out-dir', {str(tmp_path)!r} + '/' + mode]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(onmf.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    for mode in ("subtractive", "additive"):
+        assert (tmp_path / mode / "roc.csv").exists()
 
 
 def test_denoise_precorrupted_with_labels_roundtrip(tmp_path):

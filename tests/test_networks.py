@@ -325,13 +325,14 @@ def test_glauber_single_node_motif_resamples_uniformly():
 def test_glauber_one_chain_steps_match_the_uncached_draw():
     # The 1-chain's law and running sums are built once per chain; the draws
     # equal those of building them anew at every step, as the step once did.
+    # A step reads two uniforms, the position int(1 * U) = 0 and the value.
     net = smallworld_network(200, 4, 0.1, seed=3)
     chain = MotifChain(net, 1, "glauber")
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     x = ref = (7,)
     for _ in range(2000):
         x = chain_update(chain, x, rng)
-        assert int(ref_rng.integers(1)) == 0
+        assert int(1 * ref_rng.random()) == 0
         cand, probs = list(range(net.n)), [1.0 / net.n] * net.n
         cum = list(itertools.accumulate(probs))
         u = ref_rng.random() * cum[-1]
@@ -1058,7 +1059,7 @@ def ref_pivot_update(ref, ladder, k, x, rng, mode):
 
 
 def ref_glauber_update(ref, k, x, rng):
-    v = int(rng.integers(k))
+    v = int(k * rng.random())
     cand, probs = ref_glauber_conditional(ref, k, x, v)
     new = list(x)
     new[v] = int(cand[_ref_sample_cdf(rng, np.cumsum(probs))])
@@ -1200,6 +1201,53 @@ def test_exact_pivot_acceptance_is_scale_free_where_products_overflow():
     assert np.all(got[net._edge_ends()[1] == size - 1] == 0.0)
 
 
+def test_exact_pivot_acceptance_is_scale_free_where_products_underflow():
+    # Scaling the weights by 2^s scales each product of the exact ratio by
+    # 2^(4s) exactly, until it falls below the smallest normal double (s <=
+    # -257) while the ladder stays normal; the ratios of like factors keep
+    # the unscaled table, which once read [0, 0, 1, 0.5] at s = -270 and all
+    # zeros from s = -300.
+    tiny = np.finfo(float).tiny
+    want = _acceptance_table(
+        Network(3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 3.0, 3.0]), 3, True)
+    lost = []
+    for s in range(0, -501, -1):
+        net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
+                      np.array([1.0, 1.0, 3.0, 3.0]) * 2.0 ** s)
+        ladder = net.power_row_sums(3)
+        src, dst = net._edge_ends()
+        products = np.concatenate([
+            ladder[2][dst] * net.weights_at(dst, src) * net.out_sums[src],
+            ladder[2][src] * net.weights_at(src, dst) * net.out_sums[dst]])
+        assert ladder.min() >= tiny
+        got = _acceptance_table(net, 3, True)
+        if products.min() >= tiny:
+            assert got.tobytes() == want.tobytes()
+        else:
+            lost.append(s)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+    assert lost == list(range(-257, -501, -1))
+    # Scaled by 2^-997, the weights of `_overflowing_network` lie near 1;
+    # scaled by a further 2^-503 (near 1e-152), the products of its k = 2
+    # ratios round to 0 but its ladder does not: the table is the one of
+    # the first copy up to rounding, and 0 on the edges into its dead end,
+    # whose denominator has a factor 0.
+    size, weights = _overflowing_network()
+    scaled = {e: w * 2.0 ** -997 for e, w in weights.items()}
+    net = dict_network(size, {e: w * 2.0 ** -503 for e, w in scaled.items()})
+    scaled = dict_network(size, scaled)
+    ladder = net.power_row_sums(2)
+    src, dst = net._edge_ends()
+    assert ladder[ladder > 0].min() >= tiny
+    assert np.all(ladder[1][src] * net.out_edges.weights
+                  * net.out_sums[dst] == 0.0)
+    got = _acceptance_table(net, 2, True)
+    want = _acceptance_table(scaled, 2, True)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.count_nonzero(want) > len(want) // 2
+    assert np.all(got[dst == size - 1] == 0.0)
+
+
 def test_sampler_refuses_an_overflowing_path_mass():
     size, weights = _overflowing_network()
     net = dict_network(size, weights)
@@ -1226,6 +1274,33 @@ class _CountedUniforms:
     def random(self):
         self.calls += 1
         return self.rng.random()
+
+
+class _LastUniform:
+    """A generator whose every ``random()`` is the largest double below 1,
+    counting the calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 1.0 - 2.0 ** -53
+
+
+def test_glauber_step_at_the_largest_uniform_resamples_the_last_node():
+    # int(k * U) < k for U = 1 - 2^-53: the last chain node, resampled to
+    # the last candidate of its law, which differs from its value on C6
+    net = cycle_network(6)
+    for k in range(1, 65):
+        chain = MotifChain(net, k, "glauber")
+        x = tuple(i % 2 for i in range(k))
+        cand, probs = glauber_conditional(chain, x, k - 1)
+        want = x[:-1] + (cand[max(i for i, p in enumerate(probs) if p > 0)],)
+        assert want != x
+        last = _LastUniform()
+        assert chain_update(chain, x, last) == want
+        assert last.calls == 2
 
 
 def _same_state(a, b) -> bool:
@@ -1258,7 +1333,7 @@ def test_chain_steps_match_one_step_at_a_time(bit_generator, mode):
         steps = []
         for _ in range(m):
             calls = counted.calls
-            y = chain_update(chain, y, one if mode == "glauber" else counted)
+            y = chain_update(chain, y, counted)
             used.add(counted.calls - calls)
             steps.append(y)
         assert maps == steps
@@ -1266,10 +1341,10 @@ def test_chain_steps_match_one_step_at_a_time(bit_generator, mode):
         x = maps[-1]
     assert chain_steps(chain, x, block, 0) == []
     assert _same_state(block.bit_generator.state, one.bit_generator.state)
-    # a Pivot step draws at most k + 1 uniforms, so m of them at most the
-    # m (k + 1) a block draws ahead; rejected moves draw 2, and approximate
-    # tails also stop at the dead end
-    assert used == ({0} if mode == "glauber" else
+    # a Glauber step draws exactly 2 uniforms and a Pivot step at most
+    # k + 1, so m of them at most the m (k + 1) a block draws ahead;
+    # rejected moves draw 2, and approximate tails also stop at the dead end
+    assert used == ({2} if mode == "glauber" else
                     {2, k + 1} if mode == "pivot" else {2, 3, 4, k + 1})
 
 
@@ -1360,6 +1435,14 @@ def _rising_law(ref, k, x, v):
     return tuple(cum[rise].tolist()) + tuple(int(b) for b in cand[rise])
 
 
+def _cached_law(chain, x, v):
+    """The law the Glauber step draws node v of x from: the chain's cached
+    one, built and cached on a miss."""
+    n, k = chain.net.n, chain.k
+    key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
+    return chain._laws.get(key) or networks._glauber_law(chain, x, v, key)
+
+
 def _glauber_against_reference(ref, runs, steps):
     """Steps the Glauber maps `runs`, a list of (`MotifChain`, seed), in
     turn, one step each per round, and their references on `ref`; every
@@ -1392,7 +1475,7 @@ def _glauber_against_reference(ref, runs, steps):
             run[2] = y = ref_glauber_update(ref, k, y, rng_ref)
             assert x == y
             for v in range(k):
-                law = watch(chain, networks._glauber_law(chain, x, v))
+                law = watch(chain, _cached_law(chain, x, v))
                 assert law == _rising_law(ref, k, x, v)
                 shortened += len(law) < 2 * len(glauber_conditional(
                     chain, x, v)[0])
