@@ -1227,6 +1227,13 @@ def test_exact_pivot_acceptance_is_scale_free_where_products_underflow():
             lost.append(s)
         assert np.abs(got - want).max() <= 1e-15 * want.max()
     assert lost == list(range(-257, -501, -1))
+    # one product at a time: at k = 2 the move 0 -> 1 has the products
+    # 2^-1100 (rounds to 0) over 2^-200, the move 1 -> 0 their inverse; the
+    # table once read 0 for both
+    net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
+                  [2.0 ** -100, 2.0 ** -1000, 1.0, 1.0])
+    assert _acceptance_table(net, 2, True).tolist() == [2.0 ** -900, 1.0,
+                                                        1.0, 1.0]
     # Scaled by 2^-997, the weights of `_overflowing_network` lie near 1;
     # scaled by a further 2^-503 (near 1e-152), the products of its k = 2
     # ratios round to 0 but its ladder does not: the table is the one of
