@@ -62,8 +62,7 @@ class EdgeListError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """No homomorphism can be drawn: none exists, or its law's path mass
-    overflows float64."""
+    """No homomorphism exists, so none can be drawn."""
 
 
 class OracleSizeError(ValueError):
@@ -268,6 +267,13 @@ class Network:
         self.labels = list(labels)
         self._keys, self._key_weights = _lookup_tables(n, src, dst, weights)
         rows, cols = np.divmod(self._keys[:-1], n)
+        # row sums added in row order, as the last entry of each row's cum;
+        # kept finite, so that no running sum or path mass overflows
+        self.out_sums = np.bincount(rows, self._key_weights[:-1], minlength=n)
+        self.in_sums = np.bincount(cols, self._key_weights[:-1], minlength=n)
+        if not np.isfinite([self.out_sums, self.in_sums]).all():
+            raise ValueError("the weights out of or into a node must have "
+                             "a finite sum")
         self.out_edges = Adjacency.from_sorted(n, rows, cols,
                                                self._key_weights[:-1])
         t = np.argsort(cols * n + rows)
@@ -279,9 +285,6 @@ class Network:
         else:
             self.in_edges = Adjacency.from_sorted(n, in_rows, in_cols,
                                                   in_weights)
-        # row sums added in row order, as the last entry of each row's cum
-        self.out_sums = np.bincount(rows, self.out_edges.weights, minlength=n)
-        self.in_sums = np.bincount(cols, self.out_edges.weights, minlength=n)
         for arr in (self._keys, self._key_weights, self.out_sums, self.in_sums):
             arr.flags.writeable = False
 
@@ -311,9 +314,15 @@ class Network:
         """Parse 'u v [w]' lines; '#' starts a comment; labels are strings.
 
         The grammar is that of ``line.strip().split()`` on each line of the
-        text file; the first bad line raises `EdgeListError`.
+        text file; the first bad line raises `EdgeListError`, as does a sum
+        of weights past float64.
         """
-        return cls._from_ids(*_read_edge_list(path), undirected)
+        ids, weights, labels = _read_edge_list(path)
+        try:
+            return cls._from_ids(ids, weights, labels, undirected)
+        except ValueError:   # each weight read is finite: a sum is not
+            raise EdgeListError(f"{path}: the weights of a pair or of a node "
+                                "sum past float64") from None
 
     @classmethod
     def _from_ids(cls, ids, weights, labels, undirected) -> "Network":
@@ -389,12 +398,11 @@ class Network:
         """Ladder of row sums of A^j for j = 0..k-1, via repeated mat-vecs.
 
         Row j holds (A^j 1)(v) per node, the path-weight mass of the
-        length-j walks from v; row k-1 weighs the first node of the exact
-        Pivot chain and of `sample_homomorphisms`.  Row j grows like the
-        spectral radius of A to the power j and is at most
-        ``max(out_sums) ** j``.  An entry that passes float64's largest
-        value, about 1.8e308, reads inf, and the next row reads inf at every
-        node with an edge to it; weights near 1e300 reach inf in row 2.
+        length-j walks from v, times the power of two that puts the row's
+        maximum in [0.5, 1) (row 0 is 1); row k-1 weighs the first node of
+        the exact Pivot chain and of `sample_homomorphisms`.  Its readers
+        compare entries of one row only, and a power of two scales a normal
+        double exactly, so the scaling keeps rows in range and changes no draw.
 
         The ladder is built on every call and not kept: a Glauber chain
         needs it for its start alone and would hold its k n floats to the
@@ -409,6 +417,7 @@ class Network:
         for j in range(1, k):
             ladder[j] = np.bincount(src, weights=wts * ladder[j - 1][dst],
                                     minlength=self.n)
+            np.ldexp(ladder[j], -np.frexp(ladder[j].max())[1], out=ladder[j])
         return ladder
 
     def tail_cdfs(self, k: int) -> np.ndarray:
@@ -416,7 +425,8 @@ class Network:
 
         Row j holds, along `out_edges`, the running sum within each node's
         row of A(a, b) (A^j 1)(b): the weight of extending a path from a
-        through b by j more edges.  Rows j = 0..k-2 serve a k-chain.
+        through b by j more edges (scaled as `power_row_sums` scales row j).
+        Rows j = 0..k-2 serve a k-chain.
         """
         ladder = self.power_row_sums(k)
         ptr, dst = self.out_edges.indptr, self.out_edges.indices
@@ -472,15 +482,12 @@ def sample_homomorphisms(net: Network, k: int, rng, m: int) -> np.ndarray:
     k m uniforms come from one ``random`` call, x(0)'s first.
 
     `SamplingError` is raised before any draw when no homomorphism exists,
-    the ladder's last row being all zero, or when that row's total
-    overflows to inf (see `Network.power_row_sums`).
+    the ladder's last row being all zero.
     """
     _check_chain_length(k)
     ladder = net.power_row_sums(k)
     cum = np.cumsum(ladder[k - 1])
     total = cum[-1]
-    if not total < np.inf:
-        raise SamplingError(f"the path mass of the {k}-chain overflows float64")
     if total <= 0.0:
         raise SamplingError("no homomorphism exists")
     u = rng.random((k, m))
@@ -533,17 +540,13 @@ class MotifChain:
     move v -> ell along an out-edge is accepted with probability min(1, r).
     Approximate, r is ``in_sums[v] / out_sums[v]``.  Exact, r is
     ``rp[ell] * A(ell, v) * out_sums[v]`` over
-    ``rp[v] * A(v, ell) * out_sums[ell]``, multiplied in that order, with rp
-    the path-mass row ``power_row_sums(k)[k - 1]``, and 0 where that
-    denominator is 0.  Where either product overflows, or falls below the
-    smallest normal double while its factors are positive, r is instead the
-    product of the quotients ``rp[ell] / rp[v]``, ``A(ell, v) / A(v, ell)``
-    and ``out_sums[v] / out_sums[ell]``, which stay in range, and still 0
-    where a factor of the denominator is 0.
-
-    A k below 1 and an unknown mode raise `ValueError`; the exact Pivot chain
-    raises `SamplingError` where its ladder `Network.power_row_sums(k)`
-    overflows to inf, as `sample_homomorphisms` does.
+    ``rp[v] * A(v, ell) * out_sums[ell]``, with rp the path-mass row
+    ``power_row_sums(k)[k - 1]``, and 0 where that denominator is 0.  Each
+    product is formed as ``np.frexp`` mantissas multiplied in that order and
+    exponents summed, and r as their quotient scaled once by ``np.ldexp``,
+    so no product overflows or underflows; wherever both products are
+    normal, r rounds as their plain quotient does.  A k below 1 and an
+    unknown mode raise `ValueError`.
     """
 
     def __init__(self, net: Network, k: int, mode: str):
@@ -566,35 +569,26 @@ class MotifChain:
             return
         out = net.out_edges
         src, dst = net._edge_ends()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if mode == "pivot":
-                ladder = net.power_row_sums(k)
-                if np.isinf(ladder).any():
-                    raise SamplingError(f"the path mass of the {k}-chain "
-                                        "overflows float64")
-                rp = ladder[k - 1]
-                back, sums = net.weights_at(dst, src), net.out_sums
-                num = rp[dst] * back * sums[src]
-                den = rp[src] * out.weights * sums[dst]
-                # where a product overflows, or falls below the normal range
-                # from positive factors, quotients of like factors; den stays
-                # 0 where one of its factors is (out.weights are positive)
-                tiny = np.finfo(float).tiny
-                den_factors = (rp[src] > 0.0) & (sums[dst] > 0.0)
-                lost = (~(np.isfinite(num) & np.isfinite(den))
-                        | ((den < tiny) & den_factors)
-                        | ((num < tiny) & (rp[dst] > 0.0) & (back > 0.0)
-                           & (sums[src] > 0.0)))
-                s, d = src[lost], dst[lost]
-                num[lost] = (rp[d] / rp[s] * (back[lost] / out.weights[lost])
-                             * (sums[s] / sums[d]))
-                den[lost] = den_factors[lost]
-                tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
-            else:
-                num, den = net.in_sums[src], net.out_sums[src]
-                tails = [memoryview(out.cum)] * (k - 1)
-            accept = np.fmin(1.0, np.divide(num, den, out=np.zeros(len(den)),
-                                            where=den != 0.0))
+        if mode == "pivot":
+            rp, sums = net.power_row_sums(k)[k - 1], net.out_sums
+            num = (rp[dst], net.weights_at(dst, src), sums[src])
+            den = (rp[src], out.weights, sums[dst])
+            tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
+        else:
+            num, den = (net.in_sums[src],), (net.out_sums[src],)
+            tails = [memoryview(out.cum)] * (k - 1)
+        split = []   # mantissas multiplied in order, exponents summed
+        for factors in (num, den):
+            mant, exp = np.frexp(factors[0])
+            for m, e in map(np.frexp, factors[1:]):
+                mant *= m
+                exp += e
+            split += [mant, exp]
+        nm, ne, dm, de = split
+        # a mantissa product lies in [1/8, 1), so past 2^3 the ratio is above 1
+        accept = np.fmin(1.0, np.ldexp(
+            np.divide(nm, dm, out=np.zeros(len(dm)), where=dm != 0.0),
+            np.minimum(ne - de, 3)))
         accept.flags.writeable = False
         self._update = _pivot_update
         self._pivot = (out.indptr.tolist(), memoryview(out.indices),
@@ -603,15 +597,18 @@ class MotifChain:
 
 def _row_lists(rows: tuple, v: int) -> tuple[list[int], list[float]]:
     """Row v of a Glauber chain's (table, cache) pair as Python lists, read
-    once and then cached: its neighbors, ascending, and their weights.  The
-    cached lists are shared and must not be modified."""
+    once and then cached: its neighbors, ascending, and their weights times
+    the power of two that puts their maximum in [0.5, 1), so that products
+    of two rows stay in range.  The lists are shared: do not modify them."""
     table, cache = rows
     try:
         return cache[v]
     except KeyError:
         s, e = table.indptr[v], table.indptr[v + 1]
+        w = table.weights[s:e]
+        exp = np.frexp(w.max(initial=0.0))[1]
         row = cache[v] = (table.indices[s:e].tolist(),
-                          table.weights[s:e].tolist())
+                          np.ldexp(w, -exp).tolist())
         return row
 
 
@@ -624,8 +621,9 @@ def glauber_conditional(chain: MotifChain, x, v: int):
     over all nodes.  The candidates are the smaller of the two rows, the
     out-row of x(v-1) on a tie, and that row's weights are its own factor;
     a candidate missing from the other row has probability 0.  The law is
-    built anew on every call from the rows the chain caches (`_row_lists`),
-    so the candidate list may be a cached row: read it, do not modify it.
+    built anew on every call from the rows the chain caches (`_row_lists`,
+    scaled by powers of two, which leaves the law as it is), so the
+    candidate list may be a cached row: read it, do not modify it.
     The chain step does not call this function on every step: it draws from
     the chain's cache of these laws (`_glauber_law`).  A chain of another
     mode, a map whose length is not k, or a v outside 0..k-1, raises
@@ -766,13 +764,13 @@ def chain_steps(chain: MotifChain, x, rng, m: int) -> list:
     generator is then rewound and exactly the uniforms used are drawn again,
     which leaves it where m separate steps leave it (a batched ``random``
     draw yields the same values and state as that many separate draws).
-    Each step is still one `chain_update` call.  A start x that is not a
-    homomorphism, or that names a node outside the network, is refused with
-    `ValueError` before any draw.
+    Each step is still one `chain_update` call.  A start x with an edge
+    factor ``A(x(i), x(i+1))`` of 0, or with a node outside the network, is
+    refused with `ValueError` before any draw.
     """
     k = chain.k
     _check_map(k, x)
-    if not hom_weights(chain.net, k, [x])[0] > 0.0:
+    if not np.all(chain.net.weights_at(x[:-1], x[1:]) > 0.0):
         raise ValueError(f"vertex map is not a homomorphism of the {k}-chain: "
                          "its weight is 0")
     drawn = m * (2 if chain.mode == "glauber" else k + 1)

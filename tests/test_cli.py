@@ -382,6 +382,23 @@ def test_labels_file_faults_exit_2_with_line_number(tmp_path, capsys, rows,
     assert f"data error: {labels}: line 3: {fault}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["0 1 1e308\n0 1 1e308\n",
+                                  "0 1 1.5e308\n0 2 1.5e308\n",
+                                  "0 1 1.5e308\n2 1 1.5e308\n"],
+                         ids=["repeated-pair", "out-row", "in-row"])
+def test_weight_sums_past_float64_exit_2_naming_the_file(tmp_path, capsys,
+                                                         text):
+    # every weight is finite, but the sum of a repeated pair or of a node's
+    # row is not: once exit 1 with "error:", or a RuntimeWarning before exit 3
+    edges = tmp_path / "huge.txt"
+    edges.write_text(text)
+    assert run("hom-diag", "--edges", edges, "--motif-k", 2,
+               "--out-dir", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {edges}: the weights of a pair or of a node sum past "
+        "float64"]
+
+
 # A file whose content is malformed exits 2; a flag value the library rejects
 # exits 1.  Both print one message line, never a traceback.
 EXIT_CASES = {

@@ -157,6 +157,16 @@ def test_simple_and_bidirectional_flags():
     assert not directed.is_bidirectional and not directed.is_simple
 
 
+def scaled_rows(ladder):
+    """`ladder` with each row after the first times 2^-e, e the exponent
+    ``np.frexp`` gives the row's maximum, as `Network.power_row_sums` scales
+    its rows."""
+    ladder = np.array(ladder, dtype=float)
+    for row in ladder[1:]:
+        row[:] = np.ldexp(row, -np.frexp(row.max())[1])
+    return ladder
+
+
 def test_power_row_sums_match_dense_powers():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -165,9 +175,11 @@ def test_power_row_sums_match_dense_powers():
         net = dense_network(M)
         k = int(rng.integers(2, 6))
         ladder = net.power_row_sums(k)
-        for j in range(k):
-            expect = np.linalg.matrix_power(M, j) @ np.ones(n)
-            assert np.allclose(ladder[j], expect, atol=1e-9)
+        expect = scaled_rows([np.linalg.matrix_power(M, j) @ np.ones(n)
+                              for j in range(k)])
+        assert np.allclose(ladder, expect, rtol=1e-12, atol=0.0)
+        ref = RefNetwork(n, {(a, b): M[a, b] for a, b in zip(*np.nonzero(M))})
+        assert ladder.tobytes() == scaled_rows(ref_ladder(ref, k)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +264,20 @@ def test_sampled_homomorphisms_are_homomorphisms_on_large_sparse_graphs():
 
 
 def test_no_homomorphism_raises_before_drawing():
-    # one edge: no walk of two edges, so no 3-chain homomorphism; and every
-    # factor positive but the product not: 1e-200 squared underflows to 0
-    for net, k in ((Network.from_edges([(0, 1)]), 3),
-                   (dict_network(3, {(0, 1): 1e-200, (1, 2): 1e-200}), 3)):
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
-        for sample in (lambda: sample_homomorphisms(net, k, rng, 10),
-                       lambda: initial_homomorphism(net, k, rng)):
-            with pytest.raises(SamplingError, match="no homomorphism exists"):
-                sample()
-        assert rng.bit_generator.state == state
+    # one edge: no walk of two edges, so no 3-chain homomorphism
+    net, k = Network.from_edges([(0, 1)]), 3
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    for sample in (lambda: sample_homomorphisms(net, k, rng, 10),
+                   lambda: initial_homomorphism(net, k, rng)):
+        with pytest.raises(SamplingError, match="no homomorphism exists"):
+            sample()
+    assert rng.bit_generator.state == state
+    # every factor positive but the product not: 1e-200 squared underflows
+    # to 0, yet the one homomorphism is drawn
+    net = dict_network(3, {(0, 1): 1e-200, (1, 2): 1e-200})
+    assert sample_homomorphisms(net, k, rng, 10).tolist() == [[0, 1, 2]] * 10
+    assert initial_homomorphism(net, k, rng) == (0, 1, 2)
 
 
 def test_sampled_homomorphisms_stay_on_rows_with_subnormal_totals():
@@ -546,17 +561,18 @@ def test_nodes_outside_the_network_are_refused():
 
 @pytest.mark.parametrize("mode", MCMC_MODES)
 def test_chain_steps_weigh_the_start_once_per_block(mode, monkeypatch):
+    # the start's edge factors are read once, in one lookup
     net = cycle_network(6)
-    calls = []
+    chain = MotifChain(net, 3, mode)
+    lookup, calls = net.weights_at, []
 
-    def spy(*args):
-        calls.append(args)
-        return hom_weights(*args)
+    def spy(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return lookup(a, b)
 
-    monkeypatch.setattr(networks, "hom_weights", spy)
-    maps = chain_steps(MotifChain(net, 3, mode), (0, 1, 2),
-                       np.random.default_rng(13), 50)
-    assert len(maps) == 50 and len(calls) == 1
+    monkeypatch.setattr(net, "weights_at", spy)
+    maps = chain_steps(chain, (0, 1, 2), np.random.default_rng(13), 50)
+    assert len(maps) == 50 and calls == [((0, 1), (1, 2))]
 
 
 def test_glauber_step_from_a_non_homomorphism_raises_value_error():
@@ -941,7 +957,7 @@ def test_power_row_sums_and_tail_tables_are_sequential_row_sums():
     net, ref = dict_network(n, weights), RefNetwork(n, weights)
     k = 5
     ladder = net.power_row_sums(k)
-    assert np.array_equal(ladder, ref_ladder(ref, k))
+    assert ladder.tobytes() == scaled_rows(ref_ladder(ref, k)).tobytes()
     tables = net.tail_cdfs(k)
     assert tables.shape == (k - 1, len(net.out_edges.indices))
     for j in range(k - 1):
@@ -1134,10 +1150,20 @@ def _run_against_reference(chain, ref, seed, steps=400):
     return moves
 
 
-def _overflowing_network():
-    """Size and weights of a network whose weights near 1e300 overflow the
-    path-mass ladder to inf from its second row on; node 10 is a dead end,
-    and some edges are one-way."""
+def test_network_refuses_a_weight_sum_past_float64():
+    # each weight is finite; once the first network was built with out_sums
+    # [inf, 0], and its chains warned of an overflow
+    for src, dst in (([0, 0], [0, 1]), ([0, 1], [1, 1])):
+        with pytest.raises(ValueError, match="must have a finite sum"):
+            Network(2, src, dst, [1.5e308] * 2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Network.from_edges([(0, 1, 1e308), (0, 1, 1e308)])
+
+
+def _network_near_1e300():
+    """Size and weights of a network whose weights lie near 1e300, so that
+    unscaled path masses would overflow from the ladder's second row on;
+    node 10 is a dead end, and some edges are one-way."""
     rng = np.random.default_rng(35)
     size, weights = _random_weighted(rng, 10, 0.35, loops=False)
     for (a, b), w in list(weights.items()):
@@ -1148,128 +1174,123 @@ def _overflowing_network():
     return size, {pair: float(rng.random() + 0.5) * 1e300 for pair in weights}
 
 
-def test_exact_pivot_refuses_an_overflowing_ladder():
-    # where the ladder overflows to inf, exact ratios read inf / inf, nan /
-    # inf on a one-way edge or 0 / nan on an edge into the dead end: NaN,
-    # which the acceptance table once took to 1, so the chain's law was not
-    # the chain weight law; the exact chain is refused as the sampler is
-    size, weights = _overflowing_network()
-    net = dict_network(size, weights)
-    with np.errstate(over="ignore"):
-        assert np.isinf(net.power_row_sums(3)).any()
-        for k in (3, 4):
-            with pytest.raises(SamplingError,
-                               match=f"path mass of the {k}-chain overflows"):
-                MotifChain(net, k, "pivot")
-            for mode in ("glauber", "pivot-approx"):   # they read no ladder
-                assert MotifChain(net, k, mode).k == k
-    assert np.isfinite(net.power_row_sums(2)).all()
-    assert MotifChain(net, 2, "pivot").k == 2
+def _scaled_copies(size, weights, s):
+    """The network of `weights` and its copy with every weight times 2^s."""
+    return (dict_network(size, weights),
+            dict_network(size, {e: np.ldexp(w, s)
+                                for e, w in weights.items()}))
 
 
-def test_exact_pivot_acceptance_is_scale_free_where_products_overflow():
-    # Scaling the weights by 2^s scales each product of the exact ratio by
-    # 2^(4s) exactly, until it overflows (s >= 255) while the ladder stays
-    # finite; the ratios of like factors keep the unscaled table.
-    want = _acceptance_table(
-        Network(3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 3.0, 3.0]), 3, True)
-    assert want.tolist() == [0.625, 1.0, 1.0, 0.625]
-    for s in (0, 50, 200, 254, 255, 256, 300, 400, 500, 508):
-        net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
-                      np.array([1.0, 1.0, 3.0, 3.0]) * 2.0 ** s)
-        with np.errstate(over="ignore"):
-            ladder = net.power_row_sums(3)
-            src, dst = net._edge_ends()
-            products = (ladder[2][dst] * net.weights_at(dst, src)
-                        * net.out_sums[src])
-        assert np.isfinite(ladder).all()
-        assert np.isinf(products).any() == (s >= 255)
-        got = _acceptance_table(net, 3, True)
-        if s < 255:
-            assert got.tobytes() == want.tobytes()
-        assert np.abs(got - want).max() <= 1e-15 * want.max()
-    # At k = 2 the products overflow on this network but its ladder does
-    # not: the table is the one of its weights scaled by 2^-997 up to
-    # rounding, and 0 on the edges into its dead end.
-    size, weights = _overflowing_network()
-    net = dict_network(size, weights)
-    scaled = dict_network(size, {e: w * 2.0 ** -997
-                                 for e, w in weights.items()})
-    got = _acceptance_table(net, 2, True)
-    want = _acceptance_table(scaled, 2, True)
-    assert np.abs(got - want).max() <= 1e-15
-    assert np.all(got[net._edge_ends()[1] == size - 1] == 0.0)
+def _same_chains(net, scaled, k, seed, m=20):
+    """The acceptance tables of both Pivot modes, `m` draws of
+    `sample_homomorphisms`, every Glauber law at those draws and `m` steps
+    of each mode from the first draw are equal on `net` and `scaled`."""
+    for exact in (True, False):
+        assert (_acceptance_table(scaled, k, exact).tobytes()
+                == _acceptance_table(net, k, exact).tobytes())
+    X = sample_homomorphisms(net, k, np.random.default_rng(seed), m)
+    assert np.array_equal(
+        sample_homomorphisms(scaled, k, np.random.default_rng(seed), m), X)
+    pair = [MotifChain(g, k, "glauber") for g in (net, scaled)]
+    for x in X.tolist():
+        for v in range(k):
+            assert (glauber_conditional(pair[0], x, v)
+                    == glauber_conditional(pair[1], x, v))
+    start = tuple(X[0].tolist())
+    for mode in MCMC_MODES:
+        maps = [chain_steps(MotifChain(g, k, mode), start,
+                            np.random.default_rng(seed), m)
+                for g in (net, scaled)]
+        assert maps[0] == maps[1]
 
 
-def test_exact_pivot_acceptance_is_scale_free_where_products_underflow():
-    # Scaling the weights by 2^s scales each product of the exact ratio by
-    # 2^(4s) exactly, until it falls below the smallest normal double (s <=
-    # -257) while the ladder stays normal; the ratios of like factors keep
-    # the unscaled table, which once read [0, 0, 1, 0.5] at s = -270 and all
-    # zeros from s = -300.
-    tiny = np.finfo(float).tiny
-    want = _acceptance_table(
-        Network(3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 3.0, 3.0]), 3, True)
-    lost = []
-    for s in range(0, -501, -1):
-        net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
-                      np.array([1.0, 1.0, 3.0, 3.0]) * 2.0 ** s)
-        ladder = net.power_row_sums(3)
-        src, dst = net._edge_ends()
-        products = np.concatenate([
-            ladder[2][dst] * net.weights_at(dst, src) * net.out_sums[src],
-            ladder[2][src] * net.weights_at(src, dst) * net.out_sums[dst]])
-        assert ladder.min() >= tiny
-        got = _acceptance_table(net, 3, True)
-        if products.min() >= tiny:
-            assert got.tobytes() == want.tobytes()
-        else:
-            lost.append(s)
-        assert np.abs(got - want).max() <= 1e-15 * want.max()
-    assert lost == list(range(-257, -501, -1))
-    # one product at a time: at k = 2 the move 0 -> 1 has the products
-    # 2^-1100 (rounds to 0) over 2^-200, the move 1 -> 0 their inverse; the
-    # table once read 0 for both
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 4),
+       weights=st.lists(st.one_of(st.just(0.0),
+                                  st.floats(0.5, 4.0, exclude_max=True)),
+                        min_size=25, max_size=25),
+       s=st.integers(-1000, 1000), seed=st.integers(0, 2 ** 32 - 1))
+def test_chains_are_scale_free_under_powers_of_two(n, k, weights, s, seed):
+    # The k-chain law does not change when A is scaled, and 2^s scales these
+    # weights exactly, so tables, draws and laws are those of the unscaled
+    # network, byte for byte: directed, with self-loops, one-way edges and
+    # dead ends.  Once an exact ratio read 0 or inf / inf where a product of
+    # its factors left the normal range (s near -260 or +255 at k = 3).
+    M = np.array(weights[:n * n]).reshape(n, n)
+    net, scaled = dense_network(M), dense_network(np.ldexp(M, s))
+    try:
+        hom_distribution_bruteforce(net, k)
+    except SamplingError:
+        for g in (net, scaled):
+            with pytest.raises(SamplingError, match="no homomorphism exists"):
+                sample_homomorphisms(g, k, np.random.default_rng(seed), 1)
+        return
+    _same_chains(net, scaled, k, seed)
+
+
+def test_chains_on_uniform_weights_of_1e_120():
+    # the 4-chain's homomorphisms weigh 1e-360, below the smallest double;
+    # once the ladder's last row read 0 and the sampler raised "no
+    # homomorphism exists", and the exact acceptance table read all zeros
+    edges = ([0, 1, 1, 2], [1, 0, 2, 1])
+    tiny = Network(3, *edges, [1e-120] * 4)
+    unit = Network(3, *edges, [1.0] * 4)
+    assert hom_weights(tiny, 4, [(0, 1, 0, 1)])[0] == 0.0
+    assert _acceptance_table(unit, 4, True).tolist() == [1.0] * 4
+    _same_chains(unit, tiny, 4, seed=41)
+
+
+def test_exact_pivot_acceptance_keeps_a_ratio_whose_products_underflow():
+    # at k = 2 the move 0 -> 1 of this 2-cycle has the ratio 2^-600, whose
+    # products 2^-1201 over 2^-601 once read 0 through a quotient of like
+    # factors whose own product underflowed
+    net = Network(2, [0, 1], [1, 0], [1.0, 2.0 ** -600])
+    assert _acceptance_table(net, 2, True).tolist() == [2.0 ** -600, 1.0]
+    # one product at a time: the move 0 -> 1 has the products 2^-1100
+    # (rounds to 0) over 2^-200, the move 1 -> 0 their inverse
     net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1],
                   [2.0 ** -100, 2.0 ** -1000, 1.0, 1.0])
     assert _acceptance_table(net, 2, True).tolist() == [2.0 ** -900, 1.0,
                                                         1.0, 1.0]
-    # Scaled by 2^-997, the weights of `_overflowing_network` lie near 1;
-    # scaled by a further 2^-503 (near 1e-152), the products of its k = 2
-    # ratios round to 0 but its ladder does not: the table is the one of
-    # the first copy up to rounding, and 0 on the edges into its dead end,
-    # whose denominator has a factor 0.
-    size, weights = _overflowing_network()
-    scaled = {e: w * 2.0 ** -997 for e, w in weights.items()}
-    net = dict_network(size, {e: w * 2.0 ** -503 for e, w in scaled.items()})
-    scaled = dict_network(size, scaled)
-    ladder = net.power_row_sums(2)
-    src, dst = net._edge_ends()
-    assert ladder[ladder > 0].min() >= tiny
-    assert np.all(ladder[1][src] * net.out_edges.weights
-                  * net.out_sums[dst] == 0.0)
-    got = _acceptance_table(net, 2, True)
-    want = _acceptance_table(scaled, 2, True)
-    assert np.abs(got - want).max() <= 1e-15
-    assert np.count_nonzero(want) > len(want) // 2
-    assert np.all(got[dst == size - 1] == 0.0)
 
 
-def test_sampler_refuses_an_overflowing_path_mass():
-    size, weights = _overflowing_network()
-    net = dict_network(size, weights)
-    rng = np.random.default_rng(46)
-    state = rng.bit_generator.state
-    with np.errstate(over="ignore"):
-        assert np.isinf(net.power_row_sums(3)[2]).any()
-        for k in (3, 4):
-            with pytest.raises(SamplingError,
-                               match=f"path mass of the {k}-chain overflows"):
-                sample_homomorphisms(net, k, rng, 10)
-    assert rng.bit_generator.state == state
-    assert np.isfinite(net.power_row_sums(2)).all()
-    X = sample_homomorphisms(net, 2, rng, 1000)
-    assert np.all(hom_weights(net, 2, X) > 0)
+def test_exact_pivot_runs_on_weights_near_1e300():
+    # once refused with "the path mass of the k-chain overflows float64":
+    # the chain is that of the weights scaled by 2^-997, which lie near 1,
+    # and accepts no move onto the edges into the dead end
+    size, weights = _network_near_1e300()
+    near_one, net = _scaled_copies(size, weights, -997)
+    for k in (2, 3, 4):
+        assert (_acceptance_table(net, k, True).tobytes()
+                == _acceptance_table(near_one, k, True).tobytes())
+    assert np.all(_acceptance_table(net, 2, True)[
+        net._edge_ends()[1] == size - 1] == 0.0)
+
+
+def test_sampler_draws_on_weights_near_1e300():
+    # once refused with "the path mass of the k-chain overflows float64"
+    size, weights = _network_near_1e300()
+    near_one, net = _scaled_copies(size, weights, -997)
+    for k in (2, 3, 4):
+        X = sample_homomorphisms(net, k, np.random.default_rng(46), 1000)
+        assert np.array_equal(
+            X, sample_homomorphisms(near_one, k, np.random.default_rng(46),
+                                    1000))
+        assert np.all(net.weights_at(X[:, :-1], X[:, 1:]) > 0)
+
+
+@pytest.mark.parametrize("w", [1e300, 1e-200])
+def test_glauber_laws_on_weights_near_1e300_and_1e_200(w):
+    # the middle node's law multiplies two weights: 1e600 once read inf and
+    # the law [nan], 1e-400 once read 0 and raised "chain node 1 has no
+    # candidate"; the start (0, 1, 2) weighs 1e-400 at w = 1e-200, which
+    # rounds to 0, but its factors are positive
+    edges = ([0, 1, 1, 2], [1, 0, 2, 1])
+    net, unit = Network(3, *edges, [w] * 4), Network(3, *edges, [1.0] * 4)
+    chain = MotifChain(net, 3, "glauber")
+    assert glauber_conditional(chain, (1, 0, 1), 1) == ([0, 2], [0.5, 0.5])
+    _same_chains(unit, net, 3, seed=43)
+    assert chain_steps(chain, (0, 1, 2), np.random.default_rng(44), 5)
 
 
 class _CountedUniforms:
