@@ -27,8 +27,8 @@ read-only; the tables a chain reads belong to its `MotifChain`.
 A chain step touches a handful of rows, so it runs on Python scalars, and a
 chain visits a few hundred nodes, not the whole graph.  Glauber caches the
 rows of the nodes it visits as lists, at most O(E) entries, and the
-conditional laws it builds, keyed by the two neighbors that fix a law, also
-at most O(E) entries.  Pivot copies nothing per node: on large graphs most
+conditional laws it builds, keyed by the two neighbors that fix a law, at
+most max(E, n) entries.  Pivot copies nothing per node: on large graphs most
 of its visits are first visits to a row, so it reads the CSR arrays through
 ``memoryview``s, which index to Python scalars, draws a neighbor by
 ``bisect`` over the row's span of a running-sum table and reads its
@@ -70,7 +70,7 @@ class OracleSizeError(ValueError):
 
 
 def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.cumsum`` of each row's slice of `values`, restarting per row.
+    """Read-only ``np.cumsum`` of each row's slice of `values`, per row.
 
     Rows of equal length are summed together along the second axis of a 2-D
     block, which adds in the same order as the 1-D cumsum of each row.
@@ -83,6 +83,7 @@ def _row_cumsum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
         if d:
             idx = indptr[rows][:, None] + np.arange(d)
             out[idx] = np.cumsum(values[idx], axis=1)
+    out.flags.writeable = False
     return out
 
 
@@ -193,28 +194,34 @@ def _lookup_tables(n: int, src, dst, weights) -> tuple[np.ndarray, np.ndarray]:
     return np.append(keys[keep], n * n), np.append(weights[keep], 0.0)
 
 
+def _node_indices(x) -> np.ndarray:
+    """`x` as an int64 array; `ValueError` unless it is empty or of integers
+    (not bools), which a cast would truncate or read as nodes 0 and 1."""
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError("node indices must be integers")
+    return x.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Adjacency:
     """One direction of a network's edges in CSR form.
 
     Row v spans ``indptr[v]:indptr[v + 1]``: its neighbors in ascending order
-    in `indices`, their weights in `weights` and the running sum of those
-    weights within the row in `cum` (the inverse-CDF table for sampling a
-    neighbor).  The arrays are read-only.
+    in `indices` and their weights in `weights`.  The arrays are read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    cum: np.ndarray
 
     @classmethod
     def from_sorted(cls, n: int, rows, cols, weights) -> "Adjacency":
         """Build from entries sorted by (row, col), one per pair."""
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        adj = cls(indptr, cols, weights, _row_cumsum(indptr, weights))
-        for arr in (adj.indptr, adj.indices, adj.weights, adj.cum):
+        adj = cls(indptr, cols, weights)
+        for arr in (adj.indptr, adj.indices, adj.weights):
             arr.flags.writeable = False
         return adj
 
@@ -231,9 +238,9 @@ class Network:
     b with A(a, b) > 0) and `in_edges` (its transpose, the same object when A
     is symmetric), plus the sorted keys ``a * n + b`` of the out-edges with a
     sentinel ``n * n`` appended, so that `weights_at` finds A(a, b) by
-    ``searchsorted``.  The tables are built once and read-only afterwards,
-    and a network keeps nothing else: what a chain reads or caches belongs
-    to its `MotifChain`.
+    ``searchsorted``, and the row sums `out_sums` and `in_sums`.  These are
+    read-only, and a network keeps nothing else: the running sums a chain
+    draws from and its caches belong to its `MotifChain`.
 
     Entry i of the aligned one-dimensional arrays `src`, `dst` and
     `weights` sets A(src[i], dst[i]); the endpoints are integer node indices
@@ -267,7 +274,7 @@ class Network:
         self.labels = list(labels)
         self._keys, self._key_weights = _lookup_tables(n, src, dst, weights)
         rows, cols = np.divmod(self._keys[:-1], n)
-        # row sums added in row order, as the last entry of each row's cum;
+        # row sums added in row order, as a running sum of each row ends;
         # kept finite, so that no running sum or path mass overflows
         self.out_sums = np.bincount(rows, self._key_weights[:-1], minlength=n)
         self.in_sums = np.bincount(cols, self._key_weights[:-1], minlength=n)
@@ -347,10 +354,11 @@ class Network:
 
     @classmethod
     def from_undirected_pairs(cls, n: int, pairs, labels=None) -> "Network":
-        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ends = np.asarray(pairs).reshape(-1, 2)
         u, v = ends[:, 0], ends[:, 1]
-        if not np.all((ends >= 0) & (ends < n)):   # the constructor names it
-            return cls(n, u, v, np.ones(len(u)), labels)
+        if ends.dtype.kind not in "iu" or not np.all((ends >= 0) & (ends < n)):
+            return cls(n, u, v, np.ones(len(u)), labels)   # which names it
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         # sorted and deduplicated by hand: a values-only np.unique hashes
         # (numpy >= 2.3), about 50x slower than sorting these keys, and its
         # first call imports numpy.ma
@@ -363,8 +371,9 @@ class Network:
 
     def weights_at(self, a, b) -> np.ndarray:
         """A(a, b) for node index arrays `a` and `b`, broadcast; 0 off-edge.
-        An index outside 0..n-1 raises `ValueError`."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        An index that is not an integer or lies outside 0..n-1 raises
+        `ValueError`."""
+        a, b = _node_indices(a), _node_indices(b)
         if any(e.size and not 0 <= e.min() <= e.max() < self.n for e in (a, b)):
             raise ValueError("node index out of range")
         q = a * self.n + b
@@ -400,13 +409,11 @@ class Network:
         Row j holds (A^j 1)(v) per node, the path-weight mass of the
         length-j walks from v, times the power of two that puts the row's
         maximum in [0.5, 1) (row 0 is 1); row k-1 weighs the first node of
-        the exact Pivot chain and of `sample_homomorphisms`.  Its readers
-        compare entries of one row only, and a power of two scales a normal
-        double exactly, so the scaling keeps rows in range and changes no draw.
-
-        The ladder is built on every call and not kept: a Glauber chain
-        needs it for its start alone and would hold its k n floats to the
-        end.
+        the exact Pivot chain and of `sample_homomorphisms`, the rows below
+        it their tails.  Its readers compare entries of one row only, and a
+        power of two scales a normal double exactly, so the scaling keeps
+        rows in range and changes no draw.  The ladder is built on every
+        call and not kept: a Glauber chain needs it for its start alone.
         """
         if k < 1:
             raise ValueError("need k >= 1")
@@ -419,22 +426,6 @@ class Network:
                                     minlength=self.n)
             np.ldexp(ladder[j], -np.frexp(ladder[j].max())[1], out=ladder[j])
         return ladder
-
-    def tail_cdfs(self, k: int) -> np.ndarray:
-        """Inverse-CDF tables of the exact Pivot chain's tail extensions.
-
-        Row j holds, along `out_edges`, the running sum within each node's
-        row of A(a, b) (A^j 1)(b): the weight of extending a path from a
-        through b by j more edges (scaled as `power_row_sums` scales row j).
-        Rows j = 0..k-2 serve a k-chain.
-        """
-        ladder = self.power_row_sums(k)
-        ptr, dst = self.out_edges.indptr, self.out_edges.indices
-        tables = np.empty((k - 1, len(dst)))
-        for j in range(k - 1):
-            tables[j] = _row_cumsum(ptr, self.out_edges.weights * ladder[j][dst])
-        tables.flags.writeable = False
-        return tables
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +443,12 @@ def hom_weights(net: Network, k: int, X) -> np.ndarray:
     the product A(x(1), x(2)) ... A(x(k-1), x(k)) of the weights along the
     map, positive iff the map is a homomorphism.
 
-    The factors multiply in chain order, starting from 1.0.
+    The factors multiply in chain order, starting from 1.0.  An X that is
+    not an (m, k) array of integers raises `ValueError`.
     """
-    X = np.asarray(X, dtype=np.int64)
+    X = _node_indices(X)
+    if X.ndim != 2 or X.shape[1] != k:
+        raise ValueError(f"vertex maps must form an (m, {k}) array")
     total = np.ones(len(X))
     for i in range(k - 1):
         total *= net.weights_at(X[:, i], X[:, i + 1])
@@ -532,12 +526,15 @@ class MotifChain:
     it.  Maps that share one, as the chains of one `hom-diag` run do, share
     its caches.
 
-    Glauber keeps the rows it visits as lists (`_row_lists`), its
-    conditional laws (`_glauber_law`) and, for k = 1, the uniform law.
-    Pivot keeps the row offsets as a list and ``memoryview``s of the
-    out-neighbors, their running sums, each out-edge's acceptance and the
-    running-sum rows the tail draws from, in the order it uses them.  The
-    move v -> ell along an out-edge is accepted with probability min(1, r).
+    Glauber keeps the rows it visits as lists (`_row_lists`) and its
+    conditional laws (`_glauber_law`), the k = 1 law among them.  Pivot
+    keeps, in the order it reads them, the row offsets as a list and
+    read-only ``memoryview``s of the out-neighbors, its move table, each
+    out-edge's acceptance and its tail rows.  Running-sum row j sums
+    ``A(a, b) * power_row_sums(k)[j][b]`` within each out-row a; row 0 is
+    the move table.  Exact, tail node i draws from row k-2-i (one ladder
+    builds them all); approximate, every draw reads row 0.
+    The move v -> ell along an out-edge is accepted with probability min(1, r).
     Approximate, r is ``in_sums[v] / out_sums[v]``.  Exact, r is
     ``rp[ell] * A(ell, v) * out_sums[v]`` over
     ``rp[v] * A(v, ell) * out_sums[ell]``, with rp the path-mass row
@@ -563,20 +560,20 @@ class MotifChain:
             self._laws: dict[int, tuple] = {}
             self._law_entries = 0   # candidates held over all laws
             self._law_bound = len(net.out_edges.indices)
-            if k == 1:   # running sums of the probabilities 1 / n, the nodes
-                self._uniform = (tuple(accumulate([1.0 / net.n] * net.n))
-                                 + tuple(range(net.n)))
             return
         out = net.out_edges
         src, dst = net._edge_ends()
         if mode == "pivot":
-            rp, sums = net.power_row_sums(k)[k - 1], net.out_sums
+            ladder = net.power_row_sums(k)
+            rp, sums = ladder[k - 1], net.out_sums
             num = (rp[dst], net.weights_at(dst, src), sums[src])
             den = (rp[src], out.weights, sums[dst])
-            tails = [memoryview(row) for row in net.tail_cdfs(k)[::-1]]
         else:
+            ladder = np.ones((1, net.n))   # row 0 of every ladder
             num, den = (net.in_sums[src],), (net.out_sums[src],)
-            tails = [memoryview(out.cum)] * (k - 1)
+        rows = [memoryview(_row_cumsum(out.indptr, out.weights * ladder[j][dst]))
+                for j in range(max(len(ladder) - 1, 1))]
+        tails = rows[:k - 1][::-1] if mode == "pivot" else rows * (k - 1)
         split = []   # mantissas multiplied in order, exponents summed
         for factors in (num, den):
             mant, exp = np.frexp(factors[0])
@@ -591,8 +588,8 @@ class MotifChain:
             np.minimum(ne - de, 3)))
         accept.flags.writeable = False
         self._update = _pivot_update
-        self._pivot = (out.indptr.tolist(), memoryview(out.indices),
-                       memoryview(out.cum), memoryview(accept), tuple(tails))
+        self._pivot = (out.indptr.tolist(), memoryview(out.indices), rows[0],
+                       memoryview(accept), tuple(tails))
 
 
 def _row_lists(rows: tuple, v: int) -> tuple[list[int], list[float]]:
@@ -671,13 +668,13 @@ def _glauber_law(chain: MotifChain, x, v: int, key: int) -> tuple:
     The law depends on x(v-1) and x(v+1) alone, so the step keys it by
     ``x(v-1) * (n + 1) + x(v+1)``, the node index n standing for a neighbor
     beyond an end of the chain, reads it with one lookup and calls this
-    function only on a miss.  An inverse-CDF draw never lands on a candidate
+    function only on a miss; at k = 1 its one key, ``n * (n + 1) + n``,
+    holds the uniform law.  An inverse-CDF draw never lands on a candidate
     whose running sum equals its predecessor's (``U * cum[-1] < cum[-1]``
-    for ``U < 1``), so leaving those out draws the same nodes.  The cache
-    holds at most as many candidates, summed over its laws, as A has
-    positive entries (a law holds at most one row's), so it takes O(E)
-    memory like the row cache; it is emptied when a new law would pass that
-    bound.
+    for ``U < 1``), so leaving those out draws the same nodes.  The cache is
+    emptied when a new law would take its candidates past the E positive
+    entries of A; a law holds at most one row's, or the n nodes at k = 1,
+    so the cache holds at most max(E, n) candidates.
     """
     cand, probs = glauber_conditional(chain, x, v)
     nodes, cum, last = [], [], 0.0
@@ -705,14 +702,10 @@ def _glauber_update(chain: MotifChain, x, rng):
     is about 1, a normal double, so ``U * total < total`` and the draw never
     passes the last candidate.
     """
-    k = chain.k
+    k, n = chain.k, chain.net.n
     v = int(k * rng.random())
-    if k == 1:
-        law = chain._uniform
-    else:
-        n = chain.net.n
-        key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
-        law = chain._laws.get(key) or _glauber_law(chain, x, v, key)
+    key = (x[v - 1] if v else n) * (n + 1) + (x[v + 1] if v < k - 1 else n)
+    law = chain._laws.get(key) or _glauber_law(chain, x, v, key)
     m = len(law) >> 1
     new = list(x)
     new[v] = law[m + bisect_right(law, rng.random() * law[m - 1], 0, m)]
@@ -798,19 +791,24 @@ def hom_distribution_bruteforce(net: Network, k: int) -> dict:
     homomorphism x weighs A(x(1), x(2)) ... A(x(k-1), x(k)), normalized.
 
     Guarded at n^k <= 10^7 states; uniform over the walks of k nodes (k - 1
-    edges) when the weights are binary.
+    edges) when the weights are binary.  Each factor is scaled by the power
+    of two that puts the largest weight in [0.5, 1), so tiny or huge weights
+    stay in range and the law keeps its bytes where the products were normal.
     """
     _check_chain_length(k)
     if net.n ** k > _ORACLE_GUARD:
         raise OracleSizeError(f"{net.n}^{k} states exceed the enumeration guard")
     shape = (net.n,) * k
     states = net.n ** k
+    e = int(np.frexp(net.out_edges.weights.max(initial=0.0))[1])
     table = {}
     for start in range(0, states, _ORACLE_BLOCK):
         # maps in lexicographic order, as itertools.product lists them
         flat = np.arange(start, min(start + _ORACLE_BLOCK, states))
         X = np.column_stack(np.unravel_index(flat, shape))
-        w = hom_weights(net, k, X)
+        w = np.ones(len(X))   # `hom_weights` times 2^-e per factor
+        for i in range(k - 1):
+            w *= np.ldexp(net.weights_at(X[:, i], X[:, i + 1]), -e)
         hit = w > 0
         table.update(zip(map(tuple, X[hit].tolist()), w[hit].tolist()))
     if not table:
@@ -828,7 +826,7 @@ def mesoscale_patch(net: Network, x) -> np.ndarray:
     block among them is looked up once and the patches are gathered from it;
     otherwise every entry is looked up.  Both give the same values.
     """
-    idx = np.asarray(x, dtype=np.int64)
+    idx = np.asarray(x)   # `weights_at` refuses indices that are not integers
     nodes = np.sort(idx, axis=None)
     new = nodes[1:] != nodes[:-1]     # where the next distinct node starts
     if (np.count_nonzero(new) + 1) ** 2 < idx.size * idx.shape[-1]:

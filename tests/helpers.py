@@ -92,14 +92,14 @@ def reference_edge_list(path, undirected: bool = False) -> Network:
 
 
 def same_network(a: Network, b: Network) -> bool:
-    """Equal labels, edge keys, weights and running-sum tables."""
+    """Equal labels, edge keys, weights, row sums and CSR tables."""
     return (a.n == b.n and a.labels == b.labels
             and all(np.array_equal(getattr(a, name), getattr(b, name))
                     for name in ("_keys", "_key_weights", "out_sums", "in_sums"))
             and all(np.array_equal(getattr(x, part), getattr(y, part))
                     for x, y in ((a.out_edges, b.out_edges),
                                  (a.in_edges, b.in_edges))
-                    for part in ("indptr", "indices", "weights", "cum")))
+                    for part in ("indptr", "indices", "weights")))
 
 
 def ref_rejection(net: Network, k: int, rng):

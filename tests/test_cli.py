@@ -777,6 +777,23 @@ def test_hom_diag_pivot_approx_logs_tv_without_bound(tmp_path):
     assert 0.0 <= final_tv <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["glauber", "pivot", "pivot-approx"])
+def test_hom_diag_on_weights_of_1e_120_writes_the_unit_weight_outputs(
+        tmp_path, mode):
+    # the oracle once weighed each 4-chain map of this path 1e-360, which
+    # rounds to 0, and exited 3 with "no homomorphism exists"
+    outs = []
+    for name, w in (("tiny", "1e-120"), ("unit", "1")):
+        edges = tmp_path / f"{name}.txt"
+        edges.write_text(f"0 1 {w}\n1 2 {w}\n")
+        outs.append(tmp_path / f"{name}-out")
+        assert run("hom-diag", "--edges", edges, "--undirected", "--motif-k",
+                   4, "--mcmc", mode, "--iters", 2000, "--seed", 6,
+                   "--out-dir", outs[-1]) == 0
+    for name in ("tv_trace.csv", "empirical_dist.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_hom_diag_oracle_guard(tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("\n".join(f"{i} {(i + 1) % 70}" for i in range(70)) + "\n")

@@ -559,6 +559,29 @@ def test_nodes_outside_the_network_are_refused():
             "node index out of range")
 
 
+def test_node_indices_that_are_not_integers_are_refused():
+    # a cast once truncated 0.9 to node 0 and read True as node 1, and
+    # hom_weights at k = 2 read two columns of a three-column map
+    net = Network(3, [0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 3, 4])
+    for refuse in (lambda: net.weights_at(0.9, 1.2),
+                   lambda: net.weights_at(True, 2),
+                   lambda: net.weights_at([0, 1], np.array([1.0, 2.0])),
+                   lambda: mesoscale_patch(net, (0.7, 1.9)),
+                   lambda: mesoscale_patch(net, np.array([[True, False]])),
+                   lambda: hom_weights(net, 2, [[0.0, 1.0]])):
+        with pytest.raises(ValueError, match="node indices must be integers"):
+            refuse()
+    for X in ([[0, 1, 2]], [0, 1], [[[0, 1]]]):
+        with pytest.raises(ValueError, match=r"must form an \(m, 2\) array"):
+            hom_weights(net, 2, X)
+    # integers of any width, and empty index arrays, are read as before
+    assert net.weights_at(np.uint8(1), np.int32(2)) == 3.0
+    assert net.weights_at([], []).shape == (0,)
+    assert hom_weights(net, 2, np.empty((0, 2))).shape == (0,)
+    assert mesoscale_patch(net, np.array([0, 1], dtype=np.uint16)).tolist() == [
+        [0.0, 1.0], [2.0, 0.0]]
+
+
 @pytest.mark.parametrize("mode", MCMC_MODES)
 def test_chain_steps_weigh_the_start_once_per_block(mode, monkeypatch):
     # the start's edge factors are read once, in one lookup
@@ -677,6 +700,26 @@ def test_oracle_weights_follow_products():
     z = sum(hom_weights(net, k, [x])[0]
             for x in itertools.product(range(5), repeat=2))
     assert oracle[(0, 1)] == pytest.approx(net.weights_at(0, 1) / z)
+
+
+def test_oracle_is_scale_free_under_powers_of_two():
+    # the path 0 - 1 - 2 of 1e-120 edges: its 4-chain maps weigh 1e-360,
+    # once a product of 0 each and "no homomorphism exists"
+    edges = ([0, 1, 1, 2], [1, 0, 2, 1])
+    unit = hom_distribution_bruteforce(Network(3, *edges, [1.0] * 4), 4)
+    tiny = Network(3, *edges, [1e-120] * 4)
+    assert hom_distribution_bruteforce(tiny, 4) == unit
+    assert len(unit) == 8 and set(unit.values()) == {0.125}
+    # a weighted network scaled by 2^s has the law of the unscaled one,
+    # byte for byte, while `hom_weights` stays the plain product
+    net = weighted_5node_network()
+    src, dst = net._edge_ends()
+    for k in (2, 3, 4):
+        law = hom_distribution_bruteforce(net, k)
+        for s in (-1000, -400, 400, 1000):
+            scaled = Network(net.n, src, dst, np.ldexp(net.out_edges.weights, s))
+            assert hom_distribution_bruteforce(scaled, k) == law
+    assert hom_weights(tiny, 4, [(0, 1, 0, 1)])[0] == 0.0
 
 
 def test_mesoscale_patch_chain_pattern():
@@ -893,14 +936,18 @@ def test_csr_core_matches_the_dict_reference(case):
     full = np.array([[ref.weight(a, b) for b in range(n)] for a in range(n)])
     assert np.array_equal(net.weights_at(nodes[:, None], nodes[None, :]), full)
     assert len(net.out_edges.indices) == len(ref.weights)
+    # the move table of either Pivot chain: each out-row's running sums
+    moves = [np.asarray(MotifChain(net, 3, mode)._pivot[2])
+             for mode in ("pivot", "pivot-approx")]
     for v in range(n):
         assert np.array_equal(net.out_edges.row(v)[0], ref.out[v][0])
         assert np.array_equal(net.in_edges.row(v)[0], ref.inn[v][0])
         s, e = net.out_edges.indptr[v], net.out_edges.indptr[v + 1]
         assert np.array_equal(net.out_edges.weights[s:e], ref.out[v][1])
-        assert np.array_equal(net.out_edges.cum[s:e], ref.out[v][2])
+        for move in moves:
+            assert np.array_equal(move[s:e], ref.out[v][2])
         s, e = net.in_edges.indptr[v], net.in_edges.indptr[v + 1]
-        assert np.array_equal(net.in_edges.cum[s:e], ref.inn[v][2])
+        assert np.array_equal(net.in_edges.weights[s:e], ref.inn[v][1])
     assert np.array_equal(net.out_sums, ref.out_sums)
     assert np.array_equal(net.in_sums, ref.in_sums)
     symmetric = all(ref.weight(b, a) == w for (a, b), w in ref.weights.items())
@@ -958,13 +1005,52 @@ def test_power_row_sums_and_tail_tables_are_sequential_row_sums():
     k = 5
     ladder = net.power_row_sums(k)
     assert ladder.tobytes() == scaled_rows(ref_ladder(ref, k)).tobytes()
-    tables = net.tail_cdfs(k)
-    assert tables.shape == (k - 1, len(net.out_edges.indices))
-    for j in range(k - 1):
+    # exact Pivot draws tail position i from running-sum row k-2-i, the
+    # last of them row 0, its move table
+    _, _, move, _, tails = MotifChain(net, k, "pivot")._pivot
+    assert len(tails) == k - 1 and tails[-1] is move
+    for i, table in enumerate(tails):
+        j = k - 2 - i
+        assert len(table) == len(net.out_edges.indices)
         for v in range(n):
             tgt, wts, _ = ref.out[v]
             s, e = net.out_edges.indptr[v], net.out_edges.indptr[v + 1]
-            assert np.array_equal(tables[j, s:e], np.cumsum(wts * ladder[j][tgt]))
+            assert np.array_equal(table[s:e], np.cumsum(wts * ladder[j][tgt]))
+    # approximate Pivot draws every tail position from its move table
+    _, _, move, _, tails = MotifChain(net, k, "pivot-approx")._pivot
+    assert len(tails) == k - 1 and all(table is move for table in tails)
+    # a 1-chain has no tail
+    assert MotifChain(net, 1, "pivot")._pivot[4] == ()
+
+
+def test_chains_build_their_tables_once(monkeypatch):
+    # exact Pivot builds the path-mass ladder once, for its acceptance and
+    # its tail rows alike, and Glauber builds no running-sum table at all
+    net = weighted_5node_network()
+    ladders, sums = [], []
+    power_row_sums, row_cumsum = Network.power_row_sums, networks._row_cumsum
+
+    def ladder_spy(self, k):
+        ladders.append(k)
+        return power_row_sums(self, k)
+
+    def cumsum_spy(*args):
+        sums.append(args)
+        return row_cumsum(*args)
+
+    monkeypatch.setattr(Network, "power_row_sums", ladder_spy)
+    monkeypatch.setattr(networks, "_row_cumsum", cumsum_spy)
+    for k in (1, 2, 4):
+        ladders.clear()
+        MotifChain(net, k, "pivot")
+        assert ladders == [k]
+        ladders.clear()
+        MotifChain(net, k, "pivot-approx")
+        assert ladders == []
+        sums.clear()
+        chain = MotifChain(net, k, "glauber")
+        chain_steps(chain, tuple(range(k)), np.random.default_rng(k), 50)
+        assert sums == []
 
 
 def test_patches_above_the_old_dense_limit():
@@ -978,7 +1064,12 @@ def test_patches_above_the_old_dense_limit():
 
 def test_network_arrays_are_read_only():
     net = weighted_5node_network()
-    for arr in (net.out_edges.weights, net.in_edges.indices, net.out_edges.cum):
+    arrays = [net.out_edges.weights, net.in_edges.indices]
+    # and the tables a Pivot chain builds: move table, acceptance, tail rows
+    for mode in ("pivot", "pivot-approx"):
+        _, _, move, accept, tails = MotifChain(net, 4, mode)._pivot
+        arrays += [np.asarray(table) for table in (move, accept, *tails)]
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 9.0
 
@@ -1654,6 +1745,10 @@ VALIDATION_CASES = [
     ("pairs-range", lambda p: Network.from_undirected_pairs(3, [(0, 3)]), RANGE),
     ("pairs-range-negative",
      lambda p: Network.from_undirected_pairs(3, [(0, 1), (-1, 2)]), RANGE),
+    ("pairs-fractional",
+     lambda p: Network.from_undirected_pairs(3, [(0, 1), (0.7, 1.9)]), INTEGER),
+    ("pairs-bool",
+     lambda p: Network.from_undirected_pairs(3, [(True, False)]), INTEGER),
     ("pairs-labels",
      lambda p: Network.from_undirected_pairs(2, [(0, 1)], labels=["a"]), LABELS),
     ("pairs-empty", lambda p: Network.from_undirected_pairs(0, []), EMPTY),
