@@ -20,7 +20,10 @@ times per group of calls with the same shapes and arguments, alternating
 the sides, to time them.  Prints per group the calls, then for each side
 the columns (coding) or converged calls (refit) and the iterations (the
 exact refit's rounds), the best of the five totals in ms, and the time per
-iteration in us.  For each coding group whose codes are not byte-equal, it
+iteration in us.  Under each refit group it prints how many of its calls
+each side's `_refit` sent to `_descent_refit`, the accelerated projected
+gradient fallback, rather than solving them by block principal pivoting.
+For each coding group whose codes are not byte-equal, it
 also prints in how many calls they differ, in how many of those the
 iteration count or converged flag differs, and the largest code difference.
 For each refit group whose W differ, it prints in how many of those calls
@@ -167,6 +170,22 @@ def refit(module, problem):
     return module._refit(*problem)
 
 
+def fallbacks(module, problem) -> int:
+    """How many times `_refit` on `problem` calls `_descent_refit`."""
+    calls = []
+    descent = module._descent_refit
+
+    def counted(*args):
+        calls.append(args)
+        return descent(*args)
+    module._descent_refit = counted
+    try:
+        module._refit(*problem)
+    finally:
+        module._descent_refit = descent
+    return len(calls)
+
+
 def same_code(a, b) -> bool:
     return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
 
@@ -214,6 +233,8 @@ class Solver:
                                          # compare where the outputs differ
     difference: Callable | None = None   # (one side's result, the other's)
                                          # -> the largest output difference
+    fallbacks: Callable | None = None    # (module, arguments) -> the calls to
+                                         # the fallback solver
 
 
 SOLVERS = {
@@ -224,7 +245,7 @@ SOLVERS = {
     "dictionary_update": Solver(
         refit_problem, refit, same_refit, refit_label,
         "d x r, (radius, lower), kappa1, tol, max_iter", "conv",
-        lambda call, out: int(out[2]), refit_surrogate),
+        lambda call, out: int(out[2]), refit_surrogate, fallbacks=fallbacks),
 }
 
 
@@ -251,7 +272,8 @@ def replay(name, calls, modules) -> int:
         group = groups.setdefault(solver.label(call), {
             "problems": {side: [] for side in SIDES},
             "count": dict.fromkeys(SIDES, 0), "iters": dict.fromkeys(SIDES, 0),
-            "excess": [], "differences": [], "counts_differ": 0})
+            "fallbacks": dict.fromkeys(SIDES, 0), "excess": [],
+            "differences": [], "counts_differ": 0})
         if not solver.same(out["parent"], out["change"]):
             mismatched += 1
             if solver.difference:
@@ -267,6 +289,9 @@ def replay(name, calls, modules) -> int:
             group["problems"][side].append(problems[side])
             group["count"][side] += solver.count(call, out[side])
             group["iters"][side] += out[side][1]
+            if solver.fallbacks:
+                group["fallbacks"][side] += solver.fallbacks(modules[side],
+                                                             problems[side])
 
     print(f"\n{name}: {len(calls)} calls (parent/change where two counts)")
     print(f"{solver.header:48} {'calls':>5} {solver.counted:>11} {'iters':>13} "
@@ -282,6 +307,10 @@ def replay(name, calls, modules) -> int:
               f"{best['change'] / best['parent']:>6.3f} "
               f"{best['parent'] * 1e6 / max(iters['parent'], 1):>12.2f} "
               f"{best['change'] * 1e6 / max(iters['change'], 1):>12.2f}")
+        if solver.fallbacks:
+            print("    sent to _descent_refit: parent "
+                  f"{group['fallbacks']['parent']}, change "
+                  f"{group['fallbacks']['change']}")
         if group["differences"]:
             print(f"    codes not byte-equal in {len(group['differences'])} "
                   f"calls, {group['counts_differ']} of them in iteration "

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .factorization import (ZeroDictionaryError, init_engine, learn,
-                            load_dictionary, save_aggregates, save_dictionary)
+from .factorization import (ZeroDictionaryError, _check_penalty, init_engine,
+                            learn, load_dictionary, save_aggregates,
+                            save_dictionary)
 from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
                   RocError, candidate_pairs, corrupt_network, denoise_classify,
                   dominance_scores, folds_chain_entries,
@@ -198,8 +199,7 @@ def cmd_reconstruct(args, out_dir: Path) -> None:
 def cmd_denoise(args, out_dir: Path) -> None:
     if args.recon_iters < 0:
         raise UsageError("--recon-iters must be nonnegative")
-    if args.recon_lambda < 0:
-        raise UsageError("--recon-lambda must be nonnegative")
+    _check_penalty("--recon-lambda", args.recon_lambda)
     net = Network.from_edge_list_file(args.edges, undirected=args.undirected)
     rng = np.random.default_rng(args.seed)
     if args.fraction is not None and args.labels is not None:
@@ -321,8 +321,7 @@ def cmd_image_learn(args, out_dir: Path) -> None:
     if args.stride > args.patch:
         raise UsageError("--stride must not exceed --patch, or the pixels "
                          "between patches are never reconstructed")
-    if args.recon_lambda < 0:
-        raise UsageError("--recon-lambda must be nonnegative")
+    _check_penalty("--recon-lambda", args.recon_lambda)
     image = read_pgm(args.image)
     rng = np.random.default_rng(args.seed)
     engine = _engine(args, rng)

@@ -8,7 +8,8 @@ refit on the quadratic surrogate objective ``tr(W A W^T) - 2 tr(W B)`` over a
 union of compact convex pieces.  In one nonnegative piece whose ball does
 not bind, the refit is one nonnegative least-squares problem per row of W,
 solved exactly by block principal pivoting; otherwise it runs accelerated
-projected gradient (FISTA with gradient restart).  On multi-piece
+projected gradient (FISTA with gradient restart) with step 1/L, L the
+largest eigenvalue of ``A + kappa1 I``.  On multi-piece
 (non-convex) constraint sets each piece's refit is additionally pulled back
 into the trust ellipsoid ``tr((B^T - W A)(W_prev - W)^T) <= 0`` spanned
 between the previous iterate and the unconstrained minimum, which guarantees
@@ -66,6 +67,12 @@ def _check_budget(tol, max_iter) -> None:
         raise ValueError("max_iter must be at least 1")
 
 
+def _check_penalty(name: str, value: float) -> None:
+    """A penalty weight: finite and nonnegative (NaN passes ``value < 0``)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 class ZeroDictionaryError(ValueError):
     """Raised when sparse coding is attempted against an all-zero dictionary."""
 
@@ -79,11 +86,11 @@ class ZeroDictionaryError(ValueError):
 class ConstraintPiece:
     """One compact convex piece: entrywise lower bound plus Frobenius ball.
 
-    ``{W : W_ij >= lower, ||W||_F <= radius}``.  With ``lower == 0`` the set
-    is a cone intersected with a centered ball, for which clamp-then-rescale
-    is the exact Euclidean projection; otherwise the projection alternates
-    the two steps (POCS), which reaches a feasible point but in general not
-    the nearest one.
+    ``{W : W_ij >= lower, ||W||_F <= radius}``, with ``lower`` finite and
+    nonnegative.  With ``lower == 0`` the set is a cone intersected with a
+    centered ball, for which clamp-then-rescale is the exact Euclidean
+    projection; otherwise the projection alternates the two steps (POCS),
+    which reaches a feasible point but in general not the nearest one.
     """
 
     radius: float
@@ -92,31 +99,23 @@ class ConstraintPiece:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("piece radius must be positive and finite")
-        if not math.isfinite(self.lower):
-            raise ValueError("piece lower bound must be finite")
+        if not (math.isfinite(self.lower) and self.lower >= 0):
+            raise ValueError("piece lower bound must be finite and nonnegative")
 
     def project(self, W: np.ndarray) -> np.ndarray:
+        """Clamp at ``lower``, then alternate rescaling into the ball and
+        clamping until the norm is within a relative 1e-12 of ``radius``, or
+        for 200 rounds."""
         W = np.asarray(W, dtype=float)
         if self.lower > 0 and self.lower * math.sqrt(W.size) > self.radius:
             raise ValueError("empty constraint piece for this shape")
-        return _clamp_and_rescale(W, self.lower, self.radius)
-
-
-def _clamp_and_rescale(V: np.ndarray, lower: float, bound: float) -> np.ndarray:
-    """Alternate clamping at ``lower`` and rescaling into the ball of radius ``bound``.
-
-    One round is the exact projection when ``lower == 0`` and is feasible
-    when ``lower < 0``; otherwise the alternation converges to a feasible
-    point.  Stops once the norm is within a relative 1e-12 of ``bound``, or
-    after 200 rounds.
-    """
-    V = np.maximum(V, lower)
-    for _ in range(200):
-        nrm = float(np.linalg.norm(V))
-        if nrm <= bound * (1.0 + 1e-12):
-            return V
-        V = np.maximum(V * (bound / nrm), lower)
-    return V
+        W = np.maximum(W, self.lower)
+        for _ in range(200):
+            nrm = float(np.linalg.norm(W))
+            if nrm <= self.radius * (1.0 + 1e-12):
+                break
+            W = np.maximum(W * (self.radius / nrm), self.lower)
+        return W
 
 
 @dataclass(frozen=True)
@@ -335,8 +334,8 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
         raise ValueError("incompatible shapes for data and dictionary")
     if not (np.isfinite(X).all() and np.isfinite(W).all()):
         raise ValueError("non-finite input")
-    if lam < 0 or kappa2 < 0:
-        raise ValueError("penalties must be nonnegative")
+    _check_penalty("lambda", lam)
+    _check_penalty("kappa2", kappa2)
     _check_budget(tol, max_iter)
     gram = W.T @ W
     if float(np.trace(gram)) <= 0.0:
@@ -435,59 +434,31 @@ def growth_check(W1, W2, stats: AggregateStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lipschitz_bound(A) -> float:
-    """Upper bound on the largest eigenvalue of the symmetric PSD matrix ``A``
-    that needs no LAPACK call: ``||A||_F ||P^8||_F^(1/8)`` with
-    ``P = A / ||A||_F``, P squared three times.  Zero for a zero matrix."""
-    nrm = float(np.linalg.norm(A))
-    if nrm == 0.0:
-        return 0.0
-    P = A / nrm
-    for _ in range(3):
-        P = P @ P
-    return nrm * float(np.linalg.norm(P)) ** 0.125
+def _accelerated_descent(W, piece, A, B, L, tol, max_iter):
+    """FISTA with gradient restart inside one piece, from ``W``.
 
-
-def _accelerated_descent(Wt, piece, Mt, Bt, tol, max_iter):
-    """FISTA with gradient restart inside one piece, on W transposed.
-
-    Each step is the affine map ``Mt Yt + Bt`` at the extrapolated point Yt,
-    clamped at the piece's lower bound and, only when its norm exceeds the
-    radius, pulled back by ``_clamp_and_rescale``.  The momentum restarts
-    (Yt = Wt) whenever the gradient map Yt - Wt_next has a positive inner
-    product with the step Wt_next - Wt.  Stops when the Frobenius change
-    between successive iterates falls below ``tol`` or after ``max_iter``
-    steps.  ``Wt`` is overwritten.  Returns (Wt, iterations, converged).
+    Each step projects ``Y - (Y A - B^T) / L`` into the piece, at the
+    extrapolated point Y.  The momentum restarts (Y = W) whenever the
+    gradient map Y - W_next has a positive inner product with the step
+    W_next - W.  Stops when the Frobenius change between successive
+    iterates falls below ``tol`` or after ``max_iter`` steps.  Returns
+    (W, iterations, converged).
     """
-    lower, radius = piece.lower, piece.radius
-    radius_sq = radius * radius
-    Y = Wt.copy()
-    W_next = np.empty_like(Wt)
-    change = np.empty_like(Wt)
-    floor = np.full_like(Wt, lower)      # an array clamps 3-4x faster than a
-                                         # scalar; see _pg_solve
-    t = 1.0
+    Y, t = W, 1.0
     for it in range(1, max_iter + 1):
-        np.matmul(Mt, Y, out=W_next)
-        W_next += Bt
-        np.maximum(W_next, floor, out=W_next)
-        if np.vdot(W_next, W_next) > radius_sq:
-            W_next = _clamp_and_rescale(W_next, lower, radius)
-        np.subtract(W_next, Wt, out=change)
-        Y -= W_next                      # Y now holds the gradient map
-        restart = np.vdot(Y, change) > 0.0
-        Wt, W_next = W_next, Wt
-        if math.sqrt(np.vdot(change, change)) < tol:
-            return Wt, it, True
+        W_next = piece.project(Y - (Y @ A - B.T) / L)
+        change = W_next - W
+        restart = np.vdot(Y - W_next, change) > 0.0
+        W = W_next
+        if np.linalg.norm(change) < tol:
+            return W, it, True
         if restart:
-            t = 1.0
-            Y[...] = Wt
+            Y, t = W, 1.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            np.multiply(change, (t - 1.0) / t_next, out=Y)
-            Y += Wt
+            Y = W + (t - 1.0) / t_next * change
             t = t_next
-    return Wt, max_iter, False
+    return W, max_iter, False
 
 
 def _ellipsoid_step(start, D, W_prev, stats) -> float:
@@ -609,9 +580,7 @@ def _descent_refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
     spec = W_prev.constraint
     A, B = stats.A, stats.B
     A_ridge = _ridged(stats)
-    L = _lipschitz_bound(A_ridge) or 1.0
-    Mt = np.eye(A.shape[0]) - A_ridge / L
-    Bt = B / L
+    L = float(np.linalg.eigvalsh(A_ridge)[-1]) or 1.0
     W0 = np.asarray(W_prev.W, dtype=float)
     enforce = len(spec.pieces) > 1
 
@@ -626,9 +595,8 @@ def _descent_refit(W_prev: Dictionary, stats: AggregateStats, tol: float,
             start = piece.project(0.5 * (W0 + target))
             if ellipsoid_gap(start, W0, stats) > _FEAS_TOL:
                 continue
-        Wt, iters, converged = _accelerated_descent(start.T.copy(), piece, Mt,
-                                                    Bt, tol, max_iter)
-        W = np.ascontiguousarray(Wt.T)
+        W, iters, converged = _accelerated_descent(start, piece, A_ridge, B, L,
+                                                   tol, max_iter)
         if enforce:
             D = W - start
             W = start + _ellipsoid_step(start, D, W0, stats) * D
@@ -661,17 +629,17 @@ def dictionary_update(W_prev: Dictionary, stats: AggregateStats,
     atoms in use, or the rounds run out), and for every other constraint
     set, the refit runs accelerated projected gradient (FISTA with gradient
     restart) independently inside every constraint piece and returns the
-    best per-piece solution (lowest piece index wins on ties).  The step is
-    1/L, with L an upper bound on the largest eigenvalue of A + kappa1 I, so
-    each iteration is the affine map W^T <- (I - (A + kappa1 I)/L) Y^T + B/L
-    at the extrapolated point Y, clamped at the piece's lower bound and
-    rescaled into its ball only when it leaves it; iterations stop when the
-    Frobenius change between successive iterates falls below ``tol`` or
-    after ``max_iter`` of them.  On constraint sets with more than one
-    piece, the only case where the trust ellipsoid is not redundant, each
-    piece's result is then moved back along the segment from its feasible
-    start to the farthest point inside the ellipsoid.  A piece whose result
-    lies above its start in the objective keeps its start.
+    best per-piece solution (lowest piece index wins on ties).  Each
+    iteration is the projection into the piece of
+    ``Y - (Y (A + kappa1 I) - B^T) / L`` at the extrapolated point Y, with L
+    the largest eigenvalue of A + kappa1 I (1 when it is zero); iterations
+    stop when the Frobenius change between successive iterates falls below
+    ``tol`` or after ``max_iter`` of them.  On constraint sets with more
+    than one piece, the only case where the trust ellipsoid is not
+    redundant, each piece's result is then moved back along the segment
+    from its feasible start to the farthest point inside the ellipsoid.  A
+    piece whose result lies above its start in the objective keeps its
+    start.
 
     Inside ``OnlineNMF.step`` the rounds or iterations and whether the refit
     converged are reported in the ``StepResult``.  Columns whose rows of A
@@ -793,8 +761,9 @@ class OnlineNMF:
 
     def __post_init__(self):
         d, r = self.dictionary.shape
-        if not self.kappa1 >= 0:
-            raise ValueError("kappa1 must be nonnegative")
+        _check_penalty("lambda", self.lam)
+        _check_penalty("kappa1", self.kappa1)
+        _check_penalty("kappa2", self.kappa2)
         _check_budget(self.code_tol, self.code_max_iter)
         _check_budget(self.dict_tol, self.dict_max_iter)
         self.stats = AggregateStats.zeros(r, d, kappa1=self.kappa1)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import AggregateStats, init_engine, learn, sparse_code
+from .factorization import (AggregateStats, _check_penalty, init_engine,
+                            learn, sparse_code)
 from .networks import (MCMC_MODES, MotifChain, Network, chain_steps,
                        initial_homomorphism, mesoscale_patch)
 
@@ -59,8 +60,9 @@ class NDLParams:
     def __post_init__(self):
         if min(self.k, self.atoms, self.iters, self.batch) < 1:
             raise ValueError("counts must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        _check_penalty("lambda", self.lam)
+        _check_penalty("kappa1", self.kappa1)
+        _check_penalty("kappa2", self.kappa2)
         if self.mcmc not in MCMC_MODES:
             raise ValueError(f"mcmc mode must be one of {MCMC_MODES}")
 
@@ -184,8 +186,7 @@ def nr_reconstruct(net: Network, W: np.ndarray, iters: int, rng,
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_penalty("lambda", lam)
     W = np.asarray(W, dtype=float)
     k2, _ = W.shape
     k = int(round(math.sqrt(k2)))

@@ -484,7 +484,11 @@ COUNT_CASES = {
     "denoise-recon-iters-negative": (DENOISE_SW + ["--recon-iters", -1],
                                      "--recon-iters must be nonnegative"),
     "denoise-recon-lambda-negative": (DENOISE_SW + ["--recon-lambda", -1],
-                                      "--recon-lambda must be nonnegative"),
+                                      "--recon-lambda must be finite and "
+                                      "nonnegative"),
+    "denoise-recon-lambda-nan": (DENOISE_SW + ["--recon-lambda", "nan"],
+                                 "--recon-lambda must be finite and "
+                                 "nonnegative"),
     "denoise-fraction-and-labels": (["denoise", "--edges", "{cycle}",
                                      "--undirected", "--fraction", 0.3,
                                      "--labels", "{missing}"],
@@ -524,7 +528,13 @@ COUNT_CASES = {
     "image-recon-lambda-negative": (["image-learn", "--image", "{image}",
                                      "--patch", 3, "--atoms", 2, "--iters", 2,
                                      "--batch", 5, "--recon-lambda", -1],
-                                    "--recon-lambda must be nonnegative"),
+                                    "--recon-lambda must be finite and "
+                                    "nonnegative"),
+    "image-recon-lambda-inf": (["image-learn", "--image", "{image}",
+                                "--patch", 3, "--atoms", 2, "--iters", 2,
+                                "--batch", 5, "--recon-lambda", "inf"],
+                               "--recon-lambda must be finite and "
+                               "nonnegative"),
     "reconstruct-iters-negative": (["reconstruct", "--edges", "{cycle}",
                                     "--undirected", "--dict", "{dict}",
                                     "--iters", -5],
@@ -532,10 +542,19 @@ COUNT_CASES = {
     "reconstruct-lambda-negative": (["reconstruct", "--edges", "{cycle}",
                                      "--undirected", "--dict", "{dict}",
                                      "--lambda", -1, "--iters", 0],
-                                    "lambda must be nonnegative"),
+                                    "lambda must be finite and nonnegative"),
+    "reconstruct-lambda-inf": (["reconstruct", "--edges", "{cycle}",
+                                "--undirected", "--dict", "{dict}",
+                                "--lambda", "inf", "--iters", 0],
+                               "lambda must be finite and nonnegative"),
     "ndl-kappa1-negative": (["ndl-learn", "--edges", "{cycle}", "--undirected",
                              "--kappa1", -5, "--iters", 1],
-                            "kappa1 must be nonnegative"),
+                            "kappa1 must be finite and nonnegative"),
+    "ndl-lambda-nan": (["ndl-learn", "--edges", "{cycle}", "--undirected",
+                        "--lambda", "nan", "--iters", 1],
+                       "lambda must be finite and nonnegative"),
+    "ising-kappa2-inf": (["ising-learn", "--kappa2", "inf"],
+                         "kappa2 must be finite and nonnegative"),
 }
 ISING_SMALL = ["--temperature", 2.0, "--lattice", 6, "--patch", 3,
                "--atoms", 2]

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 
 import numpy as np
@@ -96,6 +97,20 @@ def test_zero_dictionary_and_nonfinite_errors():
         sparse_code(X, np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name, label", [("lam", "lambda"),
+                                         ("kappa2", "kappa2")])
+def test_coding_refuses_a_penalty_not_finite_and_nonnegative(name, label,
+                                                             value):
+    # NaN passes a test of value < 0 and would code every column as NaN;
+    # the engine's ridge kappa1 has its own test below
+    message = f"{label} must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        sparse_code(np.ones((2, 2)), np.eye(2), **{name: value})
+    with pytest.raises(ValueError, match=message):
+        init_engine(4, 2, 10.0, np.random.default_rng(0), **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # aggregates and surrogate
 # ---------------------------------------------------------------------------
@@ -125,9 +140,11 @@ def test_zero_code_is_pure_decay():
     assert np.allclose(out.B, (1 - w) * B)
 
 
-@pytest.mark.parametrize("kappa1", [-5.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("kappa1",
+                         [-5.0, -1e-12, float("nan"), float("inf")])
 def test_statistics_refuse_a_negative_ridge(kappa1):
-    with pytest.raises(ValueError, match="kappa1 must be nonnegative"):
+    with pytest.raises(ValueError,
+                       match="kappa1 must be finite and nonnegative"):
         init_engine(4, 2, 10.0, np.random.default_rng(0), kappa1=kappa1)
     engine = init_engine(4, 2, 10.0, np.random.default_rng(0), kappa1=0.0)
     assert engine.stats.kappa1 == 0.0
@@ -325,10 +342,8 @@ def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
 
 
 def _reference_lipschitz(A):
-    nrm = float(np.linalg.norm(A))
-    if nrm == 0.0:
-        return 1.0
-    return nrm * float(np.linalg.norm(np.linalg.matrix_power(A / nrm, 8))) ** 0.125
+    """The largest eigenvalue of A, or 1 for a zero matrix."""
+    return float(np.linalg.eigvalsh(A)[-1]) or 1.0
 
 
 def _reference_ellipsoid_step(start, W, W0, stats):
@@ -346,11 +361,36 @@ def _reference_ellipsoid_step(start, W, W0, stats):
     return lo
 
 
-def _reference_dictionary_update(W_prev, stats, tol, max_iter):
+def _reference_descent(start, piece, A_ridge, B, L, tol, max_iter):
     """FISTA with gradient restart written out per step, with the gradient
-    formed anew each iteration, then the bisection back into the ellipsoid
-    and the guard that keeps the start; returns (W, kept piece, iterations in
-    the kept piece)."""
+    formed anew each iteration, clamped at the scalar ``piece.lower`` and
+    projected only when it leaves the ball; returns (W, iterations,
+    converged, steps on which the ball bound)."""
+    W, Y, t, bound = start.copy(), start.copy(), 1.0, 0
+    for it in range(1, max_iter + 1):
+        grad = 2.0 * (Y @ A_ridge - B.T)
+        W_next = np.maximum(Y - grad / (2.0 * L), piece.lower)
+        if np.linalg.norm(W_next) > piece.radius:
+            W_next = piece.project(W_next)
+            bound += 1
+        step = W_next - W
+        restart = float(np.sum((Y - W_next) * step)) > 0.0
+        W = W_next
+        if float(np.linalg.norm(step)) < tol:
+            return W, it, True, bound
+        if restart:
+            Y, t = W.copy(), 1.0
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            Y = W + (t - 1.0) / t_next * step
+            t = t_next
+    return W, max_iter, False, bound
+
+
+def _reference_dictionary_update(W_prev, stats, tol, max_iter):
+    """``_reference_descent`` in each piece, then the bisection back into
+    the ellipsoid and the guard that keeps the start; returns (W, kept
+    piece, iterations in the kept piece)."""
     spec = W_prev.constraint
     A, B, kappa1 = stats.A, stats.B, stats.kappa1
     r = A.shape[0]
@@ -370,25 +410,8 @@ def _reference_dictionary_update(W_prev, stats, tol, max_iter):
             start = piece.project(0.5 * (W0 + target))
             if ellipsoid_gap(start, W0, stats) > 1e-12:
                 continue
-        W, Y, t = start.copy(), start.copy(), 1.0
-        iters = 0
-        for _ in range(max_iter):
-            iters += 1
-            grad = 2.0 * (Y @ A_ridge - B.T)
-            W_next = np.maximum(Y - grad / (2.0 * L), piece.lower)
-            if np.linalg.norm(W_next) > piece.radius:
-                W_next = piece.project(W_next)
-            step = W_next - W
-            restart = float(np.sum((Y - W_next) * step)) > 0.0
-            W = W_next
-            if float(np.linalg.norm(step)) < tol:
-                break
-            if restart:
-                Y, t = W.copy(), 1.0
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                Y = W + (t - 1.0) / t_next * step
-                t = t_next
+        W, iters, _, _ = _reference_descent(start, piece, A_ridge, B, L, tol,
+                                            max_iter)
         if enforce:
             W = start + _reference_ellipsoid_step(start, W, W0, stats) * (W - start)
         if g(W) > g(start):
@@ -772,39 +795,6 @@ def test_exact_cases_match_nnls(name):
         assert prev.W[:, 2].min() > 0.0
 
 
-def _scalar_floor_descent(Wt, piece, Mt, Bt, tol, max_iter):
-    """The fused FISTA loop of ``_accelerated_descent`` clamping against the
-    scalar ``piece.lower``; returns (Wt, iterations, converged, steps on which
-    the ball bound)."""
-    lower, radius = piece.lower, piece.radius
-    Y = Wt.copy()
-    W_next = np.empty_like(Wt)
-    change = np.empty_like(Wt)
-    t, bound = 1.0, 0
-    for it in range(1, max_iter + 1):
-        np.matmul(Mt, Y, out=W_next)
-        W_next += Bt
-        np.maximum(W_next, lower, out=W_next)
-        if np.vdot(W_next, W_next) > radius * radius:
-            W_next = factorization._clamp_and_rescale(W_next, lower, radius)
-            bound += 1
-        np.subtract(W_next, Wt, out=change)
-        Y -= W_next
-        restart = np.vdot(Y, change) > 0.0
-        Wt, W_next = W_next, Wt
-        if math.sqrt(np.vdot(change, change)) < tol:
-            return Wt, it, True, bound
-        if restart:
-            t = 1.0
-            Y[...] = Wt
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            np.multiply(change, (t - 1.0) / t_next, out=Y)
-            Y += Wt
-            t = t_next
-    return Wt, max_iter, False, bound
-
-
 REFIT_PIECES = {
     "cone": (ConstraintPiece(radius=10.0), False),
     "cone-ball-binds": (ConstraintPiece(radius=0.6), True),
@@ -818,17 +808,18 @@ REFIT_PIECES = {
 @pytest.mark.parametrize("name", sorted(REFIT_PIECES))
 def test_refit_clamp_matches_the_scalar_floor_loop(name, tol, max_iter,
                                                    converged):
+    # the descent against the per-step reference, which clamps at the
+    # scalar floor and projects only when the step leaves the ball
     piece, binds = REFIT_PIECES[name]
     prev, stats = _dict_case(np.random.default_rng(36), 6, 4,
                              ConstraintSpec(pieces=(piece,)), b_scale=4.0)
-    L = factorization._lipschitz_bound(stats.A)
-    Mt, Bt = np.eye(4) - stats.A / L, stats.B / L
-    start = piece.project(prev.W).T.copy()
-    want, want_iters, want_conv, bound = _scalar_floor_descent(
-        start.copy(), piece, Mt, Bt, tol, max_iter)
+    L = _reference_lipschitz(stats.A)
+    start = piece.project(prev.W)
+    want, want_iters, want_conv, bound = _reference_descent(
+        start, piece, stats.A, stats.B, L, tol, max_iter)
     assert want_conv == converged and (bound > 0) == binds
     got, iters, conv = factorization._accelerated_descent(
-        start.copy(), piece, Mt, Bt, tol, max_iter)
+        start, piece, stats.A, stats.B, L, tol, max_iter)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert (iters, conv) == (want_iters, want_conv)
@@ -1030,21 +1021,50 @@ def test_ellipsoid_step_is_the_largest_feasible_point():
     assert 10 <= shortened < 40
 
 
-def test_update_keeps_the_start_when_the_descent_ends_above_it():
-    # with lower < 0, clamp-then-rescale is not the Euclidean projection: the
-    # start is the nearest point of the piece to the minimum (3, -3), and the
-    # descent ends at a point of the sphere farther from it
-    piece = ConstraintPiece(radius=1.0, lower=-0.5)
-    start = np.array([[np.sqrt(0.75), -0.5]])
-    prev = Dictionary(start.copy(), ConstraintSpec(pieces=(piece,)))
-    stats = AggregateStats(A=np.eye(2), B=np.array([[3.0], [-3.0]]),
-                           r_scalar=0.0, t=1)
-    L = factorization._lipschitz_bound(stats.A)
-    Wt, _, _ = factorization._accelerated_descent(
-        start.T.copy(), piece, np.eye(2) - stats.A / L, stats.B / L, 1e-10, 100)
-    assert surrogate_loss(Wt.T, stats) > surrogate_loss(start, stats) + 1.0
+def test_update_keeps_the_start_when_the_descent_ends_above_it(monkeypatch):
+    # no piece with a nonnegative lower bound was seen to make the descent
+    # end above its start, so a stand-in descent does; A = I and B = start^T
+    # make the start the minimiser
+    piece = ConstraintPiece(radius=2.0, lower=0.1)
+    prev = Dictionary(np.full((3, 2), 0.5), ConstraintSpec(pieces=(piece,)))
+    start = piece.project(prev.W)
+    stats = AggregateStats(A=np.eye(2), B=start.T.copy(), r_scalar=0.0, t=1)
+    above = np.full((3, 2), 1.0)
+    monkeypatch.setattr(factorization, "_accelerated_descent",
+                        lambda W, *args: (above, 7, True))
+    assert surrogate_loss(above, stats) > surrogate_loss(start, stats) + 1.0
     new = dictionary_update(prev, stats, tol=1e-10, max_iter=100)
-    assert np.array_equal(new.W, start)
+    assert new.W.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("lower", [-0.5, float("nan"), float("inf")])
+def test_piece_refuses_a_lower_bound_not_finite_and_nonnegative(lower):
+    with pytest.raises(ValueError,
+                       match="piece lower bound must be finite and nonnegative"):
+        ConstraintPiece(radius=1.0, lower=lower)
+
+
+def test_update_with_no_feasible_piece_keeps_the_previous_dictionary(caplog):
+    # A = I and B = W_prev^T make the trust ellipsoid the single point
+    # W_prev, which lies outside both pieces: neither a piece's start nor
+    # the midpoint fallback is feasible
+    spec = ConstraintSpec(pieces=(ConstraintPiece(radius=0.5),
+                                  ConstraintPiece(radius=0.5, lower=0.1)))
+    prev = Dictionary(np.full((3, 2), 1.0), spec, active_piece=1)
+    stats = AggregateStats(A=np.eye(2), B=prev.W.T.copy(), r_scalar=0.0, t=1)
+    counts = {}
+    token = factorization._SOLVER_COUNTS.set(counts)
+    try:
+        with caplog.at_level(logging.WARNING, logger="onmf.factorization"):
+            new = dictionary_update(prev, stats)
+    finally:
+        factorization._SOLVER_COUNTS.reset(token)
+    assert new.W.tobytes() == prev.W.tobytes()
+    assert new.active_piece == 1
+    assert counts["dict"] == (0, False)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dictionary update found no feasible piece; keeping the previous "
+        "dictionary"]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ def test_ndl_params_validation():
         NDLParams(k=3, atoms=2, lam=-1.0)
     with pytest.raises(ValueError):
         NDLParams(k=3, atoms=2, mcmc="metropolis")
+    for name, label in [("lam", "lambda"), ("kappa1", "kappa1"),
+                        ("kappa2", "kappa2")]:
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match=f"{label} must be finite and nonnegative"):
+                NDLParams(k=3, atoms=2, **{name: value})
 
 
 def test_dominance_scores():
@@ -363,9 +369,11 @@ def test_reconstruct_refuses_negative_iters_and_keeps_zero():
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    (dict(lam=-1.0), "lambda must be nonnegative"),
+    (dict(lam=-1.0), "lambda must be finite and nonnegative"),
+    (dict(lam=float("nan")), "lambda must be finite and nonnegative"),
+    (dict(lam=float("inf")), "lambda must be finite and nonnegative"),
     (dict(mcmc="bogus"), "unknown MCMC mode 'bogus'"),
-], ids=["lambda-negative", "mcmc-unknown"])
+], ids=["lambda-negative", "lambda-nan", "lambda-inf", "mcmc-unknown"])
 @pytest.mark.parametrize("iters", [0, 10])
 def test_reconstruct_refuses_bad_lambda_and_mode_before_drawing(kwargs, message,
                                                                 iters):
