@@ -17,9 +17,9 @@ import time
 import networkx as nx
 import numpy as np
 
-from onmf import (NDLParams, Network, candidate_pairs, corrupt_network,
-                  folds_chain_entries, lower_tail_is_positive, ndl_learn,
-                  nr_reconstruct, roc_auc)
+from onmf import (CORRUPTION_MODES, NDLParams, Network, candidate_pairs,
+                  corrupt_network, folds_chain_entries, lower_tail_is_positive,
+                  ndl_learn, nr_reconstruct, roc_auc)
 
 
 def peak_rss_mib():
@@ -65,7 +65,7 @@ def main():
     parser.add_argument("--ring", type=int, default=8,
                         help="ring degree of the Watts-Strogatz graph")
     parser.add_argument("mode", nargs="?", default="subtractive",
-                        choices=["subtractive", "additive"])
+                        choices=CORRUPTION_MODES)
     parser.add_argument("seeds", nargs="*", type=int, default=[0, 1, 2])
     args = parser.parse_args()
     for seed in args.seeds:

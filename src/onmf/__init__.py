@@ -10,11 +10,12 @@ from .factorization import (AggregateStats, ConstraintPiece, ConstraintSpec,
                             init_engine, kkt_residual, learn, load_aggregates,
                             load_dictionary, save_aggregates, save_dictionary,
                             sparse_code, surrogate_loss, update_aggregates)
-from .ndl import (CorruptionError, CorruptionResult, DegenerateAggregatesError,
-                  NDLParams, NetworkDictionary, ReconstructionState, RocError,
-                  RocResult, candidate_pairs, corrupt_network, denoise_classify,
-                  dominance_scores, folds_chain_entries,
-                  lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
+from .ndl import (CORRUPTION_MODES, CorruptionError, CorruptionResult,
+                  DegenerateAggregatesError, NDLParams, NetworkDictionary,
+                  ReconstructionState, RocError, RocResult, candidate_pairs,
+                  corrupt_network, denoise_classify, dominance_scores,
+                  folds_chain_entries, lower_tail_is_positive, ndl_learn,
+                  nr_reconstruct, roc_auc)
 from .networks import (EdgeListError, MotifChain, Network, OracleSizeError,
                        SamplingError, chain_update, glauber_conditional,
                        hom_distribution_bruteforce, hom_weights,

@@ -23,9 +23,9 @@ from . import __version__
 from .factorization import (ZeroDictionaryError, _check_penalty, init_engine,
                             learn, load_dictionary, save_aggregates,
                             save_dictionary)
-from .ndl import (CorruptionError, DegenerateAggregatesError, NDLParams,
-                  RocError, candidate_pairs, corrupt_network, denoise_classify,
-                  dominance_scores, folds_chain_entries,
+from .ndl import (CORRUPTION_MODES, CorruptionError, DegenerateAggregatesError,
+                  NDLParams, RocError, candidate_pairs, corrupt_network,
+                  denoise_classify, dominance_scores, folds_chain_entries,
                   lower_tail_is_positive, ndl_learn, nr_reconstruct, roc_auc)
 from .networks import (MCMC_MODES, EdgeListError, MotifChain, Network,
                        OracleSizeError, SamplingError, chain_steps,
@@ -255,13 +255,11 @@ def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pair keys u * n + v (u < v) of a labels.csv, and their
     labels."""
     index = {lab: i for i, lab in enumerate(net.labels)}
-    keys, labels = array("q"), bytearray()
-    skipped = []    # line numbers of blank lines and the header
+    keys, labels, linenos = array("q"), bytearray(), array("q")
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or lineno == 1 and line.startswith("u,v,"):
-                skipped.append(lineno)
                 continue
             parts = line.split(",")
             if len(parts) != 3:
@@ -275,14 +273,13 @@ def _read_labels(path, net: Network) -> tuple[np.ndarray, np.ndarray]:
             u, v = index[parts[0]], index[parts[1]]
             keys.append(min(u, v) * net.n + max(u, v))
             labels.append(label == "true")
+            linenos.append(lineno)
     keys = np.frombuffer(keys, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeats = order[1:][keys[1:] == keys[:-1]]
     if repeats.size:
-        lineno = int(repeats.min()) + 1    # the first repeat's row, 1-based
-        for skip in skipped:               # ... shifted past skipped lines
-            lineno += skip <= lineno
+        lineno = linenos[int(repeats.min())]   # the first repeat's row
         raise DataError(f"{path}: line {lineno}: pair listed twice")
     return keys, np.frombuffer(labels, dtype=bool)[order]
 
@@ -419,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", parents=[common, network, learning],
                        help="corrupt, reconstruct, and score a network")
-    p.add_argument("--mode", choices=["additive", "subtractive"],
-                   default="subtractive")
+    p.add_argument("--mode", choices=CORRUPTION_MODES, default="subtractive")
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--labels", default=None,
                    help="labels.csv for a pre-corrupted input")

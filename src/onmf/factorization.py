@@ -193,7 +193,7 @@ class AggregateStats:
 # ---------------------------------------------------------------------------
 
 
-def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
+def _pg_solve(gram, wx, lam, kappa2, tol, max_iter):
     """Projected gradient on the nonnegative orthant with a fixed safe step,
     started at zero.
 
@@ -202,20 +202,17 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     M = (1 - s kappa2) I - 2 s gram and c = s (2 wx - lam), both formed once;
     ``wx`` is not used after c is formed.
 
-    ``counts``, when given, says how many columns of the batch each column
-    of ``wx`` stands for.  The loop then runs in the scaled coordinates
-    G = H diag(sqrt(counts)): the clamp commutes with a positive column
-    scaling, so scaling c by sqrt(counts) (one more rounding of c) makes G's
-    map the same map, and G's Frobenius change is the whole batch's change.
-    The codes G / sqrt(counts) are returned; a column with count 1 is scaled
-    by exactly 1.0.
-
-    The Frobenius change is tested at the end of each window of
-    K = ``_TEST_EVERY`` steps and at ``max_iter``, and the solve stops there
-    when it is below ``tol``.  Returns (H, iterations, converged); converged
+    The stop statistic is the largest Euclidean change of one column in the
+    last step, tested at the end of each window of K = ``_TEST_EVERY`` steps
+    and at ``max_iter``; the solve stops there when it is below ``tol``.
+    Every column below ``tol`` needs the window's sum of squared changes,
+    one ``vdot``, at most n tol^2, so the columns are summed only when that
+    holds.  Rounding in that ``vdot`` can only delay a stop by one window:
+    the changes do not grow in exact arithmetic, so the next window end
+    passes unless they stall.  Returns (H, iterations, converged); converged
     is true only when the change test stopped the loop.  Records them for
-    ``OnlineNMF.step`` under "code", with the Frobenius change of the last
-    step taken and the number of columns coded.
+    ``OnlineNMF.step`` under "code", with the statistic of the last step
+    taken and the number of columns coded.
     """
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     M = (-2.0 * step) * gram
@@ -224,9 +221,6 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     c -= lam
     c *= step
     del wx                               # frees a W^T X the caller dropped
-    scale = None if counts is None else np.sqrt(counts)
-    if scale is not None:
-        c *= scale
     H = np.zeros_like(c)
     H_next = np.empty_like(c)
     # Clamp against an array, not the scalar 0.0: on numpy 2.4.6 a scalar
@@ -234,8 +228,10 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
     # 0.88-0.93 us with this floor (one AMD EPYC core; the step's matmul
     # takes 2.75 us).  The results are the same bytes.
     floor = np.zeros_like(c)
+    bound = c.shape[1] * tol * tol
     done = 0
-    while True:
+    converged = False
+    while not converged and done < max_iter:
         for _ in range(min(_TEST_EVERY, max_iter - done)):
             # np.dot, not np.matmul: the same dgemm and bytes, less call
             # overhead (0.69 against 0.96 us at 16 x 80, one AMD EPYC core)
@@ -245,14 +241,19 @@ def _pg_solve(gram, wx, lam, kappa2, tol, max_iter, counts=None):
             H, H_next = H_next, H
         done = min(done + _TEST_EVERY, max_iter)
         H_next -= H                      # minus the last change
-        change = math.sqrt(np.vdot(H_next, H_next))
-        converged = change < tol
-        if converged or done == max_iter:
-            break
+        change = None
+        if np.vdot(H_next, H_next) <= bound:
+            change = _largest_column_change(H_next)
+            converged = change < tol
+    if change is None:
+        change = _largest_column_change(H_next)
     _record_counts("code", done, converged, change, H.shape[1])
-    if scale is not None:
-        H /= scale
     return H, done, converged
+
+
+def _largest_column_change(D) -> float:
+    """The largest Euclidean norm of a column of D."""
+    return math.sqrt(np.einsum("ij,ij->j", D, D).max())
 
 
 @functools.cache
@@ -265,10 +266,9 @@ def _fingerprint(d: int) -> np.ndarray:
 
 
 def _distinct_columns(X):
-    """The distinct columns of X: (first, inverse, counts) with
-    ``X[:, first][:, inverse]`` equal to X byte for byte and ``counts`` the
-    columns each stands for, or None when fewer than one column in
-    ``_REPEATS_WORTH`` ties with another.
+    """The distinct columns of X: (first, inverse) with
+    ``X[:, first][:, inverse]`` equal to X byte for byte, or None when fewer
+    than one column in ``_REPEATS_WORTH`` ties with another.
 
     A column's fingerprint is its dot product with fixed integer weights,
     one mat-vec ``v @ X``.  Columns are sorted stably by fingerprint, and
@@ -293,7 +293,7 @@ def _distinct_columns(X):
     new[tied[same] + 1] = False
     inverse = np.empty(X.shape[1], dtype=np.intp)
     inverse[order] = new.cumsum() - 1
-    return order[new], inverse, np.bincount(inverse)
+    return order[new], inverse
 
 
 def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
@@ -304,29 +304,28 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     Projected gradient descent from H = 0 with step
     s = 1/(2 tr(W^T W) + kappa2), run as the affine map H <- max(M H + c, 0)
     with M = (1 - s kappa2) I - 2 s W^T W and c = s (2 W^T X - lam); stopped
-    when the Frobenius change between successive iterates falls below
-    ``tol``, or after ``max_iter`` steps.  The objective is
-    non-increasing across iterations and the columns of X are solved
-    independently.  A batch shares the Frobenius stopping rule: the whole
-    change bounds each column's change, so a column coded in a batch is never
-    stopped earlier than it would be if coded alone.
+    when the largest Euclidean change of one column between successive
+    iterates falls below ``tol``, or after ``max_iter`` steps.  The
+    objective is non-increasing across iterations and the columns of X are
+    solved independently.  So each column is held to ``tol`` on its own, as
+    the paper's Algorithm 1 defines each code by its own column: no column
+    stops earlier than it would coded alone, and ``tol`` means the same at
+    any batch width.
 
     When at least one column in ``_REPEATS_WORTH`` repeats another, each
     distinct column of X is solved once, and equal columns (byte for byte)
-    share its code.  The stopping rule still counts every column: a column
-    that stands for m columns enters the change with weight m, by iterating
-    its code times sqrt(m), which is the same map.  So the rule is the whole
-    batch's rule in exact arithmetic, and the codes differ from a solve of
-    every column only by rounding.
+    share its code.  A column that repeats m times weighs in the stop rule
+    exactly as one copy, so the codes are those of the distinct columns
+    coded as a batch.
 
     The rule is tested only at the end of each window of eight steps and at
-    ``max_iter``; the map is nonexpansive, so in exact arithmetic a solve
-    stops at most seven steps after its first passing step, with a code no
-    worse.  ``tol`` must be finite and nonnegative and ``max_iter`` at least
-    1.  Inside
-    ``OnlineNMF.step`` the iteration count, whether the change test fired,
-    the change of the last step and the number of distinct columns coded are
-    reported in the ``StepResult``.
+    ``max_iter``; the map is nonexpansive on each column, so in exact
+    arithmetic a solve stops at most seven steps after its first passing
+    step, with a code no worse.  ``tol`` must be finite and nonnegative and
+    ``max_iter`` at least 1.  Inside ``OnlineNMF.step`` the iteration count,
+    whether the change test fired, the largest column change of the last
+    step and the number of distinct columns coded are reported in the
+    ``StepResult``.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -343,10 +342,9 @@ def sparse_code(X, W, lam: float = 1.0, kappa2: float = 0.0,
     groups = _distinct_columns(X)
     if groups is None:
         return _pg_solve(gram, W.T @ X, lam, kappa2, tol, max_iter)[0]
-    first, inverse, counts = groups
-    H = _pg_solve(gram, W.T @ X[:, first], lam, kappa2, tol, max_iter,
-                  counts)[0]
-    return H[:, inverse]
+    first, inverse = groups
+    return _pg_solve(gram, W.T @ X[:, first], lam, kappa2, tol,
+                     max_iter)[0][:, inverse]
 
 
 def coding_objective(X, W, H, lam: float, kappa2: float = 0.0) -> float:
@@ -723,11 +721,11 @@ class StepResult:
     accelerated projected-gradient iterations in the piece it kept.  A
     converged flag of a gradient solver is true only when its change test
     stopped it, false when it ran to its cap.  ``code_change`` is the
-    Frobenius change of the coding's last step, the statistic its stopping
-    rule compares with ``code_tol``.  ``code_columns`` is the number of
-    columns the coding solved: the batch's distinct columns when it repeats
-    enough of them to code each once (see ``sparse_code``), else all of its
-    columns.
+    largest Euclidean change of one column in the coding's last step, the
+    statistic its stopping rule compares with ``code_tol``.  ``code_columns``
+    is the number of columns the coding solved: the batch's distinct columns
+    when it repeats enough of them to code each once (see ``sparse_code``),
+    else all of its columns.
     """
 
     code: np.ndarray
@@ -745,6 +743,10 @@ class StepResult:
 class OnlineNMF:
     """Single-owner streaming factorization state.
 
+    Each ``step`` codes its batch with ``sparse_code``, every column held to
+    ``code_tol`` on its own (the largest column change of a step is below
+    it) or stopped after ``code_max_iter`` steps, then refits the dictionary
+    with ``dictionary_update`` under ``dict_tol`` and ``dict_max_iter``.
     One ``step`` at a time mutates the engine; independent engines on disjoint
     state are safe to drive concurrently.
     """

@@ -19,8 +19,8 @@ import numpy as np
 
 from .factorization import (AggregateStats, _check_penalty, init_engine,
                             learn, sparse_code)
-from .networks import (MCMC_MODES, MotifChain, Network, chain_steps,
-                       initial_homomorphism, mesoscale_patch)
+from .networks import (MCMC_MODES, MotifChain, Network, _node_indices,
+                       chain_steps, initial_homomorphism, mesoscale_patch)
 
 # Chain steps whose patches nr_reconstruct codes in one sparse_code call.
 RECON_BLOCK = 512
@@ -28,6 +28,9 @@ RECON_BLOCK = 512
 # Stopping rule of the sparse coding in ndl_learn and nr_reconstruct.
 CODE_TOL = 1e-8
 CODE_MAX_ITER = 500
+
+# How corrupt_network changes a graph, and so which pairs are candidates.
+CORRUPTION_MODES = ("additive", "subtractive")
 
 
 class CorruptionError(ValueError):
@@ -75,6 +78,11 @@ class NetworkDictionary:
     stats: AggregateStats
     k: int
     loss_trace: list = field(default_factory=list)
+
+
+def _check_corruption_mode(mode: str) -> None:
+    if mode not in CORRUPTION_MODES:
+        raise ValueError(f"unknown corruption mode {mode!r}")
 
 
 def dominance_scores(P: np.ndarray) -> np.ndarray:
@@ -128,7 +136,9 @@ class ReconstructionState:
     """Per visited node pair {u, v}: the sum and the number of folded
     proposals in either orientation, at ascending keys
     ``min(u, v) * n + max(u, v)``.  Like ``Network`` keys, the arrays end in
-    a sentinel key ``n * n`` with sum 0 and count 0."""
+    a sentinel key ``n * n`` with sum 0 and count 0.  Nodes outside 0..n-1
+    and pair keys outside [0, n * n), or not integers, raise `ValueError`
+    rather than reading another pair."""
 
     def __init__(self, n: int):
         self.n = n
@@ -143,6 +153,7 @@ class ReconstructionState:
                   values: np.ndarray) -> None:
         """Fold proposals values[i] at pairs {us[i], vs[i]}.  A block's values
         are summed per pair in index order, then added to the pair's sum."""
+        us, vs = _node_indices(us, self.n), _node_indices(vs, self.n)
         size = len(self.keys)
         self.keys, inverse = np.unique(
             np.concatenate([self.keys, self._key(us, vs)]), return_inverse=True)
@@ -156,13 +167,18 @@ class ReconstructionState:
     def scores(self, pairs) -> np.ndarray:
         """Mean proposal at each pair key ``u * n + v``, in either
         orientation; 0 for pairs never visited."""
-        keys = self._key(*np.divmod(np.asarray(pairs, dtype=np.int64), self.n))
+        keys = np.asarray(pairs)
+        if keys.size and (keys.dtype.kind not in "iu" or not
+                          0 <= keys.min() <= keys.max() < self.n * self.n):
+            raise ValueError("pair keys must be integers in [0, n * n)")
+        keys = self._key(*np.divmod(keys.astype(np.int64, copy=False), self.n))
         pos = self.keys.searchsorted(keys)
         return np.divide(self.sums[pos], self.counts[pos],
                          out=np.zeros(keys.shape), where=self.keys[pos] == keys)
 
     def pair_score(self, u: int, v: int) -> float:
         """``scores`` of the one pair (u, v)."""
+        u, v = _node_indices(u, self.n), _node_indices(v, self.n)
         return float(self.scores(u * self.n + v))
 
 
@@ -242,6 +258,7 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
         raise CorruptionError("corruption requires a simple graph")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
+    _check_corruption_mode(mode)
     n = net.n
     edges = net.undirected_keys()
     quota = math.ceil(fraction * len(edges))
@@ -273,15 +290,13 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
         # flipped is a subset of the ascending edges, found by a search: a
         # values-only np.unique (np.isin) would import numpy.ma
         kept = np.delete(edges, edges.searchsorted(flipped))
-    elif mode == "additive":
+    else:
         pool = candidate_pairs(net, "subtractive")
         if quota > len(pool):
             raise CorruptionError(
                 f"cannot add {quota} edges: only {len(pool)} non-adjacent pairs")
         flipped = pool[rng.permutation(len(pool))[:quota]]
         kept = np.concatenate([edges, flipped])
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
     corrupted = Network.from_undirected_pairs(
         n, np.column_stack(np.divmod(kept, n)), labels=net.labels)
     return CorruptionResult(corrupted=corrupted, flipped=np.sort(flipped))
@@ -290,11 +305,10 @@ def corrupt_network(net: Network, mode: str, fraction: float, rng) -> Corruption
 def candidate_pairs(corrupted: Network, mode: str) -> np.ndarray:
     """Classification universe as ascending keys ``u * n + v``, u < v, of a
     symmetric network: its non-edges (subtractive) or edges (additive)."""
+    _check_corruption_mode(mode)
     edges = corrupted.undirected_keys()
     if mode == "additive":
         return edges
-    if mode != "subtractive":
-        raise ValueError(f"unknown corruption mode {mode!r}")
     absent = np.triu(np.ones((corrupted.n, corrupted.n), dtype=bool), 1)
     absent.flat[edges] = False
     return np.flatnonzero(absent)
@@ -303,8 +317,7 @@ def candidate_pairs(corrupted: Network, mode: str) -> np.ndarray:
 def lower_tail_is_positive(mode: str) -> bool:
     """Which reconstructed-weight tail flags a corrupted pair: injected edges
     (additive) are the low tail, removed edges (subtractive) the high one."""
-    if mode not in ("additive", "subtractive"):
-        raise ValueError(f"unknown corruption mode {mode!r}")
+    _check_corruption_mode(mode)
     return mode == "additive"
 
 

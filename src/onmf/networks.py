@@ -194,12 +194,15 @@ def _lookup_tables(n: int, src, dst, weights) -> tuple[np.ndarray, np.ndarray]:
     return np.append(keys[keep], n * n), np.append(weights[keep], 0.0)
 
 
-def _node_indices(x) -> np.ndarray:
+def _node_indices(x, n: int | None = None) -> np.ndarray:
     """`x` as an int64 array; `ValueError` unless it is empty or of integers
-    (not bools), which a cast would truncate or read as nodes 0 and 1."""
+    (not bools), which a cast would truncate or read as nodes 0 and 1, and,
+    given n, in 0..n-1."""
     x = np.asarray(x)
     if x.size and x.dtype.kind not in "iu":
         raise ValueError("node indices must be integers")
+    if n is not None and x.size and not 0 <= x.min() <= x.max() < n:
+        raise ValueError("node index out of range")
     return x.astype(np.int64, copy=False)
 
 
@@ -373,9 +376,7 @@ class Network:
         """A(a, b) for node index arrays `a` and `b`, broadcast; 0 off-edge.
         An index that is not an integer or lies outside 0..n-1 raises
         `ValueError`."""
-        a, b = _node_indices(a), _node_indices(b)
-        if any(e.size and not 0 <= e.min() <= e.max() < self.n for e in (a, b)):
-            raise ValueError("node index out of range")
+        a, b = _node_indices(a, self.n), _node_indices(b, self.n)
         q = a * self.n + b
         pos = self._keys.searchsorted(q)
         return self._key_weights[pos] * (self._keys[pos] == q)

@@ -371,15 +371,18 @@ def test_denoise_without_fraction_needs_labels(tmp_path):
 @pytest.mark.parametrize("rows, fault", [
     (["0,2,true", "0,3,yes"], "label must be true or false"),
     (["0,2,true", "2,0,false"], "pair listed twice"),
+    (["0,2,true", "", "", "1,3,true", "2,0,false"], "pair listed twice"),
 ])
 def test_labels_file_faults_exit_2_with_line_number(tmp_path, capsys, rows,
                                                     fault):
+    # the fault is on the last line, blank lines counted
     labels = tmp_path / "labels.csv"
     labels.write_text("u,v,label\n" + "\n".join(rows) + "\n")
     assert run("denoise", "--edges", write_cycle(tmp_path / "cycle.txt"),
                "--undirected", "--labels", labels,
                "--out-dir", tmp_path / "o") == 2
-    assert f"data error: {labels}: line 3: {fault}" in capsys.readouterr().err
+    assert (f"data error: {labels}: line {len(rows) + 1}: {fault}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("text", ["0 1 1e308\n0 1 1e308\n",

@@ -326,7 +326,8 @@ def test_unused_atom_column_is_left_alone():
 
 def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
     """Projected gradient from zero written out per step, with the gradient
-    formed anew each iteration; returns (H, iterations, converged)."""
+    formed anew each iteration, stopped when the largest change of one
+    column falls below tol; returns (H, iterations, converged)."""
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     H = np.zeros_like(wx)
     for it in range(1, max_iter + 1):
@@ -334,7 +335,7 @@ def _reference_pg_solve(gram, wx, lam, kappa2, tol, max_iter):
         if kappa2 > 0:
             grad += kappa2 * H
         H_next = np.maximum(H - step * grad, 0.0)
-        delta = float(np.linalg.norm(H_next - H))
+        delta = float(np.linalg.norm(H_next - H, axis=0).max())
         H = H_next
         if delta < tol:
             return H, it, True
@@ -468,10 +469,17 @@ def test_affine_projected_gradient_stops_where_reference_stops():
     assert _rel_diff(got[0], want) <= 1e-12
 
 
+def _column_change(D):
+    """The largest Euclidean norm of a column of D, summed as the solver
+    sums it (so a tol one ulp above it stops both)."""
+    return math.sqrt(np.einsum("ij,ij->j", D, D).max())
+
+
 def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter, every=1):
     """The fused affine loop, one step at a time, that tests the stopping
-    rule after every ``every``-th step and after step ``max_iter``; returns
-    (H, iterations, converged)."""
+    rule, the largest change of one column below tol, after every
+    ``every``-th step and after step ``max_iter``; returns (H, iterations,
+    converged)."""
     step = 1.0 / (2.0 * float(np.trace(gram)) + kappa2)
     M = (-2.0 * step) * gram
     M.flat[::M.shape[0] + 1] += 1.0 - step * kappa2
@@ -483,7 +491,7 @@ def _per_step_pg_solve(gram, wx, lam, kappa2, tol, max_iter, every=1):
         H_next += c
         np.maximum(H_next, 0.0, out=H_next)
         H -= H_next
-        delta = math.sqrt(np.vdot(H, H))
+        delta = _column_change(H)
         H, H_next = H_next, H
         if (it % every == 0 or it == max_iter) and delta < tol:
             return H, it, True
@@ -496,11 +504,12 @@ _window_end_pg_solve = functools.partial(_per_step_pg_solve, every=TEST_EVERY)
 
 
 def _change_of_step(gram, wx, lam, k):
-    """Frobenius change of step k of the per-step loop, computed as it is."""
+    """Largest column change of step k of the per-step loop, computed as it
+    is."""
     before = _per_step_pg_solve(gram, wx, lam, 0.0, 0.0, k - 1)[0] if k > 1 \
         else np.zeros_like(wx)
     before -= _per_step_pg_solve(gram, wx, lam, 0.0, 0.0, k)[0]
-    return math.sqrt(np.vdot(before, before))
+    return _column_change(before)
 
 
 def _assert_same_solve(got, want):
@@ -556,6 +565,28 @@ def test_windowed_stop_test_stops_at_every_step_of_a_window(residue):
         _assert_same_solve(
             factorization._pg_solve(gram, wx.copy(), 0.1, 0.0, tol, max_iter),
             want)
+
+
+def test_columns_are_summed_only_where_a_window_end_can_stop(monkeypatch):
+    # One vdot per window end: the column statistic is summed only where the
+    # sum of squares allows every column below tol, and for the report.
+    calls = []
+
+    def counted(D):
+        calls.append(D.shape)
+        return real(D)
+
+    real = factorization._largest_column_change
+    monkeypatch.setattr(factorization, "_largest_column_change", counted)
+    rng = np.random.default_rng(53)
+    W = rng.random((6, 3))
+    X = rng.random((6, 4))
+    gram, wx = W.T @ W, W.T @ X
+    for tol, max_iter, want in [(0.0, 5 * TEST_EVERY, (5 * TEST_EVERY, False)),
+                                (1e3, 5 * TEST_EVERY, (TEST_EVERY, True))]:
+        calls.clear()
+        got = factorization._pg_solve(gram, wx.copy(), 0.1, 0.0, tol, max_iter)
+        assert got[1:] == want and calls == [(3, 4)]
 
 
 def test_windowed_stop_test_allows_for_rounding_rises():
@@ -646,23 +677,47 @@ def test_repeated_columns_stop_where_the_full_batch_stops(tol, max_iter,
     assert H[:, 0].tobytes() == H[:, 2].tobytes() == H[:, 9].tobytes()
 
 
-def test_repeats_weigh_in_the_stop_rule():
-    # 40 copies of one column and one other: the full batch's change stays
-    # above tol for longer than the change of the two distinct columns alone,
-    # so the repeats' weight moves the stop to a later window.
+def test_repeats_do_not_weigh_in_the_stop_rule():
+    # 40 copies of one column and one other stop at the step where the two
+    # distinct columns alone stop, with _pg_solve's codes for those two.
     rng = np.random.default_rng(48)
     W = rng.random((6, 3))
     pair = rng.random((6, 2))
     X = pair[:, [0] * 40 + [1]]
     gram = W.T @ W
-    stop = 30                            # the full batch's first passing step
-    tol = np.nextafter(_change_of_step(gram, W.T @ X, 0.1, stop), np.inf)
+    stop = 30                            # the pair's first passing step
+    tol = np.nextafter(_change_of_step(gram, W.T @ pair, 0.1, stop), np.inf)
+    assert _per_step_pg_solve(gram, W.T @ pair, 0.1, 0.0, tol,
+                              10000)[1:] == (stop, True)
     window_end = -(-stop // TEST_EVERY) * TEST_EVERY
-    alone = _window_end_pg_solve(gram, W.T @ pair, 0.1, 0.0, tol, 10000)
-    assert alone[1:] == (window_end - 2 * TEST_EVERY, True)
+    alone = factorization._pg_solve(gram, W.T @ pair, 0.1, 0.0, tol, 10000)
+    _assert_same_solve(alone, _window_end_pg_solve(gram, W.T @ pair, 0.1,
+                                                   0.0, tol, 10000))
+    assert alone[1:] == (window_end, True)
     H, iters, converged, columns = _assert_codes_as_full_width(
         X, W, 0.1, 0.0, tol, 10000)
     assert (iters, converged, columns) == (window_end, True, 2)
+    assert H.tobytes() == alone[0][:, [0] * 40 + [1]].tobytes()
+
+
+def test_a_patch_gets_one_code_in_batches_of_any_multiplicity():
+    # One 0/1 patch, 9 times in a batch of 8 distinct columns and 4 times in
+    # one of 16: both batches run to the cap and code it to the same bytes.
+    # The widths are multiples of 8, so no column lands in a BLAS remainder
+    # tile.
+    rng = np.random.default_rng(52)
+    W = rng.random((9, 4))
+    patches = np.unique((rng.random((40, 9)) < 0.5).astype(float), axis=0).T
+    patch, small, large = patches[:, :1], patches[:, 1:8], patches[:, 8:23]
+    batches = [np.hstack([patch] * 9 + [small]),
+               np.hstack([patch] * 4 + [large])]
+    codes = []
+    for X, width in zip(batches, (8, 16)):
+        H, iters, converged, columns = _coded(X, W, lam=0.2, tol=0.0,
+                                              max_iter=60)
+        assert (iters, converged, columns) == (60, False, width)
+        codes.append(H[:, 0])
+    assert codes[0].tobytes() == codes[1].tobytes()
 
 
 def test_signed_zeros_are_different_columns():
@@ -1160,8 +1215,9 @@ def test_step_reports_solver_iterations():
 
 @pytest.mark.parametrize("max_iter", [200, 7])
 def test_step_reports_the_change_of_the_last_coding_step(max_iter):
-    # The change of the last step is the KKT residual at the iterate before
-    # the returned code: the iterate that max_iter - 1 steps reach.
+    # The change of the last step is the largest KKT residual of one column
+    # at the iterate before the returned code: the iterate that
+    # max_iter - 1 steps reach.
     rng = np.random.default_rng(26)
     spec = ConstraintSpec.nonnegative(10.0)
     X = rng.random((6, 5))
@@ -1172,7 +1228,8 @@ def test_step_reports_the_change_of_the_last_coding_step(max_iter):
     assert res.code_converged == (max_iter == 200)
     before = sparse_code(X, W, lam=0.3, kappa2=0.2, tol=0.0,
                          max_iter=res.code_iters - 1)
-    want = kkt_residual(X, W, before, 0.3, kappa2=0.2)
+    want = max(kkt_residual(X[:, [j]], W, before[:, [j]], 0.3, kappa2=0.2)
+               for j in range(X.shape[1]))
     assert res.code_change == pytest.approx(want, rel=1e-12)
     assert (res.code_change < 1e-3) == res.code_converged
 

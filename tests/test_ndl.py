@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (cycle_network, edge_pairs, mann_whitney_auc,
                      smallworld_network)
-from onmf import (ConstraintSpec, CorruptionError, DegenerateAggregatesError,
+from onmf import (CORRUPTION_MODES, ConstraintSpec, CorruptionError,
+                  DegenerateAggregatesError,
                   MotifChain, NDLParams, Network, OnlineNMF, ReconstructionState,
                   RocError, WeightSchedule, candidate_pairs, chain_update,
                   coding_objective, corrupt_network,
@@ -209,6 +210,29 @@ def test_pair_score_combines_both_orientations():
     assert state.pair_score(0, 1) == pytest.approx(1.0 / 3.0)
     assert state.pair_score(1, 0) == state.pair_score(0, 1)
     assert state.pair_score(4, 5) == 0.0
+
+
+def test_reconstruction_state_refuses_nodes_and_keys_outside_it():
+    # On 10 nodes, node 15 and key 15.9 read or fold into the pair {1, 5} at
+    # key 15 unless refused.
+    state = ReconstructionState(10)
+    state.fold_many(np.array([1]), np.array([5]), np.array([0.75]))
+    assert state.scores(np.array([15])).tolist() == [0.75]
+    assert state.scores(np.array([], dtype=float)).tolist() == []
+    for u, v in [(0, 15), (15, 0), (-1, 2), (2, 10)]:
+        with pytest.raises(ValueError, match="node index out of range"):
+            state.pair_score(u, v)
+        with pytest.raises(ValueError, match="node index out of range"):
+            state.fold_many(np.array([u]), np.array([v]), np.array([1.0]))
+    for keys in [np.array([15.9]), np.array([True]), np.array([100]),
+                 np.array([-1, 15])]:
+        with pytest.raises(ValueError, match="pair keys must be integers"):
+            state.scores(keys)
+    with pytest.raises(ValueError, match="node indices must be integers"):
+        state.fold_many(np.array([1.5]), np.array([5]), np.array([1.0]))
+    assert state.keys.tolist() == [15, 100]
+    assert state.sums.tolist() == [0.75, 0.0]
+    assert state.counts.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -694,6 +718,23 @@ def test_the_corruption_mode_picks_the_tail():
     assert lower_tail_is_positive("subtractive") is False
     with pytest.raises(ValueError, match="unknown corruption mode"):
         lower_tail_is_positive("sideways")
+
+
+def test_every_corruption_function_knows_the_same_modes():
+    net = smallworld_network(20, 4, 0.2, seed=2)
+    rng = np.random.default_rng(9)
+    assert CORRUPTION_MODES == ("additive", "subtractive")
+    for mode in CORRUPTION_MODES:
+        corrupted = corrupt_network(net, mode, 0.2, rng).corrupted
+        assert candidate_pairs(corrupted, mode).size
+        assert lower_tail_is_positive(mode) is not folds_chain_entries(mode)
+    for call in (lambda: corrupt_network(net, "sideways", 0.2, rng),
+                 lambda: candidate_pairs(net, "sideways"),
+                 lambda: lower_tail_is_positive("sideways"),
+                 lambda: folds_chain_entries("sideways")):
+        with pytest.raises(ValueError,
+                           match="^unknown corruption mode 'sideways'$"):
+            call()
 
 
 def test_only_additive_denoising_folds_chain_entries_as_zero():
